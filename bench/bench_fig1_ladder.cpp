@@ -152,10 +152,10 @@ int main() {
     r.time_err_pct = (sim.true_time_s() - t_true) / t_true * 100.0;
     rungs.push_back(r);
   }
-  {  // 4c. the same board on the jit cost tier: emitted code retires the
-     // static base cycles inline and captures dynamic residuals for batched
-     // replay. Accounting is bit-identical by construction (+0.0% columns);
-     // only the wall clock moves — this is the fastest exact-cost rung.
+  {  // 4c. the same board on the jit: emitted code tallies the integer cost
+     // ledger inline. Accounting is bit-identical by construction (+0.0%
+     // columns); only the wall clock moves — this is the fastest exact-cost
+     // rung.
     nfp::board::Board sim(cfg);
     sim.load(job.program);
     for (const auto& [addr, bytes] : job.inputs) {

@@ -168,9 +168,10 @@ void BM_FunctionalSim_Jit_HostBtc(benchmark::State& state) {
 }
 BENCHMARK(BM_FunctionalSim_Jit_HostBtc)->Unit(benchmark::kMillisecond);
 
-// Board step-vs-block A/B pair: the block-cost dispatch (static per-block
-// profiles + dynamic residual hooks) against the per-instruction stepping
-// baseline, at identical — bit-for-bit — cycle and energy accounting.
+// Board step-vs-block A/B pair: whole-block dispatch (counts batched per
+// block, cost-ledger tallies in the morph handlers) against the
+// per-instruction stepping baseline, at identical — bit-for-bit — cycle and
+// energy accounting.
 void BM_BoardApproxTimed(benchmark::State& state) {
   set_provenance(state, "block-chained");
   run_sim(
@@ -187,9 +188,8 @@ void BM_BoardApproxTimed_Step(benchmark::State& state) {
 }
 BENCHMARK(BM_BoardApproxTimed_Step)->Unit(benchmark::kMillisecond);
 
-// Board cost tier on the jit: static base cycles retire inline in emitted
-// code, dynamic residuals are captured and replayed in batch — accounting
-// stays bit-for-bit identical to both rows above.
+// The board on the jit: emitted code tallies the cost ledger inline —
+// accounting stays bit-for-bit identical to both rows above.
 void BM_BoardApproxTimed_Jit(benchmark::State& state) {
   set_provenance(state, "jit");
   run_sim(

@@ -96,8 +96,8 @@ inline void add_counts(model::OpCounts& acc, const BasicBlock& b,
   }
 }
 
-// Directional pricing against the board's dynamic residuals (the
-// apply_residual kernel in board/hooks.h): SDRAM row misses add cycles and
+// Directional pricing against the board's dynamic residuals (the cost
+// ledger fold in board/hooks.h): SDRAM row misses add cycles and
 // energy to memory ops, untaken control transfers retire at 0.8x base energy
 // without redirecting the fetch stream, and operand toggling modulates every
 // op's dynamic energy share by +-amplitude/2. kLower/kUpper bracket every

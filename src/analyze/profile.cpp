@@ -11,7 +11,6 @@ namespace {
 struct PcCountHooks {
   static constexpr bool kWantsDetail = true;
   static constexpr bool kBatchRetire = false;
-  static constexpr bool kBlockCost = false;
 
   std::uint32_t base = 0;
   std::vector<std::uint64_t>* counts = nullptr;

@@ -358,6 +358,14 @@ void Emitter::shl_cl(Gp r) { shift_cl32(4, r); }
 void Emitter::shr_cl(Gp r) { shift_cl32(5, r); }
 void Emitter::sar_cl(Gp r) { shift_cl32(7, r); }
 
+void Emitter::popcnt_rr(Gp dst, Gp src) {
+  u8(0xF3);  // mandatory prefix, ahead of any REX
+  rex_rr(false, dst, src);
+  u8(0x0F);
+  u8(0xB8);
+  modrm_reg(static_cast<unsigned>(dst), static_cast<unsigned>(src));
+}
+
 void Emitter::bswap_r(Gp r) {
   rex(false, 0, 0, static_cast<unsigned>(r));
   u8(0x0F);

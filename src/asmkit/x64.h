@@ -122,6 +122,7 @@ class Emitter {
   void shl_cl(Gp r);
   void shr_cl(Gp r);
   void sar_cl(Gp r);
+  void popcnt_rr(Gp dst, Gp src);  // popcnt r32, r32
   void bswap_r(Gp r);          // bswap r32
   void ror16_ri(Gp r, std::uint8_t imm);  // ror r16, imm8 (halfword swap)
   void bt_ri(Gp r, std::uint8_t bit);     // bt r32, imm8 (CF = bit)

@@ -13,10 +13,6 @@ Board::Board(BoardConfig cfg)
 
 void Board::load(const asmkit::Program& program) {
   platform_.load(program);
-  // Block-cost dispatch replays per-op residuals from captured operands, so
-  // every block the fresh cache morphs must use the capture handler
-  // variants. load() rebuilt the cache, so no block pre-dates this.
-  platform_.block_cache()->set_capture(true);
   hooks_ = std::make_unique<BoardHooks>(cfg_, cost_);
 }
 
@@ -33,11 +29,9 @@ sim::RunResult Board::run(std::uint64_t max_insns, sim::Dispatch dispatch) {
   exec.set_decode_cache(platform_.code_base(), platform_.decode_cache());
   exec.set_block_cache(platform_.block_cache());
   exec.set_block_dispatch(dispatch != sim::Dispatch::kStep);
-  // BoardHooks expose the jit cost interface (jit_counts/jit_cycles/
-  // jit_replay/jit_advance_activity), so kJit runs cost-mode native code:
-  // static base cycles retire inline, dynamic residuals are captured and
-  // replayed in batch. When jit_available() is false the executor degrades
-  // to chained kBlock on its own.
+  // BoardHooks expose their cost ledger, so kJit runs native code with the
+  // ledger tallies emitted inline. When jit_available() is false the
+  // executor degrades to chained kBlock on its own.
   exec.set_jit(dispatch == sim::Dispatch::kJit);
   exec.set_chaining(dispatch == sim::Dispatch::kBlock ||
                     dispatch == sim::Dispatch::kJit);
@@ -70,25 +64,18 @@ void Board::save_state(std::ostream& out) const {
   w.end_chunk();
 
   const BoardHooksState s = hooks_->export_state();
+  const sim::CostLedger& l = s.ledger;
   w.begin_chunk(sim::kChunkBoardHooks);
-  w.put_u64(s.cycles);
-  w.put_u32(static_cast<std::uint32_t>(s.counts.size()));
-  for (const std::uint64_t c : s.counts) w.put_u64(c);
-  w.put_f64(s.residual_energy);
-  w.put_u64(s.stats.loads);
-  w.put_u64(s.stats.stores);
-  w.put_u64(s.stats.row_misses);
-  w.put_u64(s.stats.cache_hits);
-  w.put_u64(s.stats.cache_misses);
-  w.put_u64(s.stats.branches_taken);
-  w.put_u64(s.stats.branches_untaken);
-  w.put_u64(s.stats.stall_cycles);
-  w.put_u32(s.prev_a);
-  w.put_u32(s.prev_b);
-  w.put_u32(s.prev_addr);
-  w.put_u32(s.open_row);
-  w.put_u32(static_cast<std::uint32_t>(s.tags.size()));
-  for (const std::uint32_t t : s.tags) w.put_u32(t);
+  w.put_u32(static_cast<std::uint32_t>(isa::kOpCount));
+  for (const sim::CostLedger::Tally* t : l.tallies()) {
+    for (const std::uint64_t v : *t) w.put_u64(v);
+  }
+  w.put_u32(l.prev_a);
+  w.put_u32(l.prev_b);
+  w.put_u32(l.prev_addr);
+  w.put_u32(l.open_row);
+  w.put_u32(static_cast<std::uint32_t>(l.tags.size()));
+  for (const std::uint32_t t : l.tags) w.put_u32(t);
   w.put_u64(s.activity_lfsr);
   w.put_u64(s.activity);
   w.end_chunk();
@@ -137,42 +124,36 @@ void Board::restore_state(std::istream& in) {
   BoardHooksState s;
   {
     sim::ChunkCursor c(r.payload(sim::kChunkBoardHooks));
-    s.cycles = c.get_u64();
-    if (c.get_u32() != s.counts.size()) {
+    sim::CostLedger& l = s.ledger;
+    if (c.get_u32() != isa::kOpCount) {
       throw StateError(StateErrorCode::kBadPayload,
-                       "retire-count vector has the wrong arity");
+                       "cost-ledger tallies have the wrong arity");
     }
-    for (std::uint64_t& count : s.counts) count = c.get_u64();
-    s.residual_energy = c.get_f64();
-    s.stats.loads = c.get_u64();
-    s.stats.stores = c.get_u64();
-    s.stats.row_misses = c.get_u64();
-    s.stats.cache_hits = c.get_u64();
-    s.stats.cache_misses = c.get_u64();
-    s.stats.branches_taken = c.get_u64();
-    s.stats.branches_untaken = c.get_u64();
-    s.stats.stall_cycles = c.get_u64();
-    s.prev_a = c.get_u32();
-    s.prev_b = c.get_u32();
-    s.prev_addr = c.get_u32();
-    s.open_row = c.get_u32();
+    for (sim::CostLedger::Tally* t : l.tallies()) {
+      for (std::uint64_t& v : *t) v = c.get_u64();
+    }
+    if (!l.consistent()) {
+      throw StateError(StateErrorCode::kBadPayload,
+                       "cost-ledger tallies are inconsistent");
+    }
+    l.prev_a = c.get_u32();
+    l.prev_b = c.get_u32();
+    l.prev_addr = c.get_u32();
+    l.open_row = c.get_u32();
     const std::uint32_t ntags = c.get_u32();
     const std::uint32_t want = cfg_.enable_cache ? cfg_.cache_lines : 0;
     if (ntags != want) {
       throw StateError(StateErrorCode::kBadPayload,
                        "cache tag array does not match the configuration");
     }
-    s.tags.resize(ntags);
-    for (std::uint32_t& t : s.tags) t = c.get_u32();
+    l.tags.resize(ntags);
+    for (std::uint32_t& t : l.tags) t = c.get_u32();
     s.activity_lfsr = c.get_u64();
     s.activity = c.get_u64();
     c.done();
   }
 
   sim::apply_platform_chunks(r, platform_);
-  // Same post-load invariant as load(): every block the fresh cache morphs
-  // must capture residual operands for cost-mode replay.
-  platform_.block_cache()->set_capture(true);
   hooks_ = std::make_unique<BoardHooks>(cfg_, cost_);
   hooks_->import_state(s);
 }

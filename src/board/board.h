@@ -30,10 +30,9 @@ class Board {
   explicit Board(BoardConfig cfg = {});
 
   void load(const asmkit::Program& program);
-  // Runs under the chosen dispatch mode. Block dispatch retires whole
-  // superblocks against precomputed static cost profiles with per-op
-  // residual callbacks for the flagged subset; cycles, energy, and stats
-  // are bit-for-bit identical across all modes (see board/hooks.h). The
+  // Runs under the chosen dispatch mode. Every mode tallies the same
+  // integer cost ledger, so cycles, energy, and stats are bit-for-bit
+  // identical across all modes (see board/hooks.h). The
   // morph cache is attached in every mode, so stores into the code range
   // re-decode the image even when stepping.
   sim::RunResult run(std::uint64_t max_insns = kDefaultMaxInsns,
@@ -48,7 +47,7 @@ class Board {
     return static_cast<double>(cycles()) / cfg_.clock_hz;
   }
   double true_energy_nj() const { return hooks_->energy_nj(); }
-  const BoardStats& stats() const { return hooks_->stats(); }
+  BoardStats stats() const { return hooks_->stats(); }
   // The versioned PMU-style counter export (board/events.h): bit-identical
   // across dispatch modes and preserved by snapshot/restore.
   EventCounters events() const { return hooks_->events(); }
@@ -67,8 +66,9 @@ class Board {
   Measurement measure(std::string_view tag) const;
 
   // Versioned snapshot of the whole stand: platform state plus the board's
-  // configuration fingerprint and accumulator state (SDRAM open row, cache
-  // tags, meter accumulators, switching-activity LFSR). Restore refuses
+  // configuration fingerprint and accumulator state (the cost ledger with
+  // its SDRAM open row, cache tags and toggle history, and the
+  // switching-activity LFSR). Restore refuses
   // snapshots taken under a different BoardConfig (kConfigMismatch) and is
   // all-or-nothing; a resumed run produces bit-identical cycles, energy,
   // stats, and activity in every dispatch mode (see sim/state_io.h).

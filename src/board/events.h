@@ -7,9 +7,9 @@
 // Decoding Energy Estimation Using Processor Events* (2023) in particular —
 // can read them like a performance-monitoring unit.
 //
-// Every counter is derived from the same shared residual kernel both
-// dispatch tiers replay (board/hooks.h), so EventCounters is bit-identical
-// across Dispatch::kStep, kBlock and kJit, and it round-trips through the
+// Every counter is a view of the board's integer cost ledger (sim/ledger.h,
+// folded in board/hooks.h), so EventCounters is bit-identical across
+// Dispatch::kStep, kBlock and kJit, and it round-trips through the
 // versioned snapshot format unchanged (board/board.cpp).
 #pragma once
 

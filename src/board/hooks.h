@@ -3,29 +3,19 @@
 // (SDRAM open-row state, branch direction, operand/address toggling,
 // optional data cache).
 //
-// The accounting is split so whole-block dispatch (Hooks::kBlockCost) can
-// retire most of it statically:
-//
-//  - Static base: every op's base cycles and base energy come straight from
-//    the CostModel table. Energy is tracked as per-op retire counts and
-//    summed lazily in energy_nj(); base cycles of non-residual ops are
-//    precomputed per block (BlockCost::base_cycles) and added in one shot.
-//  - Dynamic residual: ops whose cost depends on machine context carry a
-//    ResidualKind tag, and apply_residual() is the single kernel — shared
-//    verbatim by the stepping and block paths — that turns captured operands
-//    into the per-op cycle count and the energy correction relative to base
-//    (accumulated in residual_energy_).
-//
-// Because both dispatch modes retire every op through the same count
-// increment and the same apply_residual() call sequence in program order,
-// cycles(), energy_nj(), stats() and switching_activity() are bit-for-bit
-// identical between Dispatch::kStep and Dispatch::kBlock.
+// All accounting state is an integer cost ledger (sim/ledger.h): per-op
+// retire counts plus per-op tallies of toggle popcounts, row misses, cache
+// hits and untaken branches. Every dispatch mode updates it directly — the
+// step path through on_retire(), morphed blocks through their handlers, the
+// jit through inline code — and cycles(), energy_nj(), stats() and events()
+// fold it when read. The folds depend only on the integers, so all of them
+// are bit-for-bit identical across Dispatch::kStep, kBlock and kJit and
+// across snapshot/restore.
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <vector>
 
 #include "board/config.h"
 #include "board/cost_model.h"
@@ -34,7 +24,7 @@
 #include "sim/block_cache.h"
 #include "sim/bus.h"
 #include "sim/hooks.h"
-#include "sim/jit.h"
+#include "sim/ledger.h"
 
 namespace nfp::board {
 
@@ -46,26 +36,19 @@ struct BoardStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t branches_taken = 0;
   std::uint64_t branches_untaken = 0;
-  // Extra cycles spent on SDRAM row opens (row_misses * row_miss_cycles,
-  // tracked as a real accumulator so snapshots carry it verbatim).
+  // Extra cycles spent on SDRAM row opens (row_misses * row_miss_cycles).
   std::uint64_t stall_cycles = 0;
 
   friend bool operator==(const BoardStats&, const BoardStats&) = default;
 };
 
 // The accumulator state a snapshot carries (board/board.cpp save/restore):
-// everything on which future accounting depends — cycle and energy
-// accumulators, SDRAM open row, cache tags, operand-toggle history, and the
-// switching-activity LFSR. Derived per-block cost profiles are NOT state
-// (they rebuild deterministically), so they are absent by design.
+// everything on which future accounting depends — the cost ledger's tallies,
+// SDRAM open row, cache tags and toggle history, and the switching-activity
+// LFSR. The ledger's configuration fields are not state (the restoring
+// board's own configuration supplies them).
 struct BoardHooksState {
-  std::uint64_t cycles = 0;
-  std::array<std::uint64_t, isa::kOpCount> counts{};
-  double residual_energy = 0.0;
-  BoardStats stats;
-  std::uint32_t prev_a = 0, prev_b = 0, prev_addr = 0;
-  std::uint32_t open_row = 0;
-  std::vector<std::uint32_t> tags;
+  sim::CostLedger ledger;
   std::uint64_t activity_lfsr = 0;
   std::uint64_t activity = 0;
 };
@@ -73,18 +56,14 @@ struct BoardHooksState {
 class BoardHooks {
  public:
   static constexpr bool kWantsDetail = true;
-  // Not a profile-only batch hook: context-dependent residuals still need
-  // flagged instructions in order. kBlockCost is the middle tier — static
-  // base applied per block, residuals replayed from captured operands.
-  static constexpr bool kBatchRetire = false;
-  static constexpr bool kBlockCost = true;
+  // Whole blocks retire as one count add; their context-dependent share
+  // lands in the ledger from the block handlers (and from emitted code under
+  // kJit), in program order, with the same operands as on_retire().
+  static constexpr bool kBatchRetire = true;
 
   BoardHooks(const BoardConfig& cfg, const CostModel& cost)
       : cfg_(cfg), cost_(cost) {
-    if (cfg_.enable_cache) {
-      const std::uint32_t lines = cfg_.cache_lines;
-      tags_.assign(lines, kInvalidTag);
-    }
+    configure_ledger();
   }
 
   void on_retire(const isa::DecodedInsn& d, const sim::RetireInfo& info) {
@@ -98,8 +77,8 @@ class BoardHooks {
           "board error: MUL/DIV instruction executed on a configuration "
           "without the hardware units (compile with soft-muldiv)");
     }
-    // Fold the RetireInfo into the same {x, y} operand pair the block path
-    // captures, then run the shared accounting kernel.
+    // Fold the RetireInfo into the same {x, y} pair the block handlers
+    // tally.
     std::uint32_t x, y;
     switch (cost_.of(d.op).kind) {
       case sim::ResidualKind::kMemory:
@@ -115,185 +94,196 @@ class BoardHooks {
         y = info.b;
         break;
     }
-    account(d.op, x, y);
-  }
-
-  // Prefix retire after a fault inside a block: replay the accounting for
-  // one completed instruction from its captured operands. The retire guards
-  // are not re-checked — ensure_block_cost() refused every block containing
-  // a guarded op, so a faulting block has none.
-  void on_retire_captured(isa::Op op, const sim::CapturedOp& cap) {
-    account(op, cap.a, cap.b);
-  }
-
-  // Builds (once) and validates the block's cost profile. Returns false to
-  // demand single-stepping: blocks containing ops whose retire guard must
-  // fault at the exact offending instruction never enter block dispatch.
-  bool ensure_block_cost(sim::Block& block) {
-    if (block.cost_state == sim::BlockCostState::kReady) return true;
-    if (block.cost_state == sim::BlockCostState::kStepOnly) return false;
-    sim::BlockCost cost;
-    for (std::size_t i = 0; i < block.code.size(); ++i) {
-      const auto op = static_cast<isa::Op>(block.code[i].op);
-      if ((!cfg_.has_fpu && uses_fpu(op)) ||
-          (!cfg_.has_hw_muldiv && uses_muldiv(op))) {
-        block.cost_state = sim::BlockCostState::kStepOnly;
-        return false;
-      }
-      const OpCost& oc = cost_.of(op);
-      cost.base_energy_nj += oc.energy_nj;
-      if (residual_active(oc.kind)) {
-        cost.residuals.push_back(
-            {static_cast<std::uint16_t>(i), block.code[i].op});
-      } else {
-        // Residual ops are excluded: their cycles always come from
-        // apply_residual() — in both dispatch modes — so they are never
-        // counted twice.
-        cost.base_cycles += oc.cycles;
-      }
-    }
-    block.cost = std::move(cost);
-    block.cost_state = sim::BlockCostState::kReady;
-    return true;
-  }
-
-  // Whole-block retire: per-op counts and precomputed base cycles land in
-  // one shot; only the flagged residual subset replays per instruction, in
-  // program order, against the operands the handlers captured.
-  void on_retire_block_cost(const sim::Block& block,
-                            const sim::CapturedOp* cap) {
-    for (const auto& pc : block.profile) {
-      counts_[pc.op] += pc.count;
-    }
-    std::uint64_t cyc = block.cost.base_cycles;
-    for (const auto& r : block.cost.residuals) {
-      const auto op = static_cast<isa::Op>(r.op);
-      cyc += apply_residual(op, cost_.of(op), cap[r.index].a, cap[r.index].b);
-    }
+    const sim::LedgerOutcome outcome = ledger_.retire(d.op, x, y);
+    ++ledger_.counts[static_cast<std::size_t>(d.op)];
     if (cfg_.fidelity == Fidelity::kCycleStepped) {
-      // Batched: the tracker is a pure function of how many cycles it has
-      // advanced, so one block-sized run equals the per-op runs exactly.
+      const std::uint64_t cyc = cycles_of(d.op, outcome);
       advance_activity(cyc);
+      advanced_ += cyc;
     }
-    cycles_ += cyc;
   }
 
-  std::uint64_t cycles() const { return cycles_; }
+  // Whole-block dispatch guard: blocks holding an op whose retire guard
+  // must fault at the exact instruction (the ledger's step_only ops) single-
+  // step. The verdict is cached on the block.
+  bool admit_block(sim::Block& block) const {
+    if (cfg_.has_fpu && cfg_.has_hw_muldiv) return true;
+    if (block.guard == sim::BlockGuard::kUnchecked) {
+      block.guard = sim::BlockGuard::kAdmitted;
+      for (const sim::BlockOpCount& p : block.profile) {
+        if (ledger_.step_only[p.op]) block.guard = sim::BlockGuard::kStepOnly;
+      }
+    }
+    return block.guard == sim::BlockGuard::kAdmitted;
+  }
 
-  // Lazy total: static base energy from the retire counts plus the
-  // accumulated dynamic corrections. Summed in ascending op order so the
-  // value is a pure function of the retire multiset — identical for any
-  // dispatch mode that retires the same instructions.
+  void on_retire_block(const sim::BlockOpCount* ops, std::size_t n,
+                       std::uint64_t) {
+    for (std::size_t i = 0; i < n; ++i) {
+      ledger_.counts[ops[i].op] += ops[i].count;
+    }
+    settle();
+  }
+
+  // The ledger the block handlers and emitted code tally into.
+  sim::CostLedger* ledger() { return &ledger_; }
+
+  // Brings the cycle-stepped activity tracker up to the cycles retired so
+  // far (called after every block and native run). The tracker is a pure
+  // function of how many cycles it has advanced, so one catch-up equals the
+  // per-op advances exactly.
+  void settle() {
+    if (cfg_.fidelity == Fidelity::kCycleStepped) {
+      const std::uint64_t now = cycles();
+      advance_activity(now - advanced_);
+      advanced_ = now;
+    }
+  }
+
+  // Cycles folded from the ledger: every retire at its base cycles, except
+  // row misses (plus the row-open stall), cache hits (the hit latency) and
+  // untaken branches (the fall-through latency).
+  std::uint64_t cycles() const {
+    std::uint64_t c = 0;
+    for (std::size_t i = 0; i < isa::kOpCount; ++i) {
+      const std::uint64_t n = ledger_.counts[i];
+      if (n == 0) continue;
+      const OpCost& oc = cost_.of(static_cast<isa::Op>(i));
+      const std::uint64_t miss = ledger_.row_misses[i];
+      const std::uint64_t hit = ledger_.cache_hits[i];
+      const std::uint64_t untaken = ledger_.untaken[i];
+      c += (n - miss - hit - untaken) * oc.cycles +
+           miss * (oc.cycles + cost_.row_miss_cycles()) +
+           hit * cost_.cache_hit_cycles() + untaken * oc.cycles_alt;
+    }
+    return c;
+  }
+
+  // Energy folded from the ledger, summed in ascending op order. A retire
+  // costs its base energy E (the cache-hit energy on a hit, plus the
+  // row-open energy on a miss); with variation on, the dynamic share of it
+  // is scaled by 1 + amplitude * (toggles / 64 - 1/2), which is linear in
+  // the toggle popcount — so per-op count and popcount sums are enough.
+  // Memory ops scale all of it, other ops only E - leakage; branches never
+  // vary, and an untaken one costs 0.8 E.
   double energy_nj() const {
+    const double amp = cfg_.enable_variation ? cfg_.data_energy_amplitude : 0.0;
+    const double flat = 1.0 - 0.5 * amp;
+    const double per_toggle = amp / 64.0;
+    const auto f = [](std::uint64_t v) { return static_cast<double>(v); };
     double e = 0.0;
     for (std::size_t i = 0; i < isa::kOpCount; ++i) {
-      if (counts_[i] != 0) {
-        e += static_cast<double>(counts_[i]) *
-             cost_.of(static_cast<isa::Op>(i)).energy_nj;
+      const std::uint64_t n = ledger_.counts[i];
+      if (n == 0) continue;
+      const OpCost& oc = cost_.of(static_cast<isa::Op>(i));
+      switch (ledger_.kind[i]) {
+        case sim::ResidualKind::kMemory: {
+          const double hit_e = cost_.cache_hit_energy_nj();
+          const double miss_e = cost_.row_miss_energy_nj();
+          const std::uint64_t hits = ledger_.cache_hits[i];
+          const std::uint64_t hit_t = ledger_.cache_hit_toggles[i];
+          e += flat * (f(n - hits) * oc.energy_nj + f(hits) * hit_e +
+                       f(ledger_.row_misses[i]) * miss_e) +
+               per_toggle * (f(ledger_.toggles[i] - hit_t) * oc.energy_nj +
+                             f(hit_t) * hit_e +
+                             f(ledger_.row_miss_toggles[i]) * miss_e);
+          break;
+        }
+        case sim::ResidualKind::kBranch: {
+          const std::uint64_t untaken = ledger_.untaken[i];
+          e += f(n - untaken) * oc.energy_nj +
+               f(untaken) * (oc.energy_nj * 0.8);
+          break;
+        }
+        default:
+          if (cfg_.enable_variation) {
+            const double dyn = oc.energy_nj - oc.leakage_nj;
+            e += f(n) * oc.leakage_nj +
+                 dyn * (flat * f(n) + per_toggle * f(ledger_.toggles[i]));
+          } else {
+            e += f(n) * oc.energy_nj;
+          }
+          break;
       }
     }
-    return e + residual_energy_;
+    return e;
   }
 
-  const BoardStats& stats() const { return stats_; }
+  BoardStats stats() const {
+    BoardStats s;
+    for (std::size_t i = 0; i < isa::kOpCount; ++i) {
+      const std::uint64_t n = ledger_.counts[i];
+      switch (ledger_.kind[i]) {
+        case sim::ResidualKind::kMemory:
+          if (isa::is_load(static_cast<isa::Op>(i))) {
+            s.loads += n;
+            if (ledger_.has_cache()) {
+              s.cache_hits += ledger_.cache_hits[i];
+              s.cache_misses += n - ledger_.cache_hits[i];
+            }
+          } else {
+            s.stores += n;
+          }
+          s.row_misses += ledger_.row_misses[i];
+          break;
+        case sim::ResidualKind::kBranch:
+          s.branches_taken += n - ledger_.untaken[i];
+          s.branches_untaken += ledger_.untaken[i];
+          break;
+        default:
+          break;
+      }
+    }
+    s.stall_cycles = s.row_misses * cost_.row_miss_cycles();
+    return s;
+  }
+
   std::uint64_t switching_activity() const { return activity_; }
 
-  // Per-op retire counts (the static-base accumulator). Exposed so
-  // calibration can derive estimation-scheme feature vectors from the board
-  // run itself — the streams are proven identical to the ISS counters.
+  // Per-op retire counts. Exposed so calibration can derive estimation-
+  // scheme feature vectors from the board run itself — the streams are
+  // proven identical to the ISS counters.
   const std::array<std::uint64_t, isa::kOpCount>& op_counts() const {
-    return counts_;
+    return ledger_.counts;
   }
 
-  // The PMU-style counter export (board/events.h): every value is derived
-  // from accumulators the shared residual kernel maintains, so the whole
-  // vector is bit-identical across dispatch modes and across
-  // snapshot/restore boundaries.
+  // The PMU-style counter export (board/events.h): a view of the ledger.
   EventCounters events() const {
+    const BoardStats s = stats();
     EventCounters ev;
-    std::uint64_t retired = 0, fpu = 0, muldiv = 0;
-    for (std::size_t op = 0; op < isa::kOpCount; ++op) {
-      retired += counts_[op];
-      if (isa::is_fpu(static_cast<isa::Op>(op))) fpu += counts_[op];
-      if (isa::is_muldiv(static_cast<isa::Op>(op))) muldiv += counts_[op];
+    for (std::size_t i = 0; i < isa::kOpCount; ++i) {
+      const auto op = static_cast<isa::Op>(i);
+      ev[Event::kRetired] += ledger_.counts[i];
+      if (isa::is_fpu(op)) ev[Event::kFpuOps] += ledger_.counts[i];
+      if (isa::is_muldiv(op)) ev[Event::kMulDivOps] += ledger_.counts[i];
     }
-    ev[Event::kRetired] = retired;
-    ev[Event::kFpuOps] = fpu;
-    ev[Event::kMulDivOps] = muldiv;
-    ev[Event::kLoads] = stats_.loads;
-    ev[Event::kStores] = stats_.stores;
-    ev[Event::kRowMisses] = stats_.row_misses;
-    ev[Event::kCacheHits] = stats_.cache_hits;
-    ev[Event::kCacheMisses] = stats_.cache_misses;
-    ev[Event::kBranchesTaken] = stats_.branches_taken;
-    ev[Event::kBranchesUntaken] = stats_.branches_untaken;
-    ev[Event::kStallCycles] = stats_.stall_cycles;
+    ev[Event::kLoads] = s.loads;
+    ev[Event::kStores] = s.stores;
+    ev[Event::kRowMisses] = s.row_misses;
+    ev[Event::kCacheHits] = s.cache_hits;
+    ev[Event::kCacheMisses] = s.cache_misses;
+    ev[Event::kBranchesTaken] = s.branches_taken;
+    ev[Event::kBranchesUntaken] = s.branches_untaken;
+    ev[Event::kStallCycles] = s.stall_cycles;
     return ev;
-  }
-
-  // ---- JIT cost-tier interface (Dispatch::kJit; see docs/jit.md) ----------
-  // Emitted code retires the static share natively: per-op counts into
-  // jit_counts() and each block's base cycles into *jit_cycles(), both as
-  // one add per exit. The dynamic share replays here from drained captures.
-  std::uint64_t* jit_counts() { return counts_.data(); }
-  std::uint64_t* jit_cycles() { return &cycles_; }
-
-  // Replays drained residual captures through the shared kernel in program
-  // order — the same apply_residual() call sequence the interpreted block
-  // path makes, so every accumulator stays bit-identical.
-  void jit_replay(const sim::JitCapture* e, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto op = static_cast<isa::Op>(e[i].op);
-      cycles_ += apply_residual(op, cost_.of(op), e[i].a, e[i].b);
-    }
-  }
-
-  // One batched activity advance over everything accumulated since `mark`
-  // (a cycles() snapshot from before the native entry): the tracker is a
-  // pure function of cumulative advanced cycles, so one run over the
-  // native-base + replayed-residual sum equals the per-block runs exactly.
-  void jit_advance_activity(std::uint64_t mark) {
-    if (cfg_.fidelity == Fidelity::kCycleStepped) {
-      advance_activity(cycles_ - mark);
-    }
   }
 
   // ---- snapshot support (sim/state_io.h, board/board.cpp) -----------------
   BoardHooksState export_state() const {
-    BoardHooksState s;
-    s.cycles = cycles_;
-    s.counts = counts_;
-    s.residual_energy = residual_energy_;
-    s.stats = stats_;
-    s.prev_a = prev_a_;
-    s.prev_b = prev_b_;
-    s.prev_addr = prev_addr_;
-    s.open_row = open_row_;
-    s.tags = tags_;
-    s.activity_lfsr = activity_lfsr_;
-    s.activity = activity_;
-    return s;
+    return BoardHooksState{ledger_, activity_lfsr_, activity_};
   }
 
-  // Caller (Board::restore_state) has already validated s.tags against the
-  // configuration, so this cannot fail.
+  // Caller (Board::restore_state) has already validated s.ledger.tags
+  // against the configuration, so this cannot fail.
   void import_state(const BoardHooksState& s) {
-    cycles_ = s.cycles;
-    counts_ = s.counts;
-    residual_energy_ = s.residual_energy;
-    stats_ = s.stats;
-    prev_a_ = s.prev_a;
-    prev_b_ = s.prev_b;
-    prev_addr_ = s.prev_addr;
-    open_row_ = s.open_row;
-    tags_ = s.tags;
+    ledger_ = s.ledger;
+    configure_ledger();
     activity_lfsr_ = s.activity_lfsr;
     activity_ = s.activity;
+    advanced_ = cycles();
   }
 
  private:
-  static constexpr std::uint32_t kInvalidTag = 0xFFFFFFFFu;
-
   static bool uses_fpu(isa::Op op) {
     return isa::is_fpu(op) || op == isa::Op::kLdf || op == isa::Op::kLddf ||
            op == isa::Op::kStf || op == isa::Op::kStdf ||
@@ -311,105 +301,35 @@ class BoardHooks {
     }
   }
 
-  // Whether ops tagged `kind` need a per-instruction callback on this
-  // configuration. Memory and control residuals are unconditional (row /
-  // cache state, branch direction); operand-toggle residuals exist only
-  // when variation is modelled at all.
-  bool residual_active(sim::ResidualKind kind) const {
-    return kind == sim::ResidualKind::kMemory ||
-           kind == sim::ResidualKind::kBranch || cfg_.enable_variation;
-  }
-
-  // Shared per-instruction accounting: count the op, apply its residual,
-  // track activity, accumulate cycles. The stepping path runs this for every
-  // op; the block path replays it only for faulted-block prefixes.
-  void account(isa::Op op, std::uint32_t x, std::uint32_t y) {
-    ++counts_[static_cast<std::size_t>(op)];
-    const std::uint32_t cyc = apply_residual(op, cost_.of(op), x, y);
-    if (cfg_.fidelity == Fidelity::kCycleStepped) advance_activity(cyc);
-    cycles_ += cyc;
-  }
-
-  // The dynamic-residual kernel, shared by both dispatch modes: given the
-  // op's captured operand pair, returns its cycle count and accumulates its
-  // energy correction relative to the static base into residual_energy_.
-  // For kinds with no active residual this is a no-op returning base cycles.
-  std::uint32_t apply_residual(isa::Op op, const OpCost& oc, std::uint32_t x,
-                               std::uint32_t y) {
-    switch (oc.kind) {
-      case sim::ResidualKind::kMemory: {
-        // x = effective address, y = transferred data word.
-        double e = oc.energy_nj;
-        const std::uint32_t cyc = memory_cycles(op, x, oc, e);
-        if (cfg_.enable_variation) {
-          e *= toggle_factor(x ^ prev_addr_, y);
-        }
-        prev_addr_ = x;
-        residual_energy_ += e - oc.energy_nj;
-        return cyc;
-      }
-      case sim::ResidualKind::kBranch: {
-        // x = resolved direction.
-        if (x != 0) {
-          ++stats_.branches_taken;
-          return oc.cycles;
-        }
-        ++stats_.branches_untaken;
-        // The untaken path does not redirect the fetch stream.
-        residual_energy_ += oc.energy_nj * 0.8 - oc.energy_nj;
-        return oc.cycles_alt;
-      }
-      default: {  // kNone / kFpVariable: operand-toggle variation only
-        if (cfg_.enable_variation) {
-          // Leakage is occupancy-bound, not switching-bound: only the
-          // dynamic share of the base energy is modulated by toggling.
-          const double dyn = oc.energy_nj - oc.leakage_nj;
-          const double e =
-              oc.leakage_nj + dyn * toggle_factor(x ^ prev_a_, y ^ prev_b_);
-          prev_a_ = x;
-          prev_b_ = y;
-          residual_energy_ += e - oc.energy_nj;
-        }
-        return oc.cycles;
-      }
+  // Copies the configuration the ledger's tallies depend on; a fresh
+  // ledger also gets its (all-invalid) cache tags here.
+  void configure_ledger() {
+    for (std::size_t i = 0; i < isa::kOpCount; ++i) {
+      const auto op = static_cast<isa::Op>(i);
+      ledger_.kind[i] = cost_.of(op).kind;
+      ledger_.step_only[i] = (!cfg_.has_fpu && uses_fpu(op)) ||
+                             (!cfg_.has_hw_muldiv && uses_muldiv(op));
+    }
+    ledger_.variation = cfg_.enable_variation;
+    ledger_.row_bits = cost_.row_bits();
+    ledger_.cache_line_bytes = cfg_.cache_line_bytes;
+    if (cfg_.enable_cache && ledger_.tags.empty()) {
+      ledger_.tags.assign(cfg_.cache_lines, sim::CostLedger::kInvalidTag);
     }
   }
 
-  // Energy modulation from switching activity: ~1.0 on average for typical
-  // data, spanning 1 +- amplitude/2.
-  double toggle_factor(std::uint32_t x, std::uint32_t y) const {
-    const int toggles = std::popcount(x) + std::popcount(y);
-    const double tf = static_cast<double>(toggles) / 64.0;  // 0..1
-    return 1.0 + cfg_.data_energy_amplitude * (tf - 0.5);
-  }
-
-  std::uint32_t memory_cycles(isa::Op op, std::uint32_t ea, const OpCost& oc,
-                              double& e) {
-    if (isa::is_load(op)) {
-      ++stats_.loads;
-    } else {
-      ++stats_.stores;
-    }
-    if (cfg_.enable_cache && isa::is_load(op)) {
-      const std::uint32_t line = ea / cfg_.cache_line_bytes;
-      const std::uint32_t index = line % cfg_.cache_lines;
-      if (tags_[index] == line) {
-        ++stats_.cache_hits;
-        e = cost_.cache_hit_energy_nj();
+  std::uint64_t cycles_of(isa::Op op, sim::LedgerOutcome outcome) const {
+    const OpCost& oc = cost_.of(op);
+    switch (outcome) {
+      case sim::LedgerOutcome::kRowMiss:
+        return oc.cycles + cost_.row_miss_cycles();
+      case sim::LedgerOutcome::kCacheHit:
         return cost_.cache_hit_cycles();
-      }
-      ++stats_.cache_misses;
-      tags_[index] = line;
+      case sim::LedgerOutcome::kUntaken:
+        return oc.cycles_alt;
+      default:
+        return oc.cycles;
     }
-    const std::uint32_t row = ea >> cost_.row_bits();
-    if (row != open_row_) {
-      open_row_ = row;
-      ++stats_.row_misses;
-      stats_.stall_cycles += cost_.row_miss_cycles();
-      e += cost_.row_miss_energy_nj();
-      return oc.cycles + cost_.row_miss_cycles();
-    }
-    return oc.cycles;
   }
 
   // Step the microarchitectural activity tracker cycle by cycle, as a
@@ -427,19 +347,10 @@ class BoardHooks {
   const BoardConfig& cfg_;
   const CostModel& cost_;
 
-  std::uint64_t cycles_ = 0;
-  // Energy state: per-op retire counts (static base, summed lazily in
-  // energy_nj()) plus the running sum of dynamic corrections.
-  std::array<std::uint64_t, isa::kOpCount> counts_{};
-  double residual_energy_ = 0.0;
-  BoardStats stats_;
-
-  std::uint32_t prev_a_ = 0, prev_b_ = 0, prev_addr_ = 0;
-  std::uint32_t open_row_ = kInvalidTag;
-  std::vector<std::uint32_t> tags_;
-
+  sim::CostLedger ledger_;
   std::uint64_t activity_lfsr_ = 0x2545F4914F6CDD1Dull;
   std::uint64_t activity_ = 0;
+  std::uint64_t advanced_ = 0;  // cycles the activity tracker has covered
 };
 
 }  // namespace nfp::board

@@ -33,17 +33,17 @@ struct DiffConfig {
   // Also run the program on a measurement Board under kStep vs kBlock and
   // compare cycles, true energy (bit-for-bit), BoardStats, and the full
   // architectural state at every checkpoint. This is the oracle for the
-  // board's block-cost dispatch (static per-block profiles + dynamic
-  // residual hooks).
+  // board's block dispatch (cost-ledger tallies made by the morph
+  // handlers).
   bool check_board = true;
   // Also run the program under Dispatch::kJit and compare against kStep at
   // every checkpoint. Silently skipped when jit_available() is false (the
   // oracle degrades rather than testing jit-that-is-really-block twice).
   bool check_jit = true;
-  // Also run the board under Dispatch::kJit (the cost-mode jit tier: native
-  // static-cost retirement + batched residual replay) against the board's
-  // kStep reference, same bit-for-bit comparison as check_board. Skipped
-  // when jit_available() is false.
+  // Also run the board under Dispatch::kJit (native code with inline
+  // cost-ledger tallies) against the board's kStep reference, same
+  // bit-for-bit comparison as check_board. Skipped when jit_available() is
+  // false.
   bool check_board_jit = true;
   // Save→restore→continue leg (sim/state_io.h): at every budget stop the run
   // is serialized and restored into a second fresh executor which continues
@@ -87,7 +87,7 @@ struct DiffArena {
   sim::Iss jit;
   // Board set for the step-vs-block and step-vs-jit cost differentials
   // (DiffConfig::check_board / check_board_jit). Default config: variation
-  // and the SDRAM row model on, so every residual kind is exercised.
+  // and the SDRAM row model on, so every ledger tally is exercised.
   board::Board board_step;
   board::Board board_block;
   board::Board board_jit;

@@ -5,12 +5,12 @@
 // bit-identical results, UART output, instret, and op counts.
 //
 // Every handler exists in two variants selected at morph time by the
-// cache-wide capture flag (BlockCache::set_capture): the CAP=true variant
-// additionally writes the record's operand pair into MorphCtx::cap — the
-// exact words the single-step RetireInfo would carry (including its operand
-// aliasing: udiv reads rs1 after writeback, FP retires read the register
-// file after the result lands). kBlockCost hooks (the board) replay those
-// captures for per-op cost residuals after the block ran.
+// cache-wide tally flag (BlockCache::set_tally): the TALLY=true variant
+// additionally tallies the record's retire operands into the hooks' cost
+// ledger (MorphCtx::ledger, the board) — the exact words the single-step
+// RetireInfo would carry (including its operand aliasing: udiv reads rs1
+// after writeback, FP retires read the register file after the result
+// lands) — once no fault can intervene. The other variant pays nothing.
 #include "sim/block_cache.h"
 
 #include <algorithm>
@@ -18,9 +18,11 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "sim/jit.h"
+#include "sim/ledger.h"
 
 namespace nfp::sim {
 namespace {
@@ -91,21 +93,21 @@ inline std::uint32_t op2(const MorphInsn& m, const CpuState& st) {
   }
 }
 
-// Operand capture for kBlockCost hooks: record i's pair lands in cap[i].
-template <bool CAP>
-inline void capture(const MorphInsn& m, MorphCtx& c, std::uint32_t a,
-                    std::uint32_t b) {
-  if constexpr (CAP) c.cap[&m - c.base] = CapturedOp{a, b};
+// Ledger tally of the record's retire operands (TALLY variants only).
+template <bool TALLY>
+inline void tally(const MorphInsn& m, MorphCtx& c, std::uint32_t a,
+                  std::uint32_t b) {
+  if constexpr (TALLY) c.ledger->retire(static_cast<Op>(m.op), a, b);
 }
 
 // ---- grouped execution functions (Fig. 3) ---------------------------------
 
-template <Op OP, bool IMM, bool CAP>
+template <Op OP, bool IMM, bool TALLY>
 void h_addsub(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const std::uint32_t a = st.r[m.rs1];
   const std::uint32_t b = op2<IMM>(m, st);
-  capture<CAP>(m, c, a, b);
+  tally<TALLY>(m, c, a, b);
   if constexpr (OP == Op::kAdd || OP == Op::kAddcc || OP == Op::kAddx ||
                 OP == Op::kAddxcc) {
     const std::uint32_t cin =
@@ -122,12 +124,12 @@ void h_addsub(const MorphInsn& m, MorphCtx& c) {
   }
 }
 
-template <Op OP, bool IMM, bool CAP>
+template <Op OP, bool IMM, bool TALLY>
 void h_logic(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const std::uint32_t a = st.r[m.rs1];
   const std::uint32_t b = op2<IMM>(m, st);
-  capture<CAP>(m, c, a, b);
+  tally<TALLY>(m, c, a, b);
   std::uint32_t result;
   if constexpr (OP == Op::kAnd || OP == Op::kAndcc) {
     result = a & b;
@@ -149,12 +151,12 @@ void h_logic(const MorphInsn& m, MorphCtx& c) {
   set_r(st, m.rd, result);
 }
 
-template <Op OP, bool IMM, bool CAP>
+template <Op OP, bool IMM, bool TALLY>
 void h_shift(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const std::uint32_t a = st.r[m.rs1];
   const std::uint32_t count = op2<IMM>(m, st) & 31;
-  capture<CAP>(m, c, a, count);
+  tally<TALLY>(m, c, a, count);
   std::uint32_t result;
   if constexpr (OP == Op::kSll) {
     result = a << count;
@@ -167,12 +169,12 @@ void h_shift(const MorphInsn& m, MorphCtx& c) {
   set_r(st, m.rd, result);
 }
 
-template <Op OP, bool IMM, bool CAP>
+template <Op OP, bool IMM, bool TALLY>
 void h_mul(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const std::uint32_t a = st.r[m.rs1];
   const std::uint32_t b = op2<IMM>(m, st);
-  capture<CAP>(m, c, a, b);
+  tally<TALLY>(m, c, a, b);
   std::uint64_t wide;
   if constexpr (OP == Op::kUmul || OP == Op::kUmulcc) {
     wide = std::uint64_t{a} * b;
@@ -187,7 +189,7 @@ void h_mul(const MorphInsn& m, MorphCtx& c) {
   set_r(st, m.rd, result);
 }
 
-template <Op OP, bool IMM, bool CAP>
+template <Op OP, bool IMM, bool TALLY>
 void h_udiv(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const std::uint32_t b = op2<IMM>(m, st);
@@ -206,11 +208,11 @@ void h_udiv(const MorphInsn& m, MorphCtx& c) {
   }
   set_r(st, m.rd, result);
   // The step path reads rs1 for the retire record AFTER writeback, so a
-  // result overwriting its own dividend register is captured post-write.
-  capture<CAP>(m, c, st.r[m.rs1], b);
+  // result overwriting its own dividend register is tallied post-write.
+  tally<TALLY>(m, c, st.r[m.rs1], b);
 }
 
-template <Op OP, bool IMM, bool CAP>
+template <Op OP, bool IMM, bool TALLY>
 void h_sdiv(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const std::uint32_t b = op2<IMM>(m, st);
@@ -232,46 +234,46 @@ void h_sdiv(const MorphInsn& m, MorphCtx& c) {
     st.icc_v = overflow;
   }
   set_r(st, m.rd, result);
-  capture<CAP>(m, c, st.r[m.rs1], b);
+  tally<TALLY>(m, c, st.r[m.rs1], b);
 }
 
-template <bool CAP>
+template <bool TALLY>
 void h_rdy(const MorphInsn& m, MorphCtx& c) {
-  capture<CAP>(m, c, c.st.y, 0);
+  tally<TALLY>(m, c, c.st.y, 0);
   set_r(c.st, m.rd, c.st.y);
 }
 
-template <bool IMM, bool CAP>
+template <bool IMM, bool TALLY>
 void h_wry(const MorphInsn& m, MorphCtx& c) {
   const std::uint32_t v = op2<IMM>(m, c.st);
-  capture<CAP>(m, c, c.st.r[m.rs1], v);
+  tally<TALLY>(m, c, c.st.r[m.rs1], v);
   c.st.y = c.st.r[m.rs1] ^ v;
 }
 
 // save/restore on the flat register model: a plain add.
-template <bool IMM, bool CAP>
+template <bool IMM, bool TALLY>
 void h_plain_add(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const std::uint32_t a = st.r[m.rs1];
   const std::uint32_t b = op2<IMM>(m, st);
-  capture<CAP>(m, c, a, b);
+  tally<TALLY>(m, c, a, b);
   set_r(st, m.rd, a + b);
 }
 
-template <bool CAP>
+template <bool TALLY>
 void h_sethi(const MorphInsn& m, MorphCtx& c) {
-  capture<CAP>(m, c, 0, m.op2);
+  tally<TALLY>(m, c, 0, m.op2);
   set_r(c.st, m.rd, m.op2);
 }
 
-template <bool CAP>
+template <bool TALLY>
 void h_nop(const MorphInsn& m, MorphCtx& c) {
-  capture<CAP>(m, c, 0, 0);
+  tally<TALLY>(m, c, 0, 0);
 }
 
 // ---- memory ---------------------------------------------------------------
 
-template <Op OP, bool IMM, bool CAP>
+template <Op OP, bool IMM, bool TALLY>
 void h_load(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const std::uint32_t ea = st.r[m.rs1] + op2<IMM>(m, st);
@@ -318,13 +320,13 @@ void h_load(const MorphInsn& m, MorphCtx& c) {
     data = c.bus.load32(ea + 4);
     st.f[m.rd + 1] = data;
   }
-  capture<CAP>(m, c, ea, data);
+  tally<TALLY>(m, c, ea, data);
 }
 
 // ldd/lddf with an odd rd: the fault is hoisted to morph time, but it must
 // fire only if the instruction is actually reached, after the alignment
 // check — matching the single-step fault order exactly. The instruction
-// never retires, so there is nothing to capture.
+// never retires, so there is nothing to tally.
 template <Op OP, bool IMM>
 void h_load_oddrd(const MorphInsn& m, MorphCtx& c) {
   const std::uint32_t ea = c.st.r[m.rs1] + op2<IMM>(m, c.st);
@@ -338,7 +340,7 @@ void invalidate_code(MorphCtx& c, std::uint32_t ea, std::uint32_t bytes) {
   }
 }
 
-template <Op OP, bool IMM, bool CAP>
+template <Op OP, bool IMM, bool TALLY>
 void h_store(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const std::uint32_t ea = st.r[m.rs1] + op2<IMM>(m, st);
@@ -375,7 +377,7 @@ void h_store(const MorphInsn& m, MorphCtx& c) {
     c.bus.store32(ea + 4, data);
     invalidate_code(c, ea, 8);
   }
-  capture<CAP>(m, c, ea, data);
+  tally<TALLY>(m, c, ea, data);
 }
 
 template <Op OP, bool IMM>
@@ -387,11 +389,11 @@ void h_store_oddrd(const MorphInsn& m, MorphCtx& c) {
 
 // ---- FPU ------------------------------------------------------------------
 //
-// FP retires capture the register-file words AFTER the result lands, exactly
-// as the step path's retire_fp does — with rd aliasing rs1/rs2, the captured
+// FP retires tally the register-file words AFTER the result lands, exactly
+// as the step path's retire_fp does — with rd aliasing rs1/rs2, the tallied
 // operand is the freshly-written result.
 
-template <Op OP, bool CAP>
+template <Op OP, bool TALLY>
 void h_fpu_s(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const float a = st.read_s(m.rs1);
@@ -407,10 +409,10 @@ void h_fpu_s(const MorphInsn& m, MorphCtx& c) {
     result = a / b;
   }
   st.write_s(m.rd, result);
-  capture<CAP>(m, c, st.f[m.rs1], st.f[m.rs2]);
+  tally<TALLY>(m, c, st.f[m.rs1], st.f[m.rs2]);
 }
 
-template <Op OP, bool CAP>
+template <Op OP, bool TALLY>
 void h_fpu_d(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const double a = st.read_d(m.rs1);
@@ -426,10 +428,10 @@ void h_fpu_d(const MorphInsn& m, MorphCtx& c) {
     result = a / b;
   }
   st.write_d(m.rd, result);
-  capture<CAP>(m, c, st.f[m.rs1], st.f[m.rs2]);
+  tally<TALLY>(m, c, st.f[m.rs1], st.f[m.rs2]);
 }
 
-template <Op OP, bool CAP>
+template <Op OP, bool TALLY>
 void h_fpu_unary(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   if constexpr (OP == Op::kFsqrts) {
@@ -458,13 +460,13 @@ void h_fpu_unary(const MorphInsn& m, MorphCtx& c) {
   } else {  // kFdtos
     st.write_s(m.rd, static_cast<float>(st.read_d(m.rs2)));
   }
-  capture<CAP>(m, c, 0, st.f[m.rs2]);
+  tally<TALLY>(m, c, 0, st.f[m.rs2]);
 }
 
-template <Op OP, bool CAP>
+template <Op OP, bool TALLY>
 void h_fcmp(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
-  capture<CAP>(m, c, st.f[m.rs1], st.f[m.rs2]);
+  tally<TALLY>(m, c, st.f[m.rs1], st.f[m.rs2]);
   double a, b;
   if constexpr (OP == Op::kFcmps) {
     a = st.read_s(m.rs1);
@@ -493,15 +495,15 @@ void h_fcmp(const MorphInsn& m, MorphCtx& c) {
 // its sequential pc/npc update for such blocks (Block::ends_with_cti); the
 // delay-slot instruction itself always runs on the single-step path.
 // Encoding: branches keep cond in m.rd, the annul bit in m.rs1, and the
-// byte displacement in m.op2. Captured pair: {taken, 0}.
+// byte displacement in m.op2. Tallied pair: {taken, 0}.
 
-template <bool FBF, bool CAP>
+template <bool FBF, bool TALLY>
 void h_bcc(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const std::uint32_t pc = c.pc_of(m);
   const bool taken = FBF ? st.eval_fcond(static_cast<isa::FCond>(m.rd))
                          : st.eval_cond(static_cast<isa::Cond>(m.rd));
-  capture<CAP>(m, c, taken ? 1 : 0, 0);
+  tally<TALLY>(m, c, taken ? 1 : 0, 0);
   const std::uint32_t target = pc + m.op2;
   const bool always = m.rd == 8;
   if (m.rs1 != 0 && (always || !taken)) {  // annulled delay slot
@@ -513,23 +515,23 @@ void h_bcc(const MorphInsn& m, MorphCtx& c) {
   }
 }
 
-template <bool CAP>
+template <bool TALLY>
 void h_call(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const std::uint32_t pc = c.pc_of(m);
-  capture<CAP>(m, c, 1, 0);
+  tally<TALLY>(m, c, 1, 0);
   set_r(st, isa::kRegO7, pc);
   st.pc = pc + 4;
   st.npc = pc + m.op2;
 }
 
-template <bool IMM, bool CAP>
+template <bool IMM, bool TALLY>
 void h_jmpl(const MorphInsn& m, MorphCtx& c) {
   CpuState& st = c.st;
   const std::uint32_t pc = c.pc_of(m);
   const std::uint32_t target = st.r[m.rs1] + op2<IMM>(m, st);
   if (target & 3) fatal(pc, "jmpl to misaligned address");
-  capture<CAP>(m, c, 1, 0);
+  tally<TALLY>(m, c, 1, 0);
   set_r(st, m.rd, pc);
   st.pc = pc + 4;
   st.npc = target;
@@ -539,13 +541,13 @@ void h_jmpl(const MorphInsn& m, MorphCtx& c) {
 
 #define MORPH_II(OPK, H)                                    \
   case Op::OPK:                                             \
-    return d.has_imm ? &H<Op::OPK, true, CAP>               \
-                     : &H<Op::OPK, false, CAP>
+    return d.has_imm ? &H<Op::OPK, true, TALLY>               \
+                     : &H<Op::OPK, false, TALLY>
 #define MORPH_F(OPK, H) \
   case Op::OPK:         \
-    return &H<Op::OPK, CAP>
+    return &H<Op::OPK, TALLY>
 
-template <bool CAP>
+template <bool TALLY>
 MorphFn select_handler(const isa::DecodedInsn& d) {
   switch (d.op) {
     MORPH_II(kAdd, h_addsub);
@@ -580,16 +582,16 @@ MorphFn select_handler(const isa::DecodedInsn& d) {
     MORPH_II(kSdiv, h_sdiv);
     MORPH_II(kSdivcc, h_sdiv);
     case Op::kRdy:
-      return &h_rdy<CAP>;
+      return &h_rdy<TALLY>;
     case Op::kWry:
-      return d.has_imm ? &h_wry<true, CAP> : &h_wry<false, CAP>;
+      return d.has_imm ? &h_wry<true, TALLY> : &h_wry<false, TALLY>;
     case Op::kSave:
     case Op::kRestore:
-      return d.has_imm ? &h_plain_add<true, CAP> : &h_plain_add<false, CAP>;
+      return d.has_imm ? &h_plain_add<true, TALLY> : &h_plain_add<false, TALLY>;
     case Op::kSethi:
-      return &h_sethi<CAP>;
+      return &h_sethi<TALLY>;
     case Op::kNop:
-      return &h_nop<CAP>;
+      return &h_nop<TALLY>;
     MORPH_II(kLd, h_load);
     MORPH_II(kLdub, h_load);
     MORPH_II(kLdsb, h_load);
@@ -600,16 +602,16 @@ MorphFn select_handler(const isa::DecodedInsn& d) {
         return d.has_imm ? &h_load_oddrd<Op::kLdd, true>
                          : &h_load_oddrd<Op::kLdd, false>;
       }
-      return d.has_imm ? &h_load<Op::kLdd, true, CAP>
-                       : &h_load<Op::kLdd, false, CAP>;
+      return d.has_imm ? &h_load<Op::kLdd, true, TALLY>
+                       : &h_load<Op::kLdd, false, TALLY>;
     MORPH_II(kLdf, h_load);
     case Op::kLddf:
       if (d.rd & 1) {
         return d.has_imm ? &h_load_oddrd<Op::kLddf, true>
                          : &h_load_oddrd<Op::kLddf, false>;
       }
-      return d.has_imm ? &h_load<Op::kLddf, true, CAP>
-                       : &h_load<Op::kLddf, false, CAP>;
+      return d.has_imm ? &h_load<Op::kLddf, true, TALLY>
+                       : &h_load<Op::kLddf, false, TALLY>;
     MORPH_II(kSt, h_store);
     MORPH_II(kStb, h_store);
     MORPH_II(kSth, h_store);
@@ -618,16 +620,16 @@ MorphFn select_handler(const isa::DecodedInsn& d) {
         return d.has_imm ? &h_store_oddrd<Op::kStd, true>
                          : &h_store_oddrd<Op::kStd, false>;
       }
-      return d.has_imm ? &h_store<Op::kStd, true, CAP>
-                       : &h_store<Op::kStd, false, CAP>;
+      return d.has_imm ? &h_store<Op::kStd, true, TALLY>
+                       : &h_store<Op::kStd, false, TALLY>;
     MORPH_II(kStf, h_store);
     case Op::kStdf:
       if (d.rd & 1) {
         return d.has_imm ? &h_store_oddrd<Op::kStdf, true>
                          : &h_store_oddrd<Op::kStdf, false>;
       }
-      return d.has_imm ? &h_store<Op::kStdf, true, CAP>
-                       : &h_store<Op::kStdf, false, CAP>;
+      return d.has_imm ? &h_store<Op::kStdf, true, TALLY>
+                       : &h_store<Op::kStdf, false, TALLY>;
     MORPH_F(kFadds, h_fpu_s);
     MORPH_F(kFsubs, h_fpu_s);
     MORPH_F(kFmuls, h_fpu_s);
@@ -657,10 +659,10 @@ MorphFn select_handler(const isa::DecodedInsn& d) {
 #undef MORPH_II
 #undef MORPH_F
 
-template <bool CAP>
+template <bool TALLY>
 MorphInsn morph_record(const isa::DecodedInsn& d) {
   MorphInsn m;
-  m.fn = select_handler<CAP>(d);
+  m.fn = select_handler<TALLY>(d);
   m.op = static_cast<std::uint8_t>(d.op);
   m.rd = d.rd;
   m.rs1 = d.rs1;
@@ -681,24 +683,24 @@ bool morphable_cti(Op op) {
          op == Op::kJmpl;
 }
 
-template <bool CAP>
+template <bool TALLY>
 MorphInsn morph_cti_record(const isa::DecodedInsn& d) {
   MorphInsn m;
   m.op = static_cast<std::uint8_t>(d.op);
   switch (d.op) {
     case Op::kBicc:
     case Op::kFbfcc:
-      m.fn = d.op == Op::kBicc ? &h_bcc<false, CAP> : &h_bcc<true, CAP>;
+      m.fn = d.op == Op::kBicc ? &h_bcc<false, TALLY> : &h_bcc<true, TALLY>;
       m.rd = d.cond;
       m.rs1 = d.annul ? 1 : 0;
       m.op2 = static_cast<std::uint32_t>(d.imm);
       break;
     case Op::kCall:
-      m.fn = &h_call<CAP>;
+      m.fn = &h_call<TALLY>;
       m.op2 = static_cast<std::uint32_t>(d.imm);
       break;
     default:  // kJmpl
-      m.fn = d.has_imm ? &h_jmpl<true, CAP> : &h_jmpl<false, CAP>;
+      m.fn = d.has_imm ? &h_jmpl<true, TALLY> : &h_jmpl<false, TALLY>;
       m.rd = d.rd;
       m.rs1 = d.rs1;
       m.rs2 = d.rs2;
@@ -719,6 +721,15 @@ BlockCache::BlockCache(Bus& bus, std::uint32_t code_base,
       index_(dcache.size(), kUnknown) {}
 
 BlockCache::~BlockCache() = default;
+
+void BlockCache::set_tally(bool on) {
+  if (on == tally_) return;
+  if (!blocks_.empty() || !graveyard_.empty()) {
+    throw std::logic_error(
+        "block cache: handler variant changed after blocks were morphed");
+  }
+  tally_ = on;
+}
 
 JitRuntime* BlockCache::ensure_jit() {
   if (jit_ == nullptr && !jit_failed_) {
@@ -755,14 +766,14 @@ Block* BlockCache::morph(std::uint32_t idx) {
   std::array<std::uint32_t, isa::kOpCount> hist{};
   for (std::uint32_t i = 0; i < n; ++i) {
     const isa::DecodedInsn& d = dcache_[idx + i];
-    block->code.push_back(capture_ ? morph_record<true>(d)
-                                   : morph_record<false>(d));
+    block->code.push_back(tally_ ? morph_record<true>(d)
+                                 : morph_record<false>(d));
     ++hist[static_cast<std::size_t>(d.op)];
   }
   if (with_cti) {
     const isa::DecodedInsn& d = dcache_[idx + n];
-    block->code.push_back(capture_ ? morph_cti_record<true>(d)
-                                   : morph_cti_record<false>(d));
+    block->code.push_back(tally_ ? morph_cti_record<true>(d)
+                                 : morph_cti_record<false>(d));
     ++hist[static_cast<std::size_t>(d.op)];
     n = block->len;
   }

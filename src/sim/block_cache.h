@@ -45,6 +45,7 @@ namespace nfp::sim {
 
 class BlockCache;
 class JitRuntime;
+struct CostLedger;
 struct JitBlockMeta;
 struct MorphInsn;
 
@@ -62,10 +63,10 @@ struct MorphCtx {
   // (MMIO word loads hitting the timer/instret registers) must restore the
   // exact architectural value first via sync_instret().
   std::uint64_t entry_instret;
-  // Per-instruction operand capture buffer (kBlockCost dispatch): the
-  // capture variants of the handlers write record i's operands to cap[i].
-  // Null for hooks that never replay per-op residuals.
-  CapturedOp* cap = nullptr;
+  // Cost ledger of the running hooks (the board), or null: the tallying
+  // handler variants (BlockCache::set_tally) add each record's retire
+  // operands to it.
+  CostLedger* ledger = nullptr;
 
   std::uint32_t pc_of(const MorphInsn& m) const;
   void sync_instret(const MorphInsn& m) const;
@@ -123,12 +124,9 @@ struct Block {
   std::vector<MorphInsn> code;
   // Static retire profile: per-op counts for one front-to-back execution.
   std::vector<BlockOpCount> profile;
-  // Per-block cost profile for kBlockCost hooks (board), built lazily by
-  // the hook on first dispatch — the cache itself knows nothing about cost
-  // tables. Dies with the block on invalidation: flushed blocks never
-  // re-enter dispatch, so a stale profile can never be applied.
-  BlockCostState cost_state = BlockCostState::kUnbuilt;
-  BlockCost cost;
+  // Verdict of a hook with retire guards (see BlockGuard), cached on first
+  // dispatch. Dies with the block on invalidation.
+  BlockGuard guard = BlockGuard::kUnchecked;
   // JIT compilation state (Dispatch::kJit), owned by the cache's JitRuntime:
   // kNone until the first jit dispatch reaches the block, then kCompiled
   // (jit_meta names the emitted code) or kRejected (the block single-runs
@@ -177,12 +175,12 @@ class BlockCache {
              std::vector<isa::DecodedInsn>& dcache);
   ~BlockCache();  // out of line: JitRuntime is incomplete here
 
-  // Selects the operand-capturing morph handler variants for every block
-  // morphed from now on (kBlockCost dispatch needs each record's operands
-  // in MorphCtx::cap). Must be chosen before the first lookup(); the board
-  // sets it right after its platform (re)builds the cache.
-  void set_capture(bool on) { capture_ = on; }
-  bool capture() const { return capture_; }
+  // Selects the ledger-tallying morph handler variants for every block
+  // morphed from now on: hooks keeping a cost ledger (the board) need each
+  // record's retire operands tallied into MorphCtx::ledger, everyone else
+  // runs the plain variants. The executor sets it when it attaches the
+  // cache; changing it once blocks exist throws std::logic_error.
+  void set_tally(bool on);
 
   // Returns the block entered at `pc`, morphing it on first use. Returns
   // nullptr when `pc` is misaligned, outside the cached image, or when the
@@ -287,7 +285,7 @@ class BlockCache {
   std::vector<std::unique_ptr<Block>> graveyard_;
   std::array<BtcEntry, kBtcEntries> btc_{};
   Stats stats_;
-  bool capture_ = false;
+  bool tally_ = false;
   std::unique_ptr<JitRuntime> jit_;
   bool jit_failed_ = false;  // ensure_jit() probe failed; don't retry
 };

@@ -20,15 +20,18 @@
 //  - kJit: the x86-64 template JIT tier above the morph cache (sim/jit.h):
 //    compiled blocks execute natively with retire counters and instret
 //    batched to one add per counter per block, and resolved transitions
-//    patched directly into the emitted code. kBlockCost hooks exposing the
-//    jit cost interface (the board) run a cost-mode variant: static base
-//    cycles retire natively, dynamic residuals are captured and replayed in
-//    batch. Per-block fallback to the kBlock interpreter for blocks the
-//    compiler rejects (FPU), global fallback to chained kBlock when the
-//    host cannot execute emitted code.
+//    patched directly into the emitted code. Hooks keeping a cost ledger
+//    (the board, sim/ledger.h) get its tallies emitted inline. Per-block
+//    fallback to the kBlock interpreter for blocks the compiler rejects
+//    (FPU), global fallback to chained kBlock when the host cannot execute
+//    emitted code.
+//
+// Hooks may expose three optional members, detected rather than declared:
+// `CostLedger* ledger()` (the block handlers and the jit tally dynamic
+// costs into it), `bool admit_block(Block&)` (whole-block dispatch guard),
+// and `void settle()` (called after every native run).
 #pragma once
 
-#include <array>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -41,6 +44,7 @@
 #include "sim/cpu_state.h"
 #include "sim/hooks.h"
 #include "sim/jit.h"
+#include "sim/ledger.h"
 
 namespace nfp::sim {
 
@@ -65,7 +69,10 @@ class Executor {
   // hook types with kBatchRetire; for all hook types an attached cache also
   // routes stores into the code range through invalidation, so self-modified
   // words are re-decoded instead of executed stale.
-  void set_block_cache(BlockCache* cache) { block_cache_ = cache; }
+  void set_block_cache(BlockCache* cache) {
+    block_cache_ = cache;
+    if (cache != nullptr) cache->set_tally(kHasLedger);
+  }
 
   // Disables block-to-block chaining (Dispatch::kBlockUnchained): every
   // transition resolves through BlockCache::lookup(), reproducing the
@@ -73,10 +80,8 @@ class Executor {
   void set_chaining(bool on) { chain_ = on; }
 
   // Requests the JIT tier (Dispatch::kJit). Engages for batch-retire hooks
-  // (functional/counting) and for kBlockCost hooks exposing the jit cost
-  // interface (the board), and only when jit_available(); in every other
-  // combination run() silently stays on the (chained) kBlock path, so kJit
-  // is always a safe request.
+  // and only when jit_available(); otherwise run() silently stays on the
+  // (chained) kBlock path, so kJit is always a safe request.
   void set_jit(bool on) { jit_ = on; }
 
   // Disables whole-block dispatch while keeping the attached cache's store
@@ -90,19 +95,11 @@ class Executor {
   // Returns the number of instructions executed in this call.
   std::uint64_t run(std::uint64_t max_insns) {
     std::uint64_t executed = 0;
-    if constexpr (Hooks::kBatchRetire && !Hooks::kBlockCost) {
+    if constexpr (Hooks::kBatchRetire) {
       if (block_cache_ != nullptr && block_dispatch_ && jit_) {
         JitRuntime* jr = block_cache_->ensure_jit();
         if (jr != nullptr) return run_jit(*jr, max_insns);
       }
-    }
-    if constexpr (Hooks::kBlockCost && kHasJitCostInterface) {
-      if (block_cache_ != nullptr && block_dispatch_ && jit_) {
-        JitRuntime* jr = block_cache_->ensure_jit();
-        if (jr != nullptr) return run_jit_cost(*jr, max_insns);
-      }
-    }
-    if constexpr (Hooks::kBatchRetire || Hooks::kBlockCost) {
       if (block_cache_ != nullptr && block_dispatch_) {
         while (!st_.halted && executed < max_insns) {
           // Block entry requires a sequential pc/npc pair: a delay-slot
@@ -154,17 +151,17 @@ class Executor {
  private:
   using Op = isa::Op;
 
-  // Detected, not declared: kBlockCost hooks that additionally expose the
-  // four-method jit cost interface (the measurement board — see
-  // board/hooks.h) may ride Dispatch::kJit with native static-cost
-  // retirement and batched residual replay.
-  static constexpr bool kHasJitCostInterface =
-      requires(Hooks& h, const JitCapture* c) {
-        h.jit_counts();
-        h.jit_cycles();
-        h.jit_replay(c, std::size_t{});
-        h.jit_advance_activity(std::uint64_t{});
-      };
+  static constexpr bool kHasLedger = requires(Hooks& h) { h.ledger(); };
+
+  // Hooks with retire guards may refuse a block (see BlockGuard): it then
+  // single-steps, so the guard faults at the exact offending instruction.
+  bool block_enterable(Block& block) {
+    if constexpr (requires { hooks_.admit_block(block); }) {
+      return hooks_.admit_block(block);
+    } else {
+      return true;
+    }
+  }
 
   // Executes `first` and keeps dispatching successor blocks until a
   // transition fails to resolve, the next block would exceed `budget`,
@@ -178,28 +175,12 @@ class Executor {
   // unresolved edges (memoizing the result). Without, every transition is a
   // plain lookup(): the pre-chaining dispatch loop, kept in this one
   // function so the A/B pair differs only in edge resolution.
-  // kBlockCost hooks own a per-block cost profile: a block may only enter
-  // whole-block dispatch once the hook has built (and accepted) its profile.
-  // Blocks the hook refuses — e.g. containing instructions whose retire
-  // guards must fault at the exact offending instruction — single-step.
-  bool block_enterable(Block& block) {
-    if constexpr (Hooks::kBlockCost) {
-      return hooks_.ensure_block_cost(block);
-    } else {
-      return true;
-    }
-  }
-
   template <bool Chained>
   std::uint64_t run_blocks(Block& first, std::uint64_t budget) {
     Block* block = &first;
     std::uint64_t executed = 0;
     for (;;) {
-      if constexpr (Hooks::kBlockCost) {
-        exec_block_cost(*block);
-      } else {
-        exec_block(*block);
-      }
+      exec_block(*block);
       executed += block->len;
       Block* const prev = block;
       if (prev->ends_with_cti && st_.npc != st_.pc + 4) {
@@ -246,12 +227,13 @@ class Executor {
   }
 
   // Dispatch::kJit host loop. Native code covers intra-block execution,
-  // batched retire/instret accounting, and patched block-to-block chaining;
-  // this loop covers everything else: delay slots (single-step), pcs with no
-  // block, rejected blocks (exec_block, the per-block kBlock fallback),
+  // batched retire/instret accounting, cost-ledger tallies, and patched
+  // block-to-block chaining; this loop covers everything else: delay slots
+  // the compiler did not fold (single-step), pcs with no block, refused or
+  // rejected blocks (step / exec_block, the per-block kBlock fallback),
   // budget tails, transition patching, and fault reconciliation.
   std::uint64_t run_jit(JitRuntime& jr, std::uint64_t max_insns) {
-    jr.configure(&st_, counts_ptr());
+    jr.configure(&st_, counts_ptr(), ledger_ptr());
     std::uint64_t executed = 0;
     while (!st_.halted && executed < max_insns) {
       const std::uint32_t pc = st_.pc;
@@ -265,13 +247,8 @@ class Executor {
       // predecessor (last_block() filters dead metas for exactly that).
       Block* const prev = jr.last_block();
       Block* block = block_cache_->lookup(pc);
-      if (block == nullptr) {
-        step();
-        ++executed;
-        continue;
-      }
       const std::uint64_t budget = max_insns - executed;
-      if (block->len > budget) {
+      if (block == nullptr || block->len > budget || !block_enterable(*block)) {
         step();
         ++executed;
         continue;
@@ -300,138 +277,65 @@ class Executor {
         // The faulting block's prologue claimed its full length from the
         // budget but only idx records retired; earlier blocks in the chain
         // settled their own accounting at their exits. Same protocol as
-        // exec_block: state at the faulting instruction, prefix retired
-        // through the per-instruction hook.
+        // exec_block: state at the faulting instruction, prefix counted
+        // (its ledger tallies already landed inline).
         executed += (budget - remaining) - (meta->len - idx);
         st_.pc = meta->start + 4 * idx;
         st_.npc = st_.pc + 4;
         st_.instret += idx;
-        for (std::uint32_t j = 0; j < idx; ++j) {
-          isa::DecodedInsn d;
-          d.op = static_cast<Op>(fb->code[j].op);
-          hooks_.on_retire(d, RetireInfo{});
-        }
+        retire_prefix(fb->code.data(), idx);
+        settle();
         std::rethrow_exception(jr.take_exception());
       }
-      executed += budget - remaining;
-    }
-    return executed;
-  }
-
-  // Dispatch::kJit host loop for kBlockCost hooks (the measurement board).
-  // Native code settles the per-op retire counters and the profile's static
-  // base cycles at block exits and appends the tagged dynamic-residual
-  // operand pairs into the runtime's capture buffer; after every native
-  // entry this loop drains the buffer through the hook's residual-replay
-  // kernel — in program order, so floating-point energy accumulation
-  // matches the interpreted paths bit-for-bit — and advances switching
-  // activity once over the whole batch (the activity stream is a pure
-  // function of cumulative advanced cycles, so batching is exact).
-  std::uint64_t run_jit_cost(JitRuntime& jr, std::uint64_t max_insns) {
-    jr.configure_cost(&st_, hooks_.jit_counts(), hooks_.jit_cycles());
-    std::uint64_t executed = 0;
-    while (!st_.halted && executed < max_insns) {
-      const std::uint32_t pc = st_.pc;
-      if (st_.npc != pc + 4) {  // delay slot: single-step
-        step();
-        ++executed;
-        continue;
-      }
-      Block* const prev = jr.last_block();
-      Block* block = block_cache_->lookup(pc);
-      if (block == nullptr) {
-        step();
-        ++executed;
-        continue;
-      }
-      const std::uint64_t budget = max_insns - executed;
-      if (block->len > budget) {
-        step();
-        ++executed;
-        continue;
-      }
-      // Cost profile before compilation: the compiler bakes the profile's
-      // base cycles and residual map into the emitted code, so a block may
-      // only compile once its profile is ready (and accepted).
-      if (!block_enterable(*block)) {
-        step();
-        ++executed;
-        continue;
-      }
-      if (jr.ensure_compiled(*block) != Block::JitState::kCompiled) {
-        exec_block_cost(*block);  // rejected (FPU): kBlock fallback
-        executed += block->len;
-        continue;
-      }
-      // Cost-mode blocks never fold delay slots, so register-indirect exits
-      // always end in a delay-pending state handled by the host; only
-      // rel32-patchable static edges chain natively here.
-      if (prev != nullptr && prev->jit_state == Block::JitState::kCompiled &&
-          !prev->indirect_exit) {
-        jr.patch_transition(*prev->jit_meta, pc, *block);
-      }
-      const std::uint64_t mark = *hooks_.jit_cycles();
-      const std::uint64_t remaining = jr.enter(*block, budget);
-      if (jr.faulted()) {
-        const auto [meta, idx] = jr.take_fault();
-        const Block* fb = meta->block;
-        const auto caps = jr.drain_captures();
-        // Captures appended by the faulting block's completed prefix belong
-        // to the per-instruction prefix retire below, not the batch replay:
-        // the faulting block settled neither counts nor base cycles (both
-        // are exit-batched), so its prefix retires through the full per-op
-        // hook, exactly as exec_block_cost reconciles.
-        std::size_t prefix = 0;
-        for (const auto& r : fb->cost.residuals) {
-          if (r.index >= idx) break;
-          ++prefix;
-        }
-        hooks_.jit_replay(caps.data(), caps.size() - prefix);
-        hooks_.jit_advance_activity(mark);
-        executed += (budget - remaining) - (meta->len - idx);
-        st_.pc = meta->start + 4 * idx;
-        st_.npc = st_.pc + 4;
-        st_.instret += idx;
-        const JitCapture* tail = caps.data() + (caps.size() - prefix);
-        std::size_t cursor = 0;
-        auto rit = fb->cost.residuals.begin();
-        for (std::uint32_t j = 0; j < idx; ++j) {
-          CapturedOp cap{};
-          if (rit != fb->cost.residuals.end() && rit->index == j) {
-            cap = CapturedOp{tail[cursor].a, tail[cursor].b};
-            ++cursor;
-            ++rit;
-          }
-          hooks_.on_retire_captured(static_cast<Op>(fb->code[j].op), cap);
-        }
-        std::rethrow_exception(jr.take_exception());
-      }
-      const auto caps = jr.drain_captures();
-      hooks_.jit_replay(caps.data(), caps.size());
-      hooks_.jit_advance_activity(mark);
+      settle();
       executed += budget - remaining;
     }
     return executed;
   }
 
   // The retire-counter vector emitted code bumps at block exits; hooks
-  // without a counts array (NullHooks) run uncounted native code.
+  // without one (NullHooks) run uncounted native code.
   std::uint64_t* counts_ptr() {
-    if constexpr (requires { hooks_.counts; }) {
+    if constexpr (kHasLedger) {
+      return hooks_.ledger()->counts.data();
+    } else if constexpr (requires { hooks_.counts; }) {
       return hooks_.counts.data();
     } else {
       return nullptr;
     }
   }
 
+  CostLedger* ledger_ptr() {
+    if constexpr (kHasLedger) {
+      return hooks_.ledger();
+    } else {
+      return nullptr;
+    }
+  }
+
+  void settle() {
+    if constexpr (requires { hooks_.settle(); }) hooks_.settle();
+  }
+
+  // Retire accounting for the completed prefix of a faulted block, one op
+  // at a time through the batch interface (dynamic ledger tallies were made
+  // by the records themselves).
+  void retire_prefix(const MorphInsn* code, std::uint32_t n) {
+    for (std::uint32_t j = 0; j < n; ++j) {
+      const BlockOpCount one{code[j].op, 1};
+      hooks_.on_retire_block(&one, 1, 1);
+    }
+  }
+
   // Executes one morphed superblock: per-record function-pointer dispatch,
   // a single pc/npc update at block exit, and one batched retire. On a fault
   // the architectural state is restored to the faulting instruction and the
-  // completed prefix retires through the per-instruction hook, so instret
-  // and op counts stay identical to the stepping path.
+  // completed prefix retires op by op, so instret, op counts and the cost
+  // ledger stay identical to the stepping path.
   void exec_block(const Block& block) {
     const MorphInsn* code = block.code.data();
-    MorphCtx ctx{st_, bus_, *block_cache_, block.start, code, st_.instret};
+    MorphCtx ctx{st_,  bus_,         *block_cache_, block.start,
+                 code, st_.instret, ledger_ptr()};
     const std::uint32_t n = block.len;
     std::uint32_t i = 0;
     try {
@@ -443,11 +347,7 @@ class Executor {
       st_.pc = block.start + 4 * i;
       st_.npc = st_.pc + 4;
       st_.instret = ctx.entry_instret + i;
-      for (std::uint32_t j = 0; j < i; ++j) {
-        isa::DecodedInsn d;
-        d.op = static_cast<Op>(code[j].op);
-        hooks_.on_retire(d, RetireInfo{});
-      }
+      retire_prefix(code, i);
       throw;
     }
     // A terminating CTI record has already written pc/npc (delay-slot
@@ -458,42 +358,6 @@ class Executor {
     }
     st_.instret = ctx.entry_instret + n;
     hooks_.on_retire_block(block.profile.data(), block.profile.size(), n);
-  }
-
-  // exec_block for kBlockCost hooks: same dispatch loop, but every handler
-  // additionally records its retire operands into the capture buffer (the
-  // cache morphs capture variants when the hook attached — see
-  // BlockCache::set_capture), and the block retires through the cost-profile
-  // hook, which applies the precomputed static cost in one shot and replays
-  // only the flagged residual subset against the captured operands. On a
-  // fault the completed prefix retires per instruction from the captures, so
-  // cost accounting stays bit-identical to the stepping path.
-  void exec_block_cost(const Block& block) {
-    const MorphInsn* code = block.code.data();
-    MorphCtx ctx{st_, bus_,         *block_cache_, block.start,
-                 code, st_.instret, capture_.data()};
-    const std::uint32_t n = block.len;
-    std::uint32_t i = 0;
-    try {
-      for (; i < n; ++i) code[i].fn(code[i], ctx);
-    } catch (...) {
-      st_.pc = block.start + 4 * i;
-      st_.npc = st_.pc + 4;
-      st_.instret = ctx.entry_instret + i;
-      // Blocks with retire-guarded instructions never enter this path
-      // (ensure_block_cost refuses them), so the prefix retire is pure
-      // accounting replay.
-      for (std::uint32_t j = 0; j < i; ++j) {
-        hooks_.on_retire_captured(static_cast<Op>(code[j].op), capture_[j]);
-      }
-      throw;
-    }
-    if (!block.ends_with_cti) {
-      st_.pc = block.start + 4 * n;
-      st_.npc = st_.pc + 4;
-    }
-    st_.instret = ctx.entry_instret + n;
-    hooks_.on_retire_block_cost(block, capture_.data());
   }
 
   // Store paths call this when a block cache is attached: a store landing in
@@ -1075,9 +939,6 @@ class Executor {
   bool chain_ = true;
   bool block_dispatch_ = true;
   bool jit_ = false;
-  // Per-block retire-operand capture buffer (kBlockCost dispatch only);
-  // record i of the running block writes its operand pair to capture_[i].
-  std::array<CapturedOp, BlockCache::kMaxBlockLen> capture_{};
 };
 
 }  // namespace nfp::sim

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "isa/insn.h"
 
@@ -37,8 +36,8 @@ struct BlockOpCount {
 
 // How an op's cost deviates from its static table entry (the EnergyAnalyzer
 // split: a statically-precomputable base corrected by context-dependent
-// residuals). Tagged per op in the board's CostModel so block dispatch can
-// precompute which instructions of a block need a dynamic callback at all.
+// effects). Tagged per op in the board's CostModel; the cost ledger
+// (sim/ledger.h) tallies the integers each kind depends on.
 enum class ResidualKind : std::uint8_t {
   kNone,        // cost fully static (modulo global operand-toggle variation)
   kMemory,      // latency/energy depend on the SDRAM row / data-cache state
@@ -46,55 +45,25 @@ enum class ResidualKind : std::uint8_t {
   kFpVariable,  // FP op whose energy tracks operand bit activity
 };
 
-// Per-instruction operand capture for cost-residual hooks: the two words a
-// per-op residual callback needs, written by the capture variants of the
-// morph handlers. Semantics follow RetireInfo's field the hook consumes:
-// memory ops capture {ea, mem_data}, control transfers {taken, 0}, and
-// everything else {a, b} — with the same operand aliasing as the step path
-// (e.g. udiv reads rs1 after the result writeback).
-struct CapturedOp {
-  std::uint32_t a = 0;
-  std::uint32_t b = 0;
-};
-
-// One flagged instruction of a block's cost profile: the record index inside
-// the morphed trace (== capture-buffer slot) and its op.
-struct ResidualRef {
-  std::uint16_t index = 0;
-  std::uint8_t op = 0;  // isa::Op
-};
-
-// Statically-precomputed cost profile of one superblock, built lazily by a
-// kBlockCost hook the first time the block dispatches: the cycle/energy sums
-// of every instruction whose cost is context-free, plus the index list of
-// the instructions that still need a per-op residual callback. Invalidation
-// drops the profile together with the block (flushed blocks never re-enter
-// dispatch), so a profile can never outlive the code it was built from.
-struct BlockCost {
-  std::uint64_t base_cycles = 0;   // sum over the context-free instructions
-  double base_energy_nj = 0.0;     // diagnostic: static energy of ALL ops
-  std::vector<ResidualRef> residuals;
-};
-
-enum class BlockCostState : std::uint8_t {
-  kUnbuilt,   // no kBlockCost hook has seen this block yet
-  kReady,     // cost profile valid for the current hook configuration
-  kStepOnly,  // block contains guarded ops (FPU/muldiv on a config without
-              // the unit): it must single-step so the guard faults at the
-              // exact offending instruction
+// A hook's verdict on whether a block may run under whole-block dispatch,
+// cached on the block. Hooks with per-instruction retire guards (the board
+// on a configuration without an FPU or MUL/DIV unit) refuse blocks holding
+// a guarded op, so the guard faults at the exact offending instruction.
+enum class BlockGuard : std::uint8_t {
+  kUnchecked,  // no guarding hook has seen this block yet
+  kAdmitted,   // may run whole
+  kStepOnly,   // must single-step
 };
 
 // Functional-only simulation: no non-functional properties at all.
 struct NullHooks {
   static constexpr bool kWantsDetail = false;
   // Batched retirement: the executor may retire a whole cached block with a
-  // single on_retire_block call. Hooks whose per-instruction cost is
-  // data-dependent (board, trace) must leave this false and keep stepping.
+  // single on_retire_block call. Hooks that need every instruction's
+  // operands (trace) must leave this false and keep stepping; the board
+  // batches too, its data-dependent share going through a cost ledger the
+  // block handlers update directly (sim/ledger.h).
   static constexpr bool kBatchRetire = true;
-  // Second block-dispatch capability tier (board): the hook cannot batch
-  // whole retires, but can split each op's cost into a per-block static
-  // profile plus per-op residual callbacks over captured operands.
-  static constexpr bool kBlockCost = false;
   void on_retire(const isa::DecodedInsn&, const RetireInfo&) {}
   void on_retire_block(const BlockOpCount*, std::size_t, std::uint64_t) {}
 };
@@ -105,7 +74,6 @@ struct NullHooks {
 struct OpCountHooks {
   static constexpr bool kWantsDetail = false;
   static constexpr bool kBatchRetire = true;
-  static constexpr bool kBlockCost = false;
 
   std::array<std::uint64_t, isa::kOpCount> counts{};
 

@@ -13,17 +13,18 @@
 // need no spills):
 //   %rbx  &CpuState            %r13  remaining instruction budget
 //   %r12  ram_data()-kRamBase  %r14  &JitRt
+//   %r15  &CostLedger (only addressed when one is bound)
 // %eax/%ecx/%edx are scratch. Blocks run with %rsp ≡ 0 (mod 16), so the
 // helper is entered at the SysV-required alignment.
 #include "sim/jit.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstring>
 #include <type_traits>
 
 #include "asmkit/x64.h"
 #include "isa/insn.h"
+#include "sim/ledger.h"
 #include "sim/memmap.h"
 
 #if NFP_JIT_ENABLED
@@ -35,9 +36,6 @@ namespace nfp::sim {
 namespace {
 [[maybe_unused]] bool g_jit_forced_off = false;
 [[maybe_unused]] bool g_jit_inline_btc = true;
-// Cost-mode residual run buffer: far larger than kMaxBlockLen, so a block
-// whose prologue capacity check bails always fits after the host drains.
-[[maybe_unused]] constexpr std::size_t kCaptureSlots = 8192;
 }  // namespace
 
 void jit_set_forced_off(bool off) { g_jit_forced_off = off; }
@@ -57,11 +55,8 @@ struct JitRuntime::Impl {};
 JitRuntime::JitRuntime(Bus& bus, BlockCache& cache) : bus_(bus), cache_(cache) {}
 JitRuntime::~JitRuntime() = default;
 bool JitRuntime::ok() const { return false; }
-void JitRuntime::configure(CpuState*, std::uint64_t*) {}
-void JitRuntime::configure_cost(CpuState*, std::uint64_t*, std::uint64_t*) {}
-std::span<const JitCapture> JitRuntime::drain_captures() { return {}; }
+void JitRuntime::configure(CpuState*, std::uint64_t*, CostLedger*) {}
 void JitRuntime::btc_insert(std::uint32_t, Block&) {}
-void JitRuntime::append_helper_capture(const Block&, std::uint32_t) {}
 Block::JitState JitRuntime::ensure_compiled(Block& b) {
   b.jit_state = Block::JitState::kRejected;
   return b.jit_state;
@@ -100,13 +95,17 @@ static_assert(offsetof(JitRt, touched) == 16);
 static_assert(offsetof(JitRt, counts) == 24);
 static_assert(offsetof(JitRt, cur_meta) == 32);
 static_assert(offsetof(JitRt, fault_idx) == 40);
-static_assert(offsetof(JitRt, cap_ptr) == 56);
-static_assert(offsetof(JitRt, cap_end) == 64);
-static_assert(offsetof(JitRt, cost_cycles) == 72);
-static_assert(offsetof(JitRt, btc) == 80);
-static_assert(offsetof(JitRt, btc_hits) == 88);
-static_assert(sizeof(JitCapture) == 16);
+static_assert(offsetof(JitRt, ledger) == 56);
+static_assert(offsetof(JitRt, btc) == 64);
+static_assert(offsetof(JitRt, btc_hits) == 72);
 static_assert(sizeof(JitBtcSlot) == 16);
+
+// Ledger tallies are addressed as [%r15 + field + 8*op].
+static_assert(std::is_standard_layout_v<CostLedger>);
+static_assert(offsetof(CostLedger, prev_a) == 0);
+static_assert(offsetof(CostLedger, prev_b) == 4);
+static_assert(offsetof(CostLedger, prev_addr) == 8);
+static_assert(offsetof(CostLedger, open_row) == 12);
 
 namespace {
 
@@ -129,9 +128,19 @@ bool probe_exec_pages() {
 
 bool jit_available() { return !g_jit_forced_off && probe_exec_pages(); }
 
+namespace {
+// Toggle tallies are one popcnt each; hosts without the instruction keep
+// toggle-varying ledgers on the interpreter (BlockCompiler refuses).
+bool host_has_popcnt() {
+  static const bool has = __builtin_cpu_supports("popcnt");
+  return has;
+}
+}  // namespace
+
 // ---- generic slow path -----------------------------------------------------
 // Called from emitted code (rdi = &JitRt, esi = record index). Re-executes
-// one record through the block's own morph handler and returns 0; on a fault
+// one record through the block's own morph handler (which tallies into the
+// bound cost ledger like any interpreted record) and returns 0; on a fault
 // stashes the exception and the record index and returns 1 (the native code
 // then bails through a bare `ret` and the host reconciles). instret is
 // saved/restored around the handler: the handler syncs it for MMIO loads
@@ -143,18 +152,13 @@ extern "C" std::uint64_t nfp_jit_exec_insn(JitRt* rt, std::uint32_t idx) {
   CpuState& st = *rt->cpu;
   JitRuntime* jr = rt->owner;
   jr->count_helper_exec();
-  // The scratch capture array is always handed to the handler: in cost mode
-  // the cache's capture variants dereference it, and on success the capture
-  // of a residual-flagged record is forwarded into the run buffer (the
-  // handler writes morph-exact operands — e.g. post-writeback for divides).
   MorphCtx ctx{st, jr->bus(), jr->cache(), b->start, b->code.data(),
-               st.instret, jr->helper_capture()};
+               st.instret, rt->ledger};
   const std::uint64_t saved = st.instret;
   try {
     const MorphInsn& m = b->code[idx];
     m.fn(m, ctx);
     st.instret = saved;
-    if (rt->cap_ptr != nullptr) jr->append_helper_capture(*b, idx);
     return 0;
   } catch (...) {
     st.instret = saved;
@@ -175,6 +179,7 @@ constexpr Gp kCpu = Gp::rbx;
 constexpr Gp kRam = Gp::r12;
 constexpr Gp kBudget = Gp::r13;
 constexpr Gp kRt = Gp::r14;
+constexpr Gp kLedger = Gp::r15;
 
 constexpr std::int32_t kOffPc = 256;
 constexpr std::int32_t kOffNpc = 260;
@@ -189,11 +194,20 @@ constexpr std::int32_t kOffInstret = 280;
 constexpr std::int32_t kRtTouched = 16;
 constexpr std::int32_t kRtCounts = 24;
 constexpr std::int32_t kRtCurMeta = 32;
-constexpr std::int32_t kRtCapPtr = 56;
-constexpr std::int32_t kRtCapEnd = 64;
-constexpr std::int32_t kRtCostCycles = 72;
-constexpr std::int32_t kRtBtc = 80;
-constexpr std::int32_t kRtBtcHits = 88;
+constexpr std::int32_t kRtLedger = 56;
+constexpr std::int32_t kRtBtc = 64;
+constexpr std::int32_t kRtBtcHits = 72;
+
+constexpr std::int32_t kLgPrevA = offsetof(CostLedger, prev_a);
+constexpr std::int32_t kLgPrevB = offsetof(CostLedger, prev_b);
+constexpr std::int32_t kLgPrevAddr = offsetof(CostLedger, prev_addr);
+constexpr std::int32_t kLgOpenRow = offsetof(CostLedger, open_row);
+
+// [%r15 + tally + 8*op]: one op's slot of a CostLedger tally array.
+x::Mem tally_m(std::size_t tally, isa::Op op) {
+  return x::ptr(kLedger, static_cast<std::int32_t>(
+                             tally + 8 * static_cast<std::size_t>(op)));
+}
 
 x::Mem reg_m(std::uint32_t r) {
   return x::ptr(kCpu, 4 * static_cast<std::int32_t>(r));
@@ -219,11 +233,11 @@ bool delay_foldable(Op op) {
 class BlockCompiler {
  public:
   BlockCompiler(BlockCache& cache, const Block& b, const JitBlockMeta* meta,
-                bool counted, bool cost, bool inline_btc)
+                bool counted, const CostLedger* ledger, bool inline_btc)
       : b_(b),
         meta_(meta),
         counted_(counted),
-        cost_(cost),
+        ledger_(ledger),
         inline_btc_(inline_btc),
         dcache_(cache.dcache()),
         word0_((b.start - cache.code_base()) / 4),
@@ -241,6 +255,13 @@ class BlockCompiler {
     x::Label resume;
     std::uint32_t idx = 0;
     bool returns = true;  // false: the helper is known to fault (jmpl align)
+  };
+  // Out-of-line SDRAM row-miss tally of one memory op (%ecx = new row,
+  // %eax = the access's toggle popcount).
+  struct RowMiss {
+    x::Label entry;
+    x::Label resume;
+    Op op = Op::kInvalid;
   };
 
   ColdCall& new_cold(std::uint32_t idx, bool returns = true) {
@@ -266,48 +287,21 @@ class BlockCompiler {
   void emit_helper_inline(std::uint32_t i);
   void emit_ea(const isa::DecodedInsn& d);
 
-  // ---- cost-mode residual captures ---------------------------------------
-  // True when record i carries a dynamic residual (operand pair replayed by
-  // the hooks' apply_residual at drain time).
-  bool residual_at(std::uint32_t i) const {
-    return cost_ && i < residual_.size() && residual_[i];
+  // ---- cost-ledger tallies (sim/ledger.h) --------------------------------
+  // True when op's retire operands feed the ledger's operand-toggle tally.
+  bool tallies_operands(Op op) const {
+    if (ledger_ == nullptr || !ledger_->variation) return false;
+    const ResidualKind k = ledger_->kind[static_cast<std::size_t>(op)];
+    return k == ResidualKind::kNone || k == ResidualKind::kFpVariable;
   }
-  void emit_capture_tail(Gp cursor, std::uint32_t op, std::uint32_t idx) {
-    e_.mov_mi(x::ptr(cursor, 8), op);
-    e_.mov_mi(x::ptr(cursor, 12), idx);
-    e_.add_mi64(x::ptr(kRt, kRtCapPtr), 16);
-  }
-  // Appends {%ecx, %edx} — the ALU operand-pair shape.
-  void emit_capture_pair(std::uint32_t op, std::uint32_t idx) {
-    e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtCapPtr));
-    e_.mov_mr(x::ptr(Gp::rax, 0), Gp::rcx);
-    e_.mov_mr(x::ptr(Gp::rax, 4), Gp::rdx);
-    emit_capture_tail(Gp::rax, op, idx);
-  }
-  // Appends a compile-time-constant pair (sethi/nop, CTI taken flags).
-  void emit_capture_const(std::uint32_t a, std::uint32_t b, std::uint32_t op,
-                          std::uint32_t idx) {
-    e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtCapPtr));
-    e_.mov_mi(x::ptr(Gp::rax, 0), a);
-    e_.mov_mi(x::ptr(Gp::rax, 4), b);
-    emit_capture_tail(Gp::rax, op, idx);
-  }
-  // Appends {%ecx (ea), %eax (data)} — the load/store fast-path shape
-  // (%rdx is the cursor because %rax/%ecx hold the pair).
-  void emit_capture_mem(std::uint32_t op, std::uint32_t idx) {
-    e_.mov_rm64(Gp::rdx, x::ptr(kRt, kRtCapPtr));
-    e_.mov_mr(x::ptr(Gp::rdx, 0), Gp::rcx);
-    e_.mov_mr(x::ptr(Gp::rdx, 4), Gp::rax);
-    emit_capture_tail(Gp::rdx, op, idx);
-  }
-  void emit_capture_pre(const isa::DecodedInsn& d, std::uint32_t i);
-  // Appends the CTI's {taken, 0} capture on an exit path.
-  void emit_capture_cti(std::uint32_t taken) {
-    if (!residual_at(b_.len - 1)) return;
-    emit_capture_const(
-        taken, 0,
-        static_cast<std::uint32_t>(dcache_[word0_ + b_.len - 1].op),
-        b_.len - 1);
+  void emit_retire_operands(const isa::DecodedInsn& d);
+  void emit_operand_toggles(Op op);
+  void emit_memory_tally(Op op);
+  void emit_untaken_tally() {
+    if (ledger_ == nullptr) return;
+    e_.add_mi64(tally_m(offsetof(CostLedger, untaken),
+                        dcache_[word0_ + b_.len - 1].op),
+                1);
   }
 
   void store_rd(const isa::DecodedInsn& d) {
@@ -332,9 +326,8 @@ class BlockCompiler {
   const Block& b_;
   const JitBlockMeta* meta_;
   bool counted_;
-  bool cost_;
+  const CostLedger* ledger_;  // null: no cost tallies
   bool inline_btc_;
-  std::vector<bool> residual_;  // per-record residual flags (cost mode)
   const std::vector<isa::DecodedInsn>& dcache_;
   std::uint32_t word0_;
   std::uint32_t code_base_;
@@ -344,27 +337,29 @@ class BlockCompiler {
   x::Label bail_;
   x::Label fault_;
   std::vector<ColdCall> colds_;
+  std::vector<RowMiss> row_misses_;
   std::vector<JitExit> exits_;
   bool folds_delay_ = false;
   bool failed_ = false;
 };
 
 bool BlockCompiler::compile() {
+  // Toggle tallies need the host's popcnt.
+  if (ledger_ != nullptr && ledger_->variation && !host_has_popcnt()) {
+    return false;
+  }
   // FPU state lives only in CpuState::f with no template coverage; blocks
   // touching it run through exec_block instead (per-block kBlock fallback).
+  // So do a cached board's loads: the data-cache lookup is not templated.
   for (const BlockOpCount& p : b_.profile) {
     const Op op = static_cast<Op>(p.op);
     if (isa::is_fpu(op) || op == Op::kLdf || op == Op::kLddf ||
         op == Op::kStf || op == Op::kStdf) {
       return false;
     }
-  }
-  if (cost_) {
-    // Cost mode bakes BlockCost into the emitted code; the host guarantees
-    // the profile is built (ensure_block_cost) before asking to compile.
-    if (b_.cost_state != BlockCostState::kReady) return false;
-    residual_.assign(b_.len, false);
-    for (const ResidualRef& r : b_.cost.residuals) residual_[r.index] = true;
+    if (ledger_ != nullptr && ledger_->has_cache() && isa::is_load(op)) {
+      return false;
+    }
   }
 
   const std::uint32_t len = b_.len;
@@ -374,16 +369,6 @@ bool BlockCompiler::compile() {
   // running one and claim its retirement from the budget.
   e_.cmp_ri64(kBudget, static_cast<std::int32_t>(len));
   e_.jcc(Cc::kB, bail_);
-  if (cost_ && !b_.cost.residuals.empty()) {
-    // Residual-buffer capacity check: bail (no state change) when this
-    // block's captures would not fit; the host drains after every enter, so
-    // re-entry always finds room.
-    e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtCapPtr));
-    e_.add_ri64(Gp::rax,
-                static_cast<std::int32_t>(16 * b_.cost.residuals.size()));
-    e_.cmp_rm64(Gp::rax, x::ptr(kRt, kRtCapEnd));
-    e_.jcc(Cc::kA, bail_);
-  }
   e_.mov_ri64(Gp::rax, reinterpret_cast<std::uint64_t>(meta_));
   e_.mov_mr64(x::ptr(kRt, kRtCurMeta), Gp::rax);
   e_.sub_ri64(kBudget, static_cast<std::int32_t>(len));
@@ -405,9 +390,20 @@ bool BlockCompiler::compile() {
   e_.mov_mi(x::ptr(kCpu, kOffNpc), b_.start + 4);
   e_.ret();
 
-  // Cold section: one helper trampoline per slow-path site. On success the
-  // native trace RESUMES — matching the interpreter's stale-trace-in-flight
-  // semantics even when the record just invalidated this very block.
+  // Cold section: row-miss tallies, then one helper trampoline per
+  // slow-path site. On success the native trace RESUMES — matching the
+  // interpreter's stale-trace-in-flight semantics even when the record just
+  // invalidated this very block.
+  for (RowMiss& r : row_misses_) {
+    e_.bind(r.entry);
+    e_.mov_mr(x::ptr(kLedger, kLgOpenRow), Gp::rcx);
+    e_.add_mi64(tally_m(offsetof(CostLedger, row_misses), r.op), 1);
+    if (ledger_->variation) {
+      e_.add_mr64(tally_m(offsetof(CostLedger, row_miss_toggles), r.op),
+                  Gp::rax);
+    }
+    e_.jmp(r.resume);
+  }
   for (ColdCall& c : colds_) {
     e_.bind(c.slow);
     emit_helper_inline(c.idx);
@@ -449,21 +445,12 @@ void BlockCompiler::emit_counts(int extra_op) {
     }
     if (extra_op >= 0) e_.add_mi64(x::ptr(Gp::rax, 8 * extra_op), 1);
   }
-  if (cost_ && b_.cost.base_cycles != 0) {
-    // Static cost retirement: one add of the block's residual-free cycle
-    // base (residual ops contribute their cycles at drain-time replay).
-    e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtCostCycles));
-    e_.add_mi64(x::ptr(Gp::rax, 0),
-                static_cast<std::int32_t>(b_.cost.base_cycles));
-  }
 }
 
 void BlockCompiler::emit_static_exit(std::uint32_t exit_pc,
                                      std::uint32_t retired, int extra_op,
                                      int cti_taken) {
-  if (cti_taken >= 0) {
-    emit_capture_cti(static_cast<std::uint32_t>(cti_taken));
-  }
+  if (cti_taken == 0) emit_untaken_tally();
   e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(retired));
   emit_counts(extra_op);
   JitExit exit;
@@ -489,10 +476,8 @@ void BlockCompiler::emit_delayed_exit(std::uint32_t cti_pc,
     emit_static_exit(target, b_.len + 1, static_cast<int>(delay->op));
     e_.bind(pending);
   }
-  // Budget exhausted (or unfoldable delay, or cost mode): the interpreter's
-  // post-CTI state, pc at the delay slot with npc redirected; the host
-  // single-steps.
-  emit_capture_cti(1);  // delayed exits are always taken paths
+  // Budget exhausted (or unfoldable delay): the interpreter's post-CTI
+  // state, pc at the delay slot with npc redirected; the host single-steps.
   e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(b_.len));
   emit_counts(-1);
   e_.mov_mi(x::ptr(kCpu, kOffPc), cti_pc + 4);
@@ -554,9 +539,11 @@ void BlockCompiler::emit_cti(const isa::DecodedInsn& d) {
   const std::uint32_t didx = word0_ + b_.len;
   const isa::DecodedInsn* delay =
       didx < dcache_.size() ? &dcache_[didx] : nullptr;
-  // Cost mode never folds: the delay slot is outside the block's cost
-  // profile, so it single-steps on the host like the interpreter's shape.
-  const bool fold = !cost_ && delay != nullptr && delay_foldable(delay->op);
+  // A step-only delay op must fault through the host's single-step.
+  const bool fold =
+      delay != nullptr && delay_foldable(delay->op) &&
+      (ledger_ == nullptr ||
+       !ledger_->step_only[static_cast<std::size_t>(delay->op)]);
 
   switch (d.op) {
     case Op::kCall: {
@@ -658,7 +645,6 @@ void BlockCompiler::emit_jmpl(const isa::DecodedInsn& d, std::uint32_t cti_pc,
     }
     e_.bind(pending);
   }
-  emit_capture_cti(1);  // jmpl is unconditionally taken
   e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(b_.len));
   emit_counts(-1);
   e_.mov_mi(x::ptr(kCpu, kOffPc), cti_pc + 4);
@@ -719,10 +705,10 @@ void BlockCompiler::emit_load(const isa::DecodedInsn& d, std::uint32_t i) {
       break;
     }
   }
-  // Cost capture {ea, data}: %ecx still holds ea, %eax the (last) loaded
-  // word — morph-exact. The helper path resumes past this (it appends via
-  // append_helper_capture instead).
-  if (residual_at(i)) emit_capture_mem(static_cast<std::uint32_t>(d.op), i);
+  // Ledger tally of {ea, data}: %ecx still holds ea, %eax the (last)
+  // loaded word — morph-exact. The helper path resumes past this (its
+  // handler tallies instead).
+  emit_memory_tally(d.op);
   e_.bind(c.resume);
 }
 
@@ -784,25 +770,24 @@ void BlockCompiler::emit_store(const isa::DecodedInsn& d, std::uint32_t i) {
   e_.shr_ri(Gp::rdx, 12);
   e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtTouched));
   e_.mov_mi8(x::ptr_idx(Gp::rax, Gp::rdx), 1);
-  // Cost capture {ea, masked data}: %ecx still holds ea; reload the store
-  // data and mask it to the access width (h_store's capture shape, with
-  // std capturing the second word).
-  if (residual_at(i)) {
+  // Ledger tally of {ea, masked data}: %ecx still holds ea; reload the
+  // store data and mask it to the access width (h_store's tally shape, with
+  // std tallying the second word).
+  if (ledger_ != nullptr && ledger_->variation) {
     e_.mov_rm(Gp::rax, reg_m(d.op == Op::kStd ? d.rd + 1u : d.rd));
     if (d.op == Op::kStb) e_.and_ri(Gp::rax, 0xFF);
     if (d.op == Op::kSth) e_.and_ri(Gp::rax, 0xFFFF);
-    emit_capture_mem(static_cast<std::uint32_t>(d.op), i);
   }
+  emit_memory_tally(d.op);
   e_.bind(c.resume);
 }
 
-// Cost capture for the statically non-faulting ALU class (exactly the
-// delay-foldable set): the operand pair as the morph capture handlers see
-// it, pre-writeback (see block_cache.cpp). Loads/stores capture at the end
-// of their fast path; helper-routed records via append_helper_capture; the
-// CTI at its exits.
-void BlockCompiler::emit_capture_pre(const isa::DecodedInsn& d,
-                                     std::uint32_t i) {
+// Retire operands {%ecx, %edx} of the statically non-faulting ALU class
+// (exactly the delay-foldable set) as the morph handlers tally them,
+// pre-writeback (see block_cache.cpp). Loads/stores tally at the end of
+// their fast path, helper-routed records in their handler, the CTI at its
+// exits.
+void BlockCompiler::emit_retire_operands(const isa::DecodedInsn& d) {
   switch (d.op) {
     case Op::kNop:
       e_.xor_rr(Gp::rcx, Gp::rcx);
@@ -836,11 +821,51 @@ void BlockCompiler::emit_capture_pre(const isa::DecodedInsn& d,
       }
       break;
   }
-  emit_capture_pair(static_cast<std::uint32_t>(d.op), i);
+}
+
+// Operand-toggle tally of {%ecx, %edx}: toggles[op] += popcount(a ^ prev_a)
+// + popcount(b ^ prev_b), then the pair becomes the new history.
+void BlockCompiler::emit_operand_toggles(Op op) {
+  e_.mov_rm(Gp::rax, x::ptr(kLedger, kLgPrevA));
+  e_.xor_rr(Gp::rax, Gp::rcx);
+  e_.popcnt_rr(Gp::rax, Gp::rax);
+  e_.mov_mr(x::ptr(kLedger, kLgPrevA), Gp::rcx);
+  e_.mov_rm(Gp::rcx, x::ptr(kLedger, kLgPrevB));
+  e_.xor_rr(Gp::rcx, Gp::rdx);
+  e_.popcnt_rr(Gp::rcx, Gp::rcx);
+  e_.mov_mr(x::ptr(kLedger, kLgPrevB), Gp::rdx);
+  e_.add_rr(Gp::rax, Gp::rcx);
+  e_.add_mr64(tally_m(offsetof(CostLedger, toggles), op), Gp::rax);
+}
+
+// Memory tally of {%ecx = ea, %eax = data}, mirroring CostLedger::retire:
+// the address/data toggle popcount, the address history, and the SDRAM
+// open-row compare (a miss tallies out of line). Clobbers all three.
+void BlockCompiler::emit_memory_tally(Op op) {
+  if (ledger_ == nullptr) return;
+  if (ledger_->variation) {
+    e_.mov_rm(Gp::rdx, x::ptr(kLedger, kLgPrevAddr));
+    e_.xor_rr(Gp::rdx, Gp::rcx);
+    e_.popcnt_rr(Gp::rdx, Gp::rdx);
+    e_.popcnt_rr(Gp::rax, Gp::rax);
+    e_.add_rr(Gp::rax, Gp::rdx);
+    e_.add_mr64(tally_m(offsetof(CostLedger, toggles), op), Gp::rax);
+  }
+  e_.mov_mr(x::ptr(kLedger, kLgPrevAddr), Gp::rcx);
+  e_.shr_ri(Gp::rcx, static_cast<std::uint8_t>(ledger_->row_bits));
+  e_.cmp_rm(Gp::rcx, x::ptr(kLedger, kLgOpenRow));
+  row_misses_.push_back(RowMiss{});
+  RowMiss& r = row_misses_.back();
+  r.op = op;
+  e_.jcc(Cc::kNe, r.entry);
+  e_.bind(r.resume);
 }
 
 void BlockCompiler::emit_insn(const isa::DecodedInsn& d, std::uint32_t i) {
-  if (residual_at(i) && delay_foldable(d.op)) emit_capture_pre(d, i);
+  if (tallies_operands(d.op) && delay_foldable(d.op)) {
+    emit_retire_operands(d);
+    emit_operand_toggles(d.op);
+  }
   switch (d.op) {
     case Op::kNop:
       return;
@@ -1067,6 +1092,7 @@ struct JitRuntime::Impl {
   std::size_t used = 0;
   std::uint32_t thunk_off = 0;
   std::size_t code_start = 0;  // first byte after the thunk
+  bool writable = true;        // as mapped
 
   ~Impl() {
     if (base != nullptr) ::munmap(base, size);
@@ -1081,22 +1107,32 @@ struct JitRuntime::Impl {
     return true;
   }
 
-  void make_rw() { ::mprotect(base, size, PROT_READ | PROT_WRITE); }
-  void make_rx() { ::mprotect(base, size, PROT_READ | PROT_EXEC); }
+  // W^X: the arena is writable while the host compiles and patches, and
+  // executable while code runs, never both. Flips are lazy: the commits and
+  // patches between two native entries share one RW/RX pair.
+  void make_rw() {
+    if (writable) return;
+    ::mprotect(base, size, PROT_READ | PROT_WRITE);
+    writable = true;
+  }
+  void make_rx() {
+    if (!writable) return;
+    ::mprotect(base, size, PROT_READ | PROT_EXEC);
+    writable = false;
+  }
 
-  // Appends emitted bytes (16-aligned) and restores RX. Returns the arena
-  // offset, or kFull when exhausted.
+  // Appends emitted bytes (16-aligned), leaving the arena writable until the
+  // next entry. Returns the arena offset, or kFull when exhausted.
   std::uint32_t commit(const asmkit::x64::Emitter& e) {
     const std::size_t at = (used + 15) & ~std::size_t{15};
     if (at + e.size() > size) return kFull;
     make_rw();
     std::memcpy(base + at, e.data(), e.size());
-    make_rx();
     used = at + e.size();
     return static_cast<std::uint32_t>(at);
   }
 
-  // Rewrites one rel32 field; caller brackets with make_rw()/make_rx().
+  // Rewrites one rel32 field; the caller makes the arena writable.
   void write_rel32(std::uint32_t off, std::int32_t value) {
     std::memcpy(base + off, &value, 4);
   }
@@ -1129,6 +1165,7 @@ JitRuntime::JitRuntime(Bus& bus, BlockCache& cache)
   e.mov_rr64(kRt, Gp::rdi);
   e.mov_rm64(kCpu, x::ptr(kRt, 0));
   e.mov_rm64(kRam, x::ptr(kRt, 8));
+  e.mov_rm64(kLedger, x::ptr(kRt, kRtLedger));
   e.mov_rr64(kBudget, Gp::rdx);
   e.call_r(Gp::rsi);
   e.mov_rr64(Gp::rax, kBudget);
@@ -1147,54 +1184,19 @@ JitRuntime::~JitRuntime() = default;
 
 bool JitRuntime::ok() const { return impl_ != nullptr; }
 
-void JitRuntime::configure(CpuState* cpu, std::uint64_t* counts) {
-  // The counts adds are baked per block ("emit or not"); the pointer itself
-  // is loaded from JitRt at each exit, so only a null ↔ non-null change —
-  // or a flip out of cost mode — invalidates compiled code.
+void JitRuntime::configure(CpuState* cpu, std::uint64_t* counts,
+                           CostLedger* ledger) {
+  // The counts adds and the ledger's configuration are baked per block; the
+  // pointers themselves are loaded from JitRt at runtime, so only a counts
+  // null <-> non-null change or a different ledger invalidates compiled
+  // code.
   if (!metas_.empty() &&
-      (cost_mode_ || (counts == nullptr) != (rt_.counts == nullptr))) {
+      ((counts == nullptr) != (rt_.counts == nullptr) || ledger != rt_.ledger)) {
     reset_code();
   }
-  cost_mode_ = false;
   rt_.cpu = cpu;
   rt_.counts = counts;
-  rt_.cost_cycles = nullptr;
-  rt_.cap_ptr = nullptr;
-  rt_.cap_end = nullptr;
-}
-
-void JitRuntime::configure_cost(CpuState* cpu, std::uint64_t* counts,
-                                std::uint64_t* cycles) {
-  // Pointer values are loaded from JitRt at runtime, so rebinding to a
-  // fresh hooks instance keeps compiled code valid; only the functional →
-  // cost flip (captures and cycle adds baked per block) discards it.
-  if (!metas_.empty() && !cost_mode_) reset_code();
-  cost_mode_ = true;
-  rt_.cpu = cpu;
-  rt_.counts = counts;
-  rt_.cost_cycles = cycles;
-  if (capture_.empty()) capture_.resize(kCaptureSlots);
-  rt_.cap_ptr = capture_.data();
-  rt_.cap_end = capture_.data() + capture_.size();
-}
-
-std::span<const JitCapture> JitRuntime::drain_captures() {
-  if (capture_.empty()) return {};
-  const auto n = static_cast<std::size_t>(rt_.cap_ptr - capture_.data());
-  rt_.cap_ptr = capture_.data();
-  return {capture_.data(), n};
-}
-
-void JitRuntime::append_helper_capture(const Block& b, std::uint32_t idx) {
-  // Forward the handler's scratch capture for residual-flagged records only
-  // (the block prologue reserved buffer space for exactly those).
-  const auto& rs = b.cost.residuals;
-  const auto it = std::lower_bound(
-      rs.begin(), rs.end(), idx,
-      [](const ResidualRef& r, std::uint32_t i) { return r.index < i; });
-  if (it == rs.end() || it->index != idx) return;
-  *rt_.cap_ptr++ = JitCapture{helper_capture_[idx].a, helper_capture_[idx].b,
-                              static_cast<std::uint32_t>(it->op), idx};
+  rt_.ledger = ledger;
 }
 
 void JitRuntime::btc_insert(std::uint32_t pc, Block& to) {
@@ -1229,8 +1231,8 @@ Block::JitState JitRuntime::ensure_compiled(Block& b) {
   meta->block = &b;
   meta->start = b.start;
   meta->len = b.len;
-  BlockCompiler comp(cache_, b, meta.get(), rt_.counts != nullptr, cost_mode_,
-                     !cost_mode_ && g_jit_inline_btc);
+  BlockCompiler comp(cache_, b, meta.get(), rt_.counts != nullptr, rt_.ledger,
+                     g_jit_inline_btc);
   std::uint32_t off = Impl::kFull;
   if (comp.compile()) off = impl_->commit(comp.emitter());
   if (off == Impl::kFull) {  // untemplatable block or arena exhausted
@@ -1257,6 +1259,7 @@ std::uint64_t JitRuntime::enter(Block& b, std::uint64_t budget) {
   ++stats_.entries;
   rt_.fault_idx = kNoFault;
   pending_ = nullptr;
+  impl_->make_rx();
   using ThunkFn = std::uint64_t (*)(JitRt*, const void*, std::uint64_t);
   const auto fn = reinterpret_cast<ThunkFn>(impl_->base + impl_->thunk_off);
   return fn(&rt_, impl_->base + b.jit_meta->entry_off, budget);
@@ -1286,7 +1289,6 @@ void JitRuntime::patch_transition(JitBlockMeta& from, std::uint32_t pc,
     impl_->write_rel32(exit.patch_off,
                        static_cast<std::int32_t>(tm->entry_off) -
                            static_cast<std::int32_t>(exit.patch_off + 4));
-    impl_->make_rx();
     exit.patched_to = &to;
     tm->incoming.emplace_back(&from, i);
     ++stats_.patches;
@@ -1298,6 +1300,9 @@ void JitRuntime::on_block_death(Block& b) {
   JitBlockMeta* m = b.jit_meta;
   if (m == nullptr || m->dead) return;
   m->dead = true;
+  // May run from inside native code (a self-modifying store through the
+  // helper), so the protection found on entry is restored on exit.
+  const bool was_writable = impl_->writable;
   impl_->make_rw();
   // Withdraw every patched jump INTO the dying code: a live predecessor must
   // fall back to its exit stub (and thence the host) instead of entering a
@@ -1332,7 +1337,7 @@ void JitRuntime::on_block_death(Block& b) {
     exit.patched_to = nullptr;
     ++stats_.unpatches;
   }
-  impl_->make_rx();
+  if (!was_writable) impl_->make_rx();
   // Withdraw inline-BTC entries targeting the dying code (the table lives
   // in plain heap memory; no protection bracket needed).
   const std::uint64_t dead_entry =

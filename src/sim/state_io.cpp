@@ -427,7 +427,6 @@ void apply_platform_chunks(const StateReader& r, Platform& p) {
   // snapshot's dirty pages (which include every self-modified code word),
   // then rebuilds the decode cache from restored RAM so the predecoded view
   // matches memory exactly.
-  const bool capture = p.bcache_ != nullptr && p.bcache_->capture();
   p.bcache_.reset();
   p.bus_.reset_touched_ram();
   p.bus_.clear_uart();
@@ -448,7 +447,6 @@ void apply_platform_chunks(const StateReader& r, Platform& p) {
         p.code_base_ + static_cast<std::uint32_t>(i) * 4)));
   }
   p.bcache_ = std::make_unique<BlockCache>(p.bus_, p.code_base_, p.dcache_);
-  p.bcache_->set_capture(capture);
   p.cpu_ = cpu;
 }
 

@@ -6,15 +6,15 @@
 // front end composes its snapshot from the shared platform chunks (CPU
 // state, dirty RAM pages, UART stream, the loaded program image) plus its
 // own: the counting ISS adds its retire-count vector, the measurement board
-// adds its configuration fingerprint and accumulator state (SDRAM open row,
-// meter accumulators, switching-activity LFSR).
+// adds its configuration fingerprint and accumulator state (the cost ledger
+// with its SDRAM open row and toggle history, the switching-activity LFSR).
 //
 // Restore is strictly two-phase: the whole stream is parsed and validated —
 // structure, version, checksums, chunk tags, payload shapes — and decoded
 // into locals before a single byte of target state is mutated. Any error
 // throws a StateError carrying a structured code and leaves the target
 // exactly as it was. Applying a snapshot drops every derived cache (morph
-// cache, JIT arena, branch-target caches, block cost profiles): a resumed
+// cache, JIT arena, branch-target caches, block guard verdicts): a resumed
 // run re-warms them from scratch but retires bit-for-bit identically to the
 // uninterrupted run, which the fuzz oracle's snapshot leg and the directed
 // resume battery hold in place.
@@ -34,7 +34,10 @@ class Platform;
 // readers reject every version but their own (no silent best-effort decode
 // of foreign state — see docs/snapshots.md for the policy).
 // v2: the board-hooks chunk grew the store and stall-cycle event counters.
-inline constexpr std::uint32_t kStateVersion = 2;
+// v3: the board-hooks chunk carries the integer cost ledger (per-op toggle,
+//     row-miss, cache-hit and untaken tallies) in place of the cycle, energy
+//     and event accumulators, which are now derived from it.
+inline constexpr std::uint32_t kStateVersion = 3;
 
 constexpr std::uint32_t chunk_tag(char a, char b, char c, char d) {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(a)) |
@@ -166,8 +169,7 @@ void append_platform_chunks(StateWriter& w, const Platform& p);
 // touched RAM, rewrites the dirty pages, reinstates CPU/UART state, rebuilds
 // the decode cache from the restored RAM image (so self-modified words stay
 // modified), and replaces the block cache — invalidating every morphed
-// trace, chain link, BTC entry, cost profile, and JIT translation. The new
-// cache inherits the old one's operand-capture flag.
+// trace, chain link, BTC entry, block guard verdict, and JIT translation.
 void apply_platform_chunks(const StateReader& r, Platform& p);
 
 // Whole-file convenience for a bare platform (functional sim).

@@ -15,9 +15,8 @@ namespace nfp::sim {
 struct TraceHooks {
   static constexpr bool kWantsDetail = true;
   // A trace is inherently per-instruction; block-batched retire would skip
-  // the disassembly callback, and a cost profile has nothing to precompute.
+  // the disassembly callback.
   static constexpr bool kBatchRetire = false;
-  static constexpr bool kBlockCost = false;
 
   std::string* out = nullptr;
   std::size_t limit = 0;

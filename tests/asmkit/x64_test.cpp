@@ -265,7 +265,7 @@ TEST(X64Encoding, CmpMem) {
       "cmp_rm sib",
       [](Emitter& e) { e.cmp_rm(Gp::rcx, ptr_idx(Gp::rdx, Gp::rax)); },
       {0x3b, 0x0c, 0x02});
-  // cmp 0x40(%r14),%rax — the residual-buffer capacity check shape
+  // cmp 0x40(%r14),%rax — a 64-bit compare against a JitRt field
   expect_encoding("cmp_rm64 [r14+0x40]",
                   [](Emitter& e) { e.cmp_rm64(Gp::rax, ptr(Gp::r14, 0x40)); },
                   {0x49, 0x3b, 0x46, 0x40});
@@ -324,6 +324,21 @@ TEST(X64Encoding, Misc) {
                   {0x0f, 0xc8});
   expect_encoding("bswap r9d", [](Emitter& e) { e.bswap_r(Gp::r9); },
                   {0x41, 0x0f, 0xc9});
+  // popcnt — the cost-ledger toggle tally; the F3 prefix precedes any REX
+  expect_encoding("popcnt eax",
+                  [](Emitter& e) { e.popcnt_rr(Gp::rax, Gp::rax); },
+                  {0xf3, 0x0f, 0xb8, 0xc0});
+  expect_encoding("popcnt ecx edx",
+                  [](Emitter& e) { e.popcnt_rr(Gp::rcx, Gp::rdx); },
+                  {0xf3, 0x0f, 0xb8, 0xca});
+  expect_encoding("popcnt r10d ecx",
+                  [](Emitter& e) { e.popcnt_rr(Gp::r10, Gp::rcx); },
+                  {0xf3, 0x44, 0x0f, 0xb8, 0xd1});
+  // add %rax,0x2a8(%r15) — one op's slot of a ledger tally array
+  expect_encoding(
+      "add_mr64 [r15+disp32]",
+      [](Emitter& e) { e.add_mr64(ptr(Gp::r15, 0x2a8), Gp::rax); },
+      {0x49, 0x01, 0x87, 0xa8, 0x02, 0x00, 0x00});
   // ror $0x8,%ax — the big-endian halfword swap
   expect_encoding("ror16", [](Emitter& e) { e.ror16_ri(Gp::rax, 8); },
                   {0x66, 0xc1, 0xc8, 0x08});

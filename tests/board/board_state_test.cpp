@@ -1,22 +1,24 @@
 // Resume bit-identity for the measurement board: a snapshot carries the
-// SDRAM open-row state, cache tags, meter accumulators (cycles, per-op
-// counts, residual energy — compared bit-cast), operand-toggle history, and
-// the switching-activity LFSR, so a restored board continues with ground
-// truth bit-for-bit identical to the uninterrupted run in every dispatch
-// mode and fidelity/cache configuration. Restores under a different
-// configuration are refused.
+// integer cost ledger (per-op counts and tallies, SDRAM open row, cache
+// tags, operand-toggle history) and the switching-activity LFSR, so a
+// restored board continues with ground truth bit-for-bit identical to the
+// uninterrupted run in every dispatch mode and fidelity/cache
+// configuration. Restores under a different configuration are refused.
 #include "board/board.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "asmkit/assembler.h"
 #include "board/cost_model.h"
 #include "board/events.h"
+#include "isa/insn.h"
 #include "sim/digest.h"
 #include "sim/iss.h"
 #include "sim/jit.h"
@@ -27,7 +29,7 @@ namespace nfp::board {
 namespace {
 
 // Loads and stores striding across SDRAM rows (row misses), both branch
-// directions, and operand-varying arithmetic — every residual kind and every
+// directions, and operand-varying arithmetic — every ledger tally and every
 // accumulator the snapshot must carry.
 asmkit::Program board_program(int iterations) {
   return asmkit::assemble(
@@ -211,6 +213,68 @@ TEST(BoardState, ConfigMismatchRejected) {
     code = e.code;
   }
   EXPECT_EQ(code, sim::StateErrorCode::kConfigMismatch);
+  expect_equal(observe(target), before, "target after refused restore");
+}
+
+TEST(BoardState, InconsistentLedgerTallyRejected) {
+  // A tally larger than its retire count would wrap the unsigned
+  // subtractions in the cycle/energy folds: restore must refuse it with
+  // kBadPayload and leave the target untouched.
+  const auto prog = board_program(50);
+  Board src;
+  src.load(prog);
+  src.run(200);
+  std::stringstream buf;
+  src.save_state(buf);
+  auto tags = sim::platform_chunk_tags();
+  tags.push_back(sim::kChunkBoardConfig);
+  tags.push_back(sim::kChunkBoardHooks);
+  const sim::StateReader r(buf, tags);
+  // Re-serializes the snapshot with `hooks` as the board-hooks payload
+  // (fresh checksums, so only the payload validation can object).
+  const auto rebuild = [&](const std::vector<std::uint8_t>& hooks) {
+    sim::StateWriter w;
+    for (const std::uint32_t tag : tags) {
+      const auto& p = tag == sim::kChunkBoardHooks ? hooks : r.payload(tag);
+      w.begin_chunk(tag);
+      w.put_bytes(p.data(), p.size());
+      w.end_chunk();
+    }
+    std::stringstream out;
+    w.finish(out);
+    return out;
+  };
+
+  // Payload layout: u32 op count, then the tally arrays (counts first, row
+  // misses third) of one little-endian u64 per op.
+  std::vector<std::uint8_t> hooks = r.payload(sim::kChunkBoardHooks);
+  const auto ld = static_cast<std::size_t>(isa::Op::kLd);
+  const auto slot = [&](std::size_t tally) {
+    return hooks.data() + 4 + 8 * (tally * isa::kOpCount + ld);
+  };
+  std::uint64_t loads = 0;
+  std::memcpy(&loads, slot(0), 8);
+  ASSERT_GT(loads, 0u);
+  {
+    Board control;
+    std::stringstream intact = rebuild(hooks);
+    EXPECT_NO_THROW(control.restore_state(intact));
+  }
+  const std::uint64_t too_many = loads + 1;
+  std::memcpy(slot(2), &too_many, 8);
+
+  Board target;
+  target.load(prog);
+  target.run(10);
+  const BoardObserved before = observe(target);
+  std::stringstream corrupt = rebuild(hooks);
+  sim::StateErrorCode code = sim::StateErrorCode::kIo;
+  try {
+    target.restore_state(corrupt);
+  } catch (const sim::StateError& e) {
+    code = e.code;
+  }
+  EXPECT_EQ(code, sim::StateErrorCode::kBadPayload);
   expect_equal(observe(target), before, "target after refused restore");
 }
 

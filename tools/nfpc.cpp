@@ -22,9 +22,8 @@
 //                       (per-instruction switch); applies to the ISS run
 //                       and to the --board run (board accounting is
 //                       bit-identical across modes; under jit the board
-//                       runs cost-mode native code — static base cycles
-//                       retire inline, dynamic residuals are captured and
-//                       replayed in batch)
+//                       runs native code with its cost-ledger tallies
+//                       inline)
 //     --sim-stats       print the full BlockCache::Stats after the run
 //                       (morphs, flushes, chain/BTC counters); with
 //                       --board, also the board's cache and jit stats and

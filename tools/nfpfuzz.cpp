@@ -27,11 +27,10 @@
 //                       (default on; skipped automatically on hosts where
 //                       jit_available() is false)
 //     --board-jit / --no-board-jit
-//                       also cross-check the board under kStep vs kJit (the
-//                       cost-mode jit tier: native static-cost retirement +
-//                       batched residual replay), same bit-for-bit compare
-//                       as --board (default on; skipped when the jit is
-//                       unavailable)
+//                       also cross-check the board under kStep vs kJit
+//                       (native code with inline cost-ledger tallies), same
+//                       bit-for-bit compare as --board (default on; skipped
+//                       when the jit is unavailable)
 //     --snapshot / --no-snapshot
 //                       also run the save→restore→continue leg: serialize
 //                       the run at every budget stop, restore into a fresh
