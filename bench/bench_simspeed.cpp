@@ -7,7 +7,6 @@
 #include "board/board.h"
 #include "mcc/compiler.h"
 #include "sim/iss.h"
-#include "sim/jit.h"
 
 // Build provenance, stamped per entry: an unoptimized simulator makes every
 // MIPS number meaningless for before/after comparisons.
@@ -69,26 +68,16 @@ void run_sim(benchmark::State& state, Make&& make, Go&& go) {
 
 constexpr std::uint64_t kBudget = 1'000'000'000ull;
 
-// Step / block-unchained / block-chained A/B triples for the two
-// batch-capable fidelity levels (the superblock morph cache and chaining
-// speedups reported in docs/block_cache.md).
+// Step / block / jit rungs for the two batch-capable fidelity levels (the
+// superblock morph cache and jit speedups reported in docs/block_cache.md
+// and docs/jit.md).
 void BM_FunctionalSim(benchmark::State& state) {
-  set_provenance(state, "block-chained");
+  set_provenance(state, "block");
   run_sim(
       state, [] { return nfp::sim::FunctionalSim(); },
       [](auto& sim) { return sim.run(kBudget); });
 }
 BENCHMARK(BM_FunctionalSim)->Unit(benchmark::kMillisecond);
-
-void BM_FunctionalSim_Unchained(benchmark::State& state) {
-  set_provenance(state, "block-unchained");
-  run_sim(
-      state, [] { return nfp::sim::FunctionalSim(); },
-      [](auto& sim) {
-        return sim.run(kBudget, nfp::sim::Dispatch::kBlockUnchained);
-      });
-}
-BENCHMARK(BM_FunctionalSim_Unchained)->Unit(benchmark::kMillisecond);
 
 void BM_FunctionalSim_Step(benchmark::State& state) {
   set_provenance(state, "step");
@@ -99,7 +88,7 @@ void BM_FunctionalSim_Step(benchmark::State& state) {
 BENCHMARK(BM_FunctionalSim_Step)->Unit(benchmark::kMillisecond);
 
 // The x86-64 template-JIT tier (Dispatch::kJit). On hosts where the jit
-// cannot run this silently measures chained-block dispatch instead — the
+// cannot run this silently measures kBlock dispatch instead — the
 // label still says jit, but such a bench box is outside the snapshot's
 // provenance anyway.
 void BM_FunctionalSim_Jit(benchmark::State& state) {
@@ -111,22 +100,12 @@ void BM_FunctionalSim_Jit(benchmark::State& state) {
 BENCHMARK(BM_FunctionalSim_Jit)->Unit(benchmark::kMillisecond);
 
 void BM_IssWithCounters(benchmark::State& state) {
-  set_provenance(state, "block-chained");
+  set_provenance(state, "block");
   run_sim(
       state, [] { return nfp::sim::Iss(); },
       [](auto& sim) { return sim.run(kBudget); });
 }
 BENCHMARK(BM_IssWithCounters)->Unit(benchmark::kMillisecond);
-
-void BM_IssWithCounters_Unchained(benchmark::State& state) {
-  set_provenance(state, "block-unchained");
-  run_sim(
-      state, [] { return nfp::sim::Iss(); },
-      [](auto& sim) {
-        return sim.run(kBudget, nfp::sim::Dispatch::kBlockUnchained);
-      });
-}
-BENCHMARK(BM_IssWithCounters_Unchained)->Unit(benchmark::kMillisecond);
 
 void BM_IssWithCounters_Step(benchmark::State& state) {
   set_provenance(state, "step");
@@ -144,36 +123,12 @@ void BM_IssWithCounters_Jit(benchmark::State& state) {
 }
 BENCHMARK(BM_IssWithCounters_Jit)->Unit(benchmark::kMillisecond);
 
-// Inline-vs-host BTC A/B pair on the call-dense workload (every mix() call
-// returns through a register-indirect jmpl): with the inline BTC the retl's
-// emitted probe chains straight into the return block; without it every
-// return re-enters the host loop, resolves through the interpreter's BTC,
-// and calls back into emitted code.
-void BM_FunctionalSim_Jit_InlineBtc(benchmark::State& state) {
-  set_provenance(state, "jit-inline-btc");
-  nfp::sim::jit_set_inline_btc(true);
-  run_sim(
-      state, [] { return nfp::sim::FunctionalSim(); },
-      [](auto& sim) { return sim.run(kBudget, nfp::sim::Dispatch::kJit); });
-}
-BENCHMARK(BM_FunctionalSim_Jit_InlineBtc)->Unit(benchmark::kMillisecond);
-
-void BM_FunctionalSim_Jit_HostBtc(benchmark::State& state) {
-  set_provenance(state, "jit-host-btc");
-  nfp::sim::jit_set_inline_btc(false);
-  run_sim(
-      state, [] { return nfp::sim::FunctionalSim(); },
-      [](auto& sim) { return sim.run(kBudget, nfp::sim::Dispatch::kJit); });
-  nfp::sim::jit_set_inline_btc(true);
-}
-BENCHMARK(BM_FunctionalSim_Jit_HostBtc)->Unit(benchmark::kMillisecond);
-
 // Board step-vs-block A/B pair: whole-block dispatch (counts batched per
 // block, cost-ledger tallies in the morph handlers) against the
 // per-instruction stepping baseline, at identical — bit-for-bit — cycle and
 // energy accounting.
 void BM_BoardApproxTimed(benchmark::State& state) {
-  set_provenance(state, "block-chained");
+  set_provenance(state, "block");
   run_sim(
       state, [] { return nfp::board::Board(); },
       [](auto& sim) { return sim.run(kBudget); });
@@ -199,7 +154,7 @@ void BM_BoardApproxTimed_Jit(benchmark::State& state) {
 BENCHMARK(BM_BoardApproxTimed_Jit)->Unit(benchmark::kMillisecond);
 
 void BM_BoardCycleStepped(benchmark::State& state) {
-  set_provenance(state, "block-chained");
+  set_provenance(state, "block");
   run_sim(
       state,
       [] {

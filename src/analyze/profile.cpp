@@ -41,13 +41,10 @@ PcProfile profile_pcs(
   PcCountHooks hooks;
   hooks.base = profile.base;
   hooks.counts = &profile.counts;
-  sim::Executor<PcCountHooks> exec(platform.cpu(), platform.bus(), hooks);
-  exec.set_decode_cache(platform.code_base(), platform.decode_cache());
-  exec.set_block_cache(platform.block_cache());
-  exec.run(max_insns);
-
-  profile.halted = platform.cpu().halted;
-  profile.instret = platform.cpu().instret;
+  const sim::RunResult run =
+      sim::run_platform(platform, hooks, max_insns, sim::Dispatch::kStep);
+  profile.halted = run.halted;
+  profile.instret = run.instret;
   return profile;
 }
 

@@ -17,30 +17,14 @@ void Board::load(const asmkit::Program& program) {
 }
 
 void Board::step() {
-  sim::Executor<BoardHooks> exec(platform_.cpu(), platform_.bus(), *hooks_);
-  exec.set_decode_cache(platform_.code_base(), platform_.decode_cache());
-  exec.set_block_cache(platform_.block_cache());
-  exec.set_block_dispatch(false);
-  if (!platform_.cpu().halted) exec.step();
+  sim::run_platform(platform_, *hooks_, 1, sim::Dispatch::kStep);
 }
 
+// BoardHooks expose their cost ledger, so kJit runs native code with the
+// ledger tallies emitted inline. When jit_available() is false the executor
+// degrades to kBlock on its own.
 sim::RunResult Board::run(std::uint64_t max_insns, sim::Dispatch dispatch) {
-  sim::Executor<BoardHooks> exec(platform_.cpu(), platform_.bus(), *hooks_);
-  exec.set_decode_cache(platform_.code_base(), platform_.decode_cache());
-  exec.set_block_cache(platform_.block_cache());
-  exec.set_block_dispatch(dispatch != sim::Dispatch::kStep);
-  // BoardHooks expose their cost ledger, so kJit runs native code with the
-  // ledger tallies emitted inline. When jit_available() is false the
-  // executor degrades to chained kBlock on its own.
-  exec.set_jit(dispatch == sim::Dispatch::kJit);
-  exec.set_chaining(dispatch == sim::Dispatch::kBlock ||
-                    dispatch == sim::Dispatch::kJit);
-  exec.run(max_insns);
-  sim::RunResult result;
-  result.halted = platform_.cpu().halted;
-  result.instret = platform_.cpu().instret;
-  result.exit_code = platform_.cpu().exit_code;
-  return result;
+  return sim::run_platform(platform_, *hooks_, max_insns, dispatch);
 }
 
 void Board::save_state(std::ostream& out) const {

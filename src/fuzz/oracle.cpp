@@ -60,6 +60,14 @@ std::vector<Snapshot> run_mode(sim::Iss& iss, const asmkit::Program& program,
   return out;
 }
 
+// Dispatch modes the snapshot arms rotate through, one per segment.
+std::vector<sim::Dispatch> snapshot_rotation() {
+  std::vector<sim::Dispatch> rota = {sim::Dispatch::kBlock,
+                                     sim::Dispatch::kStep};
+  if (sim::jit_available()) rota.push_back(sim::Dispatch::kJit);
+  return rota;
+}
+
 // The durable-checkpoint arm: executes the same budget schedule, but at
 // every stop the machine is serialized (sim/state_io.h) and restored into
 // the OTHER half of a ping-pong executor pair, which continues the run.
@@ -70,11 +78,7 @@ std::vector<Snapshot> run_mode(sim::Iss& iss, const asmkit::Program& program,
 std::vector<Snapshot> run_snapshot_mode(
     sim::Iss& a, sim::Iss& b, const asmkit::Program& program,
     const std::vector<std::uint64_t>& stops) {
-  std::vector<sim::Dispatch> rota = {sim::Dispatch::kBlock,
-                                     sim::Dispatch::kStep};
-  if (sim::jit_available()) rota.push_back(sim::Dispatch::kJit);
-  rota.push_back(sim::Dispatch::kBlockUnchained);
-
+  const std::vector<sim::Dispatch> rota = snapshot_rotation();
   std::vector<Snapshot> out;
   sim::Iss* cur = &a;
   sim::Iss* other = &b;
@@ -220,10 +224,7 @@ std::vector<BoardSnapshot> run_board_mode(
 std::vector<BoardSnapshot> run_board_snapshot_mode(
     board::Board& a, board::Board& b, const asmkit::Program& program,
     const std::vector<std::uint64_t>& stops) {
-  std::vector<sim::Dispatch> rota = {sim::Dispatch::kBlock,
-                                     sim::Dispatch::kStep};
-  if (sim::jit_available()) rota.push_back(sim::Dispatch::kJit);
-
+  const std::vector<sim::Dispatch> rota = snapshot_rotation();
   std::vector<BoardSnapshot> out;
   board::Board* cur = &a;
   board::Board* other = &b;
@@ -351,11 +352,6 @@ DiffReport run_differential(const asmkit::Program& program,
 
   const std::vector<Snapshot> ref =
       run_mode(arena.step, program, sim::Dispatch::kStep, stops);
-  const std::vector<Snapshot> unchained =
-      run_mode(arena.unchained, program, sim::Dispatch::kBlockUnchained, stops);
-  if (!compare_traces(ref, unchained, stops, "block-unchained", report)) {
-    return report;
-  }
   const std::vector<Snapshot> chained =
       run_mode(arena.block, program, sim::Dispatch::kBlock, stops);
   if (!compare_traces(ref, chained, stops, "block", report)) return report;

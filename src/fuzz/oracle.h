@@ -82,7 +82,6 @@ struct DiffReport {
 // skipping the full-RAM re-zeroing cost. One arena per thread.
 struct DiffArena {
   sim::Iss step;
-  sim::Iss unchained;
   sim::Iss block;
   sim::Iss jit;
   // Board set for the step-vs-block and step-vs-jit cost differentials

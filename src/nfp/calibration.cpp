@@ -1,6 +1,7 @@
 #include "nfp/calibration.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -205,6 +206,52 @@ std::string make_source(const Recipe& recipe, std::uint32_t loops,
   return src;
 }
 
+bool calibratable(const Recipe& recipe, const board::BoardConfig& cfg) {
+  return (!recipe.uses_fpu || cfg.has_fpu) &&
+         (!recipe.uses_muldiv || cfg.has_hw_muldiv);
+}
+
+KernelPair make_pair(const std::string& category, const Recipe& recipe,
+                     const CalibrationPlan& plan) {
+  KernelPair pair;
+  pair.category = category;
+  pair.ref_asm = make_source(recipe, plan.loops, plan.per_loop, false);
+  pair.test_asm = make_source(recipe, plan.loops, plan.per_loop, true);
+  pair.n_test = std::uint64_t{plan.loops} * plan.per_loop;
+  return pair;
+}
+
+// One calibration kernel on the bench: the meter reading plus the sample a
+// scheme extracts its features from.
+struct KernelRun {
+  board::Measurement meas;
+  RunSample sample;
+};
+
+// Runs the reference ([0]) and test ([1]) kernel of `pair`, each on a fresh
+// board, and reads the meter under the tag "cal/<category>/ref|test".
+std::array<KernelRun, 2> run_pair(const KernelPair& pair,
+                                  const board::BoardConfig& cfg) {
+  std::array<KernelRun, 2> out;
+  for (const bool is_test : {false, true}) {
+    board::Board brd(cfg);
+    brd.load(asmkit::assemble(is_test ? pair.test_asm : pair.ref_asm,
+                              sim::kTextBase));
+    const auto run_result = brd.run();
+    if (!run_result.halted) {
+      throw std::runtime_error("calibration kernel did not halt: " +
+                               pair.category);
+    }
+    KernelRun& k = out[is_test ? 1 : 0];
+    k.meas = brd.measure("cal/" + pair.category + (is_test ? "/test" : "/ref"));
+    k.sample.counts = brd.op_counts();
+    k.sample.instret = run_result.instret;
+    k.sample.events = brd.events();
+    k.sample.measured_time_s = k.meas.time_s;
+  }
+  return out;
+}
+
 // Ridge-regularized least squares over the calibration samples, solved via
 // column-scaled normal equations with Gaussian elimination (partial
 // pivoting). All-zero feature columns (e.g. cache counters on a cache-less
@@ -294,13 +341,7 @@ Calibrator::Calibrator(const CategoryScheme& scheme, CalibrationPlan plan)
 
 KernelPair Calibrator::make_kernels(std::size_t category) const {
   const std::string& name = scheme_.category_name(category);
-  const Recipe recipe = recipe_for(name);
-  KernelPair pair;
-  pair.category = name;
-  pair.ref_asm = make_source(recipe, plan_.loops, plan_.per_loop, false);
-  pair.test_asm = make_source(recipe, plan_.loops, plan_.per_loop, true);
-  pair.n_test = std::uint64_t{plan_.loops} * plan_.per_loop;
-  return pair;
+  return make_pair(name, recipe_for(name), plan_);
 }
 
 CalibrationResult Calibrator::run(
@@ -313,31 +354,16 @@ CalibrationResult Calibrator::run(
   for (std::size_t c = 0; c < scheme_.size(); ++c) {
     const std::string& name = scheme_.category_name(c);
     const Recipe recipe = recipe_for(name);
-    if (recipe.uses_fpu && !cfg.has_fpu) continue;      // not calibratable
-    if (recipe.uses_muldiv && !cfg.has_hw_muldiv) continue;
+    if (!calibratable(recipe, cfg)) continue;  // zero cost
 
-    const KernelPair pair = make_kernels(c);
+    const KernelPair pair = make_pair(name, recipe, plan_);
+    const auto [ref, test] = run_pair(pair, cfg);
     CategoryCalibration detail;
     detail.category = name;
-
-    for (const bool is_test : {false, true}) {
-      board::Board brd(cfg);
-      brd.load(asmkit::assemble(is_test ? pair.test_asm : pair.ref_asm,
-                                sim::kTextBase));
-      const auto run_result = brd.run();
-      if (!run_result.halted) {
-        throw std::runtime_error("calibration kernel did not halt: " + name);
-      }
-      const auto meas =
-          brd.measure("cal/" + name + (is_test ? "/test" : "/ref"));
-      if (is_test) {
-        detail.e_test_nj = meas.energy_nj;
-        detail.t_test_s = meas.time_s;
-      } else {
-        detail.e_ref_nj = meas.energy_nj;
-        detail.t_ref_s = meas.time_s;
-      }
-    }
+    detail.e_ref_nj = ref.meas.energy_nj;
+    detail.t_ref_s = ref.meas.time_s;
+    detail.e_test_nj = test.meas.energy_nj;
+    detail.t_test_s = test.meas.time_s;
 
     const auto n = static_cast<double>(pair.n_test);
     detail.specific_energy_nj = (detail.e_test_nj - detail.e_ref_nj) / n;
@@ -397,77 +423,44 @@ SchemeCalibration Calibrator::fit(const Estimator& estimator,
   // error on row-heavy application kernels). The stride pair walks loads
   // across four 1 KiB rows — every access reopens a row — which pins the
   // row-miss/stall pricing to the hardware numbers.
-  struct ExtraPair {
-    std::string name;
-    Recipe recipe;
+  std::vector<KernelPair> pairs;
+  const auto add_pair = [&](const std::string& name, const Recipe& recipe) {
+    if (calibratable(recipe, cfg)) {
+      pairs.push_back(make_pair(name, recipe, plan_));
+    }
   };
-  std::vector<ExtraPair> extras;
-  extras.push_back(
-      {"Row Stride", {false, false, [](std::uint32_t i) {
-                        return format("ld [%%g1+%u], %%l5", (i % 4) * 1024);
-                      }}});
+  for (std::size_t c = 0; c < scheme_.size(); ++c) {
+    add_pair(scheme_.category_name(c), recipe_for(scheme_.category_name(c)));
+  }
+  add_pair("Row Stride", {false, false, [](std::uint32_t i) {
+                            return format("ld [%%g1+%u], %%l5", (i % 4) * 1024);
+                          }});
   // Same reasoning for the integer multiply/divide counter: the paper's
   // nine categories fold mul/div into Integer Arithmetic, whose kernel
   // retires neither, so without this pair the muldiv_ops column would
   // difference to zero and campaign mul/divs would be priced as cheap ALU
   // ops.
-  extras.push_back(
-      {"Mul/Div", {false, true, [](std::uint32_t i) {
-                     return rotate({"umul %l1, %l2, %l5", "udiv %l3, %l2, %l6",
-                                    "smul %l2, %l3, %l5", "sdiv %l1, %l4, %l6"},
-                                   i);
-                   }}});
+  add_pair("Mul/Div",
+           {false, true, [](std::uint32_t i) {
+              return rotate({"umul %l1, %l2, %l5", "udiv %l3, %l2, %l6",
+                             "smul %l2, %l3, %l5", "sdiv %l1, %l4, %l6"},
+                            i);
+            }});
 
   std::vector<std::vector<double>> rows;
   std::vector<double> energy_nj;
   std::vector<double> time_ns;
-  const std::size_t total = scheme_.size() + extras.size();
-  for (std::size_t c = 0; c < total; ++c) {
-    const bool extra = c >= scheme_.size();
-    const std::string& name =
-        extra ? extras[c - scheme_.size()].name : scheme_.category_name(c);
-    const Recipe recipe =
-        extra ? extras[c - scheme_.size()].recipe : recipe_for(name);
-    if (recipe.uses_fpu && !cfg.has_fpu) continue;
-    if (recipe.uses_muldiv && !cfg.has_hw_muldiv) continue;
-
-    KernelPair pair;
-    if (extra) {
-      pair.category = name;
-      pair.ref_asm = make_source(recipe, plan_.loops, plan_.per_loop, false);
-      pair.test_asm = make_source(recipe, plan_.loops, plan_.per_loop, true);
-      pair.n_test = std::uint64_t{plan_.loops} * plan_.per_loop;
-    } else {
-      pair = make_kernels(c);
-    }
-    std::vector<double> features_ref, features_test;
-    double de = 0.0, dt_s = 0.0;
-    for (const bool is_test : {false, true}) {
-      board::Board brd(cfg);
-      brd.load(asmkit::assemble(is_test ? pair.test_asm : pair.ref_asm,
-                                sim::kTextBase));
-      const auto run_result = brd.run();
-      if (!run_result.halted) {
-        throw std::runtime_error("calibration kernel did not halt: " + name);
-      }
-      const auto meas =
-          brd.measure("cal/" + name + (is_test ? "/test" : "/ref"));
-      RunSample sample;
-      sample.counts = brd.op_counts();
-      sample.instret = run_result.instret;
-      sample.events = brd.events();
-      sample.measured_time_s = meas.time_s;
-      (is_test ? features_test : features_ref) = estimator.features(sample);
-      de += is_test ? meas.energy_nj : -meas.energy_nj;
-      dt_s += is_test ? meas.time_s : -meas.time_s;
-    }
+  for (const KernelPair& pair : pairs) {
+    const auto [ref, test] = run_pair(pair, cfg);
+    const std::vector<double> features_ref = estimator.features(ref.sample);
+    const std::vector<double> features_test = estimator.features(test.sample);
     std::vector<double> delta(features_test.size(), 0.0);
     for (std::size_t j = 0; j < delta.size(); ++j) {
       delta[j] = features_test[j] - features_ref[j];
     }
     rows.push_back(std::move(delta));
-    energy_nj.push_back(de);
-    time_ns.push_back(dt_s * 1e9);
+    energy_nj.push_back(test.meas.energy_nj - ref.meas.energy_nj);
+    time_ns.push_back((test.meas.time_s - ref.meas.time_s) * 1e9);
   }
   out.samples = rows.size();
   out.costs.energy_nj = fit_least_squares(rows, energy_nj);

@@ -370,6 +370,18 @@ std::string static_bounds_json(const StaticBounds& b) {
   return out;
 }
 
+std::string static_json_line(std::uint64_t id, const std::string& name,
+                             const StaticBounds& b) {
+  std::string out = "{\"id\":";
+  out += std::to_string(id);
+  out += ",\"name\":\"";
+  append_escaped(out, name);
+  out += "\",\"static\":";
+  out += static_bounds_json(b);
+  out += '}';
+  return out;
+}
+
 std::string result_json_line(const ServiceResult& r) {
   std::string out = "{\"id\":";
   out += std::to_string(r.id);

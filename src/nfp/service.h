@@ -232,8 +232,13 @@ class CampaignService {
 // service ran a static estimator over the job.
 std::string result_json_line(const ServiceResult& r);
 
-// The "static" object alone (shared by result_json_line and the nfpd
-// fast-path stream): {"accepted":...,...} or {"accepted":false,"reason":..}.
+// The "static" object alone (shared by result_json_line and
+// static_json_line): {"accepted":...,...} or {"accepted":false,"reason":..}.
 std::string static_bounds_json(const StaticBounds& b);
+
+// The static-sink record streamed before a job's first slice:
+// {"id":..,"name":..,"static":{..}}, with the name JSON-escaped.
+std::string static_json_line(std::uint64_t id, const std::string& name,
+                             const StaticBounds& b);
 
 }  // namespace nfp::model

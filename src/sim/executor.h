@@ -15,8 +15,6 @@
 //    block to block (plus a branch-target cache for register-indirect
 //    exits), so the hot loop re-enters BlockCache::lookup() only on
 //    unresolved edges, budget exhaustion, faults, and flushed links.
-//  - kBlockUnchained: kBlock with chaining disabled — every transition goes
-//    through lookup(). The A/B baseline for the chaining speedup.
 //  - kJit: the x86-64 template JIT tier above the morph cache (sim/jit.h):
 //    compiled blocks execute natively with retire counters and instret
 //    batched to one add per counter per block, and resolved transitions
@@ -45,12 +43,13 @@
 #include "sim/hooks.h"
 #include "sim/jit.h"
 #include "sim/ledger.h"
+#include "sim/platform.h"
 
 namespace nfp::sim {
 
 // Execution-mode selector surfaced on the simulator front ends (and on the
-// nfpc CLI as --dispatch={step,block,block-unchained,jit}).
-enum class Dispatch { kStep, kBlock, kBlockUnchained, kJit };
+// nfpc CLI as --dispatch={step,block,jit}).
+enum class Dispatch { kStep, kBlock, kJit };
 
 template <class Hooks>
 class Executor {
@@ -74,33 +73,26 @@ class Executor {
     if (cache != nullptr) cache->set_tally(kHasLedger);
   }
 
-  // Disables block-to-block chaining (Dispatch::kBlockUnchained): every
-  // transition resolves through BlockCache::lookup(), reproducing the
-  // pre-chaining dispatch loop for A/B measurement.
-  void set_chaining(bool on) { chain_ = on; }
-
-  // Requests the JIT tier (Dispatch::kJit). Engages for batch-retire hooks
-  // and only when jit_available(); otherwise run() silently stays on the
-  // (chained) kBlock path, so kJit is always a safe request.
-  void set_jit(bool on) { jit_ = on; }
-
-  // Disables whole-block dispatch while keeping the attached cache's store
-  // invalidation live (Dispatch::kStep with a cache attached): every
-  // instruction goes through the op switch, but stores into the code range
-  // still re-decode the image, so the stepping reference stays
-  // architecturally meaningful on self-modifying programs.
-  void set_block_dispatch(bool on) { block_dispatch_ = on; }
+  // Selects the loop run() takes (default kBlock). Whole-block dispatch
+  // (kBlock, kJit) engages only for batch-retire hooks with a block cache
+  // attached; kJit additionally needs jit_available() and otherwise stays on
+  // kBlock, so every mode is a safe request. kStep with a cache attached
+  // keeps store invalidation live: every instruction goes through the op
+  // switch, but stores into the code range still re-decode the image, so
+  // the stepping reference stays meaningful on self-modifying programs.
+  void set_dispatch(Dispatch dispatch) { dispatch_ = dispatch; }
 
   // Runs until halt or until `max_insns` more instructions retire.
   // Returns the number of instructions executed in this call.
   std::uint64_t run(std::uint64_t max_insns) {
     std::uint64_t executed = 0;
     if constexpr (Hooks::kBatchRetire) {
-      if (block_cache_ != nullptr && block_dispatch_ && jit_) {
-        JitRuntime* jr = block_cache_->ensure_jit();
-        if (jr != nullptr) return run_jit(*jr, max_insns);
-      }
-      if (block_cache_ != nullptr && block_dispatch_) {
+      if (block_cache_ != nullptr && dispatch_ != Dispatch::kStep) {
+        if (dispatch_ == Dispatch::kJit) {
+          if (JitRuntime* jr = block_cache_->ensure_jit()) {
+            return run_jit(*jr, max_insns);
+          }
+        }
         while (!st_.halted && executed < max_insns) {
           // Block entry requires a sequential pc/npc pair: a delay-slot
           // instruction (npc already redirected) must single-step.
@@ -109,10 +101,7 @@ class Executor {
             Block* block = block_cache_->lookup(pc);
             if (block != nullptr && block->len <= max_insns - executed &&
                 block_enterable(*block)) {
-              // Both modes run the same block loop so A/B timings compare
-              // link-following against lookup(), not two code layouts.
-              executed += chain_ ? run_blocks<true>(*block, max_insns - executed)
-                                 : run_blocks<false>(*block, max_insns - executed);
+              executed += run_blocks(*block, max_insns - executed);
               continue;
             }
           }
@@ -168,14 +157,9 @@ class Executor {
   // control leaves block dispatch (delay-slot CTI, halt, no block at the
   // target), or a fault unwinds. Returns the number of instructions
   // retired. `budget` is exact: the loop never retires past it, the outer
-  // loop single-steps the remainder.
-  //
-  // With Chained, transitions follow memoized exit edges — chain links or
-  // the branch-target cache — and re-enter BlockCache::lookup() only on
-  // unresolved edges (memoizing the result). Without, every transition is a
-  // plain lookup(): the pre-chaining dispatch loop, kept in this one
-  // function so the A/B pair differs only in edge resolution.
-  template <bool Chained>
+  // loop single-steps the remainder. Transitions follow memoized exit edges
+  // — chain links or the branch-target cache — and re-enter
+  // BlockCache::lookup() only on unresolved edges (memoizing the result).
   std::uint64_t run_blocks(Block& first, std::uint64_t budget) {
     Block* block = &first;
     std::uint64_t executed = 0;
@@ -193,32 +177,26 @@ class Executor {
         if (st_.halted || st_.npc != st_.pc + 4) return executed;
       }
       const std::uint32_t pc = st_.pc;
-      Block* next;
-      if constexpr (Chained) {
-        next = prev->chain_next(pc);
-        if (next != nullptr) {
-          block_cache_->count_chain_hit();
-        } else {
-          if (prev->indirect_exit) next = block_cache_->btc_lookup(pc);
-          if (next == nullptr) {
-            // A store inside prev's own trace may have flushed it; the
-            // fallback lookup can morph and thereby drain the graveyard
-            // keeping a dead prev alive, so decide link eligibility first.
-            const bool prev_live = !prev->dead;
-            next = block_cache_->lookup_fallback(pc);
-            if (next == nullptr) return executed;
-            if (prev_live) {
-              if (prev->indirect_exit) {
-                block_cache_->btc_insert(pc, next);
-              } else {
-                block_cache_->install_link(*prev, pc, *next);
-              }
+      Block* next = prev->chain_next(pc);
+      if (next != nullptr) {
+        block_cache_->count_chain_hit();
+      } else {
+        if (prev->indirect_exit) next = block_cache_->btc_lookup(pc);
+        if (next == nullptr) {
+          // A store inside prev's own trace may have flushed it; the
+          // fallback lookup can morph and thereby drain the graveyard
+          // keeping a dead prev alive, so decide link eligibility first.
+          const bool prev_live = !prev->dead;
+          next = block_cache_->lookup_fallback(pc);
+          if (next == nullptr) return executed;
+          if (prev_live) {
+            if (prev->indirect_exit) {
+              block_cache_->btc_insert(pc, next);
+            } else {
+              block_cache_->install_link(*prev, pc, *next);
             }
           }
         }
-      } else {
-        next = block_cache_->lookup(pc);
-        if (next == nullptr) return executed;
       }
       if (next->len > budget - executed) return executed;
       if (!block_enterable(*next)) return executed;
@@ -936,9 +914,23 @@ class Executor {
   std::uint32_t cache_base_ = 0;
   std::span<const isa::DecodedInsn> cache_;
   BlockCache* block_cache_ = nullptr;
-  bool chain_ = true;
-  bool block_dispatch_ = true;
-  bool jit_ = false;
+  Dispatch dispatch_ = Dispatch::kBlock;
 };
+
+// Runs `hooks` over a loaded platform under `dispatch`. The block cache is
+// attached in every mode so stores into code re-decode the image (kStep
+// only opts out of whole-block dispatch); the simulator front ends all run
+// through here.
+template <class Hooks>
+RunResult run_platform(Platform& platform, Hooks& hooks,
+                       std::uint64_t max_insns, Dispatch dispatch) {
+  Executor<Hooks> exec(platform.cpu(), platform.bus(), hooks);
+  exec.set_decode_cache(platform.code_base(), platform.decode_cache());
+  exec.set_block_cache(platform.block_cache());
+  exec.set_dispatch(dispatch);
+  exec.run(max_insns);
+  const CpuState& cpu = platform.cpu();
+  return RunResult{cpu.halted, cpu.instret, cpu.exit_code};
+}
 
 }  // namespace nfp::sim

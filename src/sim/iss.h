@@ -26,23 +26,7 @@ class Iss {
 
   RunResult run(std::uint64_t max_insns = kDefaultMaxInsns,
                 Dispatch dispatch = Dispatch::kBlock) {
-    Executor<OpCountHooks> exec(platform_.cpu(), platform_.bus(), hooks_);
-    exec.set_decode_cache(platform_.code_base(), platform_.decode_cache());
-    // The cache is attached in every mode so stores into code re-decode the
-    // image; kStep only opts out of whole-block dispatch. This keeps the
-    // stepping reference valid on self-modifying programs.
-    exec.set_block_cache(platform_.block_cache());
-    exec.set_block_dispatch(dispatch != Dispatch::kStep);
-    // kJit chains too: native block-to-block patching is the jit's chaining,
-    // and the host loop falls back to chained kBlock for rejected blocks.
-    exec.set_chaining(dispatch == Dispatch::kBlock || dispatch == Dispatch::kJit);
-    exec.set_jit(dispatch == Dispatch::kJit);
-    exec.run(max_insns);
-    RunResult result;
-    result.halted = platform_.cpu().halted;
-    result.instret = platform_.cpu().instret;
-    result.exit_code = platform_.cpu().exit_code;
-    return result;
+    return run_platform(platform_, hooks_, max_insns, dispatch);
   }
 
   // Serializes the platform plus the retire-count vector; restore is
@@ -94,18 +78,7 @@ class FunctionalSim {
   RunResult run(std::uint64_t max_insns = Iss::kDefaultMaxInsns,
                 Dispatch dispatch = Dispatch::kBlock) {
     NullHooks hooks;
-    Executor<NullHooks> exec(platform_.cpu(), platform_.bus(), hooks);
-    exec.set_decode_cache(platform_.code_base(), platform_.decode_cache());
-    exec.set_block_cache(platform_.block_cache());
-    exec.set_block_dispatch(dispatch != Dispatch::kStep);
-    exec.set_chaining(dispatch == Dispatch::kBlock || dispatch == Dispatch::kJit);
-    exec.set_jit(dispatch == Dispatch::kJit);
-    exec.run(max_insns);
-    RunResult result;
-    result.halted = platform_.cpu().halted;
-    result.instret = platform_.cpu().instret;
-    result.exit_code = platform_.cpu().exit_code;
-    return result;
+    return run_platform(platform_, hooks, max_insns, dispatch);
   }
 
   Platform& platform() { return platform_; }

@@ -35,11 +35,9 @@ namespace nfp::sim {
 
 namespace {
 [[maybe_unused]] bool g_jit_forced_off = false;
-[[maybe_unused]] bool g_jit_inline_btc = true;
 }  // namespace
 
 void jit_set_forced_off(bool off) { g_jit_forced_off = off; }
-void jit_set_inline_btc(bool on) { g_jit_inline_btc = on; }
 
 #if !NFP_JIT_ENABLED
 
@@ -233,12 +231,11 @@ bool delay_foldable(Op op) {
 class BlockCompiler {
  public:
   BlockCompiler(BlockCache& cache, const Block& b, const JitBlockMeta* meta,
-                bool counted, const CostLedger* ledger, bool inline_btc)
+                bool counted, const CostLedger* ledger)
       : b_(b),
         meta_(meta),
         counted_(counted),
         ledger_(ledger),
-        inline_btc_(inline_btc),
         dcache_(cache.dcache()),
         word0_((b.start - cache.code_base()) / 4),
         code_base_(cache.code_base()),
@@ -327,7 +324,6 @@ class BlockCompiler {
   const JitBlockMeta* meta_;
   bool counted_;
   const CostLedger* ledger_;  // null: no cost tallies
-  bool inline_btc_;
   const std::vector<isa::DecodedInsn>& dcache_;
   std::uint32_t word0_;
   std::uint32_t code_base_;
@@ -626,23 +622,19 @@ void BlockCompiler::emit_jmpl(const isa::DecodedInsn& d, std::uint32_t cti_pc,
     // settled it can probe the inline branch-target cache — a tag hit jumps
     // straight into the cached successor's prologue instead of returning to
     // the host loop on every indirect call/return.
-    if (inline_btc_) {
-      x::Label miss;
-      e_.mov_rm(Gp::rcx, x::ptr(kCpu, kOffPc));
-      e_.mov_rr(Gp::rax, Gp::rcx);
-      e_.shr_ri(Gp::rax, 2);
-      e_.and_ri(Gp::rax, JitRuntime::kInlineBtcEntries - 1);
-      e_.shl_ri(Gp::rax, 4);  // 16-byte slots; the Mem index has no scale
-      e_.mov_rm64(Gp::rdx, x::ptr(kRt, kRtBtc));
-      e_.cmp_rm(Gp::rcx, x::ptr_idx(Gp::rdx, Gp::rax));
-      e_.jcc(Cc::kNe, miss);
-      e_.add_mi64(x::ptr(kRt, kRtBtcHits), 1);
-      e_.jmp_m(x::ptr_idx(Gp::rdx, Gp::rax, 8));
-      e_.bind(miss);
-      e_.ret();
-    } else {
-      e_.ret();
-    }
+    x::Label miss;
+    e_.mov_rm(Gp::rcx, x::ptr(kCpu, kOffPc));
+    e_.mov_rr(Gp::rax, Gp::rcx);
+    e_.shr_ri(Gp::rax, 2);
+    e_.and_ri(Gp::rax, JitRuntime::kInlineBtcEntries - 1);
+    e_.shl_ri(Gp::rax, 4);  // 16-byte slots; the Mem index has no scale
+    e_.mov_rm64(Gp::rdx, x::ptr(kRt, kRtBtc));
+    e_.cmp_rm(Gp::rcx, x::ptr_idx(Gp::rdx, Gp::rax));
+    e_.jcc(Cc::kNe, miss);
+    e_.add_mi64(x::ptr(kRt, kRtBtcHits), 1);
+    e_.jmp_m(x::ptr_idx(Gp::rdx, Gp::rax, 8));
+    e_.bind(miss);
+    e_.ret();
     e_.bind(pending);
   }
   e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(b_.len));
@@ -1200,10 +1192,7 @@ void JitRuntime::configure(CpuState* cpu, std::uint64_t* counts,
 }
 
 void JitRuntime::btc_insert(std::uint32_t pc, Block& to) {
-  if (!g_jit_inline_btc || to.jit_state != Block::JitState::kCompiled ||
-      to.jit_meta->dead) {
-    return;
-  }
+  if (to.jit_state != Block::JitState::kCompiled || to.jit_meta->dead) return;
   JitBtcSlot& s = btc_[(pc >> 2) & (kInlineBtcEntries - 1)];
   s.tag = pc;
   s.native =
@@ -1231,8 +1220,7 @@ Block::JitState JitRuntime::ensure_compiled(Block& b) {
   meta->block = &b;
   meta->start = b.start;
   meta->len = b.len;
-  BlockCompiler comp(cache_, b, meta.get(), rt_.counts != nullptr, rt_.ledger,
-                     g_jit_inline_btc);
+  BlockCompiler comp(cache_, b, meta.get(), rt_.counts != nullptr, rt_.ledger);
   std::uint32_t off = Impl::kFull;
   if (comp.compile()) off = impl_->commit(comp.emitter());
   if (off == Impl::kFull) {  // untemplatable block or arena exhausted

@@ -58,11 +58,6 @@ bool jit_available();
 // kBlock degradation paths without a foreign host.
 void jit_set_forced_off(bool off);
 
-// Bench/test hook: suppress the inline branch-target-cache probe on
-// register-indirect exits (A/B against the host-loop re-entry path).
-// Consulted at compile time; flip it only against a fresh runtime.
-void jit_set_inline_btc(bool on);
-
 // One slot of the JIT-resident branch-target cache probed inline on
 // register-indirect exits (jmpl/retl). Direct-mapped on (pc >> 2); the
 // sentinel tag 1 can never match a 4-aligned target.
@@ -159,8 +154,8 @@ class JitRuntime {
   void patch_transition(JitBlockMeta& from, std::uint32_t pc, Block& to);
 
   // Installs `pc -> to` in the inline branch-target cache probed by
-  // register-indirect exits. No-op when `to` is not compiled or the inline
-  // BTC is disabled; entries are withdrawn on block death and code reset.
+  // register-indirect exits. No-op when `to` is not compiled; entries are
+  // withdrawn on block death and code reset.
   void btc_insert(std::uint32_t pc, Block& to);
   std::uint64_t inline_btc_hits() const { return rt_.btc_hits; }
 

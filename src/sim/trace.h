@@ -39,21 +39,15 @@ class TraceSim {
   void load(const asmkit::Program& program) { platform_.load(program); }
 
   // Runs to completion; returns the captured trace. TraceHooks never batch
-  // (kBatchRetire == false), so every dispatch mode steps instruction by
-  // instruction; the block modes additionally keep the morph cache and
-  // predecode image coherent under stores into code, matching the
-  // block-mode executors on self-modifying programs.
-  std::string run(std::uint64_t max_insns = 100'000'000ull,
-                  Dispatch dispatch = Dispatch::kBlock) {
+  // (kBatchRetire == false), so the run steps instruction by instruction;
+  // the attached morph cache keeps the predecode image coherent under
+  // stores into code, matching the other simulators on self-modifying
+  // programs.
+  std::string run(std::uint64_t max_insns = 100'000'000ull) {
     std::string trace;
     hooks_.out = &trace;
     hooks_.emitted = 0;
-    Executor<TraceHooks> exec(platform_.cpu(), platform_.bus(), hooks_);
-    exec.set_decode_cache(platform_.code_base(), platform_.decode_cache());
-    if (dispatch != Dispatch::kStep) {
-      exec.set_block_cache(platform_.block_cache());
-    }
-    exec.run(max_insns);
+    run_platform(platform_, hooks_, max_insns, Dispatch::kStep);
     hooks_.out = nullptr;
     return trace;
   }

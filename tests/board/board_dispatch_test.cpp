@@ -70,13 +70,11 @@ void expect_all_modes_identical(const std::string& src,
   const auto p = prog(src);
   const Outcome step = run_board(p, cfg, sim::Dispatch::kStep);
   const Outcome block = run_board(p, cfg, sim::Dispatch::kBlock);
-  const Outcome unchained = run_board(p, cfg, sim::Dispatch::kBlockUnchained);
   // kJit runs native code with inline ledger tallies where the host can
   // execute emitted code and degrades to chained kBlock elsewhere; either
   // way it must match.
   const Outcome jit = run_board(p, cfg, sim::Dispatch::kJit);
   EXPECT_EQ(step, block);
-  EXPECT_EQ(step, unchained);
   EXPECT_EQ(step, jit);
   EXPECT_GT(step.cycles, 0u);
 }

@@ -1,7 +1,7 @@
 ! nfpfuzz reproducer
 ! seed: 7
 ! mix: selfmod
-! divergence: dispatch block-unchained vs step, checkpoint 1 (budget 53): cpu-digest step=2533734157348013595 got=3811777466100127743; 
+! divergence (under the since-removed unchained block loop): dispatch block vs step, checkpoint 1 (budget 53): cpu-digest step=2533734157348013595 got=3811777466100127743; 
 ! step instret: 65 (halted)
 ! nfpfuzz seed=7 mix=selfmod chunks=24
   .text

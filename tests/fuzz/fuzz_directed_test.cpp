@@ -124,8 +124,7 @@ TEST(FuzzDirected, MidChainInvalidationMatchesStepAtEveryBudget) {
   for (std::uint64_t budget = 1; budget <= total; ++budget) {
     ref.load(program);
     ref.run(budget, sim::Dispatch::kStep);
-    for (const auto mode :
-         {sim::Dispatch::kBlockUnchained, sim::Dispatch::kBlock}) {
+    for (const auto mode : {sim::Dispatch::kBlock, sim::Dispatch::kJit}) {
       dut.load(program);
       dut.run(budget, mode);
       ASSERT_EQ(dut.cpu().instret, ref.cpu().instret) << "budget " << budget;

@@ -421,6 +421,11 @@ TEST(CampaignService, JsonLineCarriesTheStaticObject) {
   EXPECT_EQ(static_bounds_json(refused),
             "{\"accepted\":false,\"reason\":\"recursion\"}");
 
+  // The static-sink line escapes the job name like result_json_line does.
+  EXPECT_EQ(static_json_line(7, "dir\\k\"1\".s", refused),
+            "{\"id\":7,\"name\":\"dir\\\\k\\\"1\\\".s\","
+            "\"static\":{\"accepted\":false,\"reason\":\"recursion\"}}");
+
   // No estimator => no static fields at all.
   ServiceResult plain;
   plain.record.name = "plain";

@@ -48,16 +48,17 @@ Observed run_job(const model::KernelJob& job, Dispatch dispatch) {
 }
 
 const char* mode_name(Dispatch d) {
-  return d == Dispatch::kBlock ? "block-chained" : "block-unchained";
+  return d == Dispatch::kBlock ? "block" : "jit";
 }
 
-// Three-way differential: the single-step reference against both block
-// modes (unchained lookup-per-transition and chained link-following).
+// Three-way differential: the single-step reference against both
+// whole-block modes (chained morph-cache blocks, and the jit, which runs
+// kBlock where the host cannot execute emitted code).
 // Per-op equality implies per-category equality for any category map.
 void expect_identical(const model::KernelJob& job) {
   const auto step = run_job(job, Dispatch::kStep);
   ASSERT_TRUE(step.halted) << job.name;
-  for (const auto mode : {Dispatch::kBlockUnchained, Dispatch::kBlock}) {
+  for (const auto mode : {Dispatch::kBlock, Dispatch::kJit}) {
     const auto block = run_job(job, mode);
     EXPECT_TRUE(block.halted) << job.name << " " << mode_name(mode);
     EXPECT_EQ(block.exit_code, step.exit_code)
@@ -151,8 +152,7 @@ loop:   add %l0, 1, %l0
         nop
 )",
                                      kTextBase);
-  for (const auto dispatch :
-       {Dispatch::kStep, Dispatch::kBlockUnchained, Dispatch::kBlock}) {
+  for (const auto dispatch : {Dispatch::kStep, Dispatch::kBlock}) {
     Iss iss;
     iss.load(prog);
     const auto r = iss.run(1001, dispatch);
@@ -179,8 +179,7 @@ other:  add %l0, 1, %l0
 )",
                                      kTextBase);
   for (std::uint64_t budget = 95; budget <= 105; ++budget) {
-    for (const auto dispatch :
-         {Dispatch::kStep, Dispatch::kBlockUnchained, Dispatch::kBlock}) {
+    for (const auto dispatch : {Dispatch::kStep, Dispatch::kBlock}) {
       Iss iss;
       iss.load(prog);
       const auto r = iss.run(budget, dispatch);
@@ -307,20 +306,16 @@ patch:  mov 1, %o1
 word:   mov 7, %o1
 )",
                                      kTextBase);
-  for (const auto dispatch : {Dispatch::kBlockUnchained, Dispatch::kBlock}) {
-    Iss iss;
-    iss.load(prog);
-    const auto r = iss.run(1'000'000, dispatch);
-    ASSERT_TRUE(r.halted) << mode_name(dispatch);
-    // Patched values seen: 7, 1, 7, 1.
-    EXPECT_EQ(r.exit_code, 16u) << mode_name(dispatch);
-    const auto& stats = iss.platform().block_cache()->stats();
-    EXPECT_GE(stats.flushes, 3u) << mode_name(dispatch);
-    if (dispatch == Dispatch::kBlock) {
-      EXPECT_GE(stats.links_installed, 2u);
-      EXPECT_GE(stats.links_severed, 2u);
-    }
-  }
+  Iss iss;
+  iss.load(prog);
+  const auto r = iss.run(1'000'000, Dispatch::kBlock);
+  ASSERT_TRUE(r.halted);
+  // Patched values seen: 7, 1, 7, 1.
+  EXPECT_EQ(r.exit_code, 16u);
+  const auto& stats = iss.platform().block_cache()->stats();
+  EXPECT_GE(stats.flushes, 3u);
+  EXPECT_GE(stats.links_installed, 2u);
+  EXPECT_GE(stats.links_severed, 2u);
 }
 
 TEST(BlockCache, LookupRejectsMisalignedAndForeignPcs) {

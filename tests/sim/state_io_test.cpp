@@ -159,8 +159,7 @@ std::vector<std::uint64_t> random_stops(std::uint64_t total, int n,
 }
 
 std::vector<Dispatch> all_dispatch_modes() {
-  std::vector<Dispatch> modes = {Dispatch::kStep, Dispatch::kBlockUnchained,
-                                 Dispatch::kBlock};
+  std::vector<Dispatch> modes = {Dispatch::kStep, Dispatch::kBlock};
   if (jit_available()) modes.push_back(Dispatch::kJit);
   return modes;
 }

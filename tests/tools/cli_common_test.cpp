@@ -157,8 +157,7 @@ TEST(CliCommon, ParseLoopBoundZeroNeedsAllowZero) {
 
 TEST(CliCommon, DispatchNamesRoundTrip) {
   for (const sim::Dispatch d :
-       {sim::Dispatch::kStep, sim::Dispatch::kBlock,
-        sim::Dispatch::kBlockUnchained, sim::Dispatch::kJit}) {
+       {sim::Dispatch::kStep, sim::Dispatch::kBlock, sim::Dispatch::kJit}) {
     EXPECT_EQ(parse_dispatch(dispatch_name(d), "test"), d);
   }
 }

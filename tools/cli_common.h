@@ -15,16 +15,15 @@
 namespace nfp::cli {
 
 // Shared --dispatch value parsing (nfpc, nfpfuzz). Exits with a usage error
-// on anything but step/block/block-unchained/jit.
+// on anything but step/block/jit.
 inline sim::Dispatch parse_dispatch(const std::string& value,
                                     const char* tool) {
   if (value == "step") return sim::Dispatch::kStep;
   if (value == "block") return sim::Dispatch::kBlock;
-  if (value == "block-unchained") return sim::Dispatch::kBlockUnchained;
   if (value == "jit") return sim::Dispatch::kJit;
   std::fprintf(stderr,
                "%s: unknown dispatch mode '%s' "
-               "(expected step, block, block-unchained, or jit)\n",
+               "(expected step, block, or jit)\n",
                tool, value.c_str());
   std::exit(2);
 }
@@ -33,7 +32,6 @@ inline const char* dispatch_name(sim::Dispatch dispatch) {
   switch (dispatch) {
     case sim::Dispatch::kStep: return "step";
     case sim::Dispatch::kBlock: return "block";
-    case sim::Dispatch::kBlockUnchained: return "block-unchained";
     case sim::Dispatch::kJit: return "jit";
   }
   return "?";

@@ -14,11 +14,10 @@
 //                       events and time-proxy read board-side counters, so
 //                       they require --board
 //     --counts          print per-category instruction counts
-//     --dispatch=MODE   simulator dispatch: block (superblock morph cache
-//                       with chaining, default), block-unchained (morph
-//                       cache, every transition through lookup), jit
-//                       (x86-64 template JIT above the morph cache; falls
-//                       back to block on unsupported hosts), or step
+//     --dispatch=MODE   simulator dispatch, step|block|jit: block
+//                       (superblock morph cache with chaining, default),
+//                       jit (x86-64 template JIT above the morph cache;
+//                       falls back to block on unsupported hosts), or step
 //                       (per-instruction switch); applies to the ISS run
 //                       and to the --board run (board accounting is
 //                       bit-identical across modes; under jit the board
@@ -203,7 +202,7 @@ int main(int argc, char** argv) {
                   "[--static-bounds] [--loop-bound ADDR=N]... "
                   "[--seed N] [--max-insns N] [--save-state FILE] "
                   "[--load-state FILE] "
-                  "[--dispatch=step|block|block-unchained|jit] file.c ...\n");
+                  "[--dispatch=step|block|jit] file.c ...\n");
       return 0;
     } else {
       sources.push_back(read_file(arg));

@@ -17,7 +17,7 @@
 //                       is checkpointed and re-queued each N instructions
 //                       (0 = run each job phase to completion; default 0)
 //     --max-insns N     per-job retirement budget (default 20e9)
-//     --dispatch MODE   board dispatch: step|block|block-unchained|jit
+//     --dispatch MODE   board dispatch: step|block|jit
 //                       (default: jit where available, else block;
 //                       accounting is bit-identical across modes)
 //     --seed N          board noise seed (BoardConfig::seed)
@@ -63,7 +63,8 @@ namespace {
 void usage() {
   std::printf(
       "usage: nfpd [--campaign] [--workers N] [--slice N] [--max-insns N]\n"
-      "            [--dispatch MODE] [--seed N] [--estimate|--no-estimate]\n"
+      "            [--dispatch step|block|jit] [--seed N]\n"
+      "            [--estimate|--no-estimate]\n"
       "            [--scheme eq1|events|time-proxy]\n"
       "            [--static-first|--static-only] [kernel.s ...]\n");
 }
@@ -97,7 +98,6 @@ nfp::model::StaticBounds run_static_estimator(
 int main(int argc, char** argv) {
   nfp::model::ServiceConfig cfg;
   bool campaign = false;
-  bool have_dispatch = false;
   std::uint64_t slice = 0;
   std::uint64_t max_insns = nfp::board::Board::kDefaultMaxInsns;
   std::vector<std::string> kernel_paths;
@@ -119,7 +119,6 @@ int main(int argc, char** argv) {
                    nfp::cli::flag_value("--dispatch", argc, argv, i, "nfpd")) {
       cfg.dispatch = nfp::cli::effective_dispatch(
           nfp::cli::parse_dispatch(v, "nfpd"), "nfpd");
-      have_dispatch = true;
     } else if (const char* v =
                    nfp::cli::flag_value("--seed", argc, argv, i, "nfpd")) {
       cfg.board.seed = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
@@ -149,7 +148,6 @@ int main(int argc, char** argv) {
       kernel_paths.push_back(arg);
     }
   }
-  (void)have_dispatch;
   if (!campaign && kernel_paths.empty()) {
     std::fprintf(stderr, "nfpd: no jobs (use --campaign or pass .s files)\n");
     usage();
@@ -203,10 +201,7 @@ int main(int argc, char** argv) {
   if (want_static) {
     service.set_static_sink([](std::uint64_t id, const std::string& name,
                                const nfp::model::StaticBounds& b) {
-      std::string line = "{\"id\":" + std::to_string(id) + ",\"name\":\"" +
-                         name + "\",\"static\":" +
-                         nfp::model::static_bounds_json(b) + "}";
-      std::puts(line.c_str());
+      std::puts(nfp::model::static_json_line(id, name, b).c_str());
       std::fflush(stdout);
     });
   }

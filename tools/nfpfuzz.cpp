@@ -1,12 +1,12 @@
 // nfpfuzz — differential fuzzer for the simulator's dispatch modes.
 //
 // Generates constrained-random SPARC V8 programs (src/fuzz/generator.h) and
-// cross-checks full architectural state across Dispatch::kStep,
-// kBlockUnchained, kBlock and kJit (on hosts where the jit can run) at
-// randomized mid-run budget stops
-// (src/fuzz/oracle.h). On divergence the program is ddmin-shrunk to a
-// minimal reproducer and written into the corpus directory as a `.s` file
-// ready to commit as a regression test.
+// cross-checks full architectural state across the three dispatch modes,
+// step|block|jit (Dispatch::kStep, kBlock, and kJit on hosts where the jit
+// can run), at randomized mid-run budget stops (src/fuzz/oracle.h). On
+// divergence the program is ddmin-shrunk to a minimal reproducer and
+// written into the corpus directory as a `.s` file ready to commit as a
+// regression test.
 //
 // Usage:
 //   nfpfuzz [options]
@@ -81,7 +81,8 @@ void usage() {
       "               [--max-insns N] [--checkpoints N] [--shrink|--no-shrink]\n"
       "               [--board|--no-board] [--jit|--no-jit]\n"
       "               [--board-jit|--no-board-jit] [--snapshot|--no-snapshot]\n"
-      "               [--corpus-dir DIR]\n");
+      "               [--corpus-dir DIR]\n"
+      "cross-checks the dispatch modes step|block|jit at randomized stops\n");
 }
 
 }  // namespace
