@@ -1,7 +1,9 @@
 // Measurement campaign: run a set of kernels on the ISS (instruction counts)
 // and on the measurement board (ground truth + bench measurement), in
 // parallel across kernels. This is the machinery behind Fig. 4 and
-// Table III, where 120 kernels are evaluated.
+// Table III, where 120 kernels are evaluated. Campaign is a thin batch
+// adapter over CampaignService (nfp/service.h), which owns the one ISS ->
+// board loop, worker pool and arena.
 #pragma once
 
 #include <cstdint>
@@ -12,7 +14,6 @@
 #include "board/board.h"
 #include "nfp/estimator.h"
 #include "nfp/scheme.h"
-#include "sim/iss.h"
 
 namespace nfp::model {
 
@@ -21,6 +22,13 @@ struct KernelJob {
   asmkit::Program program;
   // Input blocks written into RAM before the run (address, payload).
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> inputs;
+  // Retirement budget per platform; exceeding it without halting fails the
+  // job ("did not halt").
+  std::uint64_t max_insns = board::Board::kDefaultMaxInsns;
+  // Preemption grain in CampaignService: > 0 checkpoints and re-queues the
+  // job after every `slice_insns` retired instructions (per platform phase);
+  // 0 runs each phase to completion in one slice. Campaign always runs 0.
+  std::uint64_t slice_insns = 0;
 };
 
 struct KernelRunRecord {
@@ -57,37 +65,21 @@ inline RunSample run_sample(const KernelRunRecord& rec) {
 
 class Campaign {
  public:
-  // One worker's reusable simulators. Constructing a Bus zeroes 16 MiB of
-  // RAM per platform; an arena amortises that over a whole job queue —
-  // Platform::load only re-zeroes the pages the previous kernel touched, so
-  // a reused arena is observably identical to a fresh one.
-  struct WorkerArena {
-    explicit WorkerArena(const board::BoardConfig& cfg) : board(cfg) {}
-    sim::Iss iss;
-    board::Board board;
-  };
-
+  // threads = 0 takes the service's default worker count
+  // (CampaignService::default_workers).
   explicit Campaign(board::BoardConfig cfg, unsigned threads = 0);
 
-  // Dispatch mode for the board runs (the ISS always runs kBlock). Board
-  // accounting is bit-identical across modes, so this is a speed knob — the
-  // default is kJit wherever emitted code can run (resolved through the
-  // same jit-availability probe as the CLI; chained kBlock elsewhere); step
-  // is the A/B baseline surfaced on nfpc as --dispatch=step.
-  void set_board_dispatch(sim::Dispatch dispatch) { dispatch_ = dispatch; }
-  sim::Dispatch board_dispatch() const { return dispatch_; }
-
-  // Runs every job on both platforms. Results keep the job order.
+  // Runs every job on both platforms through a CampaignService with
+  // min(threads, jobs.size()) workers, no calibration and no preemption.
+  // Results keep the job order.
   std::vector<KernelRunRecord> run(const std::vector<KernelJob>& jobs) const;
 
-  // Single-job convenience (also used by tests). Builds a throwaway arena.
+  // Single-job convenience (also used by tests): one worker.
   KernelRunRecord run_one(const KernelJob& job) const;
-  KernelRunRecord run_one(const KernelJob& job, WorkerArena& arena) const;
 
  private:
   board::BoardConfig cfg_;
   unsigned threads_;
-  sim::Dispatch dispatch_;  // resolved in the constructor (jit probe)
 };
 
 }  // namespace nfp::model

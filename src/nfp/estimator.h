@@ -6,9 +6,9 @@
 // counters (2023) and a pure processing-time proxy (2015) estimate energy
 // with comparable accuracy and fewer terms. Every scheme here is a linear
 // model over a scheme-specific feature vector extracted from a RunSample;
-// the shared Estimator::estimate() does the Σ_t w_t · x_t accumulation with
-// the exact arithmetic the original estimate() helpers used, so the "eq1"
-// scheme reproduces the legacy pipeline bit for bit.
+// one helper (linear_estimate) does the Σ_t w_t · x_t accumulation for both
+// the free estimate() and Estimator::estimate(), so the "eq1" scheme
+// reproduces the legacy pipeline bit for bit.
 //
 // Registered schemes (find_estimator / all_estimators):
 //   eq1        — the paper's per-category linear model over ISS op counts.
@@ -47,20 +47,28 @@ struct Estimate {
   double time_s = 0.0;
 };
 
+// The one Σ_t w_t · x_t accumulation behind Eq. 1 and every scheme: each
+// term converted with static_cast<double>, energy and time summed in term
+// order, time scaled to seconds last. Callers check x.size() == costs.size().
+template <typename Features>
+Estimate linear_estimate(const Features& x, const CategoryCosts& costs) {
+  Estimate e;
+  double time_ns = 0.0;
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    const auto v = static_cast<double>(x[t]);
+    e.energy_nj += costs.energy_nj[t] * v;
+    time_ns += costs.time_ns[t] * v;
+  }
+  e.time_s = time_ns * 1e-9;
+  return e;
+}
+
 inline Estimate estimate(const CategoryCounts& counts,
                          const CategoryCosts& costs) {
   if (counts.size() != costs.size()) {
     throw std::invalid_argument("estimate: counts/costs size mismatch");
   }
-  Estimate e;
-  double time_ns = 0.0;
-  for (std::size_t c = 0; c < counts.size(); ++c) {
-    const auto n = static_cast<double>(counts[c]);
-    e.energy_nj += costs.energy_nj[c] * n;
-    time_ns += costs.time_ns[c] * n;
-  }
-  e.time_s = time_ns * 1e-9;
-  return e;
+  return linear_estimate(counts, costs);
 }
 
 inline Estimate estimate(const OpCounts& op_counts,
@@ -95,22 +103,15 @@ class Estimator {
   // ISS alone cannot feed such a scheme.
   virtual bool needs_board_run() const = 0;
 
-  // Shared linear accumulation. Term order and arithmetic match the
-  // original estimate() loop exactly, so eq1 is bit-identical to
+  // Shared linear accumulation (linear_estimate, the same loop as the free
+  // estimate()), so eq1 is bit-identical to
   // estimate(counts, CategoryScheme::paper(), costs).
   Estimate estimate(const RunSample& run, const CategoryCosts& costs) const {
     const std::vector<double> x = features(run);
     if (x.size() != costs.size()) {
       throw std::invalid_argument("Estimator: features/costs size mismatch");
     }
-    Estimate e;
-    double time_ns = 0.0;
-    for (std::size_t t = 0; t < x.size(); ++t) {
-      e.energy_nj += costs.energy_nj[t] * x[t];
-      time_ns += costs.time_ns[t] * x[t];
-    }
-    e.time_s = time_ns * 1e-9;
-    return e;
+    return linear_estimate(x, costs);
   }
 };
 

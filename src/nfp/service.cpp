@@ -20,18 +20,18 @@ CampaignService::CampaignService(ServiceConfig cfg)
                                 cfg_.scheme + "' (known: " +
                                 estimator_names() + ")");
   }
-  unsigned workers = cfg_.workers;
-  if (workers == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    // Each worker holds two 16 MiB platforms; cap the default fleet.
-    workers = hw == 0 ? 2 : std::min(hw, 8u);
-  }
-  workers = std::max(workers, 1u);
+  const unsigned workers =
+      cfg_.workers == 0 ? default_workers() : cfg_.workers;
   shards_.resize(workers);
   pool_.reserve(workers);
   for (unsigned w = 0; w < workers; ++w) {
     pool_.emplace_back([this, w] { worker_main(w); });
   }
+}
+
+unsigned CampaignService::default_workers() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 2 : std::min(hw, 8u);
 }
 
 CampaignService::~CampaignService() {
@@ -44,7 +44,7 @@ CampaignService::~CampaignService() {
   for (auto& t : pool_) t.join();
 }
 
-std::uint64_t CampaignService::submit(ServiceJob job) {
+std::uint64_t CampaignService::submit(KernelJob job) {
   std::lock_guard<std::mutex> lk(mu_);
   const std::uint64_t id = next_id_++;
   PendingJob pj;
@@ -100,7 +100,7 @@ const CategoryCosts& CampaignService::costs() {
 }
 
 std::vector<ServiceResult> CampaignService::run_jobs(
-    std::vector<ServiceJob> jobs) {
+    std::vector<KernelJob> jobs) {
   for (auto& job : jobs) submit(std::move(job));
   wait_all();
   return results();
@@ -138,11 +138,42 @@ bool CampaignService::pop_job(unsigned self, PendingJob& out) {
   return false;
 }
 
-bool CampaignService::run_slice(PendingJob& pj, Campaign::WorkerArena& arena,
+template <typename Platform>
+std::optional<sim::RunResult> CampaignService::run_phase(
+    PendingJob& pj, Platform& platform, sim::Dispatch dispatch,
+    const char* halt_error, ServiceStats& delta) {
+  const KernelJob& job = pj.job;
+  if (pj.checkpoint.empty()) {
+    platform.load(job.program);
+    for (const auto& [addr, bytes] : job.inputs) {
+      platform.bus().write_block(addr, bytes.data(), bytes.size());
+    }
+  } else {
+    std::istringstream in(std::move(pj.checkpoint));
+    platform.restore_state(in);
+    pj.checkpoint.clear();
+    ++delta.resumes;
+  }
+  const std::uint64_t done = platform.cpu().instret;
+  std::uint64_t budget = job.max_insns > done ? job.max_insns - done : 0;
+  if (job.slice_insns > 0) budget = std::min(budget, job.slice_insns);
+  const sim::RunResult r = platform.run(budget, dispatch);
+  if (r.halted) return r;
+  if (r.instret >= job.max_insns) throw std::runtime_error(halt_error);
+  std::ostringstream out;
+  platform.save_state(out);
+  pj.checkpoint = std::move(out).str();
+  ++pj.checkpoints;
+  ++delta.checkpoints;
+  delta.checkpoint_bytes += pj.checkpoint.size();
+  return std::nullopt;
+}
+
+bool CampaignService::run_slice(PendingJob& pj, WorkerArena& arena,
                                 ServiceStats& delta) {
   ++pj.slices;
   ++delta.slices;
-  const ServiceJob& job = pj.job;
+  const KernelJob& job = pj.job;
 
   // Static fast path: price the program before the first executed
   // instruction and serve the interval immediately. In static_only mode an
@@ -162,39 +193,13 @@ bool CampaignService::run_slice(PendingJob& pj, Campaign::WorkerArena& arena,
   }
 
   if (pj.phase == Phase::kIss) {
-    sim::Iss& iss = arena.iss;
-    if (pj.checkpoint.empty()) {
-      iss.load(job.program);
-      for (const auto& [addr, bytes] : job.inputs) {
-        iss.bus().write_block(addr, bytes.data(), bytes.size());
-      }
-    } else {
-      std::istringstream in(std::move(pj.checkpoint));
-      iss.restore_state(in);
-      pj.checkpoint.clear();
-      ++delta.resumes;
-    }
-    const std::uint64_t done = iss.cpu().instret;
-    const std::uint64_t remaining =
-        job.max_insns > done ? job.max_insns - done : 0;
-    std::uint64_t budget = remaining;
-    if (job.slice_insns > 0) budget = std::min(budget, job.slice_insns);
-    const auto r = iss.run(budget);
-    if (!r.halted) {
-      if (r.instret >= job.max_insns) {
-        throw std::runtime_error("ISS run did not halt (instruction budget)");
-      }
-      std::ostringstream out;
-      iss.save_state(out);
-      pj.checkpoint = std::move(out).str();
-      ++pj.checkpoints;
-      ++delta.checkpoints;
-      delta.checkpoint_bytes += pj.checkpoint.size();
-      return false;
-    }
-    pj.rec.counts = iss.counters().counts;
-    pj.rec.instret = r.instret;
-    pj.rec.exit_code = r.exit_code;
+    const auto r =
+        run_phase(pj, arena.iss, sim::Dispatch::kBlock,
+                  "ISS run did not halt (instruction budget)", delta);
+    if (!r) return false;
+    pj.rec.counts = arena.iss.counters().counts;
+    pj.rec.instret = r->instret;
+    pj.rec.exit_code = r->exit_code;
     // Phase switch is itself a preemption point: the board run starts cold
     // in a later slice (often on another worker's arena).
     pj.phase = Phase::kBoard;
@@ -202,36 +207,9 @@ bool CampaignService::run_slice(PendingJob& pj, Campaign::WorkerArena& arena,
   }
 
   board::Board& brd = arena.board;
-  if (pj.checkpoint.empty()) {
-    brd.load(job.program);
-    for (const auto& [addr, bytes] : job.inputs) {
-      brd.bus().write_block(addr, bytes.data(), bytes.size());
-    }
-  } else {
-    std::istringstream in(std::move(pj.checkpoint));
-    brd.restore_state(in);
-    pj.checkpoint.clear();
-    ++delta.resumes;
-  }
-  const std::uint64_t done = brd.cpu().instret;
-  const std::uint64_t remaining =
-      job.max_insns > done ? job.max_insns - done : 0;
-  std::uint64_t budget = remaining;
-  if (job.slice_insns > 0) budget = std::min(budget, job.slice_insns);
-  const auto r = brd.run(budget, dispatch_);
-  if (!r.halted) {
-    if (r.instret >= job.max_insns) {
-      throw std::runtime_error("board run did not halt");
-    }
-    std::ostringstream out;
-    brd.save_state(out);
-    pj.checkpoint = std::move(out).str();
-    ++pj.checkpoints;
-    ++delta.checkpoints;
-    delta.checkpoint_bytes += pj.checkpoint.size();
-    return false;
-  }
-  if (r.instret != pj.rec.instret) {
+  const auto r = run_phase(pj, brd, dispatch_, "board run did not halt", delta);
+  if (!r) return false;
+  if (r->instret != pj.rec.instret) {
     // The estimator multiplies ISS counts with board-calibrated costs;
     // diverging instruction streams would invalidate the experiment.
     throw std::runtime_error("ISS/board instruction streams diverged");
@@ -251,10 +229,8 @@ bool CampaignService::run_slice(PendingJob& pj, Campaign::WorkerArena& arena,
 }
 
 void CampaignService::worker_main(unsigned self) {
-  // One arena per worker, reused across every slice it runs: only pages the
-  // previous slice dirtied get re-zeroed (Platform::load / restore_state),
-  // not 2 x 16 MiB of RAM per job.
-  Campaign::WorkerArena arena(cfg_.board);
+  // One arena per worker, reused across every slice it runs.
+  WorkerArena arena(cfg_.board);
   std::unique_lock<std::mutex> lk(mu_);
   while (true) {
     PendingJob pj;

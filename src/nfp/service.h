@@ -3,7 +3,9 @@
 // across persistent worker threads with work stealing, and streams results
 // as they complete.
 //
-// Two things distinguish it from the batch Campaign loop (nfp/campaign.h):
+// It is the repository's one ISS -> board runner: the batch Campaign
+// (nfp/campaign.h) is a thin adapter that submits its jobs here with
+// calibration off and no preemption. Beyond that straight-line use:
 //
 //  - Long jobs are preemptible. A job with `slice_insns > 0` is paused at
 //    every slice boundary, checkpointed through the versioned snapshot
@@ -14,8 +16,8 @@
 //    like an uninterrupted one: same counts, cycles, energy (bit-for-bit).
 //
 //  - Results can stream. A sink callback receives each ServiceResult the
-//    moment its job finishes (out of submit order); take_results() returns
-//    the stable submit-order view afterwards. result_json_line() renders a
+//    moment its job finishes (out of submit order); results() returns the
+//    stable submit-order view afterwards. result_json_line() renders a
 //    result as one JSON-lines record for piping (tools/nfpd).
 //
 // An optional static fast path (ServiceConfig::static_estimator, injected
@@ -43,21 +45,13 @@
 #include "nfp/calibration.h"
 #include "nfp/campaign.h"
 #include "nfp/estimator.h"
+#include "sim/iss.h"
 
 namespace nfp::model {
 
-struct ServiceJob {
-  std::string name;
-  asmkit::Program program;
-  // Input blocks written into RAM before the first slice (address, payload).
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> inputs;
-  // Total retirement budget; exceeding it without halting fails the job.
-  std::uint64_t max_insns = board::Board::kDefaultMaxInsns;
-  // Preemption grain: > 0 checkpoints and re-queues the job after every
-  // `slice_insns` retired instructions (per platform phase); 0 runs each
-  // phase to completion in one slice.
-  std::uint64_t slice_insns = 0;
-};
+// The service runs campaign jobs (nfp/campaign.h); the second name is kept
+// for callers that spell the service side.
+using ServiceJob = KernelJob;
 
 // Execution-free interval from a static estimator (analyze/ipet, injected
 // through ServiceConfig::static_estimator): guaranteed [lower, upper] per
@@ -101,7 +95,7 @@ struct ServiceStats {
 
 struct ServiceConfig {
   board::BoardConfig board;
-  // Worker thread count; 0 = min(hardware_concurrency, 8), at least 2.
+  // Worker thread count; 0 = CampaignService::default_workers().
   unsigned workers = 0;
   // Board dispatch; unset = the jit-availability probe (kJit where emitted
   // code can run, chained kBlock elsewhere). Board accounting is
@@ -130,6 +124,11 @@ struct ServiceConfig {
 class CampaignService {
  public:
   explicit CampaignService(ServiceConfig cfg = {});
+  // The worker count behind ServiceConfig::workers = 0:
+  // min(hardware_concurrency, 8) — so 1 on a single-core host — or 2 when
+  // the core count is unknown. Each worker holds two 16 MiB platforms, which
+  // is why the default fleet is capped.
+  static unsigned default_workers();
   // Drains every submitted job (wait_all), then joins the workers.
   ~CampaignService();
 
@@ -137,7 +136,7 @@ class CampaignService {
   CampaignService& operator=(const CampaignService&) = delete;
 
   // Enqueues a job on shard (id % workers) and returns its id. Thread-safe.
-  std::uint64_t submit(ServiceJob job);
+  std::uint64_t submit(KernelJob job);
 
   // Blocks until every job submitted so far has completed.
   void wait_all();
@@ -170,14 +169,25 @@ class CampaignService {
   const Estimator& estimator() const { return *estimator_; }
 
   // Convenience: submit everything, drain, return submit-order results.
-  std::vector<ServiceResult> run_jobs(std::vector<ServiceJob> jobs);
+  std::vector<ServiceResult> run_jobs(std::vector<KernelJob> jobs);
 
  private:
   enum class Phase { kIss, kBoard };
 
+  // One worker's reusable simulators. Constructing a Bus zeroes 16 MiB of
+  // RAM per platform; an arena amortises that over every slice the worker
+  // runs — Platform::load and restore_state only re-zero the pages the
+  // previous slice touched, so a reused arena is observably identical to a
+  // fresh one.
+  struct WorkerArena {
+    explicit WorkerArena(const board::BoardConfig& cfg) : board(cfg) {}
+    sim::Iss iss;
+    board::Board board;
+  };
+
   struct PendingJob {
     std::uint64_t id = 0;
-    ServiceJob job;
+    KernelJob job;
     Phase phase = Phase::kIss;
     // Snapshot image of the active platform; empty = the phase starts cold
     // (load program + inputs) instead of restoring.
@@ -195,8 +205,19 @@ class CampaignService {
   // Runs one slice; returns true when the job is finished (record/estimate
   // final), false when it was checkpointed or phase-switched and must be
   // re-queued. `delta` collects slice/checkpoint accounting for stats_.
-  bool run_slice(PendingJob& pj, Campaign::WorkerArena& arena,
-                 ServiceStats& delta);
+  bool run_slice(PendingJob& pj, WorkerArena& arena, ServiceStats& delta);
+  // One slice of the active phase on `platform` (sim::Iss or board::Board,
+  // which share the load/bus/restore_state/save_state/cpu/run surface):
+  // start cold (program + inputs) or restore pj.checkpoint, run up to the
+  // slice budget, and return the halted run — or checkpoint the platform
+  // into pj and return nullopt. Throws `halt_error` once the job's
+  // retirement budget is spent.
+  template <typename Platform>
+  static std::optional<sim::RunResult> run_phase(PendingJob& pj,
+                                                 Platform& platform,
+                                                 sim::Dispatch dispatch,
+                                                 const char* halt_error,
+                                                 ServiceStats& delta);
   void ensure_calibrated();
 
   ServiceConfig cfg_;

@@ -1,10 +1,14 @@
-// Measurement campaign: parallel execution, determinism, error isolation.
+// Measurement campaign: parallel execution, determinism, error isolation,
+// and board-dispatch bit-identity of the runner behind it.
 #include "nfp/campaign.h"
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "asmkit/assembler.h"
 #include "mcc/compiler.h"
+#include "nfp/service.h"
 #include "sim/jit.h"
 #include "sim/memmap.h"
 
@@ -62,25 +66,33 @@ TEST(Campaign, DeterministicAcrossThreadCounts) {
 }
 
 TEST(Campaign, BlockDispatchMatchesStepBitForBit) {
-  // The campaign defaults to the fastest cost-exact board dispatch (jit
-  // where emitted code can run, chained block elsewhere); a campaign pinned
-  // to per-instruction stepping must reproduce every record exactly
-  // (measured energy/time compare bit-for-bit, not approximately).
+  // The runner defaults to the fastest cost-exact board dispatch (jit where
+  // emitted code can run, chained block elsewhere); pinned to
+  // per-instruction stepping or chained block through ServiceConfig::dispatch
+  // (nfpd --dispatch) it must reproduce every record exactly (measured
+  // energy/time compare bit-for-bit, not approximately), and so must the
+  // Campaign adapter on the default.
   std::vector<KernelJob> jobs;
   for (int i = 0; i < 6; ++i) {
     jobs.push_back(loop_job("disp" + std::to_string(i), 150 + i * 40));
   }
-  Campaign block_campaign(board::BoardConfig{}, 2);
-  EXPECT_EQ(block_campaign.board_dispatch(), sim::jit_available()
-                                                 ? sim::Dispatch::kJit
-                                                 : sim::Dispatch::kBlock);
-  Campaign step_campaign(board::BoardConfig{}, 2);
-  step_campaign.set_board_dispatch(sim::Dispatch::kStep);
-  Campaign pinned_block_campaign(board::BoardConfig{}, 2);
-  pinned_block_campaign.set_board_dispatch(sim::Dispatch::kBlock);
-  const auto block = block_campaign.run(jobs);
-  const auto step = step_campaign.run(jobs);
-  const auto pinned = pinned_block_campaign.run(jobs);
+  const auto run_with = [&](std::optional<sim::Dispatch> dispatch) {
+    ServiceConfig cfg;
+    cfg.workers = 2;
+    cfg.calibrate = false;
+    cfg.dispatch = dispatch;
+    CampaignService service(cfg);
+    EXPECT_EQ(service.board_dispatch(),
+              dispatch.value_or(sim::jit_available() ? sim::Dispatch::kJit
+                                                     : sim::Dispatch::kBlock));
+    std::vector<KernelRunRecord> records;
+    for (auto& r : service.run_jobs(jobs)) records.push_back(r.record);
+    return records;
+  };
+  const auto block = run_with(std::nullopt);
+  const auto step = run_with(sim::Dispatch::kStep);
+  const auto pinned = run_with(sim::Dispatch::kBlock);
+  const auto campaign = Campaign(board::BoardConfig{}, 2).run(jobs);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_TRUE(step[i].ok) << step[i].error;
     EXPECT_EQ(step[i].instret, block[i].instret);
@@ -91,6 +103,9 @@ TEST(Campaign, BlockDispatchMatchesStepBitForBit) {
     EXPECT_EQ(step[i].cycles, pinned[i].cycles);
     EXPECT_EQ(step[i].measured.energy_nj, pinned[i].measured.energy_nj);
     EXPECT_EQ(step[i].counts, pinned[i].counts);
+    EXPECT_EQ(step[i].cycles, campaign[i].cycles);
+    EXPECT_EQ(step[i].measured.energy_nj, campaign[i].measured.energy_nj);
+    EXPECT_EQ(step[i].counts, campaign[i].counts);
   }
 }
 
@@ -118,10 +133,11 @@ TEST(Campaign, RunawayKernelReportsBudgetFailure) {
   runaway.name = "runaway";
   runaway.program = asmkit::assemble("_start: ba _start\n nop\n",
                                      sim::kTextBase);
-  // Intercept via the ISS budget (campaign uses the default); the run must
-  // not hang: use a tiny program budget through a direct run_one.
-  // (The default budget is deliberately huge; here we just check the error
-  // propagation path with an illegal-memory kernel instead.)
+  runaway.max_insns = 5'000;
+  const auto spun = Campaign(board::BoardConfig{}, 1).run_one(runaway);
+  EXPECT_FALSE(spun.ok);
+  EXPECT_NE(spun.error.find("did not halt"), std::string::npos) << spun.error;
+
   KernelJob bad_mem;
   bad_mem.name = "bad-mem";
   bad_mem.program = asmkit::assemble(R"(

@@ -1,7 +1,8 @@
 // Sharded campaign service: deterministic sharded draining at any worker
 // count, preempt/checkpoint/resume bit-identity (through sim/state_io.h
 // snapshots), work stealing, failure isolation, and equivalence with the
-// batch Campaign loop on the real kernel sets.
+// straight-line reference loop (support/reference_run.h) on the real kernel
+// sets.
 #include "nfp/service.h"
 
 #include <gtest/gtest.h>
@@ -14,8 +15,8 @@
 #include <vector>
 
 #include "asmkit/assembler.h"
-#include "nfp/campaign.h"
 #include "sim/memmap.h"
+#include "support/reference_run.h"
 #include "workloads/kernels.h"
 
 namespace nfp::model {
@@ -238,9 +239,10 @@ TEST(CampaignService, JsonLineEscapesErrorStrings) {
 
 TEST(CampaignService, MatchesBatchCampaignOnKernelSets) {
   // The acceptance bar: real MVC + FSE kernel sets (both ABIs) through the
-  // sharded, preempting service equal the batch Campaign loop bit-for-bit
-  // in cycles and energy, at every worker count. Reduced-size kernels keep
-  // the test fast; bench_service_ab runs the full 120-kernel set.
+  // sharded, preempting service equal the straight-line ISS -> board
+  // reference loop bit-for-bit in cycles and energy, at every worker count.
+  // Reduced-size kernels keep the test fast; bench_service_ab runs the full
+  // 120-kernel set.
   workloads::MvcKernelParams mvc;
   mvc.width = 16;
   mvc.height = 16;
@@ -250,19 +252,22 @@ TEST(CampaignService, MatchesBatchCampaignOnKernelSets) {
   fse.iterations = 6;
   fse.count = 3;
 
-  std::vector<KernelJob> batch_jobs;
+  std::vector<KernelJob> kernels;
   for (const auto abi : {mcc::FloatAbi::kHard, mcc::FloatAbi::kSoft}) {
     for (auto& j : workloads::make_mvc_jobs(abi, mvc)) {
-      batch_jobs.push_back(std::move(j));
+      kernels.push_back(std::move(j));
     }
     for (auto& j : workloads::make_fse_jobs(abi, fse)) {
-      batch_jobs.push_back(std::move(j));
+      kernels.push_back(std::move(j));
     }
   }
-  ASSERT_GE(batch_jobs.size(), 30u);
+  ASSERT_GE(kernels.size(), 30u);
 
   const board::BoardConfig board_cfg;
-  const auto batch = Campaign(board_cfg, 4).run(batch_jobs);
+  std::vector<KernelRunRecord> reference;
+  for (const auto& j : kernels) {
+    reference.push_back(test::reference_run(board_cfg, j));
+  }
 
   for (const unsigned workers : {1u, 3u}) {
     ServiceConfig cfg;
@@ -270,21 +275,15 @@ TEST(CampaignService, MatchesBatchCampaignOnKernelSets) {
     cfg.calibrate = false;
     cfg.board = board_cfg;
     CampaignService service(cfg);
-    std::vector<ServiceJob> jobs;
-    for (const auto& j : batch_jobs) {
-      ServiceJob sj;
-      sj.name = j.name;
-      sj.program = j.program;
-      sj.inputs = j.inputs;
-      sj.slice_insns = 40'000;  // force checkpoint/resume inside real runs
-      jobs.push_back(std::move(sj));
-    }
+    std::vector<KernelJob> jobs = kernels;
+    // Force checkpoint/resume inside real runs.
+    for (auto& j : jobs) j.slice_insns = 40'000;
     const auto got = service.run_jobs(std::move(jobs));
-    ASSERT_EQ(got.size(), batch.size());
+    ASSERT_EQ(got.size(), reference.size());
     if (workers == 3) EXPECT_GT(service.stats().checkpoints, 0u);
     for (std::size_t i = 0; i < got.size(); ++i) {
       const auto& g = got[i].record;
-      const auto& w = batch[i];
+      const auto& w = reference[i];
       ASSERT_TRUE(g.ok) << g.name << ": " << g.error;
       ASSERT_TRUE(w.ok) << w.name << ": " << w.error;
       EXPECT_EQ(g.name, w.name);

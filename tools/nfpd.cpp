@@ -154,38 +154,30 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<nfp::model::ServiceJob> jobs;
+  std::vector<nfp::model::KernelJob> jobs;
   try {
     if (campaign) {
       // The paper's full test set: every MVC and FSE kernel in both ABIs.
-      std::vector<nfp::model::KernelJob> set;
       for (const auto abi :
            {nfp::mcc::FloatAbi::kHard, nfp::mcc::FloatAbi::kSoft}) {
         for (auto& j : nfp::workloads::make_mvc_jobs(abi)) {
-          set.push_back(std::move(j));
+          jobs.push_back(std::move(j));
         }
         for (auto& j : nfp::workloads::make_fse_jobs(abi)) {
-          set.push_back(std::move(j));
+          jobs.push_back(std::move(j));
         }
-      }
-      for (auto& j : set) {
-        nfp::model::ServiceJob sj;
-        sj.name = std::move(j.name);
-        sj.program = std::move(j.program);
-        sj.inputs = std::move(j.inputs);
-        sj.max_insns = max_insns;
-        sj.slice_insns = slice;
-        jobs.push_back(std::move(sj));
       }
     }
     for (const std::string& path : kernel_paths) {
-      nfp::model::ServiceJob sj;
-      sj.name = path;
-      sj.program = nfp::asmkit::assemble(nfp::cli::read_file(path, "nfpd"),
-                                         nfp::sim::kTextBase);
-      sj.max_insns = max_insns;
-      sj.slice_insns = slice;
-      jobs.push_back(std::move(sj));
+      nfp::model::KernelJob job;
+      job.name = path;
+      job.program = nfp::asmkit::assemble(nfp::cli::read_file(path, "nfpd"),
+                                          nfp::sim::kTextBase);
+      jobs.push_back(std::move(job));
+    }
+    for (auto& job : jobs) {
+      job.max_insns = max_insns;
+      job.slice_insns = slice;
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "nfpd: %s\n", e.what());
