@@ -1,17 +1,16 @@
 #include "analyze/bounds.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <queue>
-#include <set>
+#include <vector>
 
 #include "analyze/cost.h"
+#include "board/config.h"
 
 namespace nfp::analyze {
 namespace {
-
-using isa::Op;
 
 struct PathStep {
   std::uint32_t block = 0;
@@ -94,8 +93,7 @@ Shortest shortest_path(const Cfg& cfg, const board::CostModel& costs,
 }
 
 StaticVector vector_of_path(const Cfg& cfg, const board::CostModel& costs,
-                            const std::vector<PathStep>& path,
-                            double clock_hz) {
+                            const std::vector<PathStep>& path) {
   StaticVector v;
   double cycles = 0.0;
   for (const PathStep& step : path) {
@@ -113,216 +111,41 @@ StaticVector vector_of_path(const Cfg& cfg, const board::CostModel& costs,
     add_counts(v.op_counts, b, slot);
   }
   v.cycles = static_cast<std::uint64_t>(cycles);
-  v.time_s = cycles / clock_hz;
+  v.time_s = cycles / board::BoardConfig{}.clock_hz;
   for (const std::uint64_t n : v.op_counts) v.insns += n;
   return v;
 }
 
-// ---- Loop structure -------------------------------------------------------
-
-struct Loop {
-  std::uint32_t header = 0;
-  std::set<std::uint32_t> body;       // includes header and latches
-  std::vector<std::uint32_t> latches;  // back-edge sources
-};
-
-// Natural loops from DFS back edges; loops sharing a header are merged.
-std::vector<Loop> find_loops(const Cfg& cfg) {
-  std::map<std::uint32_t, std::vector<std::uint32_t>> preds;
-  for (const auto& [addr, b] : cfg.blocks) {
-    for (const CfgEdge& e : b.edges) preds[e.target].push_back(addr);
-  }
-  // Iterative DFS, colors: 0 unseen, 1 on stack, 2 done.
-  std::map<std::uint32_t, int> color;
-  std::vector<std::pair<std::uint32_t, std::size_t>> stack;
-  std::map<std::uint32_t, Loop> loops;
-  if (cfg.blocks.count(cfg.entry) == 0) return {};
-  stack.push_back({cfg.entry, 0});
-  color[cfg.entry] = 1;
-  while (!stack.empty()) {
-    auto& [addr, next] = stack.back();
-    const BasicBlock& b = cfg.blocks.at(addr);
-    if (next >= b.edges.size()) {
-      color[addr] = 2;
-      stack.pop_back();
-      continue;
-    }
-    const std::uint32_t t = b.edges[next++].target;
-    if (cfg.blocks.count(t) == 0) continue;
-    const int c = color[t];
-    if (c == 1) {  // back edge addr -> t
-      Loop& loop = loops[t];
-      loop.header = t;
-      loop.latches.push_back(addr);
-      loop.body.insert(t);
-      std::vector<std::uint32_t> work;
-      if (loop.body.insert(addr).second) work.push_back(addr);
-      while (!work.empty()) {
-        const std::uint32_t x = work.back();
-        work.pop_back();
-        for (const std::uint32_t p : preds[x]) {
-          if (loop.body.insert(p).second) work.push_back(p);
-        }
-      }
-    } else if (c == 0) {
-      color[t] = 1;
-      stack.push_back({t, 0});
-    }
-  }
-  std::vector<Loop> out;
-  out.reserve(loops.size());
-  for (auto& [h, loop] : loops) out.push_back(std::move(loop));
-  return out;
-}
-
-// Counted-loop heuristic: the latch decrements a counter by a constant step
-// (`subcc %r, s, %r`) and loops on `bne`; the only initialiser outside the
-// loop is `mov K, %r` (or `add %g0, K, %r`); nothing else in the loop writes
-// %r. Trip count = K / s.
-std::optional<std::uint64_t> infer_counted_bound(const Cfg& cfg,
-                                                 const Loop& loop) {
-  if (loop.latches.size() != 1) return std::nullopt;
-  const BasicBlock& latch = cfg.blocks.at(loop.latches.front());
-  if (!latch.has_cti || latch.cti_op != Op::kBicc) return std::nullopt;
-  const isa::DecodedInsn& br = latch.insns[cti_index(latch)];
-  if (static_cast<isa::Cond>(br.cond) != isa::Cond::kNe) return std::nullopt;
-  bool loops_back = false;
-  for (const CfgEdge& e : latch.edges) {
-    if (e.kind == CfgEdge::Kind::kTaken && e.target == loop.header) {
-      loops_back = true;
-    }
-  }
-  if (!loops_back) return std::nullopt;
-
-  // Last condition-code writer before the branch must be the decrement.
-  const isa::DecodedInsn* dec = nullptr;
-  std::size_t dec_index = 0;
-  for (std::size_t i = cti_index(latch); i-- > 0;) {
-    if (writes_icc(latch.insns[i].op)) {
-      dec = &latch.insns[i];
-      dec_index = i;
-      break;
-    }
-  }
-  if (dec == nullptr || dec->op != Op::kSubcc || !dec->has_imm ||
-      dec->imm <= 0 || dec->rd != dec->rs1 || dec->rd == isa::kRegG0) {
-    return std::nullopt;
-  }
-  const std::uint8_t reg = dec->rd;
-  const auto step = static_cast<std::uint64_t>(dec->imm);
-
-  // The decrement must be the counter's only writer inside the loop, and
-  // exactly one `mov K, %r` outside it may initialise it.
-  std::optional<std::uint64_t> init;
-  for (const auto& [addr, b] : cfg.blocks) {
-    const bool in_loop = loop.body.count(addr) != 0;
-    for (std::size_t i = 0; i < b.insns.size(); ++i) {
-      const isa::DecodedInsn& d = b.insns[i];
-      if (b.has_slot && i == b.insns.size() - 1 && b.slot_annulled_always) {
-        continue;  // never executes
-      }
-      if (!writes_int_reg(d.op) || written_reg(d) != reg) continue;
-      if (in_loop) {
-        if (addr == latch.start && i == dec_index) continue;
-        return std::nullopt;
-      }
-      if (init.has_value()) return std::nullopt;  // multiple initialisers
-      const bool is_mov = (d.op == Op::kOr || d.op == Op::kAdd) &&
-                          d.rs1 == isa::kRegG0 && d.has_imm && d.imm > 0;
-      if (!is_mov) return std::nullopt;
-      init = static_cast<std::uint64_t>(d.imm);
-    }
-  }
-  if (!init.has_value() || *init % step != 0) return std::nullopt;
-  return *init / step;
+std::string vector_json(const StaticVector& v) {
+  char buf[160];
+  std::snprintf(buf, sizeof buf,
+                "{\"insns\":%llu,\"cycles\":%llu,\"time_s\":%.17g,"
+                "\"energy_nj\":%.17g}",
+                static_cast<unsigned long long>(v.insns),
+                static_cast<unsigned long long>(v.cycles), v.time_s,
+                v.energy_nj);
+  return buf;
 }
 
 }  // namespace
 
-BoundsResult analyze_bounds(const Cfg& cfg, const board::CostModel& costs,
-                            const BoundsConfig& config) {
+BoundsResult analyze_bounds(const Cfg& cfg, const board::CostModel& costs) {
+  // Per-metric shortest entry→exit path.
   BoundsResult result;
-
-  // Lower bounds: per-metric shortest entry→exit path.
   const Shortest time_path = shortest_path(cfg, costs, false, true);
-  if (time_path.found) {
-    result.has_exit = true;
-    result.lower = vector_of_path(cfg, costs, time_path.path, config.clock_hz);
-    const Shortest energy_path = shortest_path(cfg, costs, true, false);
-    result.lower_energy_nj = energy_path.total;
-    result.lower_exact = true;
-    for (const PathStep& step : time_path.path) {
-      const BasicBlock& b = cfg.blocks.at(step.block);
-      if (step.edge < 0) {
-        result.lower_exact = result.lower_exact && b.halt && b.edges.empty();
-      } else {
-        result.lower_exact = result.lower_exact && b.edges.size() == 1;
-      }
+  if (!time_path.found) return result;
+  result.has_exit = true;
+  result.lower = vector_of_path(cfg, costs, time_path.path);
+  result.lower_energy_nj = shortest_path(cfg, costs, true, false).total;
+  result.lower_exact = true;
+  for (const PathStep& step : time_path.path) {
+    const BasicBlock& b = cfg.blocks.at(step.block);
+    if (step.edge < 0) {
+      result.lower_exact = result.lower_exact && b.halt && b.edges.empty();
+    } else {
+      result.lower_exact = result.lower_exact && b.edges.size() == 1;
     }
   }
-
-  // Upper estimate: sum over blocks with loop multipliers.
-  const auto refuse = [&result](const char* code, std::uint32_t block,
-                                std::string human) {
-    result.upper_reason_code = code;
-    result.upper_reason_block = block;
-    result.upper_unavailable = std::move(human);
-  };
-  for (const auto& [addr, b] : cfg.blocks) {
-    if (b.indirect) {
-      refuse("indirect-jmpl", addr,
-             "indirect control flow (jmpl) at " + hex(b.cti_pc));
-      break;
-    }
-    for (const CfgEdge& e : b.edges) {
-      if (e.kind == CfgEdge::Kind::kCall) {
-        refuse("call-edge", addr,
-               "call at " + hex(b.cti_pc) +
-                   " (interprocedural bounds unsupported)");
-        break;
-      }
-    }
-    if (!result.upper_unavailable.empty()) break;
-  }
-  if (!result.upper_unavailable.empty()) return result;
-
-  const std::vector<Loop> loops = find_loops(cfg);
-  std::map<std::uint32_t, std::uint64_t> bound_of;
-  for (const Loop& loop : loops) {
-    const auto annotated = config.loop_bounds.find(loop.header);
-    if (annotated != config.loop_bounds.end()) {
-      bound_of[loop.header] = annotated->second;
-      result.loops.push_back(LoopInfo{loop.header, annotated->second, false});
-      continue;
-    }
-    std::optional<std::uint64_t> inferred;
-    if (config.infer_counted_loops) inferred = infer_counted_bound(cfg, loop);
-    if (!inferred.has_value()) {
-      refuse("unbounded-loop", loop.header,
-             "loop at " + hex(loop.header) + " has no static bound");
-      return result;
-    }
-    bound_of[loop.header] = *inferred;
-    result.loops.push_back(LoopInfo{loop.header, *inferred, true});
-  }
-
-  double cycles = 0.0;
-  for (const auto& [addr, b] : cfg.blocks) {
-    std::uint64_t mult = 1;
-    for (const Loop& loop : loops) {
-      if (loop.body.count(addr) != 0) mult *= bound_of[loop.header];
-    }
-    if (mult == 0) continue;
-    const bool slot = !b.slot_annulled_always;
-    const BlockCost c = block_cost(b, costs, Exit::kWorst, slot);
-    cycles += c.cycles * static_cast<double>(mult);
-    result.upper.energy_nj += c.energy_nj * static_cast<double>(mult);
-    add_counts(result.upper.op_counts, b, slot, mult);
-  }
-  result.upper.cycles = static_cast<std::uint64_t>(cycles);
-  result.upper.time_s = cycles / config.clock_hz;
-  for (const std::uint64_t n : result.upper.op_counts) result.upper.insns += n;
-  result.has_upper = true;
   return result;
 }
 
@@ -344,57 +167,8 @@ std::string render(const BoundsResult& r) {
   out += buf;
   out += std::string("lower bound is exact (single static path): ") +
          (r.lower_exact ? "yes" : "no") + "\n";
-  for (const LoopInfo& loop : r.loops) {
-    std::snprintf(buf, sizeof buf, "loop %s: bound %llu%s\n",
-                  hex(loop.header).c_str(),
-                  static_cast<unsigned long long>(loop.bound),
-                  loop.inferred ? " (inferred counted loop)" : "");
-    out += buf;
-  }
-  if (r.has_upper) {
-    std::snprintf(buf, sizeof buf,
-                  "upper estimate: %llu insns, %llu cycles, %.6g s, %.6g nJ\n",
-                  static_cast<unsigned long long>(r.upper.insns),
-                  static_cast<unsigned long long>(r.upper.cycles),
-                  r.upper.time_s, r.upper.energy_nj);
-    out += buf;
-  } else {
-    // Human text first, then the machine-parseable key=value tail so both
-    // audiences get one stable line.
-    out += "upper estimate unavailable: " + r.upper_unavailable + " [reason=" +
-           r.upper_reason_code + " block=" + hex(r.upper_reason_block) + "]\n";
-  }
   return out;
 }
-
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
-std::string vector_json(const StaticVector& v) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "{\"insns\":%llu,\"cycles\":%llu,\"time_s\":%.17g,"
-                "\"energy_nj\":%.17g}",
-                static_cast<unsigned long long>(v.insns),
-                static_cast<unsigned long long>(v.cycles), v.time_s,
-                v.energy_nj);
-  return buf;
-}
-
-}  // namespace
 
 std::string to_json(const BoundsResult& r) {
   char buf[64];
@@ -407,24 +181,7 @@ std::string to_json(const BoundsResult& r) {
     out += buf;
     out += std::string(",\"lower_exact\":") + (r.lower_exact ? "true" : "false");
   }
-  out += ",\"has_upper\":";
-  out += r.has_upper ? "true" : "false";
-  if (r.has_upper) {
-    out += ",\"upper\":" + vector_json(r.upper);
-  } else {
-    out += ",\"reason\":\"" + json_escape(r.upper_reason_code) + "\"";
-    out += ",\"block\":\"" + hex(r.upper_reason_block) + "\"";
-    out += ",\"detail\":\"" + json_escape(r.upper_unavailable) + "\"";
-  }
-  out += ",\"loops\":[";
-  for (std::size_t i = 0; i < r.loops.size(); ++i) {
-    if (i != 0) out += ",";
-    out += "{\"header\":\"" + hex(r.loops[i].header) + "\"";
-    out += ",\"bound\":" + std::to_string(r.loops[i].bound);
-    out += std::string(",\"inferred\":") +
-           (r.loops[i].inferred ? "true" : "false") + "}";
-  }
-  out += "]}";
+  out += "}";
   return out;
 }
 

@@ -1,26 +1,19 @@
-// Static (pre-run) NFP bounds from a recovered CFG.
+// Static (pre-run) NFP lower bound from a recovered CFG.
 //
-// Folds per-block category histograms with the board cost model:
-//   lower — the cheapest entry→exit path (per-metric Dijkstra with
-//           delay-slot exclusion and taken/untaken branch cycle variants);
-//           a guaranteed lower bound on any halting execution, and exact
-//           (equal to the dynamic retire vector) on single-path programs;
-//   upper — sum over blocks weighted by loop multipliers, where loop bounds
-//           come from annotations (keyed by loop-header address) or from a
-//           conservative counted-loop heuristic. Unavailable when the CFG
-//           has indirect exits, call edges, or unbounded loops — the reason
-//           is reported instead of a number.
+// Folds per-block category histograms with the board cost model along the
+// cheapest entry→exit path (per-metric Dijkstra with delay-slot exclusion and
+// taken/untaken branch cycle variants): a guaranteed lower bound on any
+// halting execution, and exact (equal to the dynamic retire vector) on
+// single-path programs. Upper bounds come from the IPET solver (ipet.h),
+// which also uses this bound as its clamp.
 //
-// The op-count vectors can be pushed through the same category scheme and
+// The op-count vector can be pushed through the same category scheme and
 // calibrated per-category costs as the dynamic estimator (Eq. 1), giving a
 // static Ê/T̂ directly comparable with the ISS-derived estimate.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "analyze/cfg.h"
 #include "board/cost_model.h"
@@ -37,20 +30,6 @@ struct StaticVector {
   double time_s = 0.0;
 };
 
-struct LoopInfo {
-  std::uint32_t header = 0;
-  std::uint64_t bound = 0;  // max executions of the loop body
-  bool inferred = false;    // counted-loop heuristic, not an annotation
-};
-
-struct BoundsConfig {
-  // Loop-bound annotations, keyed by loop-header block address.
-  std::map<std::uint32_t, std::uint64_t> loop_bounds;
-  // Infer bounds for `mov K, %r; ...; subcc %r, s, %r; bne` counted loops.
-  bool infer_counted_loops = true;
-  double clock_hz = 50.0e6;
-};
-
 struct BoundsResult {
   bool has_exit = false;  // some halting/exiting path exists statically
   StaticVector lower;     // along the min-time path (zero when !has_exit)
@@ -63,20 +42,9 @@ struct BoundsResult {
   // has at most one successor): the static vector then equals the dynamic
   // retire vector exactly.
   bool lower_exact = false;
-
-  bool has_upper = false;
-  StaticVector upper;
-  std::string upper_unavailable;  // human-readable reason when !has_upper
-  // Machine-parseable refusal: a stable reason code ("indirect-jmpl",
-  // "call-edge", "unbounded-loop") plus the offending block address. Render
-  // appends them as a `[reason=<code> block=0x...]` tail on the human line.
-  std::string upper_reason_code;
-  std::uint32_t upper_reason_block = 0;
-  std::vector<LoopInfo> loops;
 };
 
-BoundsResult analyze_bounds(const Cfg& cfg, const board::CostModel& costs,
-                            const BoundsConfig& config = {});
+BoundsResult analyze_bounds(const Cfg& cfg, const board::CostModel& costs);
 
 // Eq. 1 fold of a static op-count vector with calibrated per-category costs,
 // for side-by-side comparison with the dynamic estimate.

@@ -8,12 +8,12 @@
 // equality between them on loop-free kernels.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 
 #include "analyze/cfg.h"
+#include "board/config.h"
 #include "board/cost_model.h"
 #include "nfp/scheme.h"
 
@@ -61,7 +61,7 @@ inline std::size_t cti_index(const BasicBlock& b) {
 }
 
 // How the block is left, for branch cycle selection.
-enum class Exit { kTaken, kUntaken, kTerminal, kWorst };
+enum class Exit { kTaken, kUntaken, kTerminal };
 
 struct BlockCost {
   double cycles = 0.0;
@@ -78,10 +78,7 @@ inline BlockCost block_cost(const BasicBlock& b, const board::CostModel& costs,
     if (b.has_slot && i == b.insns.size() - 1 && !include_slot) continue;
     const board::OpCost& c = costs.of(b.insns[i].op);
     std::uint32_t cycles = c.cycles;
-    if (i == cti) {
-      if (exit == Exit::kUntaken) cycles = c.cycles_alt;
-      if (exit == Exit::kWorst) cycles = std::max(c.cycles, c.cycles_alt);
-    }
+    if (i == cti && exit == Exit::kUntaken) cycles = c.cycles_alt;
     out.cycles += cycles;
     out.energy_nj += c.energy_nj;
   }
@@ -89,10 +86,10 @@ inline BlockCost block_cost(const BasicBlock& b, const board::CostModel& costs,
 }
 
 inline void add_counts(model::OpCounts& acc, const BasicBlock& b,
-                       bool include_slot, std::uint64_t times = 1) {
+                       bool include_slot) {
   for (std::size_t i = 0; i < b.insns.size(); ++i) {
     if (b.has_slot && i == b.insns.size() - 1 && !include_slot) continue;
-    acc[static_cast<std::size_t>(b.insns[i].op)] += times;
+    ++acc[static_cast<std::size_t>(b.insns[i].op)];
   }
 }
 
@@ -101,29 +98,20 @@ inline void add_counts(model::OpCounts& acc, const BasicBlock& b,
 // energy to memory ops, untaken control transfers retire at 0.8x base energy
 // without redirecting the fetch stream, and operand toggling modulates every
 // op's dynamic energy share by +-amplitude/2. kLower/kUpper bracket every
-// per-op cost the board can charge, so a static interval priced this way
-// contains the ground truth of a board configured with the same knobs.
+// per-op cost the default board (board::BoardConfig{}: variation on, no data
+// cache) can charge, so a static interval priced this way contains its
+// ground truth.
 enum class Dir { kLower, kUpper };
-
-// The BoardConfig fields the envelope depends on (defaults match the default
-// board: variation on, no data cache).
-struct CostEnvelope {
-  bool variation = true;    // BoardConfig::enable_variation
-  double amplitude = 0.30;  // BoardConfig::data_energy_amplitude
-  bool cache = false;       // BoardConfig::enable_cache (loads only)
-};
 
 inline BlockCost block_cost_dir(const BasicBlock& b,
                                 const board::CostModel& costs, Exit exit,
-                                bool include_slot, Dir dir,
-                                const CostEnvelope& env = {}) {
+                                bool include_slot, Dir dir) {
   BlockCost out;
   const std::size_t cti = b.has_cti ? cti_index(b) : b.insns.size();
-  const double half = env.variation ? env.amplitude * 0.5 : 0.0;
+  const double half = board::BoardConfig{}.data_energy_amplitude * 0.5;
   for (std::size_t i = 0; i < b.insns.size(); ++i) {
     if (b.has_slot && i == b.insns.size() - 1 && !include_slot) continue;
-    const isa::Op op = b.insns[i].op;
-    const board::OpCost& c = costs.of(op);
+    const board::OpCost& c = costs.of(b.insns[i].op);
     double cycles = c.cycles;
     double energy = c.energy_nj;
     switch (c.kind) {
@@ -132,24 +120,15 @@ inline BlockCost block_cost_dir(const BasicBlock& b,
           cycles += costs.row_miss_cycles();
           energy = (energy + costs.row_miss_energy_nj()) * (1.0 + half);
         } else {
-          if (env.cache && isa::is_load(op)) {
-            cycles = std::min<double>(cycles, costs.cache_hit_cycles());
-            energy = std::min(energy, costs.cache_hit_energy_nj());
-          }
           energy *= 1.0 - half;
         }
         break;
       case sim::ResidualKind::kBranch:
         // Exit-resolved and exact, not an envelope: the direction is known
         // per flow variable, and taken/untaken costs have no spread.
-        if (i == cti) {
-          if (exit == Exit::kUntaken) {
-            cycles = c.cycles_alt;
-            energy *= 0.8;
-          } else if (exit == Exit::kWorst) {
-            cycles = std::max(c.cycles, c.cycles_alt);
-            if (dir == Dir::kLower) energy *= 0.8;
-          }
+        if (i == cti && exit == Exit::kUntaken) {
+          cycles = c.cycles_alt;
+          energy *= 0.8;
         }
         break;
       default:  // kNone / kFpVariable: operand-toggle modulation only

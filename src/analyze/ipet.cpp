@@ -8,6 +8,8 @@
 #include "analyze/cost.h"
 #include "analyze/loops.h"
 #include "analyze/lp.h"
+#include "board/config.h"
+#include "nfp/json.h"
 
 namespace nfp::analyze {
 namespace {
@@ -71,7 +73,6 @@ std::string list_hex(const std::vector<std::uint32_t>& addrs) {
 // (block_cost_dir), so the interval brackets every cost the board's dynamic
 // corrections can charge.
 Rat coef_of(const Var& v, const Cfg& cfg, const board::CostModel& costs,
-            const CostEnvelope& env,
             const std::map<std::uint32_t, FuncSummary>& summaries, Metric m,
             bool maximize) {
   const BasicBlock& b = cfg.blocks.at(v.block);
@@ -102,12 +103,12 @@ Rat coef_of(const Var& v, const Cfg& cfg, const board::CostModel& costs,
       // the directed double is an exact integer.
       c = static_cast<long long>(std::llround(
           block_cost_dir(b, costs, exit, slot,
-                         maximize ? Dir::kUpper : Dir::kLower, env)
+                         maximize ? Dir::kUpper : Dir::kLower)
               .cycles));
       break;
     default:
       c = rat_of_cost(block_cost_dir(b, costs, exit, slot,
-                                     maximize ? Dir::kUpper : Dir::kLower, env)
+                                     maximize ? Dir::kUpper : Dir::kLower)
                           .energy_nj,
                       maximize);
       break;
@@ -237,11 +238,8 @@ SolveOutcome solve_function(const Cfg& cfg, const board::CostModel& costs,
       rec.source = IpetBoundSource::kAnnotated;
       rec.bound = annotated->second;
     } else {
-      std::optional<CountedBound> inferred;
-      if (config.infer_counted_loops) {
-        inferred = infer_counted_bound(cfg, dom, f.blocks, succs, forest.loops,
-                                       loop, clobbers);
-      }
+      const std::optional<CountedBound> inferred = infer_counted_bound(
+          cfg, dom, f.blocks, succs, forest.loops, loop, clobbers);
       if (inferred.has_value()) {
         rows.relative = inferred->bound;
         rec.source = IpetBoundSource::kInferred;
@@ -370,7 +368,7 @@ SolveOutcome solve_function(const Cfg& cfg, const board::CostModel& costs,
         const bool maximize = sense == kMax;
         std::vector<Rat> objective(vars.size());
         for (std::size_t i = 0; i < vars.size(); ++i) {
-          objective[i] = coef_of(vars[i], cfg, costs, config.envelope, done,
+          objective[i] = coef_of(vars[i], cfg, costs, done,
                                  static_cast<Metric>(m), maximize);
         }
         const lp::Solution sol = simplex.optimize(objective, maximize);
@@ -519,12 +517,8 @@ IpetResult analyze_ipet(const Cfg& cfg, const board::CostModel& costs,
 
   // Clamp the lower bound to the Dijkstra shortest path: both are sound
   // lower bounds, so their max is, and on loop-free single-path programs
-  // they agree exactly (identical pricing, cost.h).
-  BoundsConfig bc;
-  bc.loop_bounds = config.loop_bounds;
-  bc.infer_counted_loops = config.infer_counted_loops;
-  bc.clock_hz = config.clock_hz;
-  const BoundsResult dij = analyze_bounds(cfg, costs, bc);
+  // they agree exactly (identical pricing of the same board, cost.h).
+  const BoundsResult dij = analyze_bounds(cfg, costs);
   if (dij.has_exit) {
     const auto clamp = [&result](double& lo, double dij_lo) {
       if (dij_lo > lo) {
@@ -536,13 +530,14 @@ IpetResult analyze_ipet(const Cfg& cfg, const board::CostModel& costs,
     clamp(result.cycles.lower, static_cast<double>(dij.lower.cycles));
     clamp(result.energy_nj.lower, dij.lower_energy_nj);
   }
-  result.time_s.lower = result.cycles.lower / config.clock_hz;
-  result.time_s.upper = result.cycles.upper / config.clock_hz;
+  const double clock_hz = board::BoardConfig{}.clock_hz;
+  result.time_s.lower = result.cycles.lower / clock_hz;
+  result.time_s.upper = result.cycles.upper / clock_hz;
 
   // Witness vectors (informational): rounded op counts from the cycles
   // vertices, metric fields synced to the final intervals.
-  const auto fill = [&config](StaticVector& v, const std::vector<Rat>& ops,
-                              double cycles, double energy) {
+  const auto fill = [clock_hz](StaticVector& v, const std::vector<Rat>& ops,
+                               double cycles, double energy) {
     for (std::size_t i = 0; i < ops.size() && i < v.op_counts.size(); ++i) {
       const double n = ops[i].to_double();
       v.op_counts[i] = n <= 0 ? 0 : static_cast<std::uint64_t>(n + 0.5);
@@ -550,7 +545,7 @@ IpetResult analyze_ipet(const Cfg& cfg, const board::CostModel& costs,
     }
     v.cycles = static_cast<std::uint64_t>(cycles + 0.5);
     v.energy_nj = energy;
-    v.time_s = cycles / config.clock_hz;
+    v.time_s = cycles / clock_hz;
   };
   fill(result.lower, root.opvec[kMin], result.cycles.lower,
        result.energy_nj.lower);
@@ -605,20 +600,6 @@ std::string render(const IpetResult& r) {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
 std::string interval_json(const IpetInterval& i) {
   char buf[96];
   std::snprintf(buf, sizeof buf, "{\"lower\":%.17g,\"upper\":%.17g}", i.lower,
@@ -635,8 +616,9 @@ std::string to_json(const IpetResult& r) {
   if (!r.accepted) {
     out += std::string(",\"reason\":\"") + to_string(r.refusal) + "\"";
     out += ",\"block\":\"" + hex(r.refusal_block) + "\"";
-    out += ",\"detail\":\"" + json_escape(r.refusal_detail) + "\"";
-    out += "}";
+    out += ",\"detail\":\"";
+    append_escaped(out, r.refusal_detail);
+    out += "\"}";
     return out;
   }
   out += ",\"insns\":" + interval_json(r.insns);
@@ -662,7 +644,9 @@ std::string to_json(const IpetResult& r) {
     out += std::string(",\"source\":\"") + kind + "\"";
     out += ",\"bound\":" + std::to_string(loop.bound);
     if (!loop.detail.empty()) {
-      out += ",\"detail\":\"" + json_escape(loop.detail) + "\"";
+      out += ",\"detail\":\"";
+      append_escaped(out, loop.detail);
+      out += "\"";
     }
     out += "}";
   }

@@ -1,7 +1,6 @@
 // Execution-free IPET (implicit path enumeration) NFP estimation.
 //
-// Where analyze_bounds refuses whole program classes (calls, any loop it
-// cannot pattern-match), this solver prices every halting execution of the
+// The one static bounder: this solver prices every halting execution of the
 // interprocedural CFG as a flow problem:
 //
 //   - the callgraph layer partitions the recovered CFG into functions and
@@ -34,7 +33,6 @@
 
 #include "analyze/bounds.h"
 #include "analyze/cfg.h"
-#include "analyze/cost.h"
 #include "board/cost_model.h"
 
 namespace nfp::analyze {
@@ -92,12 +90,6 @@ struct IpetConfig {
   // keyed by header address. Used when no relative bound applies; applying a
   // whole-program total per invocation over-approximates, which is sound.
   std::map<std::uint32_t, std::uint64_t> loop_totals;
-  bool infer_counted_loops = true;
-  double clock_hz = 50.0e6;
-  // Residual envelope of the target board (cost.h): upper coefficients price
-  // the worst dynamic correction (SDRAM row miss, +amplitude/2 toggling),
-  // lower ones the best, so the interval contains the board's ground truth.
-  CostEnvelope envelope;
 };
 
 struct IpetResult {

@@ -13,9 +13,9 @@
 //                    does NOT dominate its source makes the region
 //                    irreducible; the offending edge is reported so the IPET
 //                    refusal can name it;
-//   - counted-loop bounds — a widened version of the bounds.cpp heuristic:
-//                    `mov`/`sethi[+or]` initialisation, `subcc`/`addcc`
-//                    strides (combined or separate `add`/`sub` + compare) in
+//   - counted-loop bounds — `mov`/`sethi[+or]` initialisation,
+//                    `subcc`/`addcc` strides (combined or separate
+//                    `add`/`sub` + compare) in
 //                    either direction, exits on any signed Bicc condition
 //                    (`bne/be/bg/bge/bl/ble`), with a closed-form trip count
 //                    and a provenance string for the report.

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "nfp/json.h"
 #include "sim/jit.h"
 
 namespace nfp::model {
@@ -291,25 +292,6 @@ void CampaignService::worker_main(unsigned self) {
 }
 
 namespace {
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
 
 void append_kv(std::string& out, const char* key, double value) {
   char buf[64];

@@ -20,12 +20,11 @@ struct StaticAndDynamic {
   bool halted = false;
 };
 
-StaticAndDynamic run_both(const std::string& source,
-                          const BoundsConfig& config = {}) {
+StaticAndDynamic run_both(const std::string& source) {
   const asmkit::Program program = asmkit::assemble(source, sim::kTextBase);
   const board::CostModel costs;
   StaticAndDynamic out;
-  out.bounds = analyze_bounds(build_cfg(program), costs, config);
+  out.bounds = analyze_bounds(build_cfg(program), costs);
   sim::Iss iss;
   iss.load(program);
   out.halted = iss.run().halted;
@@ -98,65 +97,6 @@ TEST(Bounds, StaticLowerEqualsDynamicRetireVectorFpuKernel) {
   EXPECT_DOUBLE_EQ(st.time_s, dy.time_s);
 }
 
-TEST(Bounds, LoopFreeUpperEqualsLowerOnSinglePath) {
-  const StaticAndDynamic r = run_both(kIntKernel);
-  ASSERT_TRUE(r.bounds.has_upper);
-  EXPECT_EQ(r.bounds.upper.op_counts, r.bounds.lower.op_counts);
-  EXPECT_EQ(r.bounds.upper.insns, r.bounds.lower.insns);
-}
-
-TEST(Bounds, CountedLoopBoundIsInferredAndTight) {
-  const StaticAndDynamic r = run_both(R"(
-_start:
-  mov 12, %g2
-  mov 0, %g3
-loop:
-  add %g3, 5, %g3
-  subcc %g2, 3, %g2
-  bne loop
-  nop
-  ta 0
-  nop
-)");
-  ASSERT_TRUE(r.halted);
-  ASSERT_TRUE(r.bounds.has_upper);
-  ASSERT_EQ(r.bounds.loops.size(), 1u);
-  EXPECT_TRUE(r.bounds.loops[0].inferred);
-  EXPECT_EQ(r.bounds.loops[0].bound, 4u);  // 12 / 3
-  // The heuristic bound is tight here: the upper vector equals the dynamic
-  // retire vector, and the lower (one loop traversal) stays below it.
-  EXPECT_EQ(r.bounds.upper.op_counts, r.dynamic_counts);
-  EXPECT_LT(r.bounds.lower.insns, r.bounds.upper.insns);
-}
-
-TEST(Bounds, AnnotationSuppliesBoundWhenHeuristicCannot) {
-  // Loop counter decremented by a register: not a counted loop the
-  // heuristic can prove.
-  const std::string source = R"(
-_start:
-  mov 8, %g1
-  mov 2, %g2
-loop:
-  subcc %g1, %g2, %g1
-  bne loop
-  nop
-  ta 0
-  nop
-)";
-  const StaticAndDynamic bare = run_both(source);
-  EXPECT_FALSE(bare.bounds.has_upper);
-  EXPECT_NE(bare.bounds.upper_unavailable.find("no static bound"),
-            std::string::npos);
-
-  BoundsConfig config;
-  config.loop_bounds[sim::kTextBase + 8] = 4;  // `loop` header
-  const StaticAndDynamic annotated = run_both(source, config);
-  ASSERT_TRUE(annotated.bounds.has_upper);
-  ASSERT_EQ(annotated.bounds.loops.size(), 1u);
-  EXPECT_FALSE(annotated.bounds.loops[0].inferred);
-  EXPECT_EQ(annotated.bounds.upper.op_counts, annotated.dynamic_counts);
-}
-
 TEST(Bounds, IndirectExitBlocksUpperEstimate) {
   // Static-only: a retl with nothing on the stack would fault dynamically.
   const asmkit::Program program = asmkit::assemble(R"(
@@ -168,25 +108,8 @@ _start:
                                                    sim::kTextBase);
   const board::CostModel costs;
   const BoundsResult bounds = analyze_bounds(build_cfg(program), costs);
-  EXPECT_FALSE(bounds.has_upper);
-  EXPECT_NE(bounds.upper_unavailable.find("jmpl"), std::string::npos);
-  // The lower bound still exists: the indirect block is a possible exit.
+  // The lower bound exists: the indirect block is a possible exit.
   EXPECT_TRUE(bounds.has_exit);
-}
-
-TEST(Bounds, CallEdgeBlocksUpperEstimate) {
-  const StaticAndDynamic r = run_both(R"(
-_start:
-  call helper
-  nop
-  ta 0
-  nop
-helper:
-  retl
-  nop
-)");
-  EXPECT_FALSE(r.bounds.has_upper);
-  EXPECT_NE(r.bounds.upper_unavailable.find("call"), std::string::npos);
 }
 
 TEST(Bounds, InfiniteLoopHasNoExit) {

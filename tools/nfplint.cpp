@@ -16,13 +16,14 @@
 //     delay-slot legality, illegal encodings on reachable paths, edges off
 //     the image, unreachable code. The CFG is recovered once per image and
 //     shared by every analysis pass. With --bounds, also folds the recovered
-//     blocks with the board cost model into pre-run Ê/T̂ bounds; with
-//     --estimate, runs the execution-free IPET flow solver for guaranteed
-//     [lower, upper] intervals with per-loop bound provenance. --loop-bound
-//     annotates loop headers (relative, per loop entry); --loop-total pins
-//     absolute header-execution totals (e.g. from a profiled reference run;
-//     0 pins a dead loop). --json switches both reports to one JSON object
-//     per image on stdout.
+//     blocks with the board cost model into the pre-run Ê/T̂ lower bound
+//     (min-time/min-energy paths); with --estimate, runs the execution-free
+//     IPET flow solver for guaranteed [lower, upper] intervals with per-loop
+//     bound provenance. --loop-bound and --loop-total apply to --estimate:
+//     --loop-bound annotates loop headers (relative, per loop entry);
+//     --loop-total pins absolute header-execution totals (e.g. from a
+//     profiled reference run; 0 pins a dead loop). --json switches both
+//     reports to one JSON object per image on stdout.
 //
 //   All value flags accept both "--flag N" and "--flag=N".
 //   Exit status: 0 clean, 1 findings (errors or sweep inconsistencies),
@@ -40,6 +41,7 @@
 #include "asmkit/assembler.h"
 #include "cli_common.h"
 #include "mcc/compiler.h"
+#include "nfp/json.h"
 #include "sim/memmap.h"
 
 namespace {
@@ -53,7 +55,6 @@ struct Options {
   bool estimate = false;
   bool json = false;
   nfp::analyze::SweepConfig sweep_cfg;
-  nfp::analyze::BoundsConfig bounds_cfg;
   nfp::analyze::IpetConfig ipet_cfg;
   std::vector<std::string> files;
 };
@@ -69,7 +70,8 @@ void usage() {
       "               [--asi-samples N] [--seed N] [--max-findings N]\n"
       "       nfplint [--mc [--soft-float]] [--dump-cfg] [--bounds]\n"
       "               [--estimate] [--json] [--loop-bound ADDR=N]...\n"
-      "               [--loop-total ADDR=N]... file [file...]\n");
+      "               [--loop-total ADDR=N]... file [file...]\n"
+      "       (--loop-bound and --loop-total apply to --estimate)\n");
 }
 
 int run_sweep_mode(const Options& opt) {
@@ -108,7 +110,7 @@ int lint_program(const nfp::asmkit::Program& program, const std::string& name,
   std::string json_fields;
   if (opt.bounds) {
     const nfp::analyze::BoundsResult bounds =
-        nfp::analyze::analyze_bounds(cfg, costs, opt.bounds_cfg);
+        nfp::analyze::analyze_bounds(cfg, costs);
     if (opt.json) {
       json_fields += "\"bounds\":" + nfp::analyze::to_json(bounds);
     } else {
@@ -126,9 +128,11 @@ int lint_program(const nfp::asmkit::Program& program, const std::string& name,
     }
   }
   if (opt.json) {
+    std::string file;
+    nfp::append_escaped(file, name);
     std::printf("{\"file\":\"%s\",\"blocks\":%zu,\"errors\":%zu,"
                 "\"findings\":%zu%s%s}\n",
-                name.c_str(), cfg.blocks.size(), cfg.error_count(),
+                file.c_str(), cfg.blocks.size(), cfg.error_count(),
                 cfg.findings.size(), json_fields.empty() ? "" : ",",
                 json_fields.c_str());
   } else {
@@ -160,12 +164,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--json") {
       opt.json = true;
     } else if (const char* v = flag_value("--loop-bound", argc, argv, i)) {
-      if (!nfp::cli::parse_loop_bound(v, opt.bounds_cfg.loop_bounds)) {
+      if (!nfp::cli::parse_loop_bound(v, opt.ipet_cfg.loop_bounds)) {
         std::fprintf(stderr, "nfplint: bad --loop-bound '%s' (want ADDR=N)\n",
                      v);
         return 2;
       }
-      opt.ipet_cfg.loop_bounds = opt.bounds_cfg.loop_bounds;
     } else if (const char* v = flag_value("--loop-total", argc, argv, i)) {
       if (!nfp::cli::parse_loop_bound(v, opt.ipet_cfg.loop_totals,
                                       /*allow_zero=*/true)) {
