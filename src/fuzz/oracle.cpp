@@ -1,6 +1,7 @@
 #include "fuzz/oracle.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <sstream>
 #include <vector>
@@ -12,10 +13,10 @@
 namespace nfp::fuzz {
 namespace {
 
-std::uint64_t digest_counts(const sim::OpCountHooks& hooks) {
-  return sim::fnv1a64(
-      reinterpret_cast<const std::uint8_t*>(hooks.counts.data()),
-      hooks.counts.size() * sizeof(hooks.counts[0]));
+std::uint64_t digest_counts(
+    const std::array<std::uint64_t, isa::kOpCount>& counts) {
+  return sim::fnv1a64(reinterpret_cast<const std::uint8_t*>(counts.data()),
+                      counts.size() * sizeof(counts[0]));
 }
 
 std::uint64_t digest_uart(const std::string& uart) {
@@ -23,18 +24,27 @@ std::uint64_t digest_uart(const std::string& uart) {
                       uart.size());
 }
 
-Snapshot take_snapshot(sim::Iss& iss) {
+// The architectural view shared by the ISS and the board: everything a
+// Snapshot holds except the fault, which the caller fills in.
+template <typename Platform>
+Snapshot take_arch_snapshot(Platform& platform,
+                            const std::array<std::uint64_t, isa::kOpCount>&
+                                counts) {
   Snapshot s;
-  const sim::CpuState& cpu = iss.cpu();
+  const sim::CpuState& cpu = platform.cpu();
   s.instret = cpu.instret;
   s.pc = cpu.pc;
   s.npc = cpu.npc;
   s.halted = cpu.halted;
   s.exit_code = cpu.exit_code;
-  s.digest = sim::arch_digest(cpu, iss.bus());
-  s.counts_digest = digest_counts(iss.counters());
-  s.uart_digest = digest_uart(iss.bus().uart_output());
+  s.digest = sim::arch_digest(cpu, platform.bus());
+  s.counts_digest = digest_counts(counts);
+  s.uart_digest = digest_uart(platform.bus().uart_output());
   return s;
+}
+
+Snapshot take_snapshot(sim::Iss& iss) {
+  return take_arch_snapshot(iss, iss.counters().counts);
 }
 
 // Runs one dispatch mode through the shared budget schedule, snapshotting
@@ -129,37 +139,7 @@ std::string describe_diff(const Snapshot& ref, const Snapshot& got) {
   return os.str();
 }
 
-bool compare_traces(const std::vector<Snapshot>& ref,
-                    const std::vector<Snapshot>& got,
-                    const std::vector<std::uint64_t>& stops,
-                    const char* mode_name, DiffReport& report) {
-  const std::size_t n = std::min(ref.size(), got.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ref[i] == got[i]) continue;
-    std::ostringstream os;
-    os << "dispatch " << mode_name << " vs step, checkpoint " << i
-       << " (budget " << stops[i] << "): " << describe_diff(ref[i], got[i]);
-    report.diverged = true;
-    report.mode = mode_name;
-    report.detail = os.str();
-    return false;
-  }
-  if (ref.size() != got.size()) {
-    std::ostringstream os;
-    os << "dispatch " << mode_name << " vs step: trace truncated at "
-       << got.size() << "/" << ref.size() << " checkpoints (fault: '"
-       << (got.size() < ref.size() && !got.empty() ? got.back().fault
-                                                   : std::string())
-       << "')";
-    report.diverged = true;
-    report.mode = mode_name;
-    report.detail = os.str();
-    return false;
-  }
-  return true;
-}
-
-// ---- board step-vs-block cost differential --------------------------------
+// ---- board cost differential (board modes vs board step, board vs ISS) ----
 
 // One budget stop of one board dispatch mode: full architectural state plus
 // the board's non-functional accounting. Energy is compared bit-for-bit via
@@ -167,34 +147,22 @@ bool compare_traces(const std::vector<Snapshot>& ref,
 // reproduce the stepping path's float operation sequence exactly, not just
 // approximately.
 struct BoardSnapshot {
-  std::uint64_t instret = 0;
-  std::uint32_t pc = 0;
-  std::uint32_t npc = 0;
-  bool halted = false;
+  Snapshot arch;  // the ISS's view, retire counts included
   std::uint64_t cycles = 0;
   std::uint64_t energy_bits = 0;
   std::uint64_t activity = 0;
   board::BoardStats stats;
-  sim::ArchStateDigest digest{};
-  std::uint64_t uart_digest = 0;
-  std::string fault;
 
   bool operator==(const BoardSnapshot&) const = default;
 };
 
 BoardSnapshot take_board_snapshot(board::Board& brd) {
   BoardSnapshot s;
-  const sim::CpuState& cpu = brd.cpu();
-  s.instret = cpu.instret;
-  s.pc = cpu.pc;
-  s.npc = cpu.npc;
-  s.halted = cpu.halted;
+  s.arch = take_arch_snapshot(brd, brd.op_counts());
   s.cycles = brd.cycles();
   s.energy_bits = std::bit_cast<std::uint64_t>(brd.true_energy_nj());
   s.activity = brd.switching_activity();
   s.stats = brd.stats();
-  s.digest = sim::arch_digest(cpu, brd.bus());
-  s.uart_digest = digest_uart(brd.bus().uart_output());
   return s;
 }
 
@@ -212,8 +180,8 @@ std::vector<BoardSnapshot> run_board_mode(
       fault = e.what();
     }
     out.push_back(take_board_snapshot(brd));
-    out.back().fault = fault;
-    if (!out.back().fault.empty()) break;
+    out.back().arch.fault = fault;
+    if (!fault.empty()) break;
   }
   return out;
 }
@@ -240,7 +208,7 @@ std::vector<BoardSnapshot> run_board_snapshot_mode(
     }
     ++seg;
     out.push_back(take_board_snapshot(*cur));
-    out.back().fault = fault;
+    out.back().arch.fault = fault;
     if (!fault.empty()) break;
     std::stringstream buf;
     cur->save_state(buf);
@@ -250,16 +218,11 @@ std::vector<BoardSnapshot> run_board_snapshot_mode(
   return out;
 }
 
-std::string describe_board_diff(const BoardSnapshot& ref,
-                                const BoardSnapshot& got) {
+std::string describe_diff(const BoardSnapshot& ref, const BoardSnapshot& got) {
   std::ostringstream os;
   const auto field = [&os](const char* name, auto a, auto b) {
     if (a != b) os << name << " step=" << a << " got=" << b << "; ";
   };
-  field("instret", ref.instret, got.instret);
-  field("pc", ref.pc, got.pc);
-  field("npc", ref.npc, got.npc);
-  field("halted", ref.halted, got.halted);
   field("cycles", ref.cycles, got.cycles);
   field("energy-bits", ref.energy_bits, got.energy_bits);
   field("activity", ref.activity, got.activity);
@@ -272,43 +235,40 @@ std::string describe_board_diff(const BoardSnapshot& ref,
   field("branches-untaken", ref.stats.branches_untaken,
         got.stats.branches_untaken);
   field("stall-cycles", ref.stats.stall_cycles, got.stats.stall_cycles);
-  field("cpu-digest", ref.digest.cpu, got.digest.cpu);
-  field("ram-digest", ref.digest.ram, got.digest.ram);
-  field("uart", ref.uart_digest, got.uart_digest);
-  if (ref.fault != got.fault) {
-    os << "fault step='" << ref.fault << "' got='" << got.fault << "'; ";
-  }
-  return os.str();
+  return describe_diff(ref.arch, got.arch) + os.str();
 }
 
-bool compare_board_traces(const std::vector<BoardSnapshot>& ref,
-                          const std::vector<BoardSnapshot>& got,
-                          const std::vector<std::uint64_t>& stops,
-                          const char* mode_name, DiffReport& report) {
+const Snapshot& arch_of(const Snapshot& s) { return s; }
+const Snapshot& arch_of(const BoardSnapshot& s) { return s.arch; }
+
+// Compares two traces stop by stop. On the first differing stop, or a trace
+// cut short by a fault, records a divergence under `mode` (detail prefixed
+// with `label`, e.g. "dispatch block vs step") and returns false.
+template <typename Snap>
+bool compare_traces(const std::vector<Snap>& ref, const std::vector<Snap>& got,
+                    const std::vector<std::uint64_t>& stops,
+                    const char* label, const char* mode, DiffReport& report) {
+  std::ostringstream os;
+  os << label;
   const std::size_t n = std::min(ref.size(), got.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (ref[i] == got[i]) continue;
-    std::ostringstream os;
-    os << mode_name << " vs board step, checkpoint " << i << " (budget "
-       << stops[i] << "): " << describe_board_diff(ref[i], got[i]);
-    report.diverged = true;
-    report.mode = mode_name;
-    report.detail = os.str();
-    return false;
-  }
-  if (ref.size() != got.size()) {
-    std::ostringstream os;
-    os << mode_name << " vs board step: trace truncated at " << got.size()
-       << "/" << ref.size() << " checkpoints (fault: '"
-       << (got.size() < ref.size() && !got.empty() ? got.back().fault
+  std::size_t i = 0;
+  while (i < n && ref[i] == got[i]) ++i;
+  if (i < n) {
+    os << ", checkpoint " << i << " (budget " << stops[i]
+       << "): " << describe_diff(ref[i], got[i]);
+  } else if (ref.size() != got.size()) {
+    os << ": trace truncated at " << got.size() << "/" << ref.size()
+       << " checkpoints (fault: '"
+       << (got.size() < ref.size() && !got.empty() ? arch_of(got.back()).fault
                                                    : std::string())
        << "')";
-    report.diverged = true;
-    report.mode = mode_name;
-    report.detail = os.str();
-    return false;
+  } else {
+    return true;
   }
-  return true;
+  report.diverged = true;
+  report.mode = mode;
+  report.detail = os.str();
+  return false;
 }
 
 }  // namespace
@@ -354,45 +314,64 @@ DiffReport run_differential(const asmkit::Program& program,
       run_mode(arena.step, program, sim::Dispatch::kStep, stops);
   const std::vector<Snapshot> chained =
       run_mode(arena.block, program, sim::Dispatch::kBlock, stops);
-  if (!compare_traces(ref, chained, stops, "block", report)) return report;
+  if (!compare_traces(ref, chained, stops, "dispatch block vs step", "block",
+                      report)) {
+    return report;
+  }
 
   if (config.check_jit && sim::jit_available()) {
     const std::vector<Snapshot> jit =
         run_mode(arena.jit, program, sim::Dispatch::kJit, stops);
-    if (!compare_traces(ref, jit, stops, "jit", report)) return report;
+    if (!compare_traces(ref, jit, stops, "dispatch jit vs step", "jit",
+                        report)) {
+      return report;
+    }
   }
 
   if (config.check_snapshot) {
     const std::vector<Snapshot> snap =
         run_snapshot_mode(arena.snap_a, arena.snap_b, program, stops);
-    if (!compare_traces(ref, snap, stops, "snapshot", report)) return report;
+    if (!compare_traces(ref, snap, stops, "dispatch snapshot vs step",
+                        "snapshot", report)) {
+      return report;
+    }
   }
 
   const bool board_jit = config.check_board_jit && sim::jit_available();
   if (config.check_board || board_jit) {
     // Board phase last (it is the most expensive: more platforms, cost
     // accounting on). The same stop schedule applies: board streams match
-    // the ISS streams instruction for instruction.
+    // the ISS streams instruction for instruction, retire counts included —
+    // the campaign service takes its counts n_c from the board's ledger.
     const std::vector<BoardSnapshot> bref =
         run_board_mode(arena.board_step, program, sim::Dispatch::kStep, stops);
+    std::vector<Snapshot> barch;
+    for (const BoardSnapshot& b : bref) barch.push_back(b.arch);
+    if (!compare_traces(ref, barch, stops, "board step vs ISS step",
+                        "board-vs-iss", report)) {
+      return report;
+    }
     if (config.check_board) {
       const std::vector<BoardSnapshot> bblk = run_board_mode(
           arena.board_block, program, sim::Dispatch::kBlock, stops);
-      if (!compare_board_traces(bref, bblk, stops, "board-block", report)) {
+      if (!compare_traces(bref, bblk, stops, "board-block vs board step",
+                          "board-block", report)) {
         return report;
       }
     }
     if (board_jit) {
       const std::vector<BoardSnapshot> bjit = run_board_mode(
           arena.board_jit, program, sim::Dispatch::kJit, stops);
-      if (!compare_board_traces(bref, bjit, stops, "board-jit", report)) {
+      if (!compare_traces(bref, bjit, stops, "board-jit vs board step",
+                          "board-jit", report)) {
         return report;
       }
     }
     if (config.check_snapshot && config.check_board) {
       const std::vector<BoardSnapshot> bsnap = run_board_snapshot_mode(
           arena.board_snap_a, arena.board_snap_b, program, stops);
-      compare_board_traces(bref, bsnap, stops, "board-snapshot", report);
+      compare_traces(bref, bsnap, stops, "board-snapshot vs board step",
+                     "board-snapshot", report);
     }
   }
   return report;

@@ -34,7 +34,10 @@ struct DiffConfig {
   // compare cycles, true energy (bit-for-bit), BoardStats, and the full
   // architectural state at every checkpoint. This is the oracle for the
   // board's block dispatch (cost-ledger tallies made by the morph
-  // handlers).
+  // handlers). Whenever a board leg runs, the board's kStep trace is also
+  // checked against the ISS's ("board-vs-iss": instret, pc/npc, exit code,
+  // arch and uart digests, per-op retire counts, fault) — the campaign
+  // service takes its counts n_c from the board's ledger.
   bool check_board = true;
   // Also run the program under Dispatch::kJit and compare against kStep at
   // every checkpoint. Silently skipped when jit_available() is false (the

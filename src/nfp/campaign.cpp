@@ -18,8 +18,8 @@ std::vector<KernelRunRecord> Campaign::run(
   if (jobs.empty()) return {};
   ServiceConfig cfg;
   cfg.board = cfg_;
-  // Each idle worker holds two 16 MiB platforms: never start more than
-  // there are jobs.
+  // Each idle worker holds one 16 MiB board platform: never start more
+  // than there are jobs.
   cfg.workers = static_cast<unsigned>(std::min<std::size_t>(
       threads_ == 0 ? CampaignService::default_workers() : threads_,
       jobs.size()));

@@ -1,9 +1,10 @@
-// Measurement campaign: run a set of kernels on the ISS (instruction counts)
-// and on the measurement board (ground truth + bench measurement), in
-// parallel across kernels. This is the machinery behind Fig. 4 and
-// Table III, where 120 kernels are evaluated. Campaign is a thin batch
-// adapter over CampaignService (nfp/service.h), which owns the one ISS ->
-// board loop, worker pool and arena.
+// Measurement campaign: run a set of kernels once each on the measurement
+// board, which yields the instruction counts (its retire ledger), the bench
+// measurement and the ground truth, in parallel across kernels. This is the
+// machinery behind Fig. 4 and Table III, where 120 kernels are evaluated.
+// Campaign is a thin batch adapter over CampaignService (nfp/service.h),
+// which owns the one board run loop, the worker pool and each worker's
+// board.
 #pragma once
 
 #include <cstdint>
@@ -22,12 +23,12 @@ struct KernelJob {
   asmkit::Program program;
   // Input blocks written into RAM before the run (address, payload).
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> inputs;
-  // Retirement budget per platform; exceeding it without halting fails the
-  // job ("did not halt").
+  // Retirement budget of the board run; exceeding it without halting fails
+  // the job ("did not halt").
   std::uint64_t max_insns = board::Board::kDefaultMaxInsns;
   // Preemption grain in CampaignService: > 0 checkpoints and re-queues the
-  // job after every `slice_insns` retired instructions (per platform phase);
-  // 0 runs each phase to completion in one slice. Campaign always runs 0.
+  // job after every `slice_insns` retired instructions; 0 runs the job to
+  // completion in one slice. Campaign always runs 0.
   std::uint64_t slice_insns = 0;
 };
 
@@ -37,7 +38,8 @@ struct KernelRunRecord {
   std::string error;
   std::uint32_t exit_code = 0;
 
-  // From the ISS (the model's inputs).
+  // The model's inputs: the board's per-op retire counts, which equal the
+  // ISS's counts n_c for the same program.
   OpCounts counts{};
   std::uint64_t instret = 0;
 
@@ -69,7 +71,7 @@ class Campaign {
   // (CampaignService::default_workers).
   explicit Campaign(board::BoardConfig cfg, unsigned threads = 0);
 
-  // Runs every job on both platforms through a CampaignService with
+  // Runs every job on the board through a CampaignService with
   // min(threads, jobs.size()) workers, no calibration and no preemption.
   // Results keep the job order.
   std::vector<KernelRunRecord> run(const std::vector<KernelJob>& jobs) const;

@@ -139,30 +139,31 @@ bool CampaignService::pop_job(unsigned self, PendingJob& out) {
   return false;
 }
 
-template <typename Platform>
-std::optional<sim::RunResult> CampaignService::run_phase(
-    PendingJob& pj, Platform& platform, sim::Dispatch dispatch,
-    const char* halt_error, ServiceStats& delta) {
+std::optional<sim::RunResult> CampaignService::run_board(PendingJob& pj,
+                                                        board::Board& brd,
+                                                        ServiceStats& delta) {
   const KernelJob& job = pj.job;
   if (pj.checkpoint.empty()) {
-    platform.load(job.program);
+    brd.load(job.program);
     for (const auto& [addr, bytes] : job.inputs) {
-      platform.bus().write_block(addr, bytes.data(), bytes.size());
+      brd.bus().write_block(addr, bytes.data(), bytes.size());
     }
   } else {
     std::istringstream in(std::move(pj.checkpoint));
-    platform.restore_state(in);
+    brd.restore_state(in);
     pj.checkpoint.clear();
     ++delta.resumes;
   }
-  const std::uint64_t done = platform.cpu().instret;
+  const std::uint64_t done = brd.cpu().instret;
   std::uint64_t budget = job.max_insns > done ? job.max_insns - done : 0;
   if (job.slice_insns > 0) budget = std::min(budget, job.slice_insns);
-  const sim::RunResult r = platform.run(budget, dispatch);
+  const sim::RunResult r = brd.run(budget, dispatch_);
   if (r.halted) return r;
-  if (r.instret >= job.max_insns) throw std::runtime_error(halt_error);
+  if (r.instret >= job.max_insns) {
+    throw std::runtime_error("board run did not halt");
+  }
   std::ostringstream out;
-  platform.save_state(out);
+  brd.save_state(out);
   pj.checkpoint = std::move(out).str();
   ++pj.checkpoints;
   ++delta.checkpoints;
@@ -170,7 +171,7 @@ std::optional<sim::RunResult> CampaignService::run_phase(
   return std::nullopt;
 }
 
-bool CampaignService::run_slice(PendingJob& pj, WorkerArena& arena,
+bool CampaignService::run_slice(PendingJob& pj, board::Board& brd,
                                 ServiceStats& delta) {
   ++pj.slices;
   ++delta.slices;
@@ -193,28 +194,14 @@ bool CampaignService::run_slice(PendingJob& pj, WorkerArena& arena,
     }
   }
 
-  if (pj.phase == Phase::kIss) {
-    const auto r =
-        run_phase(pj, arena.iss, sim::Dispatch::kBlock,
-                  "ISS run did not halt (instruction budget)", delta);
-    if (!r) return false;
-    pj.rec.counts = arena.iss.counters().counts;
-    pj.rec.instret = r->instret;
-    pj.rec.exit_code = r->exit_code;
-    // Phase switch is itself a preemption point: the board run starts cold
-    // in a later slice (often on another worker's arena).
-    pj.phase = Phase::kBoard;
-    return false;
-  }
-
-  board::Board& brd = arena.board;
-  const auto r = run_phase(pj, brd, dispatch_, "board run did not halt", delta);
+  const auto r = run_board(pj, brd, delta);
   if (!r) return false;
-  if (r->instret != pj.rec.instret) {
-    // The estimator multiplies ISS counts with board-calibrated costs;
-    // diverging instruction streams would invalidate the experiment.
-    throw std::runtime_error("ISS/board instruction streams diverged");
-  }
+  // The board's ledger holds the same per-op retire counts the ISS would
+  // (the fuzz oracle's board-vs-iss leg checks this), so one run supplies
+  // both n_c and the ground truth.
+  pj.rec.counts = brd.op_counts();
+  pj.rec.instret = r->instret;
+  pj.rec.exit_code = r->exit_code;
   pj.rec.measured = brd.measure(job.name);
   pj.rec.events = brd.events();
   pj.rec.cycles = brd.cycles();
@@ -230,8 +217,11 @@ bool CampaignService::run_slice(PendingJob& pj, WorkerArena& arena,
 }
 
 void CampaignService::worker_main(unsigned self) {
-  // One arena per worker, reused across every slice it runs.
-  WorkerArena arena(cfg_.board);
+  // One board per worker, reused across every slice it runs. Constructing a
+  // Bus zeroes 16 MiB of RAM; reuse amortises that over every slice —
+  // Board::load and restore_state only re-zero the pages the previous slice
+  // touched, so a reused board is observably identical to a fresh one.
+  board::Board brd(cfg_.board);
   std::unique_lock<std::mutex> lk(mu_);
   while (true) {
     PendingJob pj;
@@ -246,7 +236,7 @@ void CampaignService::worker_main(unsigned self) {
     ServiceStats delta{};
     bool finished = true;
     try {
-      finished = run_slice(pj, arena, delta);
+      finished = run_slice(pj, brd, delta);
     } catch (const std::exception& e) {
       pj.rec.ok = false;
       pj.rec.error = e.what();

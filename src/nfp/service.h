@@ -3,14 +3,18 @@
 // across persistent worker threads with work stealing, and streams results
 // as they complete.
 //
-// It is the repository's one ISS -> board runner: the batch Campaign
-// (nfp/campaign.h) is a thin adapter that submits its jobs here with
-// calibration off and no preemption. Beyond that straight-line use:
+// Each job is one run on the measurement board: the board's ledger supplies
+// the retire counts n_c (bit-identical to the ISS's under the dispatch
+// invariant) alongside the measurement and ground truth, so a campaign never
+// executes a program twice. This is the repository's one campaign runner:
+// the batch Campaign (nfp/campaign.h) is a thin adapter that submits its
+// jobs here with calibration off and no preemption. Beyond that
+// straight-line use:
 //
 //  - Long jobs are preemptible. A job with `slice_insns > 0` is paused at
 //    every slice boundary, checkpointed through the versioned snapshot
 //    format (sim/state_io.h) into an in-memory image, and re-queued; the
-//    next slice — often on a different worker, against a different arena —
+//    next slice — often on a different worker, against a different board —
 //    restores the image and continues. Because snapshot restore is proven
 //    bit-identical across dispatch modes, a preempted job retires exactly
 //    like an uninterrupted one: same counts, cycles, energy (bit-for-bit).
@@ -45,7 +49,6 @@
 #include "nfp/calibration.h"
 #include "nfp/campaign.h"
 #include "nfp/estimator.h"
-#include "sim/iss.h"
 
 namespace nfp::model {
 
@@ -74,12 +77,12 @@ struct ServiceResult {
   // The estimation scheme behind `estimate` (ServiceConfig::scheme); empty
   // when the service did not estimate.
   std::string scheme;
-  std::uint64_t slices = 0;       // run segments across both phases (>= 2)
+  std::uint64_t slices = 0;       // board run segments (>= 1)
   std::uint64_t checkpoints = 0;  // serialize/restore round trips
   // Set when the service ran a static estimator over this job's program.
   std::optional<StaticBounds> static_bounds;
   // True when an accepted interval was served as the final answer and the
-  // ISS/board refinement run was skipped (ServiceConfig::static_only): the
+  // board refinement run was skipped (ServiceConfig::static_only): the
   // dynamic fields of `record` are then zero by construction.
   bool static_served = false;
 };
@@ -116,7 +119,7 @@ struct ServiceConfig {
   // tests) inject analyze_ipet through this hook.
   std::function<StaticBounds(const asmkit::Program&)> static_estimator;
   // With a static estimator set: serve accepted intervals as the final
-  // answer and skip the ISS/board refinement run entirely. Refused
+  // answer and skip the board refinement run entirely. Refused
   // programs still fall through to the dynamic pipeline.
   bool static_only = false;
 };
@@ -126,8 +129,8 @@ class CampaignService {
   explicit CampaignService(ServiceConfig cfg = {});
   // The worker count behind ServiceConfig::workers = 0:
   // min(hardware_concurrency, 8) — so 1 on a single-core host — or 2 when
-  // the core count is unknown. Each worker holds two 16 MiB platforms, which
-  // is why the default fleet is capped.
+  // the core count is unknown. Each worker holds one 16 MiB board platform,
+  // which is why the default fleet is capped.
   static unsigned default_workers();
   // Drains every submitted job (wait_all), then joins the workers.
   ~CampaignService();
@@ -172,25 +175,11 @@ class CampaignService {
   std::vector<ServiceResult> run_jobs(std::vector<KernelJob> jobs);
 
  private:
-  enum class Phase { kIss, kBoard };
-
-  // One worker's reusable simulators. Constructing a Bus zeroes 16 MiB of
-  // RAM per platform; an arena amortises that over every slice the worker
-  // runs — Platform::load and restore_state only re-zero the pages the
-  // previous slice touched, so a reused arena is observably identical to a
-  // fresh one.
-  struct WorkerArena {
-    explicit WorkerArena(const board::BoardConfig& cfg) : board(cfg) {}
-    sim::Iss iss;
-    board::Board board;
-  };
-
   struct PendingJob {
     std::uint64_t id = 0;
     KernelJob job;
-    Phase phase = Phase::kIss;
-    // Snapshot image of the active platform; empty = the phase starts cold
-    // (load program + inputs) instead of restoring.
+    // Snapshot image of the board; empty = the run starts cold (load
+    // program + inputs) instead of restoring.
     std::string checkpoint;
     KernelRunRecord rec;
     Estimate estimate;
@@ -203,21 +192,16 @@ class CampaignService {
   void worker_main(unsigned self);
   bool pop_job(unsigned self, PendingJob& out);  // callers hold mu_
   // Runs one slice; returns true when the job is finished (record/estimate
-  // final), false when it was checkpointed or phase-switched and must be
-  // re-queued. `delta` collects slice/checkpoint accounting for stats_.
-  bool run_slice(PendingJob& pj, WorkerArena& arena, ServiceStats& delta);
-  // One slice of the active phase on `platform` (sim::Iss or board::Board,
-  // which share the load/bus/restore_state/save_state/cpu/run surface):
-  // start cold (program + inputs) or restore pj.checkpoint, run up to the
-  // slice budget, and return the halted run — or checkpoint the platform
-  // into pj and return nullopt. Throws `halt_error` once the job's
-  // retirement budget is spent.
-  template <typename Platform>
-  static std::optional<sim::RunResult> run_phase(PendingJob& pj,
-                                                 Platform& platform,
-                                                 sim::Dispatch dispatch,
-                                                 const char* halt_error,
-                                                 ServiceStats& delta);
+  // final), false when it was checkpointed and must be re-queued. `delta`
+  // collects slice/checkpoint accounting for stats_.
+  bool run_slice(PendingJob& pj, board::Board& brd, ServiceStats& delta);
+  // One slice on the worker's board: start cold (program + inputs) or
+  // restore pj.checkpoint, run up to the slice budget, and return the
+  // halted run — or checkpoint the board into pj and return nullopt.
+  // Throws "board run did not halt" once the job's retirement budget is
+  // spent.
+  std::optional<sim::RunResult> run_board(PendingJob& pj, board::Board& brd,
+                                          ServiceStats& delta);
   void ensure_calibrated();
 
   ServiceConfig cfg_;

@@ -24,8 +24,10 @@ class Iss {
     hooks_ = OpCountHooks{};  // counters belong to the loaded program
   }
 
+  // kJit by default: counts are bit-identical in every dispatch mode, and
+  // the executor stays on kBlock where jit_available() is false.
   RunResult run(std::uint64_t max_insns = kDefaultMaxInsns,
-                Dispatch dispatch = Dispatch::kBlock) {
+                Dispatch dispatch = Dispatch::kJit) {
     return run_platform(platform_, hooks_, max_insns, dispatch);
   }
 

@@ -4,7 +4,9 @@
 // operand, and the --name/--no-name toggle pairs must only match their own
 // exact spellings (--board must not swallow --board-jit). These are the
 // parsers behind nfpfuzz's corpus-replay options (--corpus-dir, --seed,
-// --snapshot) and nfpc's snapshot path (--save-state/--load-state).
+// --snapshot) and nfpc's snapshot path (--save-state/--load-state). Numeric
+// operands go through one checked parser (parse_uint) that rejects what
+// strtoull would silently read as 0 or truncate.
 #include "cli_common.h"
 
 #include <gtest/gtest.h>
@@ -142,6 +144,8 @@ TEST(CliCommon, ParseLoopBoundRejectsMalformedText) {
   EXPECT_FALSE(parse_loop_bound("abc=3", bounds));    // non-numeric address
   EXPECT_FALSE(parse_loop_bound("0x40x=3", bounds));  // junk before '='
   EXPECT_FALSE(parse_loop_bound("0x40=3x", bounds));  // junk after value
+  EXPECT_FALSE(parse_loop_bound("0x40=-1", bounds));  // signed count
+  EXPECT_FALSE(parse_loop_bound("0x100000000=3", bounds));  // 33-bit address
   EXPECT_TRUE(bounds.empty());  // rejected operands leave the map untouched
 }
 
@@ -153,6 +157,38 @@ TEST(CliCommon, ParseLoopBoundZeroNeedsAllowZero) {
   // ...but a zero absolute total pins a never-executed loop (--loop-total).
   EXPECT_TRUE(parse_loop_bound("0x40=0", bounds, /*allow_zero=*/true));
   EXPECT_EQ(bounds.at(0x40u), 0u);
+}
+
+TEST(CliCommon, ParseUintAcceptsEveryBase) {
+  std::uint64_t v = 0;
+  EXPECT_TRUE(parse_uint("42", UINT64_MAX, v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(parse_uint("0x2A", UINT64_MAX, v));
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(parse_uint("052", UINT64_MAX, v));  // leading 0 is octal
+  EXPECT_EQ(v, 42u);
+  EXPECT_TRUE(parse_uint("0", UINT64_MAX, v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_uint("0xFFFFFFFF", UINT32_MAX, v));  // bound inclusive
+  EXPECT_EQ(v, 0xFFFFFFFFu);
+  EXPECT_TRUE(parse_uint("18446744073709551615", UINT64_MAX, v));
+  EXPECT_EQ(v, UINT64_MAX);
+}
+
+TEST(CliCommon, ParseUintRejectsMalformedAndOutOfRange) {
+  // Each of these is a usage error, not the 0 (or wrapped value) strtoull
+  // would silently return.
+  std::uint64_t v = 7;
+  EXPECT_FALSE(parse_uint("abc", UINT64_MAX, v));
+  EXPECT_FALSE(parse_uint("2x", UINT32_MAX, v));   // trailing characters
+  EXPECT_FALSE(parse_uint("", UINT64_MAX, v));     // empty value
+  EXPECT_FALSE(parse_uint("-1", UINT64_MAX, v));   // no sign (would wrap)
+  EXPECT_FALSE(parse_uint("+1", UINT64_MAX, v));
+  EXPECT_FALSE(parse_uint(" 1", UINT64_MAX, v));   // no leading space
+  EXPECT_FALSE(parse_uint("0x", UINT64_MAX, v));   // base prefix only
+  EXPECT_FALSE(parse_uint("0x100000000", UINT32_MAX, v));  // 32-bit field
+  EXPECT_FALSE(parse_uint("18446744073709551616", UINT64_MAX, v));  // ERANGE
+  EXPECT_EQ(v, 7u);  // rejected operands leave the output alone
 }
 
 TEST(CliCommon, DispatchNamesRoundTrip) {

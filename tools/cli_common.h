@@ -1,6 +1,8 @@
 // Small shared helpers for the nfp* command-line tools.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -112,22 +114,56 @@ inline bool bool_flag(const std::string& arg, const std::string& name,
   return false;
 }
 
+// Pure core of flag_uint, shared with the tests: parses `text` as an
+// unsigned integer in any strtoull base (decimal, 0x hex, leading-0 octal)
+// into `out`. Rejects empty text, a leading sign or space, trailing
+// characters, and values above `max` (overflow included); `out` is then
+// left alone.
+inline bool parse_uint(const std::string& text, std::uint64_t max,
+                       std::uint64_t& out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text.c_str(), &end, 0);
+  if (*end != '\0' || errno == ERANGE || v > max) return false;
+  out = v;
+  return true;
+}
+
+// The unsigned operand of `flag`, no larger than `max`, or exits with a
+// usage error (status 2) on anything parse_uint rejects.
+inline std::uint64_t flag_uint(const char* text, std::uint64_t max,
+                               const char* flag, const char* tool) {
+  std::uint64_t v = 0;
+  if (!parse_uint(text, max, v)) {
+    std::fprintf(stderr,
+                 "%s: %s wants an unsigned integer no larger than %llu, "
+                 "got '%s'\n",
+                 tool, flag, static_cast<unsigned long long>(max), text);
+    std::exit(2);
+  }
+  return v;
+}
+
 // Parses one repeated "--loop-bound ADDR=N" (or "--loop-total ADDR=N")
-// operand into the annotation map. ADDR and N accept any strtoul base, so
-// "0x40000010=12" and "1073741840=12" are equivalent. N == 0 is rejected
-// unless `allow_zero` — a zero relative bound is meaningless, but a zero
-// absolute total legitimately pins a never-executed loop. Returns false on
-// malformed text (caller reports the usage error).
+// operand into the annotation map. ADDR and N are parse_uint operands (ADDR
+// at most 32 bits), so "0x40000010=12" and "1073741840=12" are equivalent.
+// N == 0 is rejected unless `allow_zero` — a zero relative bound is
+// meaningless, but a zero absolute total legitimately pins a never-executed
+// loop. Returns false on malformed text (caller reports the usage error).
 inline bool parse_loop_bound(const char* text,
                              std::map<std::uint32_t, std::uint64_t>& bounds,
                              bool allow_zero = false) {
   const char* eq = std::strchr(text, '=');
-  if (eq == nullptr || eq == text || eq[1] == '\0') return false;
-  char* end = nullptr;
-  const unsigned long addr = std::strtoul(text, &end, 0);
-  if (end != eq) return false;
-  const unsigned long long n = std::strtoull(eq + 1, &end, 0);
-  if (*end != '\0' || (n == 0 && !allow_zero)) return false;
+  if (eq == nullptr) return false;
+  std::uint64_t addr = 0;
+  std::uint64_t n = 0;
+  if (!parse_uint(std::string(text, eq), UINT32_MAX, addr) ||
+      !parse_uint(eq + 1, UINT64_MAX, n) || (n == 0 && !allow_zero)) {
+    return false;
+  }
   bounds[static_cast<std::uint32_t>(addr)] = n;
   return true;
 }

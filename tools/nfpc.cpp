@@ -179,11 +179,12 @@ int main(int argc, char** argv) {
       want_sim_stats = true;
     } else if (const char* v =
                    nfp::cli::flag_value("--seed", argc, argv, i, "nfpc")) {
-      seed = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+      seed = static_cast<std::uint32_t>(
+          nfp::cli::flag_uint(v, UINT32_MAX, "--seed", "nfpc"));
       have_seed = true;
     } else if (const char* v = nfp::cli::flag_value("--max-insns", argc, argv,
                                                     i, "nfpc")) {
-      max_insns = std::strtoull(v, nullptr, 0);
+      max_insns = nfp::cli::flag_uint(v, UINT64_MAX, "--max-insns", "nfpc");
     } else if (const char* v = nfp::cli::flag_value("--save-state", argc,
                                                     argv, i, "nfpc")) {
       save_state_path = v;
@@ -193,7 +194,8 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--trace", 0) == 0) {
       trace_limit = 64;
       if (arg.size() > 8 && arg[7] == '=') {
-        trace_limit = std::strtoull(arg.c_str() + 8, nullptr, 0);
+        trace_limit =
+            nfp::cli::flag_uint(arg.c_str() + 8, UINT64_MAX, "--trace", "nfpc");
       }
     } else if (arg == "--help" || arg == "-h") {
       std::printf("usage: nfpc [--soft-float] [--asm] [--trace[=N]] "

@@ -15,7 +15,8 @@
 //     --workers N       worker thread count; default min(cores, 8)
 //     --slice N         preemption grain in retired instructions; every job
 //                       is checkpointed and re-queued each N instructions
-//                       (0 = run each job phase to completion; default 0)
+//                       (0 = run each job's one board run to completion;
+//                       default 0)
 //     --max-insns N     per-job retirement budget (default 20e9)
 //     --dispatch MODE   board dispatch: step|block|jit
 //                       (default: jit where available, else block;
@@ -37,7 +38,7 @@
 //                       the dynamic run then refines it and the final
 //                       record carries the same "static" object
 //     --static-only     like --static-first, but an accepted interval is
-//                       served as the final answer (no ISS/board run);
+//                       served as the final answer (no board run);
 //                       refused programs still run dynamically
 //   Positional arguments are SPARC V8 assembly kernels, assembled at the
 //   platform text base and appended after any --campaign set.
@@ -108,20 +109,22 @@ int main(int argc, char** argv) {
       campaign = true;
     } else if (const char* v =
                    nfp::cli::flag_value("--workers", argc, argv, i, "nfpd")) {
-      cfg.workers = static_cast<unsigned>(std::strtoul(v, nullptr, 0));
+      cfg.workers = static_cast<unsigned>(
+          nfp::cli::flag_uint(v, UINT32_MAX, "--workers", "nfpd"));
     } else if (const char* v =
                    nfp::cli::flag_value("--slice", argc, argv, i, "nfpd")) {
-      slice = std::strtoull(v, nullptr, 0);
+      slice = nfp::cli::flag_uint(v, UINT64_MAX, "--slice", "nfpd");
     } else if (const char* v = nfp::cli::flag_value("--max-insns", argc, argv,
                                                     i, "nfpd")) {
-      max_insns = std::strtoull(v, nullptr, 0);
+      max_insns = nfp::cli::flag_uint(v, UINT64_MAX, "--max-insns", "nfpd");
     } else if (const char* v =
                    nfp::cli::flag_value("--dispatch", argc, argv, i, "nfpd")) {
       cfg.dispatch = nfp::cli::effective_dispatch(
           nfp::cli::parse_dispatch(v, "nfpd"), "nfpd");
     } else if (const char* v =
                    nfp::cli::flag_value("--seed", argc, argv, i, "nfpd")) {
-      cfg.board.seed = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+      cfg.board.seed = static_cast<std::uint32_t>(
+          nfp::cli::flag_uint(v, UINT32_MAX, "--seed", "nfpd"));
     } else if (const char* v =
                    nfp::cli::flag_value("--scheme", argc, argv, i, "nfpd")) {
       if (nfp::model::find_estimator(v) == nullptr) {

@@ -75,6 +75,10 @@ const char* flag_value(const std::string& name, int argc, char** argv,
   return nfp::cli::flag_value(name, argc, argv, i, "nfpfuzz");
 }
 
+std::uint64_t flag_uint(const char* v, std::uint64_t max, const char* flag) {
+  return nfp::cli::flag_uint(v, max, flag, "nfpfuzz");
+}
+
 void usage() {
   std::printf(
       "usage: nfpfuzz [--seed N] [--runs N] [--mix NAME|all] [--chunks N]\n"
@@ -92,18 +96,19 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (const char* v = flag_value("--seed", argc, argv, i)) {
-      opt.seed = std::strtoull(v, nullptr, 0);
+      opt.seed = flag_uint(v, UINT64_MAX, "--seed");
     } else if (const char* v = flag_value("--runs", argc, argv, i)) {
-      opt.runs = std::strtoull(v, nullptr, 0);
+      opt.runs = flag_uint(v, UINT64_MAX, "--runs");
     } else if (const char* v = flag_value("--mix", argc, argv, i)) {
       opt.mix = v;
     } else if (const char* v = flag_value("--chunks", argc, argv, i)) {
-      opt.chunks = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+      opt.chunks =
+          static_cast<std::uint32_t>(flag_uint(v, UINT32_MAX, "--chunks"));
     } else if (const char* v = flag_value("--max-insns", argc, argv, i)) {
-      opt.max_insns = std::strtoull(v, nullptr, 0);
+      opt.max_insns = flag_uint(v, UINT64_MAX, "--max-insns");
     } else if (const char* v = flag_value("--checkpoints", argc, argv, i)) {
-      opt.checkpoints =
-          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+      opt.checkpoints = static_cast<std::uint32_t>(
+          flag_uint(v, UINT32_MAX, "--checkpoints"));
     } else if (nfp::cli::bool_flag(arg, "--shrink", opt.shrink) ||
                nfp::cli::bool_flag(arg, "--board", opt.board) ||
                nfp::cli::bool_flag(arg, "--board-jit", opt.board_jit) ||

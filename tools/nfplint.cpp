@@ -64,6 +64,10 @@ const char* flag_value(const std::string& name, int argc, char** argv,
   return nfp::cli::flag_value(name, argc, argv, i, "nfplint");
 }
 
+std::uint64_t flag_uint(const char* v, std::uint64_t max, const char* flag) {
+  return nfp::cli::flag_uint(v, max, flag, "nfplint");
+}
+
 void usage() {
   std::printf(
       "usage: nfplint --sweep [--imm-samples N] [--reg-samples N]\n"
@@ -177,18 +181,19 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (const char* v = flag_value("--imm-samples", argc, argv, i)) {
-      opt.sweep_cfg.imm_samples =
-          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+      opt.sweep_cfg.imm_samples = static_cast<std::uint32_t>(
+          flag_uint(v, UINT32_MAX, "--imm-samples"));
     } else if (const char* v = flag_value("--reg-samples", argc, argv, i)) {
-      opt.sweep_cfg.reg_samples =
-          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+      opt.sweep_cfg.reg_samples = static_cast<std::uint32_t>(
+          flag_uint(v, UINT32_MAX, "--reg-samples"));
     } else if (const char* v = flag_value("--asi-samples", argc, argv, i)) {
-      opt.sweep_cfg.asi_samples =
-          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
+      opt.sweep_cfg.asi_samples = static_cast<std::uint32_t>(
+          flag_uint(v, UINT32_MAX, "--asi-samples"));
     } else if (const char* v = flag_value("--seed", argc, argv, i)) {
-      opt.sweep_cfg.seed = std::strtoull(v, nullptr, 0);
+      opt.sweep_cfg.seed = flag_uint(v, UINT64_MAX, "--seed");
     } else if (const char* v = flag_value("--max-findings", argc, argv, i)) {
-      opt.sweep_cfg.max_findings = std::strtoull(v, nullptr, 0);
+      opt.sweep_cfg.max_findings =
+          flag_uint(v, SIZE_MAX, "--max-findings");
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
