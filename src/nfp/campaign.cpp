@@ -18,8 +18,9 @@ std::vector<KernelRunRecord> Campaign::run(
   if (jobs.empty()) return {};
   ServiceConfig cfg;
   cfg.board = cfg_;
-  // Each idle worker holds one 16 MiB board platform: never start more
-  // than there are jobs.
+  // A worker builds its 16 MiB board only on its first job, so surplus
+  // workers cost no board, but they are still idle threads: never start
+  // more than there are jobs.
   cfg.workers = static_cast<unsigned>(std::min<std::size_t>(
       threads_ == 0 ? CampaignService::default_workers() : threads_,
       jobs.size()));

@@ -85,13 +85,6 @@ void CampaignService::set_sink(std::function<void(const ServiceResult&)> sink) {
   sink_ = std::move(sink);
 }
 
-void CampaignService::set_static_sink(
-    std::function<void(std::uint64_t, const std::string&, const StaticBounds&)>
-        sink) {
-  std::lock_guard<std::mutex> lk(sink_mu_);
-  static_sink_ = std::move(sink);
-}
-
 const CategoryCosts& CampaignService::costs() {
   if (!cfg_.calibrate) {
     throw std::logic_error("CampaignService: calibration disabled");
@@ -175,25 +168,6 @@ bool CampaignService::run_slice(PendingJob& pj, board::Board& brd,
                                 ServiceStats& delta) {
   ++pj.slices;
   ++delta.slices;
-  const KernelJob& job = pj.job;
-
-  // Static fast path: price the program before the first executed
-  // instruction and serve the interval immediately. In static_only mode an
-  // accepted interval IS the answer; refusals fall through to the dynamic
-  // pipeline either way.
-  if (cfg_.static_estimator && !pj.static_bounds) {
-    pj.static_bounds = cfg_.static_estimator(job.program);
-    {
-      std::lock_guard<std::mutex> sg(sink_mu_);
-      if (static_sink_) static_sink_(pj.id, job.name, *pj.static_bounds);
-    }
-    if (cfg_.static_only && pj.static_bounds->accepted) {
-      pj.static_served = true;
-      pj.rec.ok = true;
-      return true;
-    }
-  }
-
   const auto r = run_board(pj, brd, delta);
   if (!r) return false;
   // The board's ledger holds the same per-op retire counts the ISS would
@@ -202,7 +176,7 @@ bool CampaignService::run_slice(PendingJob& pj, board::Board& brd,
   pj.rec.counts = brd.op_counts();
   pj.rec.instret = r->instret;
   pj.rec.exit_code = r->exit_code;
-  pj.rec.measured = brd.measure(job.name);
+  pj.rec.measured = brd.measure(pj.job.name);
   pj.rec.events = brd.events();
   pj.rec.cycles = brd.cycles();
   pj.rec.true_energy_nj = brd.true_energy_nj();
@@ -217,11 +191,14 @@ bool CampaignService::run_slice(PendingJob& pj, board::Board& brd,
 }
 
 void CampaignService::worker_main(unsigned self) {
-  // One board per worker, reused across every slice it runs. Constructing a
-  // Bus zeroes 16 MiB of RAM; reuse amortises that over every slice —
-  // Board::load and restore_state only re-zero the pages the previous slice
-  // touched, so a reused board is observably identical to a fresh one.
-  board::Board brd(cfg_.board);
+  // One board per worker, built on its first job and reused across every
+  // slice it runs. Constructing a Bus zeroes 16 MiB of RAM; reuse amortises
+  // that over every slice — Board::load and restore_state only re-zero the
+  // pages the previous slice touched, so a reused board is observably
+  // identical to a fresh one. Building it inside the job's try means a
+  // worker that never gets a job costs no board, and a failed allocation
+  // becomes that job's error record instead of terminating the process.
+  std::optional<board::Board> brd;
   std::unique_lock<std::mutex> lk(mu_);
   while (true) {
     PendingJob pj;
@@ -236,7 +213,8 @@ void CampaignService::worker_main(unsigned self) {
     ServiceStats delta{};
     bool finished = true;
     try {
-      finished = run_slice(pj, brd, delta);
+      if (!brd) brd.emplace(cfg_.board);
+      finished = run_slice(pj, *brd, delta);
     } catch (const std::exception& e) {
       pj.rec.ok = false;
       pj.rec.error = e.what();
@@ -251,8 +229,6 @@ void CampaignService::worker_main(unsigned self) {
       if (cfg_.calibrate) res.scheme = cfg_.scheme;
       res.slices = pj.slices;
       res.checkpoints = pj.checkpoints;
-      res.static_bounds = std::move(pj.static_bounds);
-      res.static_served = pj.static_served;
       // Streamed before the job counts as completed, so wait_all() never
       // returns with a sink call still in flight; outside the queue lock so
       // a slow sink never stalls the other workers, under sink_mu_ so lines
@@ -298,38 +274,6 @@ void append_kv(std::string& out, const char* key, std::uint64_t value) {
 
 }  // namespace
 
-std::string static_bounds_json(const StaticBounds& b) {
-  if (!b.accepted) {
-    std::string out = "{\"accepted\":false,\"reason\":\"";
-    append_escaped(out, b.reason);
-    out += "\"}";
-    return out;
-  }
-  std::string out = "{\"accepted\":true,";
-  append_kv(out, "insns_lower", b.insns_lower);
-  append_kv(out, "insns_upper", b.insns_upper);
-  append_kv(out, "cycles_lower", b.cycles_lower);
-  append_kv(out, "cycles_upper", b.cycles_upper);
-  append_kv(out, "time_lower_s", b.time_lower_s);
-  append_kv(out, "time_upper_s", b.time_upper_s);
-  append_kv(out, "energy_lower_nj", b.energy_lower_nj);
-  append_kv(out, "energy_upper_nj", b.energy_upper_nj);
-  out.back() = '}';  // replace the trailing comma
-  return out;
-}
-
-std::string static_json_line(std::uint64_t id, const std::string& name,
-                             const StaticBounds& b) {
-  std::string out = "{\"id\":";
-  out += std::to_string(id);
-  out += ",\"name\":\"";
-  append_escaped(out, name);
-  out += "\",\"static\":";
-  out += static_bounds_json(b);
-  out += '}';
-  return out;
-}
-
 std::string result_json_line(const ServiceResult& r) {
   std::string out = "{\"id\":";
   out += std::to_string(r.id);
@@ -373,13 +317,6 @@ std::string result_json_line(const ServiceResult& r) {
   }
   append_kv(out, "slices", r.slices);
   append_kv(out, "checkpoints", r.checkpoints);
-  if (r.static_bounds) {
-    out += "\"static_served\":";
-    out += r.static_served ? "true," : "false,";
-    out += "\"static\":";
-    out += static_bounds_json(*r.static_bounds);
-    out += ',';
-  }
   out.back() = '}';  // replace the trailing comma
   return out;
 }

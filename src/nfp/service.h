@@ -24,12 +24,6 @@
 //    stable submit-order view afterwards. result_json_line() renders a
 //    result as one JSON-lines record for piping (tools/nfpd).
 //
-// An optional static fast path (ServiceConfig::static_estimator, injected
-// by the caller so this library never links the analyzer) serves an
-// execution-free [lower, upper] interval per job before the first slice
-// runs; static_only mode accepts that interval as the final answer and
-// skips the dynamic pipeline entirely (nfpd --static-first/--static-only).
-//
 // Estimates reuse one warm calibration table: the first job that needs it
 // calibrates once (Table I / Eq. 2) and every later job estimates (Eq. 1)
 // from the shared costs.
@@ -56,18 +50,6 @@ namespace nfp::model {
 // for callers that spell the service side.
 using ServiceJob = KernelJob;
 
-// Execution-free interval from a static estimator (analyze/ipet, injected
-// through ServiceConfig::static_estimator): guaranteed [lower, upper] per
-// metric when accepted, otherwise the stable refusal slug.
-struct StaticBounds {
-  bool accepted = false;
-  std::string reason;  // machine-parseable refusal slug when !accepted
-  std::uint64_t insns_lower = 0, insns_upper = 0;
-  std::uint64_t cycles_lower = 0, cycles_upper = 0;
-  double time_lower_s = 0.0, time_upper_s = 0.0;
-  double energy_lower_nj = 0.0, energy_upper_nj = 0.0;
-};
-
 struct ServiceResult {
   std::uint64_t id = 0;  // submit order, dense from 0
   KernelRunRecord record;
@@ -79,12 +61,6 @@ struct ServiceResult {
   std::string scheme;
   std::uint64_t slices = 0;       // board run segments (>= 1)
   std::uint64_t checkpoints = 0;  // serialize/restore round trips
-  // Set when the service ran a static estimator over this job's program.
-  std::optional<StaticBounds> static_bounds;
-  // True when an accepted interval was served as the final answer and the
-  // board refinement run was skipped (ServiceConfig::static_only): the
-  // dynamic fields of `record` are then zero by construction.
-  bool static_served = false;
 };
 
 struct ServiceStats {
@@ -112,16 +88,6 @@ struct ServiceConfig {
   // "time-proxy"). The default keeps the paper's Eq. 1 pipeline
   // bit-identical; the constructor throws on unknown names.
   std::string scheme = "eq1";
-  // Execution-free fast path. When set, a job's first slice runs this
-  // estimator over the program before any execution; the interval streams
-  // immediately through the static sink and rides on the final result.
-  // nfp_model deliberately does not link nfp_analyze — callers (nfpd,
-  // tests) inject analyze_ipet through this hook.
-  std::function<StaticBounds(const asmkit::Program&)> static_estimator;
-  // With a static estimator set: serve accepted intervals as the final
-  // answer and skip the board refinement run entirely. Refused
-  // programs still fall through to the dynamic pipeline.
-  bool static_only = false;
 };
 
 class CampaignService {
@@ -129,8 +95,9 @@ class CampaignService {
   explicit CampaignService(ServiceConfig cfg = {});
   // The worker count behind ServiceConfig::workers = 0:
   // min(hardware_concurrency, 8) — so 1 on a single-core host — or 2 when
-  // the core count is unknown. Each worker holds one 16 MiB board platform,
-  // which is why the default fleet is capped.
+  // the core count is unknown. Each worker that has run a job holds one
+  // 16 MiB board platform (built on its first job), which is why the
+  // default fleet is capped.
   static unsigned default_workers();
   // Drains every submitted job (wait_all), then joins the workers.
   ~CampaignService();
@@ -157,13 +124,6 @@ class CampaignService {
   // submitting.
   void set_sink(std::function<void(const ServiceResult&)> sink);
 
-  // Fast-path sink: called the moment a job's static interval is known —
-  // before any execution — so callers can serve it immediately while the
-  // refinement run proceeds. Same locking discipline as set_sink.
-  void set_static_sink(std::function<void(std::uint64_t id,
-                                          const std::string& name,
-                                          const StaticBounds&)> sink);
-
   // The shared calibration table for the configured scheme (calibrates on
   // first use; throws if the service was configured with calibrate = false).
   const CategoryCosts& costs();
@@ -185,8 +145,6 @@ class CampaignService {
     Estimate estimate;
     std::uint64_t slices = 0;
     std::uint64_t checkpoints = 0;
-    std::optional<StaticBounds> static_bounds;
-    bool static_served = false;
   };
 
   void worker_main(unsigned self);
@@ -223,8 +181,6 @@ class CampaignService {
 
   std::mutex sink_mu_;
   std::function<void(const ServiceResult&)> sink_;
-  std::function<void(std::uint64_t, const std::string&, const StaticBounds&)>
-      static_sink_;
 
   std::once_flag calib_once_;
   std::optional<SchemeCalibration> calibration_;
@@ -233,17 +189,7 @@ class CampaignService {
 };
 
 // One finished job as a JSON-lines record (doubles rendered with enough
-// digits to round-trip bit-exactly). Carries a "static" object when the
-// service ran a static estimator over the job.
+// digits to round-trip bit-exactly).
 std::string result_json_line(const ServiceResult& r);
-
-// The "static" object alone (shared by result_json_line and
-// static_json_line): {"accepted":...,...} or {"accepted":false,"reason":..}.
-std::string static_bounds_json(const StaticBounds& b);
-
-// The static-sink record streamed before a job's first slice:
-// {"id":..,"name":..,"static":{..}}, with the name JSON-escaped.
-std::string static_json_line(std::uint64_t id, const std::string& name,
-                             const StaticBounds& b);
 
 }  // namespace nfp::model

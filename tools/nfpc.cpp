@@ -37,15 +37,9 @@
 //     --load-state FILE resume from a snapshot instead of compiling
 //                       (no .c inputs); continues under --dispatch up to
 //                       --max-insns and may itself --save-state again
-//     --static-bounds   run the execution-free IPET estimator on the
-//                       compiled program before executing it, printing
-//                       guaranteed [lower, upper] NFP intervals (or the
-//                       refusal reason) next to the dynamic numbers
-//     --loop-bound ADDR=N
-//                       annotate a loop header for --static-bounds when
-//                       the counted-loop inference cannot find the bound
-//                       (repeatable; ADDR is the header block address
-//                       from nfplint --dump-cfg)
+//   Any other argument starting with '-' is a usage error (exit 2). For the
+//   execution-free IPET interval of the same source, run
+//   nfplint --mc [--soft-float] --estimate file.c.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -55,8 +49,6 @@
 #include <string>
 #include <vector>
 
-#include "analyze/cfg.h"
-#include "analyze/ipet.h"
 #include "board/board.h"
 #include "cli_common.h"
 #include "mcc/compiler.h"
@@ -73,6 +65,15 @@ std::string read_file(const std::string& path) {
 }
 
 using nfp::cli::dispatch_name;
+
+void usage() {
+  std::printf("usage: nfpc [--soft-float] [--asm] [--trace[=N]] "
+              "[--estimate] [--board] [--counts] [--sim-stats] "
+              "[--scheme=eq1|events|time-proxy] "
+              "[--seed N] [--max-insns N] [--save-state FILE] "
+              "[--load-state FILE] "
+              "[--dispatch=step|block|jit] file.c ...\n");
+}
 
 void print_sim_stats(const nfp::sim::BlockCache* cache) {
   if (cache == nullptr) {
@@ -136,8 +137,6 @@ void print_jit_stats(nfp::sim::BlockCache* cache) {
 int main(int argc, char** argv) {
   bool soft = false, want_asm = false, want_estimate = false;
   bool want_board = false, want_counts = false, want_sim_stats = false;
-  bool want_static = false;
-  nfp::analyze::IpetConfig ipet_cfg;
   nfp::sim::Dispatch dispatch = nfp::sim::Dispatch::kBlock;
   std::size_t trace_limit = 0;
   bool have_seed = false;
@@ -160,14 +159,6 @@ int main(int argc, char** argv) {
       want_board = true;
     } else if (arg == "--counts") {
       want_counts = true;
-    } else if (arg == "--static-bounds") {
-      want_static = true;
-    } else if (const char* v = nfp::cli::flag_value("--loop-bound", argc,
-                                                    argv, i, "nfpc")) {
-      if (!nfp::cli::parse_loop_bound(v, ipet_cfg.loop_bounds)) {
-        std::fprintf(stderr, "nfpc: bad --loop-bound '%s' (want ADDR=N)\n", v);
-        return 2;
-      }
     } else if (const char* v =
                    nfp::cli::flag_value("--dispatch", argc, argv, i, "nfpc")) {
       dispatch = nfp::cli::effective_dispatch(
@@ -198,14 +189,12 @@ int main(int argc, char** argv) {
             nfp::cli::flag_uint(arg.c_str() + 8, UINT64_MAX, "--trace", "nfpc");
       }
     } else if (arg == "--help" || arg == "-h") {
-      std::printf("usage: nfpc [--soft-float] [--asm] [--trace[=N]] "
-                  "[--estimate] [--board] [--counts] [--sim-stats] "
-                  "[--scheme=eq1|events|time-proxy] "
-                  "[--static-bounds] [--loop-bound ADDR=N]... "
-                  "[--seed N] [--max-insns N] [--save-state FILE] "
-                  "[--load-state FILE] "
-                  "[--dispatch=step|block|jit] file.c ...\n");
+      usage();
       return 0;
+    } else if (!arg.empty() && arg[0] == '-') {
+      std::fprintf(stderr, "nfpc: unknown argument '%s'\n", arg.c_str());
+      usage();
+      return 2;
     } else {
       sources.push_back(read_file(arg));
     }
@@ -226,12 +215,10 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!load_state_path.empty()) {
-    if (!sources.empty() || want_asm || want_board || want_static ||
-        trace_limit > 0) {
+    if (!sources.empty() || want_asm || want_board || trace_limit > 0) {
       std::fprintf(stderr,
                    "nfpc: --load-state resumes a snapshot; it takes no .c "
-                   "inputs and excludes --asm/--trace/--board/"
-                   "--static-bounds\n");
+                   "inputs and excludes --asm/--trace/--board\n");
       return 2;
     }
   } else if (sources.empty()) {
@@ -266,17 +253,6 @@ int main(int argc, char** argv) {
       program = compiler.compile(sources);
       std::printf("nfpc: %u bytes at 0x%08x (%s ABI)\n", program->size(),
                   program->base(), soft ? "soft-float" : "hard-float");
-
-      if (want_static) {
-        // Execution-free triangle leg: the IPET intervals are printed
-        // before the run so they can be compared against the dynamic
-        // numbers below (the board truth must land inside them).
-        const nfp::analyze::Cfg cfg = nfp::analyze::build_cfg(*program);
-        const nfp::analyze::IpetResult ipet =
-            nfp::analyze::analyze_ipet(cfg, nfp::board::CostModel{},
-                                       ipet_cfg);
-        std::fputs(nfp::analyze::render(ipet).c_str(), stdout);
-      }
 
       if (trace_limit > 0) {
         nfp::sim::TraceSim tracer(trace_limit);
