@@ -4,7 +4,7 @@
 
 namespace nfp::benchkit {
 
-model::CalibrationResult calibrate(const board::BoardConfig& cfg,
+model::SchemeCalibration calibrate(const board::BoardConfig& cfg,
                                    const model::CategoryScheme& scheme,
                                    model::CalibrationPlan plan) {
   model::Calibrator calibrator(scheme, plan);

@@ -32,8 +32,8 @@ struct EvalResult {
   model::ErrorStats time;
 };
 
-// Calibrates per-category costs on a fresh board with `cfg` (Table I/II).
-model::CalibrationResult calibrate(
+// Calibrates per-category costs on a board with `cfg` (Table I/II, Eq. 2).
+model::SchemeCalibration calibrate(
     const board::BoardConfig& cfg,
     const model::CategoryScheme& scheme = model::CategoryScheme::paper(),
     model::CalibrationPlan plan = {});

@@ -1,14 +1,13 @@
 #include "nfp/calibration.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
 #include <functional>
 #include <stdexcept>
 
 #include "asmkit/assembler.h"
-#include "board/board.h"
+#include "nfp/campaign.h"
 #include "sim/memmap.h"
 
 namespace nfp::model {
@@ -221,35 +220,29 @@ KernelPair make_pair(const std::string& category, const Recipe& recipe,
   return pair;
 }
 
-// One calibration kernel on the bench: the meter reading plus the sample a
-// scheme extracts its features from.
-struct KernelRun {
-  board::Measurement meas;
-  RunSample sample;
-};
-
-// Runs the reference ([0]) and test ([1]) kernel of `pair`, each on a fresh
-// board, and reads the meter under the tag "cal/<category>/ref|test".
-std::array<KernelRun, 2> run_pair(const KernelPair& pair,
-                                  const board::BoardConfig& cfg) {
-  std::array<KernelRun, 2> out;
-  for (const bool is_test : {false, true}) {
-    board::Board brd(cfg);
-    brd.load(asmkit::assemble(is_test ? pair.test_asm : pair.ref_asm,
-                              sim::kTextBase));
-    const auto run_result = brd.run();
-    if (!run_result.halted) {
-      throw std::runtime_error("calibration kernel did not halt: " +
-                               pair.category);
+// Runs the reference and test kernel of every pair as one campaign, each
+// job named by its meter tag "cal/<category>/ref|test". Record 2·i is the
+// reference run of pairs[i], record 2·i + 1 its test run.
+std::vector<KernelRunRecord> measure_pairs(const std::vector<KernelPair>& pairs,
+                                           const board::BoardConfig& cfg) {
+  std::vector<KernelJob> jobs;
+  for (const KernelPair& pair : pairs) {
+    for (const bool is_test : {false, true}) {
+      KernelJob job;
+      job.name = "cal/" + pair.category + (is_test ? "/test" : "/ref");
+      job.program = asmkit::assemble(is_test ? pair.test_asm : pair.ref_asm,
+                                     sim::kTextBase);
+      jobs.push_back(std::move(job));
     }
-    KernelRun& k = out[is_test ? 1 : 0];
-    k.meas = brd.measure("cal/" + pair.category + (is_test ? "/test" : "/ref"));
-    k.sample.counts = brd.op_counts();
-    k.sample.instret = run_result.instret;
-    k.sample.events = brd.events();
-    k.sample.measured_time_s = k.meas.time_s;
   }
-  return out;
+  std::vector<KernelRunRecord> records = Campaign(cfg).run(jobs);
+  for (const KernelRunRecord& rec : records) {
+    if (!rec.ok) {
+      throw std::runtime_error("calibration kernel " + rec.name + ": " +
+                               rec.error);
+    }
+  }
+  return records;
 }
 
 // Ridge-regularized least squares over the calibration samples, solved via
@@ -337,73 +330,67 @@ std::vector<double> fit_least_squares(
 }  // namespace
 
 Calibrator::Calibrator(const CategoryScheme& scheme, CalibrationPlan plan)
-    : scheme_(scheme), plan_(plan) {}
+    : scheme_(scheme), plan_(plan) {
+  if (plan_.loops == 0 || plan_.per_loop == 0) {
+    throw std::invalid_argument(
+        "Calibrator: plan.loops and plan.per_loop must be > 0");
+  }
+}
 
 KernelPair Calibrator::make_kernels(std::size_t category) const {
   const std::string& name = scheme_.category_name(category);
   return make_pair(name, recipe_for(name), plan_);
 }
 
-CalibrationResult Calibrator::run(
-    const board::BoardConfig& cfg,
-    const std::optional<Adaptation>& adapt) const {
-  CalibrationResult result;
-  result.costs.energy_nj.assign(scheme_.size(), 0.0);
-  result.costs.time_ns.assign(scheme_.size(), 0.0);
-
+SchemeCalibration Calibrator::run(const board::BoardConfig& cfg) const {
+  SchemeCalibration out;
+  out.scheme = eq1_estimator().name();
+  out.costs.energy_nj.assign(scheme_.size(), 0.0);
+  out.costs.time_ns.assign(scheme_.size(), 0.0);
+  std::vector<std::size_t> categories;
+  std::vector<KernelPair> pairs;
   for (std::size_t c = 0; c < scheme_.size(); ++c) {
     const std::string& name = scheme_.category_name(c);
+    out.term_names.push_back(name);
     const Recipe recipe = recipe_for(name);
     if (!calibratable(recipe, cfg)) continue;  // zero cost
+    categories.push_back(c);
+    pairs.push_back(make_pair(name, recipe, plan_));
+  }
 
-    const KernelPair pair = make_pair(name, recipe, plan_);
-    const auto [ref, test] = run_pair(pair, cfg);
+  const std::vector<KernelRunRecord> records = measure_pairs(pairs, cfg);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const board::Measurement& ref = records[2 * i].measured;
+    const board::Measurement& test = records[2 * i + 1].measured;
     CategoryCalibration detail;
-    detail.category = name;
-    detail.e_ref_nj = ref.meas.energy_nj;
-    detail.t_ref_s = ref.meas.time_s;
-    detail.e_test_nj = test.meas.energy_nj;
-    detail.t_test_s = test.meas.time_s;
+    detail.category = pairs[i].category;
+    detail.e_ref_nj = ref.energy_nj;
+    detail.t_ref_s = ref.time_s;
+    detail.e_test_nj = test.energy_nj;
+    detail.t_test_s = test.time_s;
 
-    const auto n = static_cast<double>(pair.n_test);
+    const auto n = static_cast<double>(pairs[i].n_test);
     detail.specific_energy_nj = (detail.e_test_nj - detail.e_ref_nj) / n;
     detail.specific_time_ns =
         (detail.t_test_s - detail.t_ref_s) * 1e9 / n;
-    result.costs.energy_nj[c] = detail.specific_energy_nj;
-    result.costs.time_ns[c] = detail.specific_time_ns;
-    result.details.push_back(detail);
+    out.costs.energy_nj[categories[i]] = detail.specific_energy_nj;
+    out.costs.time_ns[categories[i]] = detail.specific_time_ns;
+    out.details.push_back(detail);
   }
-
-  if (adapt) {
-    for (std::size_t c = 0; c < scheme_.size(); ++c) {
-      if (c < adapt->energy_scale.size()) {
-        result.costs.energy_nj[c] *= adapt->energy_scale[c];
-      }
-      if (c < adapt->time_scale.size()) {
-        result.costs.time_ns[c] *= adapt->time_scale[c];
-      }
-    }
-  }
-  return result;
+  out.samples = records.size();
+  return out;
 }
 
 SchemeCalibration Calibrator::fit(const Estimator& estimator,
                                   const board::BoardConfig& cfg) const {
+  // The paper scheme is the Eq. 2 differencing run itself, so the fitted
+  // and classic pipelines agree bit for bit for the default.
+  if (estimator.name() == eq1_estimator().name()) return run(cfg);
+
   SchemeCalibration out;
   out.scheme = estimator.name();
   for (std::size_t t = 0; t < estimator.terms(); ++t) {
     out.term_names.push_back(estimator.term_name(t));
-  }
-
-  // The paper scheme stays on the Eq. 2 differencing path — the fitted and
-  // legacy pipelines must agree bit for bit for the behavior-preserving
-  // default.
-  if (out.scheme == "eq1") {
-    CalibrationResult r = run(cfg);
-    out.costs = std::move(r.costs);
-    out.samples = r.details.size() * 2;
-    out.details = std::move(r.details);
-    return out;
   }
 
   // Every other scheme: least squares over the same Table-II ref/test
@@ -447,20 +434,24 @@ SchemeCalibration Calibrator::fit(const Estimator& estimator,
                             i);
             }});
 
+  const std::vector<KernelRunRecord> records = measure_pairs(pairs, cfg);
   std::vector<std::vector<double>> rows;
   std::vector<double> energy_nj;
   std::vector<double> time_ns;
-  for (const KernelPair& pair : pairs) {
-    const auto [ref, test] = run_pair(pair, cfg);
-    const std::vector<double> features_ref = estimator.features(ref.sample);
-    const std::vector<double> features_test = estimator.features(test.sample);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const KernelRunRecord& ref = records[2 * i];
+    const KernelRunRecord& test = records[2 * i + 1];
+    const std::vector<double> features_ref =
+        estimator.features(run_sample(ref));
+    const std::vector<double> features_test =
+        estimator.features(run_sample(test));
     std::vector<double> delta(features_test.size(), 0.0);
     for (std::size_t j = 0; j < delta.size(); ++j) {
       delta[j] = features_test[j] - features_ref[j];
     }
     rows.push_back(std::move(delta));
-    energy_nj.push_back(test.meas.energy_nj - ref.meas.energy_nj);
-    time_ns.push_back((test.meas.time_s - ref.meas.time_s) * 1e9);
+    energy_nj.push_back(test.measured.energy_nj - ref.measured.energy_nj);
+    time_ns.push_back((test.measured.time_s - ref.measured.time_s) * 1e9);
   }
   out.samples = rows.size();
   out.costs.energy_nj = fit_least_squares(rows, energy_nj);

@@ -3,14 +3,15 @@
 // For every category of a scheme, two kernels are generated following
 // Table II: a *reference* kernel (an empty counted loop) and a *test*
 // kernel (the same loop containing `per_loop` instances of instructions
-// from the category). Both run on the measurement board; Eq. 2
+// from the category). All kernels of a calibration run as one measurement
+// campaign (nfp/campaign.h), each read under the meter tag
+// "cal/<category>/ref|test"; Eq. 2
 //
 //   e_c = (E_test − E_ref) / n_test     t_c = (T_test − T_ref) / n_test
 //
 // yields the per-instruction costs, with n_test = loops · per_loop.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,14 +43,9 @@ struct CategoryCalibration {
   double specific_time_ns = 0;    // t_c
 };
 
-struct CalibrationResult {
-  CategoryCosts costs;
-  std::vector<CategoryCalibration> details;
-};
-
 // Calibrated coefficient vector for one estimation scheme (nfp/estimator.h).
-// For "eq1" this wraps the classic Eq. 2 differencing result (details
-// included, costs bit-identical to Calibrator::run); other schemes carry a
+// Calibrator::run fills it from Eq. 2 ("eq1", one term per category of the
+// calibrator's scheme, details included); other schemes carry a
 // least-squares fit over the same Table-II calibration runs.
 struct SchemeCalibration {
   std::string scheme;
@@ -60,31 +56,26 @@ struct SchemeCalibration {
   std::vector<CategoryCalibration> details;
 };
 
-// Post-calibration manual adaptation (paper: "the values are checked for
-// consistency and manually adapted, if necessary").
-struct Adaptation {
-  std::vector<double> energy_scale;  // per category; empty = all 1.0
-  std::vector<double> time_scale;
-};
-
 class Calibrator {
  public:
+  // Throws std::invalid_argument when plan.loops or plan.per_loop is 0.
   explicit Calibrator(const CategoryScheme& scheme = CategoryScheme::paper(),
                       CalibrationPlan plan = {});
 
   // Generates the Table-II kernel pair for one category of the scheme.
   KernelPair make_kernels(std::size_t category) const;
 
-  // Full calibration campaign on a board with the given configuration.
-  // FPU categories are skipped (zero cost) when the board has no FPU.
-  CalibrationResult run(const board::BoardConfig& cfg,
-                        const std::optional<Adaptation>& adapt = {}) const;
+  // Eq. 2 calibration of the scheme's categories on a board with the given
+  // configuration: the "eq1" model with one term per category. Categories
+  // the board cannot execute (FPU without an FPU, mul/div without the
+  // hardware unit) are skipped and cost zero.
+  SchemeCalibration run(const board::BoardConfig& cfg) const;
 
-  // Calibrates any registered scheme's coefficient vector. "eq1" goes
-  // through the Eq. 2 differencing path above (bit-identical costs); every
-  // other scheme is fitted by ridge-regularized least squares over the same
-  // Table-II ref/test kernel runs, with the feature vectors the scheme
-  // extracts from each board run (per-op counts, PMU events, bench time).
+  // Calibrates any registered scheme's coefficient vector. "eq1" is run();
+  // every other scheme is fitted by ridge-regularized least squares over
+  // the same Table-II ref/test kernel runs, with the feature vectors the
+  // scheme extracts from each board run (per-op counts, PMU events, bench
+  // time).
   SchemeCalibration fit(const Estimator& estimator,
                         const board::BoardConfig& cfg) const;
 

@@ -21,6 +21,13 @@ CampaignService::CampaignService(ServiceConfig cfg)
                                 cfg_.scheme + "' (known: " +
                                 estimator_names() + ")");
   }
+  // Before the pool starts: the calibration campaign runs its own workers,
+  // and a failure here is one constructor exception.
+  if (cfg_.calibrate) {
+    calibration_ =
+        Calibrator(CategoryScheme::paper(), cfg_.plan).fit(*estimator_,
+                                                           cfg_.board);
+  }
   const unsigned workers =
       cfg_.workers == 0 ? default_workers() : cfg_.workers;
   shards_.resize(workers);
@@ -85,12 +92,11 @@ void CampaignService::set_sink(std::function<void(const ServiceResult&)> sink) {
   sink_ = std::move(sink);
 }
 
-const CategoryCosts& CampaignService::costs() {
+const CategoryCosts& CampaignService::costs() const {
   if (!cfg_.calibrate) {
     throw std::logic_error("CampaignService: calibration disabled");
   }
-  ensure_calibrated();
-  return calibration_->costs;
+  return calibration_.costs;
 }
 
 std::vector<ServiceResult> CampaignService::run_jobs(
@@ -98,16 +104,6 @@ std::vector<ServiceResult> CampaignService::run_jobs(
   for (auto& job : jobs) submit(std::move(job));
   wait_all();
   return results();
-}
-
-void CampaignService::ensure_calibrated() {
-  std::call_once(calib_once_, [&] {
-    // fit() routes "eq1" through the classic Eq. 2 differencing run, so the
-    // default scheme's table is bit-identical to Calibrator::run().
-    calibration_ =
-        Calibrator(CategoryScheme::paper(), cfg_.plan).fit(*estimator_,
-                                                           cfg_.board);
-  });
 }
 
 bool CampaignService::pop_job(unsigned self, PendingJob& out) {
@@ -182,9 +178,7 @@ bool CampaignService::run_slice(PendingJob& pj, board::Board& brd,
   pj.rec.true_energy_nj = brd.true_energy_nj();
   pj.rec.true_time_s = brd.true_time_s();
   if (cfg_.calibrate) {
-    ensure_calibrated();
-    pj.estimate = estimator_->estimate(run_sample(pj.rec),
-                                       calibration_->costs);
+    pj.estimate = estimator_->estimate(run_sample(pj.rec), calibration_.costs);
   }
   pj.rec.ok = true;
   return true;

@@ -24,9 +24,9 @@
 //    stable submit-order view afterwards. result_json_line() renders a
 //    result as one JSON-lines record for piping (tools/nfpd).
 //
-// Estimates reuse one warm calibration table: the first job that needs it
-// calibrates once (Table I / Eq. 2) and every later job estimates (Eq. 1)
-// from the shared costs.
+// Estimates reuse one warm calibration table: the service calibrates once at
+// construction (Table I / Eq. 2, before its workers start) and every job
+// estimates (Eq. 1) from the shared costs.
 #pragma once
 
 #include <cstdint>
@@ -80,8 +80,8 @@ struct ServiceConfig {
   // code can run, chained kBlock elsewhere). Board accounting is
   // bit-identical across modes, so this is purely a speed knob.
   std::optional<sim::Dispatch> dispatch;
-  // Compute estimates via a warm calibration table (calibrated once,
-  // lazily, with `plan` against the service's board config).
+  // Compute estimates via a warm calibration table (calibrated once, at
+  // construction, with `plan` against the service's board config).
   bool calibrate = true;
   CalibrationPlan plan{};
   // Estimation scheme (nfp/estimator.h registry: "eq1", "events",
@@ -92,6 +92,8 @@ struct ServiceConfig {
 
 class CampaignService {
  public:
+  // Throws std::invalid_argument on an unknown scheme, and whatever the
+  // calibration throws when cfg.calibrate is set.
   explicit CampaignService(ServiceConfig cfg = {});
   // The worker count behind ServiceConfig::workers = 0:
   // min(hardware_concurrency, 8) — so 1 on a single-core host — or 2 when
@@ -124,9 +126,10 @@ class CampaignService {
   // submitting.
   void set_sink(std::function<void(const ServiceResult&)> sink);
 
-  // The shared calibration table for the configured scheme (calibrates on
-  // first use; throws if the service was configured with calibrate = false).
-  const CategoryCosts& costs();
+  // The shared calibration table for the configured scheme (calibrated
+  // once at construction; throws if the service was configured with
+  // calibrate = false).
+  const CategoryCosts& costs() const;
   // The scheme the service estimates with (resolved from
   // ServiceConfig::scheme at construction).
   const Estimator& estimator() const { return *estimator_; }
@@ -160,7 +163,6 @@ class CampaignService {
   // spent.
   std::optional<sim::RunResult> run_board(PendingJob& pj, board::Board& brd,
                                           ServiceStats& delta);
-  void ensure_calibrated();
 
   ServiceConfig cfg_;
   const Estimator* estimator_;  // resolved from cfg_.scheme (never null)
@@ -182,8 +184,7 @@ class CampaignService {
   std::mutex sink_mu_;
   std::function<void(const ServiceResult&)> sink_;
 
-  std::once_flag calib_once_;
-  std::optional<SchemeCalibration> calibration_;
+  SchemeCalibration calibration_;  // empty when cfg_.calibrate is off
 
   std::vector<std::thread> pool_;
 };

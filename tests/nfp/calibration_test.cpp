@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <stdexcept>
+
+#include "asmkit/assembler.h"
+#include "board/board.h"
 #include "board/cost_model.h"
+#include "sim/memmap.h"
 
 namespace nfp::model {
 namespace {
@@ -95,33 +101,80 @@ TEST(Calibration, FpuCategoriesSkippedWithoutFpu) {
   EXPECT_GT(result.costs.energy_nj[0], 0.0);
 }
 
-TEST(Calibration, AdaptationScalesCosts) {
-  board::BoardConfig cfg;
-  cfg.enable_variation = false;
-  cfg.enable_meter_noise = false;
-  Calibrator cal(CategoryScheme::paper(), small_plan());
-  Adaptation adapt;
-  adapt.energy_scale.assign(9, 1.0);
-  adapt.energy_scale[0] = 2.0;
-  const auto base = cal.run(cfg);
-  const auto adapted = cal.run(cfg, adapt);
-  EXPECT_NEAR(adapted.costs.energy_nj[0], 2.0 * base.costs.energy_nj[0],
-              1e-9);
-  EXPECT_DOUBLE_EQ(adapted.costs.energy_nj[1], base.costs.energy_nj[1]);
-}
-
 TEST(Calibration, AlternativeSchemesCalibratable) {
   board::BoardConfig cfg;
   cfg.enable_variation = false;
   cfg.enable_meter_noise = false;
   for (const auto* scheme :
        {&CategoryScheme::coarse(), &CategoryScheme::fine()}) {
+    // fit(eq1) is run(): one term per category of the calibrator's scheme,
+    // named after it.
     Calibrator cal(*scheme, small_plan());
-    const auto result = cal.run(cfg);
-    EXPECT_EQ(result.costs.energy_nj.size(), scheme->size());
+    const auto result = cal.fit(eq1_estimator(), cfg);
+    EXPECT_EQ(result.scheme, "eq1");
+    ASSERT_EQ(result.costs.size(), scheme->size());
+    ASSERT_EQ(result.term_names.size(), scheme->size());
+    for (std::size_t c = 0; c < scheme->size(); ++c) {
+      EXPECT_EQ(result.term_names[c], scheme->category_name(c))
+          << scheme->name();
+    }
     for (const auto& d : result.details) {
       EXPECT_GT(d.specific_energy_nj, 0.0) << scheme->name() << d.category;
       EXPECT_GT(d.specific_time_ns, 0.0) << scheme->name() << d.category;
+    }
+  }
+}
+
+TEST(Calibration, RejectsZeroLoops) {
+  EXPECT_THROW(
+      Calibrator(CategoryScheme::paper(), {.loops = 0, .per_loop = 32}),
+      std::invalid_argument);
+}
+
+TEST(Calibration, RejectsZeroPerLoop) {
+  EXPECT_THROW(
+      Calibrator(CategoryScheme::paper(), {.loops = 20'000, .per_loop = 0}),
+      std::invalid_argument);
+}
+
+// Reference for the campaign path: each Table-II kernel alone on a fresh
+// board, stepped one instruction at a time and read under the same meter
+// tag, then Eq. 2 by hand. Calibrator::run must reproduce it bit for bit.
+board::Measurement fresh_board_run(const board::BoardConfig& cfg,
+                                   const std::string& source,
+                                   const std::string& tag) {
+  board::Board brd(cfg);
+  brd.load(asmkit::assemble(source, sim::kTextBase));
+  const auto run = brd.run(board::Board::kDefaultMaxInsns,
+                           sim::Dispatch::kStep);
+  if (!run.halted) throw std::runtime_error(tag + " did not halt");
+  return brd.measure(tag);
+}
+
+TEST(Calibration, MatchesFreshBoardPerKernel) {
+  board::BoardConfig no_fpu;
+  no_fpu.has_fpu = false;
+  for (const board::BoardConfig& cfg : {board::BoardConfig{}, no_fpu}) {
+    const Calibrator cal(CategoryScheme::paper(), small_plan());
+    const SchemeCalibration result = cal.run(cfg);
+    for (std::size_t c = 0; c < CategoryScheme::paper().size(); ++c) {
+      const KernelPair pair = cal.make_kernels(c);
+      double want_e = 0.0;
+      double want_t = 0.0;
+      if (cfg.has_fpu || pair.category.rfind("FPU", 0) != 0) {
+        const std::string tag = "cal/" + pair.category;
+        const auto ref = fresh_board_run(cfg, pair.ref_asm, tag + "/ref");
+        const auto test = fresh_board_run(cfg, pair.test_asm, tag + "/test");
+        const auto n = static_cast<double>(pair.n_test);
+        want_e = (test.energy_nj - ref.energy_nj) / n;
+        want_t = (test.time_s - ref.time_s) * 1e9 / n;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.costs.energy_nj[c]),
+                std::bit_cast<std::uint64_t>(want_e))
+          << pair.category << " fpu=" << cfg.has_fpu;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(result.costs.time_ns[c]),
+                std::bit_cast<std::uint64_t>(want_t))
+          << pair.category << " fpu=" << cfg.has_fpu;
     }
   }
 }

@@ -121,7 +121,7 @@ TEST(SchemeAccuracySmoke, Eq1SchemeIsBitIdenticalOnRealKernels) {
   // and estimates through the scheme interface the same doubles as the
   // legacy pipeline, kernel for kernel.
   const SchemeCalibration fitted = calibrator.fit(eq1_estimator(), cfg);
-  const CalibrationResult classic = calibrator.run(cfg);
+  const SchemeCalibration classic = calibrator.run(cfg);
   ASSERT_EQ(fitted.costs.energy_nj.size(), classic.costs.energy_nj.size());
   for (std::size_t c = 0; c < classic.costs.energy_nj.size(); ++c) {
     EXPECT_EQ(fitted.costs.energy_nj[c], classic.costs.energy_nj[c]);

@@ -23,8 +23,10 @@
 //                       accounting is bit-identical across modes)
 //     --seed N          board noise seed (BoardConfig::seed)
 //     --estimate / --no-estimate
-//                       calibrate once and add estimates to every record
-//                       (default on)
+//                       calibrate once, before any job runs, and add
+//                       estimates to every record (default on); the
+//                       calibration kernels run on the campaign's default
+//                       worker count, not --workers
 //     --scheme NAME     estimation scheme behind the estimates: eq1 (paper
 //                       Eq. 1, default; bit-identical to the classic
 //                       pipeline), events (PMU event-counter model), or
@@ -39,6 +41,7 @@
 //   Exit status: 0 if every job succeeded, 1 otherwise, 2 on usage.
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -147,25 +150,33 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  nfp::model::CampaignService service(cfg);
-  service.set_sink([](const nfp::model::ServiceResult& r) {
+  // With --estimate the constructor calibrates; a failure there is one
+  // error for the whole run, with the exit status of a failed job.
+  std::optional<nfp::model::CampaignService> service;
+  try {
+    service.emplace(cfg);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "nfpd: %s\n", e.what());
+    return 1;
+  }
+  service->set_sink([](const nfp::model::ServiceResult& r) {
     std::puts(nfp::model::result_json_line(r).c_str());
     std::fflush(stdout);
   });
 
   std::size_t failed = 0;
-  const auto results = service.run_jobs(std::move(jobs));
+  const auto results = service->run_jobs(std::move(jobs));
   for (const auto& r : results) {
     if (!r.record.ok) ++failed;
   }
-  const auto stats = service.stats();
+  const auto stats = service->stats();
   std::fprintf(stderr,
                "nfpd: %llu job(s) on %u worker(s) under %s dispatch: "
                "%llu slice(s), %llu checkpoint(s) (%llu bytes), "
                "%llu resume(s), %llu steal(s), %zu failure(s)\n",
                static_cast<unsigned long long>(stats.jobs_completed),
-               service.workers(),
-               nfp::cli::dispatch_name(service.board_dispatch()),
+               service->workers(),
+               nfp::cli::dispatch_name(service->board_dispatch()),
                static_cast<unsigned long long>(stats.slices),
                static_cast<unsigned long long>(stats.checkpoints),
                static_cast<unsigned long long>(stats.checkpoint_bytes),
