@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "nfp/campaign.h"
+#include "sim/json.h"
 #include "support.h"
 #include "workloads/kernels.h"
 
@@ -120,13 +121,11 @@ int main(int argc, char** argv) {
     if (!seen) groups.push_back(g);
   }
 
-  std::FILE* json = std::fopen("BENCH_scheme_accuracy.json", "w");
-  if (json != nullptr) {
-    std::fprintf(json, "{\"kernels\":%zu,\"schemes\":[", jobs.size());
-  }
+  sim::JsonWriter json;
+  json.begin_object().field("kernels", jobs.size());
+  json.key("schemes").begin_array();
 
   const auto& eq1_costs = calibrations[0].costs;
-  bool first_scheme = true;
   for (std::size_t s = 0; s < calibrations.size(); ++s) {
     const model::Estimator& est = *model::all_estimators()[s];
     const auto& calib = calibrations[s];
@@ -180,31 +179,23 @@ int main(int argc, char** argv) {
     }
     std::printf("%s", table.to_string().c_str());
 
-    if (json != nullptr) {
-      std::fprintf(json, "%s{\"scheme\":\"%s\",\"terms\":%zu,\"samples\":%zu,"
-                   "\"groups\":[",
-                   first_scheme ? "" : ",",
-                   std::string(est.name()).c_str(), est.terms(),
-                   calib.samples);
-      first_scheme = false;
-      bool first_group = true;
-      for (const auto& g : rows) {
-        std::fprintf(
-            json,
-            "%s{\"group\":\"%s\",\"kernels\":%zu,"
-            "\"energy\":{\"mean_abs\":%.17g,\"max_abs\":%.17g},"
-            "\"time\":{\"mean_abs\":%.17g,\"max_abs\":%.17g}}",
-            first_group ? "" : ",", g.group.c_str(), g.kernels,
-            g.energy.mean_abs, g.energy.max_abs, g.time.mean_abs,
-            g.time.max_abs);
-        first_group = false;
-      }
-      std::fputs("]}", json);
+    json.begin_object().field("scheme", est.name());
+    json.field("terms", est.terms()).field("samples", calib.samples);
+    json.key("groups").begin_array();
+    for (const auto& g : rows) {
+      json.begin_object().field("group", g.group).field("kernels", g.kernels);
+      json.key("energy").begin_object().field("mean_abs", g.energy.mean_abs);
+      json.field("max_abs", g.energy.max_abs).end_object();
+      json.key("time").begin_object().field("mean_abs", g.time.mean_abs);
+      json.field("max_abs", g.time.max_abs).end_object();
+      json.end_object();
     }
+    json.end_array().end_object();
   }
-  if (json != nullptr) {
-    std::fputs("]}\n", json);
-    std::fclose(json);
+  json.end_array().end_object();
+  if (std::FILE* f = std::fopen("BENCH_scheme_accuracy.json", "w")) {
+    std::fprintf(f, "%s\n", json.str().c_str());
+    std::fclose(f);
     std::printf("\nwrote BENCH_scheme_accuracy.json\n");
   }
 

@@ -27,6 +27,7 @@
 #include "analyze/ipet.h"
 #include "analyze/profile.h"
 #include "nfp/campaign.h"
+#include "sim/json.h"
 #include "support.h"
 #include "workloads/kernels.h"
 
@@ -213,48 +214,50 @@ int main() {
 
   // Persist the triangle for trend tracking (same repo-root convention as
   // BENCH_simspeed.json).
-  if (std::FILE* f = std::fopen("BENCH_static_triangle.json", "w")) {
-    std::fprintf(f,
-                 "{\"kernels\":%zu,\"accepted\":%zu,\"profiled\":%zu,"
-                 "\"violations\":%d,\"estimate_inside\":%zu,"
-                 "\"static_seconds\":%.6g,"
-                 "\"eps\":{"
-                 "\"cycles_upper\":{\"mean\":%.6g,\"max\":%.6g},"
-                 "\"cycles_lower\":{\"mean\":%.6g,\"max\":%.6g},"
-                 "\"energy_upper\":{\"mean\":%.6g,\"max\":%.6g},"
-                 "\"energy_lower\":{\"mean\":%.6g,\"max\":%.6g}},"
-                 "\"rows\":[",
-                 rows.size(), accepted, profiled, violations, estimate_inside,
-                 static_s, up_cycles.mean(), up_cycles.max, lo_cycles.mean(),
-                 lo_cycles.max, up_energy.mean(), up_energy.max,
-                 lo_energy.mean(), lo_energy.max);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& row = rows[i];
-      std::fprintf(f, "%s{\"name\":\"%s\",\"accepted\":%s",
-                   i == 0 ? "" : ",", row.name.c_str(),
-                   row.accepted ? "true" : "false");
-      if (row.accepted) {
-        std::fprintf(
-            f,
-            ",\"profiled\":%s,\"truth\":{\"insns\":%llu,\"cycles\":%llu,"
-            "\"energy_nj\":%.17g,\"time_s\":%.17g},"
-            "\"static\":{\"insns\":[%.17g,%.17g],\"cycles\":[%.17g,%.17g],"
-            "\"energy_nj\":[%.17g,%.17g],\"time_s\":[%.17g,%.17g]},"
-            "\"estimate\":{\"energy_nj\":%.17g,\"time_s\":%.17g}",
-            row.used_profile ? "true" : "false",
-            static_cast<unsigned long long>(row.instret),
-            static_cast<unsigned long long>(row.cycles), row.energy_nj,
-            row.time_s, row.ipet.insns.lower, row.ipet.insns.upper,
-            row.ipet.cycles.lower, row.ipet.cycles.upper,
-            row.ipet.energy_nj.lower, row.ipet.energy_nj.upper,
-            row.ipet.time_s.lower, row.ipet.time_s.upper,
-            row.estimate.energy_nj, row.estimate.time_s);
-      } else {
-        std::fprintf(f, ",\"refusal\":\"%s\"", row.refusal.c_str());
-      }
-      std::fputs("}", f);
+  sim::JsonWriter json;
+  json.begin_object().field("kernels", rows.size());
+  json.field("accepted", accepted).field("profiled", profiled);
+  json.field("violations", violations);
+  json.field("estimate_inside", estimate_inside);
+  json.field("static_seconds", static_s).key("eps").begin_object();
+  // {"<k1>":a,"<k2>":b} under `name`.
+  const auto pair = [&json](const char* name, const char* k1, double a,
+                            const char* k2, double b) {
+    json.key(name).begin_object().field(k1, a).field(k2, b).end_object();
+  };
+  pair("cycles_upper", "mean", up_cycles.mean(), "max", up_cycles.max);
+  pair("cycles_lower", "mean", lo_cycles.mean(), "max", lo_cycles.max);
+  pair("energy_upper", "mean", up_energy.mean(), "max", up_energy.max);
+  pair("energy_lower", "mean", lo_energy.mean(), "max", lo_energy.max);
+  json.end_object().key("rows").begin_array();
+  const auto interval = [&json](const char* name,
+                                const analyze::IpetInterval& i) {
+    json.key(name).begin_array().value(i.lower).value(i.upper).end_array();
+  };
+  for (const auto& row : rows) {
+    json.begin_object().field("name", row.name);
+    json.field("accepted", row.accepted);
+    if (row.accepted) {
+      json.field("profiled", row.used_profile).key("truth").begin_object();
+      json.field("insns", row.instret).field("cycles", row.cycles);
+      json.field("energy_nj", row.energy_nj).field("time_s", row.time_s);
+      json.end_object();
+      json.key("static").begin_object();
+      interval("insns", row.ipet.insns);
+      interval("cycles", row.ipet.cycles);
+      interval("energy_nj", row.ipet.energy_nj);
+      interval("time_s", row.ipet.time_s);
+      json.end_object();
+      pair("estimate", "energy_nj", row.estimate.energy_nj, "time_s",
+           row.estimate.time_s);
+    } else {
+      json.field("refusal", row.refusal);
     }
-    std::fputs("]}\n", f);
+    json.end_object();
+  }
+  json.end_array().end_object();
+  if (std::FILE* f = std::fopen("BENCH_static_triangle.json", "w")) {
+    std::fprintf(f, "%s\n", json.str().c_str());
     std::fclose(f);
     std::printf("wrote BENCH_static_triangle.json\n");
   }

@@ -116,15 +116,13 @@ StaticVector vector_of_path(const Cfg& cfg, const board::CostModel& costs,
   return v;
 }
 
-std::string vector_json(const StaticVector& v) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "{\"insns\":%llu,\"cycles\":%llu,\"time_s\":%.17g,"
-                "\"energy_nj\":%.17g}",
-                static_cast<unsigned long long>(v.insns),
-                static_cast<unsigned long long>(v.cycles), v.time_s,
-                v.energy_nj);
-  return buf;
+void to_json(sim::JsonWriter& w, const StaticVector& v) {
+  w.begin_object()
+      .field("insns", v.insns)
+      .field("cycles", v.cycles)
+      .field("time_s", v.time_s)
+      .field("energy_nj", v.energy_nj)
+      .end_object();
 }
 
 }  // namespace
@@ -170,19 +168,14 @@ std::string render(const BoundsResult& r) {
   return out;
 }
 
-std::string to_json(const BoundsResult& r) {
-  char buf[64];
-  std::string out = "{\"has_exit\":";
-  out += r.has_exit ? "true" : "false";
+void to_json(sim::JsonWriter& w, const BoundsResult& r) {
+  w.begin_object().field("has_exit", r.has_exit);
   if (r.has_exit) {
-    out += ",\"lower\":" + vector_json(r.lower);
-    std::snprintf(buf, sizeof buf, ",\"lower_energy_nj\":%.17g",
-                  r.lower_energy_nj);
-    out += buf;
-    out += std::string(",\"lower_exact\":") + (r.lower_exact ? "true" : "false");
+    to_json(w.key("lower"), r.lower);
+    w.field("lower_energy_nj", r.lower_energy_nj)
+        .field("lower_exact", r.lower_exact);
   }
-  out += "}";
-  return out;
+  w.end_object();
 }
 
 }  // namespace nfp::analyze

@@ -18,6 +18,7 @@
 #include "analyze/cfg.h"
 #include "board/cost_model.h"
 #include "nfp/estimator.h"
+#include "sim/json.h"
 
 namespace nfp::analyze {
 
@@ -57,7 +58,7 @@ inline model::Estimate fold(const StaticVector& v,
 // Human-readable report (used by nfplint --bounds).
 std::string render(const BoundsResult& result);
 
-// Single JSON object (no trailing newline) for nfplint --bounds --json.
-std::string to_json(const BoundsResult& result);
+// One JSON object, for nfplint --bounds --json.
+void to_json(sim::JsonWriter& w, const BoundsResult& result);
 
 }  // namespace nfp::analyze

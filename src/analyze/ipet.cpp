@@ -9,7 +9,6 @@
 #include "analyze/loops.h"
 #include "analyze/lp.h"
 #include "board/config.h"
-#include "nfp/json.h"
 
 namespace nfp::analyze {
 namespace {
@@ -600,58 +599,45 @@ std::string render(const IpetResult& r) {
 
 namespace {
 
-std::string interval_json(const IpetInterval& i) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "{\"lower\":%.17g,\"upper\":%.17g}", i.lower,
-                i.upper);
-  return buf;
+void to_json(sim::JsonWriter& w, const IpetInterval& i) {
+  w.begin_object().field("lower", i.lower).field("upper", i.upper).end_object();
 }
 
 }  // namespace
 
-std::string to_json(const IpetResult& r) {
-  std::string out = "{";
-  out += "\"accepted\":";
-  out += r.accepted ? "true" : "false";
+void to_json(sim::JsonWriter& w, const IpetResult& r) {
+  w.begin_object().field("accepted", r.accepted);
   if (!r.accepted) {
-    out += std::string(",\"reason\":\"") + to_string(r.refusal) + "\"";
-    out += ",\"block\":\"" + hex(r.refusal_block) + "\"";
-    out += ",\"detail\":\"";
-    append_escaped(out, r.refusal_detail);
-    out += "\"}";
-    return out;
+    w.field("reason", to_string(r.refusal))
+        .field("block", hex(r.refusal_block))
+        .field("detail", r.refusal_detail)
+        .end_object();
+    return;
   }
-  out += ",\"insns\":" + interval_json(r.insns);
-  out += ",\"cycles\":" + interval_json(r.cycles);
-  out += ",\"time_s\":" + interval_json(r.time_s);
-  out += ",\"energy_nj\":" + interval_json(r.energy_nj);
-  out += ",\"functions\":" + std::to_string(r.functions);
-  out += ",\"lp_pivots\":" + std::to_string(r.lp_pivots);
-  out += std::string(",\"lower_clamped\":") +
-         (r.lower_clamped ? "true" : "false");
-  out += ",\"loops\":[";
-  for (std::size_t i = 0; i < r.loops.size(); ++i) {
-    const IpetLoop& loop = r.loops[i];
-    if (i != 0) out += ",";
-    out += "{\"header\":\"" + hex(loop.header) + "\"";
-    out += ",\"function\":\"" + hex(loop.function) + "\"";
-    out += ",\"depth\":" + std::to_string(loop.depth);
+  to_json(w.key("insns"), r.insns);
+  to_json(w.key("cycles"), r.cycles);
+  to_json(w.key("time_s"), r.time_s);
+  to_json(w.key("energy_nj"), r.energy_nj);
+  w.field("functions", r.functions)
+      .field("lp_pivots", r.lp_pivots)
+      .field("lower_clamped", r.lower_clamped);
+  w.key("loops").begin_array();
+  for (const IpetLoop& loop : r.loops) {
     const char* kind = loop.source == IpetBoundSource::kAnnotated
                            ? "annotated"
                            : loop.source == IpetBoundSource::kInferred
                                  ? "inferred"
                                  : "total";
-    out += std::string(",\"source\":\"") + kind + "\"";
-    out += ",\"bound\":" + std::to_string(loop.bound);
-    if (!loop.detail.empty()) {
-      out += ",\"detail\":\"";
-      append_escaped(out, loop.detail);
-      out += "\"";
-    }
-    out += "}";
+    w.begin_object()
+        .field("header", hex(loop.header))
+        .field("function", hex(loop.function))
+        .field("depth", loop.depth)
+        .field("source", kind)
+        .field("bound", loop.bound);
+    if (!loop.detail.empty()) w.field("detail", loop.detail);
+    w.end_object();
   }
-  out += "]}";
-  return out;
+  w.end_array().end_object();
 }
 
 }  // namespace nfp::analyze

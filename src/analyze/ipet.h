@@ -120,7 +120,7 @@ IpetResult analyze_ipet(const Cfg& cfg, const board::CostModel& costs,
 // Human-readable report (nfplint --estimate).
 std::string render(const IpetResult& result);
 
-// Single JSON object (no trailing newline) for --json consumers.
-std::string to_json(const IpetResult& result);
+// One JSON object, for --json consumers.
+void to_json(sim::JsonWriter& w, const IpetResult& result);
 
 }  // namespace nfp::analyze

@@ -18,6 +18,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "sim/json.h"
+
 namespace nfp::board {
 
 // Bumped whenever a counter is added, removed, or changes meaning, so
@@ -70,5 +72,15 @@ struct EventCounters {
 
   friend bool operator==(const EventCounters&, const EventCounters&) = default;
 };
+
+// {"version":kEventCountersVersion, then every event_name in Event order}.
+inline void to_json(sim::JsonWriter& w, const EventCounters& ev) {
+  w.begin_object().field("version", kEventCountersVersion);
+  for (std::size_t i = 0; i < kEventCount; ++i) {
+    const auto e = static_cast<Event>(i);
+    w.field(event_name(e), ev[e]);
+  }
+  w.end_object();
+}
 
 }  // namespace nfp::board

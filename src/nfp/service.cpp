@@ -1,11 +1,9 @@
 #include "nfp/service.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
-#include "nfp/json.h"
 #include "sim/jit.h"
 
 namespace nfp::model {
@@ -251,68 +249,30 @@ void CampaignService::worker_main(unsigned self) {
   }
 }
 
-namespace {
-
-void append_kv(std::string& out, const char* key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "\"%s\":%.17g,", key, value);
-  out += buf;
-}
-
-void append_kv(std::string& out, const char* key, std::uint64_t value) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "\"%s\":%llu,", key,
-                static_cast<unsigned long long>(value));
-  out += buf;
-}
-
-}  // namespace
-
 std::string result_json_line(const ServiceResult& r) {
-  std::string out = "{\"id\":";
-  out += std::to_string(r.id);
-  out += ",\"name\":\"";
-  append_escaped(out, r.record.name);
-  out += "\",\"ok\":";
-  out += r.record.ok ? "true," : "false,";
-  if (!r.record.ok) {
-    out += "\"error\":\"";
-    append_escaped(out, r.record.error);
-    out += "\",";
-  }
-  append_kv(out, "exit_code", static_cast<std::uint64_t>(r.record.exit_code));
-  append_kv(out, "instret", r.record.instret);
-  append_kv(out, "cycles", r.record.cycles);
-  append_kv(out, "measured_energy_nj", r.record.measured.energy_nj);
-  append_kv(out, "measured_time_s", r.record.measured.time_s);
-  append_kv(out, "true_energy_nj", r.record.true_energy_nj);
-  append_kv(out, "true_time_s", r.record.true_time_s);
-  append_kv(out, "est_energy_nj", r.estimate.energy_nj);
-  append_kv(out, "est_time_s", r.estimate.time_s);
-  if (!r.scheme.empty()) {
-    out += "\"scheme\":\"";
-    append_escaped(out, r.scheme);
-    out += "\",";
-  }
+  const KernelRunRecord& rec = r.record;
+  sim::JsonWriter w;
+  w.begin_object().field("id", r.id).field("name", rec.name);
+  w.field("ok", rec.ok);
+  if (!rec.ok) w.field("error", rec.error);
+  w.field("exit_code", rec.exit_code)
+      .field("instret", rec.instret)
+      .field("cycles", rec.cycles)
+      .field("measured_energy_nj", rec.measured.energy_nj)
+      .field("measured_time_s", rec.measured.time_s)
+      .field("true_energy_nj", rec.true_energy_nj)
+      .field("true_time_s", rec.true_time_s)
+      .field("est_energy_nj", r.estimate.energy_nj)
+      .field("est_time_s", r.estimate.time_s);
+  if (!r.scheme.empty()) w.field("scheme", r.scheme);
   // The board's PMU-style counter export rides on every record that ran on
   // the board (retired > 0), so event-based schemes can be re-fit offline
   // from the JSONL stream alone.
-  if (r.record.events[board::Event::kRetired] != 0) {
-    out += "\"events\":{";
-    append_kv(out, "version",
-              static_cast<std::uint64_t>(board::kEventCountersVersion));
-    for (std::size_t i = 0; i < board::kEventCount; ++i) {
-      const auto e = static_cast<board::Event>(i);
-      append_kv(out, std::string(board::event_name(e)).c_str(),
-                r.record.events[e]);
-    }
-    out.back() = '}';  // replace the trailing comma
-    out += ',';
+  if (rec.events[board::Event::kRetired] != 0) {
+    to_json(w.key("events"), rec.events);
   }
-  append_kv(out, "slices", r.slices);
-  append_kv(out, "checkpoints", r.checkpoints);
-  out.back() = '}';  // replace the trailing comma
-  return out;
+  w.field("slices", r.slices).field("checkpoints", r.checkpoints).end_object();
+  return w.str();
 }
 
 }  // namespace nfp::model

@@ -43,6 +43,7 @@
 #include "nfp/calibration.h"
 #include "nfp/campaign.h"
 #include "nfp/estimator.h"
+#include "sim/json.h"
 
 namespace nfp::model {
 
@@ -71,6 +72,13 @@ struct ServiceStats {
   std::uint64_t steals = 0;       // jobs popped from another worker's shard
   std::uint64_t checkpoint_bytes = 0;
 };
+
+inline void to_json(sim::JsonWriter& w, const ServiceStats& s) {
+  w.begin_object().field("jobs_completed", s.jobs_completed);
+  w.field("slices", s.slices).field("checkpoints", s.checkpoints);
+  w.field("resumes", s.resumes).field("steals", s.steals);
+  w.field("checkpoint_bytes", s.checkpoint_bytes).end_object();
+}
 
 struct ServiceConfig {
   board::BoardConfig board;

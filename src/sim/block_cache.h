@@ -40,6 +40,7 @@
 #include "sim/bus.h"
 #include "sim/cpu_state.h"
 #include "sim/hooks.h"
+#include "sim/json.h"
 
 namespace nfp::sim {
 
@@ -289,5 +290,15 @@ class BlockCache {
   std::unique_ptr<JitRuntime> jit_;
   bool jit_failed_ = false;  // ensure_jit() probe failed; don't retry
 };
+
+inline void to_json(JsonWriter& w, const BlockCache::Stats& s) {
+  w.begin_object().field("blocks_morphed", s.blocks_morphed);
+  w.field("insns_morphed", s.insns_morphed).field("flushes", s.flushes);
+  w.field("links_installed", s.links_installed);
+  w.field("links_severed", s.links_severed);
+  w.field("chain_hits", s.chain_hits).field("btc_hits", s.btc_hits);
+  w.field("btc_misses", s.btc_misses);
+  w.field("lookup_fallbacks", s.lookup_fallbacks).end_object();
+}
 
 }  // namespace nfp::sim

@@ -201,4 +201,16 @@ class JitRuntime {
   std::unique_ptr<Impl> impl_;
 };
 
+// stats() plus inline_btc_hits(). The counters exist in both builds, so
+// the foreign-host stub needs no definition of its own.
+inline void to_json(JsonWriter& w, const JitRuntime& jit) {
+  const JitRuntime::Stats& s = jit.stats();
+  w.begin_object().field("blocks_compiled", s.blocks_compiled);
+  w.field("blocks_rejected", s.blocks_rejected);
+  w.field("code_bytes", s.code_bytes).field("entries", s.entries);
+  w.field("patches", s.patches).field("unpatches", s.unpatches);
+  w.field("helper_exec", s.helper_exec).field("btc_inserts", s.btc_inserts);
+  w.field("inline_btc_hits", jit.inline_btc_hits()).end_object();
+}
+
 }  // namespace nfp::sim

@@ -11,17 +11,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
-#include <string_view>
 
 #include "analyze/profile.h"
 #include "asmkit/assembler.h"
 #include "board/board.h"
 #include "sim/iss.h"
 #include "sim/memmap.h"
+#include "support/json_check.h"
 
 #ifndef NFP_ANALYZE_FIXTURE_DIR
 #error "NFP_ANALYZE_FIXTURE_DIR must point at tests/analyze/fixtures"
@@ -66,106 +64,6 @@ Triangle run_triangle(const std::string& source, const IpetConfig& config = {},
     t.energy_nj = brd.true_energy_nj();
   }
   return t;
-}
-
-// Minimal JSON well-formedness check: RFC 8259 structure, strings and
-// literals; numbers are checked with strtod, which is laxer than JSON.
-// Parses one value starting at s[i] and advances i past it.
-bool json_value(const std::string& s, std::size_t& i);
-
-void json_ws(const std::string& s, std::size_t& i) {
-  while (i < s.size() &&
-         (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r')) {
-    ++i;
-  }
-}
-
-bool json_string(const std::string& s, std::size_t& i) {
-  if (i >= s.size() || s[i] != '"') return false;
-  for (++i; i < s.size(); ++i) {
-    const auto c = static_cast<unsigned char>(s[i]);
-    if (c == '"') {
-      ++i;
-      return true;
-    }
-    if (c < 0x20) return false;
-    if (c != '\\') continue;
-    if (++i >= s.size()) return false;
-    if (s[i] == 'u') {
-      for (int k = 0; k < 4; ++k) {
-        if (++i >= s.size() ||
-            !std::isxdigit(static_cast<unsigned char>(s[i]))) {
-          return false;
-        }
-      }
-    } else if (std::string_view("\"\\/bfnrt").find(s[i]) ==
-               std::string_view::npos) {
-      return false;
-    }
-  }
-  return false;
-}
-
-template <typename Item>
-bool json_list(const std::string& s, std::size_t& i, char close, Item item) {
-  ++i;  // opening bracket
-  json_ws(s, i);
-  if (i < s.size() && s[i] == close) {
-    ++i;
-    return true;
-  }
-  while (true) {
-    json_ws(s, i);
-    if (!item()) return false;
-    json_ws(s, i);
-    if (i >= s.size()) return false;
-    const char sep = s[i++];
-    if (sep == close) return true;
-    if (sep != ',') return false;
-  }
-}
-
-bool json_value(const std::string& s, std::size_t& i) {
-  json_ws(s, i);
-  if (i >= s.size()) return false;
-  switch (s[i]) {
-    case '{':
-      return json_list(s, i, '}', [&] {
-        if (!json_string(s, i)) return false;
-        json_ws(s, i);
-        return i < s.size() && s[i++] == ':' && json_value(s, i);
-      });
-    case '[':
-      return json_list(s, i, ']', [&] { return json_value(s, i); });
-    case '"':
-      return json_string(s, i);
-    default:
-      break;
-  }
-  for (const std::string_view lit : {"true", "false", "null"}) {
-    if (s.compare(i, lit.size(), lit) == 0) {
-      i += lit.size();
-      return true;
-    }
-  }
-  const std::size_t start = i;
-  while (i < s.size() &&
-         std::string_view("+-.eE0123456789").find(s[i]) !=
-             std::string_view::npos) {
-    ++i;
-  }
-  if (i == start) return false;
-  const std::string num = s.substr(start, i - start);
-  char* end = nullptr;
-  std::strtod(num.c_str(), &end);
-  return end == num.c_str() + num.size();
-}
-
-bool json_parses(const std::string& s) {
-  std::size_t i = 0;
-  if (!json_value(s, i)) return false;
-  json_ws(s, i);
-  return i == s.size();
 }
 
 void expect_contained(const Triangle& t) {
@@ -431,12 +329,12 @@ TEST(Ipet, RenderAndJsonCarryTheTriangleFields) {
   const std::string text = render(t.ipet);
   EXPECT_NE(text.find("ipet cycles ["), std::string::npos);
   EXPECT_NE(text.find("ipet energy ["), std::string::npos);
-  const std::string json = to_json(t.ipet);
+  const std::string json = test::to_json_string(t.ipet);
   EXPECT_NE(json.find("\"accepted\":true"), std::string::npos);
   EXPECT_NE(json.find("\"cycles\":{\"lower\":"), std::string::npos);
 
   const Triangle refused = run_triangle(fixture("irreducible.s"), {}, false);
-  const std::string rjson = to_json(refused.ipet);
+  const std::string rjson = test::to_json_string(refused.ipet);
   EXPECT_NE(rjson.find("\"accepted\":false"), std::string::npos);
   EXPECT_NE(rjson.find("\"reason\":\"irreducible-loop\""), std::string::npos);
   const std::string rtext = render(refused.ipet);
@@ -445,20 +343,20 @@ TEST(Ipet, RenderAndJsonCarryTheTriangleFields) {
 
   // Free-text details (refusal sentences, loop provenance) go through the
   // shared JSON escaper: quotes, backslashes and control characters.
-  EXPECT_TRUE(json_parses(json)) << json;
-  EXPECT_TRUE(json_parses(rjson)) << rjson;
+  EXPECT_TRUE(test::json_parses(json)) << json;
+  EXPECT_TRUE(test::json_parses(rjson)) << rjson;
   IpetResult odd = refused.ipet;
   odd.refusal_detail = "call \"we\\ird\" at\x01 0x40000000\n";
-  const std::string ojson = to_json(odd);
-  EXPECT_TRUE(json_parses(ojson)) << ojson;
+  const std::string ojson = test::to_json_string(odd);
+  EXPECT_TRUE(test::json_parses(ojson)) << ojson;
   EXPECT_NE(ojson.find("call \\\"we\\\\ird\\\" at\\u0001 0x40000000\\n"),
             std::string::npos)
       << ojson;
   IpetResult loop_odd = t.ipet;
   loop_odd.loops.push_back(IpetLoop{});
   loop_odd.loops.back().detail = "counter \"%g1\"\t\x1f";
-  const std::string ljson = to_json(loop_odd);
-  EXPECT_TRUE(json_parses(ljson)) << ljson;
+  const std::string ljson = test::to_json_string(loop_odd);
+  EXPECT_TRUE(test::json_parses(ljson)) << ljson;
   EXPECT_NE(ljson.find("counter \\\"%g1\\\"\\t\\u001f"), std::string::npos)
       << ljson;
 }

@@ -5,6 +5,7 @@
 #include "asmkit/assembler.h"
 #include "board/area.h"
 #include "sim/memmap.h"
+#include "support/json_check.h"
 
 namespace nfp::board {
 namespace {
@@ -290,6 +291,31 @@ TEST(AreaModel, FpuRoughlyDoublesTheDesign) {
   without.has_fpu = false;
   EXPECT_GT(area.synthesize(with).total(), area.synthesize(without).total());
   EXPECT_EQ(area.synthesize(without).fpu_les, 0u);
+}
+
+TEST(EventCounters, JsonCarriesVersionFirstAndEveryEventOnce) {
+  EventCounters ev;
+  for (std::size_t i = 0; i < kEventCount; ++i) ev.v[i] = 10 * i + 1;
+  const std::string json = test::to_json_string(ev);
+  EXPECT_TRUE(test::json_parses(json)) << json;
+  const std::string version =
+      "{\"version\":" + std::to_string(kEventCountersVersion) + ",";
+  EXPECT_EQ(json.rfind(version, 0), 0u) << json;
+  EXPECT_EQ(json.find("\"version\"", 2), std::string::npos) << json;
+  std::size_t last = 0;
+  for (std::size_t i = 0; i < kEventCount; ++i) {
+    const std::string key =
+        "\"" + std::string(event_name(static_cast<Event>(i))) + "\":";
+    const std::size_t at = json.find(key);
+    ASSERT_NE(at, std::string::npos) << key;
+    EXPECT_GT(at, last) << key << " out of Event order";
+    EXPECT_EQ(json.find(key, at + 1), std::string::npos) << key;
+    EXPECT_EQ(json.compare(at + key.size(), std::to_string(ev.v[i]).size(),
+                           std::to_string(ev.v[i])),
+              0)
+        << key;
+    last = at;
+  }
 }
 
 }  // namespace

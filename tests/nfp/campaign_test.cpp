@@ -42,9 +42,8 @@ TEST(Campaign, RunsJobsAndKeepsOrder) {
     EXPECT_EQ(records[i].name, "job" + std::to_string(i));
     EXPECT_TRUE(records[i].ok) << records[i].error;
     EXPECT_GT(records[i].instret, 0u);
-    EXPECT_EQ(records[i].instret, records[i].cycles > 0
-                                       ? records[i].instret
-                                       : 0);  // both platforms ran
+    // Every op costs at least 2 cycles (board/cost_model.cpp).
+    EXPECT_GE(records[i].cycles, records[i].instret);
   }
   // Longer loops retire more instructions.
   EXPECT_GT(records[11].instret, records[0].instret);

@@ -239,6 +239,55 @@ TEST(CampaignService, JsonLineEscapesErrorStrings) {
   EXPECT_NE(line.find("line\\nbreak\\\\slash"), std::string::npos);
 }
 
+TEST(CampaignService, JsonLineIsByteIdenticalToTheGolden) {
+  // Pinned from the hand-rolled renderer the JSON writer replaced: one ok
+  // record with an event export and one failed record without.
+  ServiceResult ok;
+  ok.id = 7;
+  ok.record.name = "mvc/intra/qp10/seq0/float";
+  ok.record.ok = true;
+  ok.record.exit_code = 3;
+  ok.record.instret = 18848724;
+  ok.record.cycles = 197494151;
+  ok.record.measured = {1223602750.0015624, 3.9498830200000001};
+  ok.record.true_energy_nj = 1223602749.5;
+  ok.record.true_time_s = 0.1;
+  ok.estimate = {1.0 / 3.0, 2.5e-300};
+  ok.scheme = "events";
+  for (std::size_t i = 0; i < board::kEventCount; ++i) {
+    ok.record.events.v[i] = 1000 + i;
+  }
+  ok.slices = 4;
+  ok.checkpoints = 3;
+  EXPECT_EQ(
+      result_json_line(ok),
+      R"({"id":7,"name":"mvc/intra/qp10/seq0/float","ok":true,"exit_code":3,)"
+      R"("instret":18848724,"cycles":197494151,)"
+      R"("measured_energy_nj":1223602750.0015624,)"
+      R"("measured_time_s":3.9498830200000001,)"
+      R"("true_energy_nj":1223602749.5,"true_time_s":0.10000000000000001,)"
+      R"("est_energy_nj":0.33333333333333331,"est_time_s":2.5e-300,)"
+      R"("scheme":"events","events":{"version":1,"retired":1000,)"
+      R"("loads":1001,"stores":1002,"row_misses":1003,"cache_hits":1004,)"
+      R"("cache_misses":1005,"branches_taken":1006,"branches_untaken":1007,)"
+      R"("stall_cycles":1008,"fpu_ops":1009,"muldiv_ops":1010},)"
+      R"("slices":4,"checkpoints":3})");
+
+  ServiceResult bad;
+  bad.id = 8;
+  bad.record.name = "we\"ird\\k.s";
+  bad.record.ok = false;
+  bad.record.error = "asm line 3:\tillegal\ninstruction \x01";
+  bad.slices = 1;
+  EXPECT_EQ(
+      result_json_line(bad),
+      R"({"id":8,"name":"we\"ird\\k.s","ok":false,)"
+      R"("error":"asm line 3:\tillegal\ninstruction \u0001","exit_code":0,)"
+      R"("instret":0,"cycles":0,"measured_energy_nj":0,"measured_time_s":0,)"
+      R"("true_energy_nj":0,"true_time_s":0,"est_energy_nj":0,"est_time_s":0,)"
+      R"("slices":1,"checkpoints":0})");
+}
+
 TEST(CampaignService, MatchesBatchCampaignOnKernelSets) {
   // The acceptance bar: real MVC + FSE kernel sets (both ABIs) through the
   // sharded, preempting service (one board run per job) equal the

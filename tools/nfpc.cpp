@@ -23,10 +23,12 @@
 //                       bit-identical across modes; under jit the board
 //                       runs native code with its cost-ledger tallies
 //                       inline)
-//     --sim-stats       print the full BlockCache::Stats after the run
-//                       (morphs, flushes, chain/BTC counters); with
-//                       --board, also the board's cache and jit stats and
-//                       its PMU-style event-counter export (board/events.h)
+//     --sim-stats       print one JSON line after the run: "iss" holds
+//                       "block_cache" (BlockCache::Stats: morphs, flushes,
+//                       chain/BTC counters) and "jit" (JitRuntime counters,
+//                       null without a jit runtime); with --board the line
+//                       follows the board run and adds "board", the same
+//                       two plus "events" (board/events.h)
 //     --seed N          board/calibration noise seed for --estimate and
 //                       --board campaigns (also --seed=N)
 //     --max-insns N     ISS retirement budget (default 200M); with
@@ -56,6 +58,8 @@
 #include "nfp/estimator.h"
 #include "nfp/report.h"
 #include "sim/iss.h"
+#include "sim/jit.h"
+#include "sim/json.h"
 #include "sim/trace.h"
 
 namespace {
@@ -75,61 +79,17 @@ void usage() {
               "[--dispatch=step|block|jit] file.c ...\n");
 }
 
-void print_sim_stats(const nfp::sim::BlockCache* cache) {
-  if (cache == nullptr) {
-    std::printf("sim stats: (no block cache attached)\n");
-    return;
+// The "block_cache" and "jit" members of one platform's --sim-stats
+// object (load and restore_state attach the cache in every dispatch mode);
+// "jit" is null unless the run built a jit runtime.
+void platform_stats(nfp::sim::JsonWriter& w, nfp::sim::Platform& platform) {
+  nfp::sim::BlockCache& cache = *platform.block_cache();
+  to_json(w.key("block_cache"), cache.stats());
+  if (cache.jit() != nullptr) {
+    to_json(w.key("jit"), *cache.jit());
+  } else {
+    w.key("jit").null();
   }
-  const auto& s = cache->stats();
-  std::printf("sim stats:\n");
-  std::printf("  blocks_morphed   %llu\n",
-              static_cast<unsigned long long>(s.blocks_morphed));
-  std::printf("  insns_morphed    %llu\n",
-              static_cast<unsigned long long>(s.insns_morphed));
-  std::printf("  flushes          %llu\n",
-              static_cast<unsigned long long>(s.flushes));
-  std::printf("  links_installed  %llu\n",
-              static_cast<unsigned long long>(s.links_installed));
-  std::printf("  links_severed    %llu\n",
-              static_cast<unsigned long long>(s.links_severed));
-  std::printf("  chain_hits       %llu\n",
-              static_cast<unsigned long long>(s.chain_hits));
-  std::printf("  btc_hits         %llu\n",
-              static_cast<unsigned long long>(s.btc_hits));
-  std::printf("  btc_misses       %llu\n",
-              static_cast<unsigned long long>(s.btc_misses));
-  std::printf("  lookup_fallbacks %llu\n",
-              static_cast<unsigned long long>(s.lookup_fallbacks));
-}
-
-void print_event_counters(const nfp::board::EventCounters& ev) {
-  std::printf("board events (v%u):\n", nfp::board::kEventCountersVersion);
-  for (std::size_t i = 0; i < nfp::board::kEventCount; ++i) {
-    const auto e = static_cast<nfp::board::Event>(i);
-    std::printf("  %-16s %llu\n",
-                std::string(nfp::board::event_name(e)).c_str(),
-                static_cast<unsigned long long>(ev[e]));
-  }
-}
-
-void print_jit_stats(nfp::sim::BlockCache* cache) {
-  if (cache == nullptr) return;
-  const nfp::sim::JitRuntime* jr = cache->jit();
-  if (jr == nullptr) return;
-  const auto& j = jr->stats();
-  std::printf("jit: %llu blocks compiled (%llu rejected), %llu code "
-              "bytes, %llu entries, %llu patches (%llu withdrawn), "
-              "%llu slow-path insns, %llu inline-btc inserts "
-              "(%llu hits)\n",
-              static_cast<unsigned long long>(j.blocks_compiled),
-              static_cast<unsigned long long>(j.blocks_rejected),
-              static_cast<unsigned long long>(j.code_bytes),
-              static_cast<unsigned long long>(j.entries),
-              static_cast<unsigned long long>(j.patches),
-              static_cast<unsigned long long>(j.unpatches),
-              static_cast<unsigned long long>(j.helper_exec),
-              static_cast<unsigned long long>(j.btc_inserts),
-              static_cast<unsigned long long>(jr->inline_btc_hits()));
 }
 
 }  // namespace
@@ -182,12 +142,11 @@ int main(int argc, char** argv) {
     } else if (const char* v = nfp::cli::flag_value("--load-state", argc,
                                                     argv, i, "nfpc")) {
       load_state_path = v;
-    } else if (arg.rfind("--trace", 0) == 0) {
+    } else if (arg == "--trace") {
       trace_limit = 64;
-      if (arg.size() > 8 && arg[7] == '=') {
-        trace_limit =
-            nfp::cli::flag_uint(arg.c_str() + 8, UINT64_MAX, "--trace", "nfpc");
-      }
+    } else if (arg.rfind("--trace=", 0) == 0 && arg.size() > 8) {
+      trace_limit =
+          nfp::cli::flag_uint(arg.c_str() + 8, UINT64_MAX, "--trace", "nfpc");
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -280,23 +239,15 @@ int main(int argc, char** argv) {
                     ? static_cast<double>(run.instret) / host_s * 1e-6
                     : 0.0,
                 host_s * 1e3);
-    if (dispatch == nfp::sim::Dispatch::kBlock &&
-        iss.platform().block_cache() != nullptr) {
-      const auto& s = iss.platform().block_cache()->stats();
-      std::printf("chain: %llu hits, %llu btc hits, %llu lookup fallbacks, "
-                  "%llu links\n",
-                  static_cast<unsigned long long>(s.chain_hits),
-                  static_cast<unsigned long long>(s.btc_hits),
-                  static_cast<unsigned long long>(s.lookup_fallbacks),
-                  static_cast<unsigned long long>(s.links_installed));
-    }
-    if (dispatch == nfp::sim::Dispatch::kJit) {
-      print_jit_stats(iss.platform().block_cache());
-    }
+    // --sim-stats is one JSON line: {"iss":{...}}, with a "board" object
+    // added when the board runs (then the line follows the board run).
+    const bool board_runs = want_board && run.halted;
+    nfp::sim::JsonWriter stats;
     if (want_sim_stats) {
-      print_sim_stats(dispatch == nfp::sim::Dispatch::kStep
-                          ? nullptr
-                          : iss.platform().block_cache());
+      stats.begin_object().key("iss").begin_object();
+      platform_stats(stats, iss.platform());
+      stats.end_object();
+      if (!board_runs) std::puts(stats.end_object().str().c_str());
     }
     if (!save_state_path.empty()) {
       std::ofstream out(save_state_path,
@@ -359,12 +310,11 @@ int main(int argc, char** argv) {
                                         board_s * 1e-6
                                   : 0.0,
                     board_s * 1e3);
-        if (dispatch == nfp::sim::Dispatch::kJit) {
-          print_jit_stats(board.platform().block_cache());
-        }
         if (want_sim_stats) {
-          print_sim_stats(board.platform().block_cache());
-          print_event_counters(board.events());
+          stats.key("board").begin_object();
+          platform_stats(stats, board.platform());
+          to_json(stats.key("events"), board.events());
+          std::puts(stats.end_object().end_object().str().c_str());
         }
         sample.events = board.events();
         meas = board.measure("nfpc");

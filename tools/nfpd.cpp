@@ -5,7 +5,9 @@
 // threads with work stealing, long jobs are preempted and checkpointed at
 // slice boundaries through the versioned snapshot format (sim/state_io.h),
 // and one JSON-lines record per finished job streams to stdout as it
-// completes. A summary (jobs, slices, checkpoints, steals) goes to stderr.
+// completes. The run's summary goes to stderr as one JSON object: the
+// service counters (jobs, slices, checkpoints, resumes, steals) under
+// "service", then "workers", "dispatch" and "failures".
 //
 // Usage:
 //   nfpd [options] [kernel.s ...]
@@ -49,6 +51,7 @@
 #include "cli_common.h"
 #include "mcc/compiler.h"
 #include "nfp/service.h"
+#include "sim/json.h"
 #include "sim/memmap.h"
 #include "workloads/kernels.h"
 
@@ -169,18 +172,13 @@ int main(int argc, char** argv) {
   for (const auto& r : results) {
     if (!r.record.ok) ++failed;
   }
-  const auto stats = service->stats();
-  std::fprintf(stderr,
-               "nfpd: %llu job(s) on %u worker(s) under %s dispatch: "
-               "%llu slice(s), %llu checkpoint(s) (%llu bytes), "
-               "%llu resume(s), %llu steal(s), %zu failure(s)\n",
-               static_cast<unsigned long long>(stats.jobs_completed),
-               service->workers(),
-               nfp::cli::dispatch_name(service->board_dispatch()),
-               static_cast<unsigned long long>(stats.slices),
-               static_cast<unsigned long long>(stats.checkpoints),
-               static_cast<unsigned long long>(stats.checkpoint_bytes),
-               static_cast<unsigned long long>(stats.resumes),
-               static_cast<unsigned long long>(stats.steals), failed);
+  nfp::sim::JsonWriter summary;
+  summary.begin_object().key("service");
+  to_json(summary, service->stats());
+  summary.field("workers", service->workers())
+      .field("dispatch", nfp::cli::dispatch_name(service->board_dispatch()))
+      .field("failures", failed)
+      .end_object();
+  std::fprintf(stderr, "%s\n", summary.str().c_str());
   return failed == 0 ? 0 : 1;
 }

@@ -41,7 +41,7 @@
 #include "asmkit/assembler.h"
 #include "cli_common.h"
 #include "mcc/compiler.h"
-#include "nfp/json.h"
+#include "sim/json.h"
 #include "sim/memmap.h"
 
 namespace {
@@ -111,12 +111,19 @@ int lint_program(const nfp::asmkit::Program& program, const std::string& name,
   }
   if (opt.dump_cfg) std::fputs(nfp::analyze::dump(cfg).c_str(), stdout);
   const nfp::board::CostModel costs;
-  std::string json_fields;
+  nfp::sim::JsonWriter json;
+  if (opt.json) {
+    json.begin_object()
+        .field("file", name)
+        .field("blocks", cfg.blocks.size())
+        .field("errors", cfg.error_count())
+        .field("findings", cfg.findings.size());
+  }
   if (opt.bounds) {
     const nfp::analyze::BoundsResult bounds =
         nfp::analyze::analyze_bounds(cfg, costs);
     if (opt.json) {
-      json_fields += "\"bounds\":" + nfp::analyze::to_json(bounds);
+      nfp::analyze::to_json(json.key("bounds"), bounds);
     } else {
       std::fputs(nfp::analyze::render(bounds).c_str(), stdout);
     }
@@ -125,20 +132,13 @@ int lint_program(const nfp::asmkit::Program& program, const std::string& name,
     const nfp::analyze::IpetResult ipet =
         nfp::analyze::analyze_ipet(cfg, costs, opt.ipet_cfg);
     if (opt.json) {
-      if (!json_fields.empty()) json_fields += ",";
-      json_fields += "\"ipet\":" + nfp::analyze::to_json(ipet);
+      nfp::analyze::to_json(json.key("ipet"), ipet);
     } else {
       std::fputs(nfp::analyze::render(ipet).c_str(), stdout);
     }
   }
   if (opt.json) {
-    std::string file;
-    nfp::append_escaped(file, name);
-    std::printf("{\"file\":\"%s\",\"blocks\":%zu,\"errors\":%zu,"
-                "\"findings\":%zu%s%s}\n",
-                file.c_str(), cfg.blocks.size(), cfg.error_count(),
-                cfg.findings.size(), json_fields.empty() ? "" : ",",
-                json_fields.c_str());
+    std::puts(json.end_object().str().c_str());
   } else {
     std::printf("%s: %zu block(s), %zu error(s), %zu finding(s)\n",
                 name.c_str(), cfg.blocks.size(), cfg.error_count(),
