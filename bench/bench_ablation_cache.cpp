@@ -28,9 +28,9 @@ int main() {
   nfp::board::BoardConfig cached;
   cached.enable_cache = true;
 
-  const auto& scheme = nfp::model::CategoryScheme::paper();
-  const auto cal_plain = nfp::benchkit::calibrate(plain, scheme);
-  const auto cal_cached = nfp::benchkit::calibrate(cached, scheme);
+  const auto& eq1 = nfp::model::eq1_estimator();
+  const auto cal_plain = nfp::model::Calibrator().fit(eq1, plain);
+  const auto cal_cached = nfp::model::Calibrator().fit(eq1, cached);
 
   struct Row {
     const char* name;
@@ -48,7 +48,7 @@ int main() {
                                "mean |eps_T|", "max |eps_T|"});
   for (const auto& row : rows) {
     const auto result =
-        nfp::benchkit::evaluate(jobs, *row.board, scheme, *row.costs);
+        nfp::benchkit::evaluate(jobs, *row.board, eq1, *row.costs);
     table.add_row(
         {row.name,
          nfp::model::TextTable::fmt(result.energy.mean_abs_percent()) + "%",

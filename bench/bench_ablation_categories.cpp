@@ -1,7 +1,8 @@
 // Ablation: category granularity vs estimation accuracy. Quantifies the
 // cost of the paper's nine-category lumping (e.g. umul/udiv folded into
-// "Integer Arithmetic") by evaluating a coarser (6) and a finer (13)
-// scheme on the same kernels.
+// "Integer Arithmetic") by scoring one campaign under a coarser (6) and a
+// finer (13) scheme as well: the counts do not depend on the scheme, only
+// the calibration and the aggregation do.
 #include <cstdio>
 
 #include "support.h"
@@ -22,6 +23,7 @@ int main() {
     for (auto& j : nfp::workloads::make_fse_jobs(abi, fse)) jobs.push_back(std::move(j));
   }
   std::printf("kernel set: %zu kernels\n\n", jobs.size());
+  const auto records = nfp::model::Campaign(cfg).run(jobs);
 
   nfp::model::TextTable table({"Scheme", "categories", "mean |eps_E|",
                                "max |eps_E|", "mean |eps_T|", "max |eps_T|"});
@@ -29,9 +31,10 @@ int main() {
        {&nfp::model::CategoryScheme::coarse(),
         &nfp::model::CategoryScheme::paper(),
         &nfp::model::CategoryScheme::fine()}) {
-    const auto calibration = nfp::benchkit::calibrate(cfg, *scheme);
+    const nfp::model::Eq1Estimator eq1(*scheme);
+    const auto calibration = nfp::model::Calibrator().fit(eq1, cfg);
     const auto result =
-        nfp::benchkit::evaluate(jobs, cfg, *scheme, calibration.costs);
+        nfp::benchkit::evaluate_records(records, eq1, calibration.costs);
     table.add_row(
         {scheme->name(), std::to_string(scheme->size()),
          nfp::model::TextTable::fmt(result.energy.mean_abs_percent()) + "%",

@@ -34,7 +34,7 @@ int main() {
       {"default hardware, bad meter (sigma 1%)", 0.30, true, 0.01},
   };
 
-  const auto& scheme = nfp::model::CategoryScheme::paper();
+  const auto& eq1 = nfp::model::eq1_estimator();
   nfp::model::TextTable table({"Board configuration", "mean |eps_E|",
                                "max |eps_E|", "mean |eps_T|", "max |eps_T|"});
   for (const auto& point : points) {
@@ -43,9 +43,9 @@ int main() {
     cfg.enable_variation = true;
     cfg.enable_meter_noise = point.meter_noise;
     cfg.meter_noise_sigma = point.sigma;
-    const auto calibration = nfp::benchkit::calibrate(cfg, scheme);
+    const auto calibration = nfp::model::Calibrator().fit(eq1, cfg);
     const auto result =
-        nfp::benchkit::evaluate(jobs, cfg, scheme, calibration.costs);
+        nfp::benchkit::evaluate(jobs, cfg, eq1, calibration.costs);
     table.add_row(
         {point.name,
          nfp::model::TextTable::fmt(result.energy.mean_abs_percent()) + "%",

@@ -35,7 +35,7 @@ int main() {
       {"IU + FPU", true, false},
       {"IU + MUL/DIV + FPU", true, true},
   };
-  const auto& scheme = nfp::model::CategoryScheme::paper();
+  const auto& eq1 = nfp::model::eq1_estimator();
   const nfp::board::AreaModel area;
 
   // Small, representative kernel subsets (the minimal-IU FSE kernels run
@@ -57,7 +57,7 @@ int main() {
     nfp::board::BoardConfig cfg;
     cfg.has_fpu = config.fpu;
     cfg.has_hw_muldiv = config.muldiv;
-    const auto calibration = nfp::benchkit::calibrate(cfg);
+    const auto calibration = nfp::model::Calibrator().fit(eq1, cfg);
 
     const auto float_abi = config.fpu ? nfp::mcc::FloatAbi::kHard
                                       : nfp::mcc::FloatAbi::kSoft;
@@ -66,7 +66,7 @@ int main() {
 
     const auto cost_of = [&](const std::vector<nfp::model::KernelJob>& jobs) {
       const auto result =
-          nfp::benchkit::evaluate(jobs, cfg, scheme, calibration.costs);
+          nfp::benchkit::evaluate(jobs, cfg, eq1, calibration.costs);
       for (const auto& k : result.kernels) {
         if (!k.ok) {
           std::fprintf(stderr, "kernel %s failed: %s\n", k.name.c_str(),

@@ -13,8 +13,8 @@ int main() {
   std::printf("== Extension: model generality on a further algorithm "
               "(Sobel) ==\n\n");
   nfp::board::BoardConfig cfg;
-  const auto& scheme = nfp::model::CategoryScheme::paper();
-  const auto calibration = nfp::benchkit::calibrate(cfg);
+  const auto& eq1 = nfp::model::eq1_estimator();
+  const auto calibration = nfp::model::Calibrator().fit(eq1, cfg);
 
   nfp::workloads::SobelKernelParams params;
   params.count = 6;
@@ -26,7 +26,7 @@ int main() {
     }
   }
   const auto result =
-      nfp::benchkit::evaluate(jobs, cfg, scheme, calibration.costs);
+      nfp::benchkit::evaluate(jobs, cfg, eq1, calibration.costs);
   nfp::benchkit::print_eval_table("Sobel kernels, estimated vs measured:",
                                   result);
 

@@ -36,8 +36,8 @@ Variant run_program(const nfp::asmkit::Program& program,
   const auto run = iss.run();
   Variant v;
   v.instret = run.instret;
-  v.est = nfp::model::estimate(iss.counters().counts,
-                               nfp::model::CategoryScheme::paper(), costs);
+  v.est = nfp::model::eq1_estimator().estimate(
+      {.counts = iss.counters().counts}, costs);
   return v;
 }
 
@@ -47,7 +47,8 @@ int main() {
   std::printf("== Extension: pricing the peephole optimiser with the NFP "
               "model ==\n\n");
   nfp::board::BoardConfig cfg;
-  const auto calibration = nfp::benchkit::calibrate(cfg);
+  const auto calibration =
+      nfp::model::Calibrator().fit(nfp::model::eq1_estimator(), cfg);
 
   // Sobel and FSE targets with one representative input each.
   const auto sobel_image = nfp::workloads::sobel_kernel_image(0);

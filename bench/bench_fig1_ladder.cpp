@@ -44,8 +44,8 @@ double wall_of(const std::chrono::steady_clock::time_point& t0) {
 int main() {
   std::printf("== Fig. 1: simulation speed vs estimation accuracy ==\n");
   nfp::board::BoardConfig cfg;
-  const auto calibration = nfp::benchkit::calibrate(cfg);
-  const auto& scheme = nfp::model::CategoryScheme::paper();
+  const auto& eq1 = nfp::model::eq1_estimator();
+  const auto calibration = nfp::model::Calibrator().fit(eq1, cfg);
 
   nfp::workloads::MvcKernelParams params;
   params.qps = {32};
@@ -116,7 +116,7 @@ int main() {
     r.wall_s = wall_of(t0);
     r.mips = instret / r.wall_s / 1e6;
     const auto est =
-        nfp::model::estimate(iss.counters().counts, scheme, calibration.costs);
+        eq1.estimate({.counts = iss.counters().counts}, calibration.costs);
     r.has_estimate = true;
     r.energy_err_pct = (est.energy_nj - e_true) / e_true * 100.0;
     r.time_err_pct = (est.time_s - t_true) / t_true * 100.0;

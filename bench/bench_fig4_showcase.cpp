@@ -8,10 +8,10 @@
 
 int main() {
   nfp::board::BoardConfig cfg;
-  const auto& scheme = nfp::model::CategoryScheme::paper();
+  const auto& eq1 = nfp::model::eq1_estimator();
   std::printf("== Fig. 4: measured vs estimated energy/time, 4 showcase "
               "kernels ==\n");
-  const auto calibration = nfp::benchkit::calibrate(cfg);
+  const auto calibration = nfp::model::Calibrator().fit(eq1, cfg);
 
   // The two FSE kernels process the same input (image 0); the two HEVC
   // kernels decode the same bitstream (lowdelay, QP 32, sequence 0).
@@ -29,7 +29,7 @@ int main() {
   }
 
   const auto result =
-      nfp::benchkit::evaluate(jobs, cfg, scheme, calibration.costs);
+      nfp::benchkit::evaluate(jobs, cfg, eq1, calibration.costs);
 
   nfp::model::TextTable table({"Kernel", "E measured [mJ]", "E estimated [mJ]",
                                "T measured [ms]", "T estimated [ms]"});

@@ -5,9 +5,9 @@
 // workload group (hevc/fse × float/fixed) and overall.
 //
 // Hard invariants (violations print the kernel and exit nonzero):
-//   - behavior preservation: the eq1 scheme's per-kernel estimate is
-//     bit-identical to the legacy model::estimate(counts, paper, costs)
-//     pipeline — the refactor must not move a single ulp;
+//   - the eq1 scheme's per-kernel estimate is bit-identical to the
+//     straight-line Eq. 1 reference sum (tests/support/eq1_reference.h)
+//     over the paper's categories — not a single ulp may move;
 //   - every scheme produces finite error statistics over the campaign.
 //
 // The whole table is persisted as BENCH_scheme_accuracy.json (repo-root
@@ -21,6 +21,7 @@
 #include "nfp/campaign.h"
 #include "sim/json.h"
 #include "support.h"
+#include "support/eq1_reference.h"
 #include "workloads/kernels.h"
 
 namespace {
@@ -131,21 +132,22 @@ int main(int argc, char** argv) {
     const auto& calib = calibrations[s];
     const auto eval = benchkit::evaluate_records(records, est, calib.costs);
 
-    // Behavior preservation: eq1 through the scheme interface must equal
-    // the legacy pipeline bit for bit, kernel by kernel.
+    // eq1 through the scheme interface must equal the reference sum bit for
+    // bit, kernel by kernel.
     if (est.name() == "eq1") {
       for (std::size_t i = 0; i < records.size(); ++i) {
         if (!records[i].ok) continue;
-        const auto legacy = model::estimate(
-            records[i].counts, model::CategoryScheme::paper(), eq1_costs);
-        if (legacy.energy_nj != eval.kernels[i].estimated.energy_nj ||
-            legacy.time_s != eval.kernels[i].estimated.time_s) {
+        const auto want = test::eq1_reference(
+            model::CategoryScheme::paper().aggregate(records[i].counts),
+            eq1_costs);
+        if (want.energy_nj != eval.kernels[i].estimated.energy_nj ||
+            want.time_s != eval.kernels[i].estimated.time_s) {
           std::printf("  EQ1 DIVERGENCE %s: scheme (%.17g nJ, %.17g s) vs "
-                      "legacy (%.17g nJ, %.17g s)\n",
+                      "reference (%.17g nJ, %.17g s)\n",
                       records[i].name.c_str(),
                       eval.kernels[i].estimated.energy_nj,
-                      eval.kernels[i].estimated.time_s, legacy.energy_nj,
-                      legacy.time_s);
+                      eval.kernels[i].estimated.time_s, want.energy_nj,
+                      want.time_s);
           ++violations;
         }
       }
@@ -203,7 +205,7 @@ int main(int argc, char** argv) {
     std::printf("FAIL: %d violation(s)\n", violations);
     return 1;
   }
-  std::printf("PASS: eq1 bit-identical to the legacy pipeline, all schemes "
+  std::printf("PASS: eq1 bit-identical to the reference sum, all schemes "
               "scored\n");
   return 0;
 }

@@ -88,7 +88,8 @@ int main() {
   const board::CostModel costs;
 
   // Leg 1+2 of the triangle: board ground truth and the Eq. 1 estimate.
-  const auto calibration = benchkit::calibrate(board_cfg);
+  const auto calibration =
+      model::Calibrator().fit(model::eq1_estimator(), board_cfg);
   const auto records = model::Campaign(board_cfg, 4).run(jobs);
 
   // Leg 3: the execution-free static interval. Inference first; kernels
@@ -128,7 +129,6 @@ int main() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
 
-  const auto& scheme = model::CategoryScheme::paper();
   int violations = 0;
   std::size_t estimate_inside = 0;
   Tightness up_cycles, up_energy, lo_cycles, lo_energy;
@@ -145,7 +145,9 @@ int main() {
     row.cycles = rec.cycles;
     row.energy_nj = rec.true_energy_nj;
     row.time_s = rec.true_time_s;
-    row.estimate = model::estimate(rec.counts, scheme, calibration.costs);
+    row.estimate =
+        model::eq1_estimator().estimate(model::run_sample(rec),
+                                        calibration.costs);
     if (!row.accepted) continue;
 
     const auto& p = row.ipet;

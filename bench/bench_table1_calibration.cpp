@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
   const bool verbose = argc > 1 && std::strcmp(argv[1], "--verbose") == 0;
 
   nfp::board::BoardConfig cfg;  // realistic board: variation + meter noise
-  const auto result = nfp::benchkit::calibrate(cfg);
+  const auto result =
+      nfp::model::Calibrator().fit(nfp::model::eq1_estimator(), cfg);
 
   std::printf("== Table I: instruction categories, specific times and "
               "energies ==\n");

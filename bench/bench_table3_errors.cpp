@@ -16,10 +16,10 @@ int main(int argc, char** argv) {
   }
 
   nfp::board::BoardConfig cfg;
-  const auto& scheme = nfp::model::CategoryScheme::paper();
+  const auto& eq1 = nfp::model::eq1_estimator();
   std::printf("== Table III: estimation error over the full kernel set ==\n");
   std::printf("calibrating the nine-category model (Table II kernels)...\n");
-  const auto calibration = nfp::benchkit::calibrate(cfg);
+  const auto calibration = nfp::model::Calibrator().fit(eq1, cfg);
 
   nfp::workloads::MvcKernelParams mvc;
   nfp::workloads::FseKernelParams fse;
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
   std::printf("running %zu kernels on ISS + board...\n\n", jobs.size());
 
   const auto result =
-      nfp::benchkit::evaluate(jobs, cfg, scheme, calibration.costs);
+      nfp::benchkit::evaluate(jobs, cfg, eq1, calibration.costs);
   if (verbose) {
     nfp::benchkit::print_eval_table("per-kernel results:", result);
   }

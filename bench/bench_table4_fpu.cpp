@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
 
   nfp::board::BoardConfig cfg;
-  const auto& scheme = nfp::model::CategoryScheme::paper();
+  const auto& eq1 = nfp::model::eq1_estimator();
   std::printf("== Table IV: effect of introducing an FPU ==\n");
-  const auto calibration = nfp::benchkit::calibrate(cfg);
+  const auto calibration = nfp::model::Calibrator().fit(eq1, cfg);
 
   nfp::workloads::MvcKernelParams mvc;
   nfp::workloads::FseKernelParams fse;
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
   // Estimates for both ABIs of both workloads (the paper's "simulate the
   // execution of his code with and without an FPU").
   auto eval_of = [&](const std::vector<nfp::model::KernelJob>& jobs) {
-    return nfp::benchkit::evaluate(jobs, cfg, scheme, calibration.costs);
+    return nfp::benchkit::evaluate(jobs, cfg, eq1, calibration.costs);
   };
   const auto fse_float =
       eval_of(nfp::workloads::make_fse_jobs(nfp::mcc::FloatAbi::kHard, fse));

@@ -4,46 +4,6 @@
 
 namespace nfp::benchkit {
 
-model::SchemeCalibration calibrate(const board::BoardConfig& cfg,
-                                   const model::CategoryScheme& scheme,
-                                   model::CalibrationPlan plan) {
-  model::Calibrator calibrator(scheme, plan);
-  return calibrator.run(cfg);
-}
-
-EvalResult evaluate(const std::vector<model::KernelJob>& jobs,
-                    const board::BoardConfig& cfg,
-                    const model::CategoryScheme& scheme,
-                    const model::CategoryCosts& costs) {
-  model::Campaign campaign(cfg);
-  const auto records = campaign.run(jobs);
-
-  EvalResult result;
-  std::vector<double> est_e, meas_e, est_t, meas_t;
-  for (const auto& rec : records) {
-    KernelEval eval;
-    eval.name = rec.name;
-    eval.ok = rec.ok;
-    eval.error = rec.error;
-    eval.instret = rec.instret;
-    if (rec.ok) {
-      eval.estimated = model::estimate(rec.counts, scheme, costs);
-      eval.measured_energy_nj = rec.measured.energy_nj;
-      eval.measured_time_s = rec.measured.time_s;
-      est_e.push_back(eval.estimated.energy_nj);
-      meas_e.push_back(eval.measured_energy_nj);
-      est_t.push_back(eval.estimated.time_s);
-      meas_t.push_back(eval.measured_time_s);
-    }
-    result.kernels.push_back(std::move(eval));
-  }
-  if (!est_e.empty()) {
-    result.energy = model::error_stats(est_e, meas_e);
-    result.time = model::error_stats(est_t, meas_t);
-  }
-  return result;
-}
-
 EvalResult evaluate_records(const std::vector<model::KernelRunRecord>& records,
                             const model::Estimator& estimator,
                             const model::CategoryCosts& costs) {
@@ -71,6 +31,13 @@ EvalResult evaluate_records(const std::vector<model::KernelRunRecord>& records,
     result.time = model::error_stats(est_t, meas_t);
   }
   return result;
+}
+
+EvalResult evaluate(const std::vector<model::KernelJob>& jobs,
+                    const board::BoardConfig& cfg,
+                    const model::Estimator& estimator,
+                    const model::CategoryCosts& costs) {
+  return evaluate_records(model::Campaign(cfg).run(jobs), estimator, costs);
 }
 
 model::Estimate mean_estimate(const std::vector<KernelEval>& kernels) {

@@ -1,6 +1,6 @@
-// Shared machinery for the paper-reproduction benches: calibrate the NFP
-// model on the board, run kernel campaigns, and tabulate estimated vs
-// measured energy/time (Eq. 1-3).
+// Shared machinery for the paper-reproduction benches: run kernel
+// campaigns and tabulate estimated vs measured energy/time (Eq. 1-3).
+// Calibration is model::Calibrator::fit.
 #pragma once
 
 #include <string>
@@ -12,7 +12,6 @@
 #include "nfp/error.h"
 #include "nfp/estimator.h"
 #include "nfp/report.h"
-#include "nfp/scheme.h"
 
 namespace nfp::benchkit {
 
@@ -32,25 +31,19 @@ struct EvalResult {
   model::ErrorStats time;
 };
 
-// Calibrates per-category costs on a board with `cfg` (Table I/II, Eq. 2).
-model::SchemeCalibration calibrate(
-    const board::BoardConfig& cfg,
-    const model::CategoryScheme& scheme = model::CategoryScheme::paper(),
-    model::CalibrationPlan plan = {});
-
-// Runs all jobs on ISS + board, applies the estimator, and computes Eq. 3
-// error statistics over the successful kernels.
-EvalResult evaluate(const std::vector<model::KernelJob>& jobs,
-                    const board::BoardConfig& cfg,
-                    const model::CategoryScheme& scheme,
-                    const model::CategoryCosts& costs);
-
 // Applies one estimation scheme (nfp/estimator.h) to already-run campaign
 // records — so one campaign can be scored under several schemes — and
-// computes the same Eq. 3 statistics.
+// computes Eq. 3 error statistics over the successful kernels.
 EvalResult evaluate_records(const std::vector<model::KernelRunRecord>& records,
                             const model::Estimator& estimator,
                             const model::CategoryCosts& costs);
+
+// Runs all jobs as one campaign on a board with `cfg`, then
+// evaluate_records.
+EvalResult evaluate(const std::vector<model::KernelJob>& jobs,
+                    const board::BoardConfig& cfg,
+                    const model::Estimator& estimator,
+                    const model::CategoryCosts& costs);
 
 // Convenience: mean estimate over kernels (used by the Table IV bench).
 model::Estimate mean_estimate(const std::vector<KernelEval>& kernels);

@@ -52,8 +52,8 @@ nfp::model::Estimate estimate_abi(nfp::mcc::FloatAbi abi,
   std::printf("  %-10s %9llu instructions\n",
               abi == nfp::mcc::FloatAbi::kHard ? "float:" : "fixed:",
               static_cast<unsigned long long>(run.instret));
-  return nfp::model::estimate(iss.counters().counts,
-                              nfp::model::CategoryScheme::paper(), costs);
+  return nfp::model::eq1_estimator().estimate(
+      {.counts = iss.counters().counts}, costs);
 }
 
 }  // namespace
@@ -62,7 +62,8 @@ int main() {
   std::printf("Design question: does a Gaussian blur justify an FPU?\n\n");
 
   nfp::board::BoardConfig cfg;
-  const auto calibration = nfp::model::Calibrator().run(cfg);
+  const auto calibration =
+      nfp::model::Calibrator().fit(nfp::model::eq1_estimator(), cfg);
 
   std::printf("simulating both hardware options:\n");
   const auto with_fpu = estimate_abi(nfp::mcc::FloatAbi::kHard,

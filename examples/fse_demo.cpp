@@ -70,10 +70,10 @@ int main() {
 
   // What does this reconstruction cost on the device?
   nfp::board::BoardConfig cfg;
-  const auto calibration = nfp::model::Calibrator().run(cfg);
-  const auto est = nfp::model::estimate(iss.counters().counts,
-                                        nfp::model::CategoryScheme::paper(),
-                                        calibration.costs);
+  const auto& eq1 = nfp::model::eq1_estimator();
+  const auto calibration = nfp::model::Calibrator().fit(eq1, cfg);
+  const auto est =
+      eq1.estimate({.counts = iss.counters().counts}, calibration.costs);
   std::printf("estimated cost on target: %.2f ms, %.2f mJ (%llu "
               "instructions)\n",
               est.time_s * 1e3, est.energy_nj * 1e-6,

@@ -35,8 +35,8 @@ int main() {
 
   // 2. Calibrate the nine-category model (Table I / Eq. 2).
   nfp::board::BoardConfig board_cfg;
-  nfp::model::Calibrator calibrator;
-  const auto calibration = calibrator.run(board_cfg);
+  const auto& eq1 = nfp::model::eq1_estimator();
+  const auto calibration = nfp::model::Calibrator().fit(eq1, board_cfg);
   std::printf("calibrated %zu categories (e.g. Memory Load: %.0f ns, "
               "%.0f nJ per instruction)\n",
               calibration.costs.size(), calibration.costs.time_ns[2],
@@ -50,9 +50,8 @@ int main() {
               "instructions\n",
               run.exit_code, static_cast<unsigned long long>(run.instret));
 
-  const auto estimate = nfp::model::estimate(
-      iss.counters().counts, nfp::model::CategoryScheme::paper(),
-      calibration.costs);
+  const auto estimate =
+      eq1.estimate({.counts = iss.counters().counts}, calibration.costs);
   std::printf("estimated:  %.3f ms, %.3f uJ\n", estimate.time_s * 1e3,
               estimate.energy_nj * 1e-3);
 

@@ -16,7 +16,8 @@ int main() {
   std::printf("Video decode energy vs quality (48x48, 5 frames, lowdelay)\n\n");
 
   nfp::board::BoardConfig cfg;
-  const auto calibration = nfp::model::Calibrator().run(cfg);
+  const auto& eq1 = nfp::model::eq1_estimator();
+  const auto calibration = nfp::model::Calibrator().fit(eq1, cfg);
   const auto& program = nfp::workloads::mvc_program(nfp::mcc::FloatAbi::kHard);
 
   const auto frames = nfp::codec::make_sequence(
@@ -43,9 +44,8 @@ int main() {
       std::printf("decode failed at qp %d\n", qp);
       return 1;
     }
-    const auto est = nfp::model::estimate(iss.counters().counts,
-                                          nfp::model::CategoryScheme::paper(),
-                                          calibration.costs);
+    const auto est =
+        eq1.estimate({.counts = iss.counters().counts}, calibration.costs);
     table.add_row({std::to_string(qp),
                    std::to_string(enc.stream.payload.size()),
                    nfp::model::TextTable::fmt(quality, 1),

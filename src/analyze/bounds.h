@@ -7,8 +7,8 @@
 // single-path programs. Upper bounds come from the IPET solver (ipet.h),
 // which also uses this bound as its clamp.
 //
-// The op-count vector can be pushed through the same category scheme and
-// calibrated per-category costs as the dynamic estimator (Eq. 1), giving a
+// The op-count vector can be priced by the same Estimator and calibrated
+// costs as a dynamic run (a RunSample carrying only the counts), giving a
 // static Ê/T̂ directly comparable with the ISS-derived estimate.
 #pragma once
 
@@ -17,7 +17,7 @@
 
 #include "analyze/cfg.h"
 #include "board/cost_model.h"
-#include "nfp/estimator.h"
+#include "nfp/scheme.h"
 #include "sim/json.h"
 
 namespace nfp::analyze {
@@ -46,14 +46,6 @@ struct BoundsResult {
 };
 
 BoundsResult analyze_bounds(const Cfg& cfg, const board::CostModel& costs);
-
-// Eq. 1 fold of a static op-count vector with calibrated per-category costs,
-// for side-by-side comparison with the dynamic estimate.
-inline model::Estimate fold(const StaticVector& v,
-                            const model::CategoryScheme& scheme,
-                            const model::CategoryCosts& costs) {
-  return model::estimate(v.op_counts, scheme, costs);
-}
 
 // Human-readable report (used by nfplint --bounds).
 std::string render(const BoundsResult& result);

@@ -102,7 +102,7 @@ struct IpetResult {
   IpetInterval insns, cycles, energy_nj, time_s;
 
   // Witness vectors from the min-/max-cycles LP vertices (op counts rounded
-  // from exact flows); feed these to fold() for an Eq. 1 comparison.
+  // from exact flows); price these with an Estimator for an Eq. 1 comparison.
   StaticVector lower, upper;
 
   // True when the final lower bound came from the Dijkstra clamp rather

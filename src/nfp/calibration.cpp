@@ -327,35 +327,24 @@ std::vector<double> fit_least_squares(
   return coeff;
 }
 
-}  // namespace
-
-Calibrator::Calibrator(const CategoryScheme& scheme, CalibrationPlan plan)
-    : scheme_(scheme), plan_(plan) {
-  if (plan_.loops == 0 || plan_.per_loop == 0) {
-    throw std::invalid_argument(
-        "Calibrator: plan.loops and plan.per_loop must be > 0");
-  }
-}
-
-KernelPair Calibrator::make_kernels(std::size_t category) const {
-  const std::string& name = scheme_.category_name(category);
-  return make_pair(name, recipe_for(name), plan_);
-}
-
-SchemeCalibration Calibrator::run(const board::BoardConfig& cfg) const {
+// Eq. 2 over the categories of `scheme`: one ref/test pair per category
+// the board can run, e_c and t_c from each pair's energy and time deltas.
+SchemeCalibration calibrate_eq2(const CategoryScheme& scheme,
+                                const CalibrationPlan& plan,
+                                const board::BoardConfig& cfg) {
   SchemeCalibration out;
   out.scheme = eq1_estimator().name();
-  out.costs.energy_nj.assign(scheme_.size(), 0.0);
-  out.costs.time_ns.assign(scheme_.size(), 0.0);
+  out.costs.energy_nj.assign(scheme.size(), 0.0);
+  out.costs.time_ns.assign(scheme.size(), 0.0);
   std::vector<std::size_t> categories;
   std::vector<KernelPair> pairs;
-  for (std::size_t c = 0; c < scheme_.size(); ++c) {
-    const std::string& name = scheme_.category_name(c);
+  for (std::size_t c = 0; c < scheme.size(); ++c) {
+    const std::string& name = scheme.category_name(c);
     out.term_names.push_back(name);
     const Recipe recipe = recipe_for(name);
     if (!calibratable(recipe, cfg)) continue;  // zero cost
     categories.push_back(c);
-    pairs.push_back(make_pair(name, recipe, plan_));
+    pairs.push_back(make_pair(name, recipe, plan));
   }
 
   const std::vector<KernelRunRecord> records = measure_pairs(pairs, cfg);
@@ -377,15 +366,28 @@ SchemeCalibration Calibrator::run(const board::BoardConfig& cfg) const {
     out.costs.time_ns[categories[i]] = detail.specific_time_ns;
     out.details.push_back(detail);
   }
-  out.samples = records.size();
+  out.samples = pairs.size();
   return out;
+}
+
+}  // namespace
+
+Calibrator::Calibrator(CalibrationPlan plan) : plan_(plan) {
+  if (plan_.loops == 0 || plan_.per_loop == 0) {
+    throw std::invalid_argument(
+        "Calibrator: plan.loops and plan.per_loop must be > 0");
+  }
+}
+
+KernelPair Calibrator::make_kernels(const std::string& category) const {
+  return make_pair(category, recipe_for(category), plan_);
 }
 
 SchemeCalibration Calibrator::fit(const Estimator& estimator,
                                   const board::BoardConfig& cfg) const {
-  // The paper scheme is the Eq. 2 differencing run itself, so the fitted
-  // and classic pipelines agree bit for bit for the default.
-  if (estimator.name() == eq1_estimator().name()) return run(cfg);
+  if (const auto* eq1 = dynamic_cast<const Eq1Estimator*>(&estimator)) {
+    return calibrate_eq2(eq1->scheme(), plan_, cfg);
+  }
 
   SchemeCalibration out;
   out.scheme = estimator.name();
@@ -416,8 +418,9 @@ SchemeCalibration Calibrator::fit(const Estimator& estimator,
       pairs.push_back(make_pair(name, recipe, plan_));
     }
   };
-  for (std::size_t c = 0; c < scheme_.size(); ++c) {
-    add_pair(scheme_.category_name(c), recipe_for(scheme_.category_name(c)));
+  const CategoryScheme& paper = CategoryScheme::paper();
+  for (std::size_t c = 0; c < paper.size(); ++c) {
+    add_pair(paper.category_name(c), recipe_for(paper.category_name(c)));
   }
   add_pair("Row Stride", {false, false, [](std::uint32_t i) {
                             return format("ld [%%g1+%u], %%l5", (i % 4) * 1024);

@@ -17,7 +17,6 @@
 
 #include "board/config.h"
 #include "nfp/estimator.h"
-#include "nfp/scheme.h"
 
 namespace nfp::model {
 
@@ -44,14 +43,16 @@ struct CategoryCalibration {
 };
 
 // Calibrated coefficient vector for one estimation scheme (nfp/estimator.h).
-// Calibrator::run fills it from Eq. 2 ("eq1", one term per category of the
-// calibrator's scheme, details included); other schemes carry a
-// least-squares fit over the same Table-II calibration runs.
+// For eq1 it is Eq. 2, one term per category of the estimator's scheme,
+// details included; other schemes carry a least-squares fit over the same
+// kind of Table-II calibration runs.
 struct SchemeCalibration {
   std::string scheme;
   CategoryCosts costs;                  // one coefficient per model term
   std::vector<std::string> term_names;  // parallel to costs
-  std::size_t samples = 0;              // calibration runs behind the fit
+  // Table-II ref/test pairs behind the coefficients: one difference sample
+  // per pair the board could run.
+  std::size_t samples = 0;
   // Raw per-category bench readings (eq1 only; empty for fitted schemes).
   std::vector<CategoryCalibration> details;
 };
@@ -59,28 +60,25 @@ struct SchemeCalibration {
 class Calibrator {
  public:
   // Throws std::invalid_argument when plan.loops or plan.per_loop is 0.
-  explicit Calibrator(const CategoryScheme& scheme = CategoryScheme::paper(),
-                      CalibrationPlan plan = {});
+  explicit Calibrator(CalibrationPlan plan = {});
 
-  // Generates the Table-II kernel pair for one category of the scheme.
-  KernelPair make_kernels(std::size_t category) const;
+  // Generates the Table-II kernel pair for one category, by name (any
+  // category of the shipped schemes). Throws std::invalid_argument for a
+  // category without a calibration recipe.
+  KernelPair make_kernels(const std::string& category) const;
 
-  // Eq. 2 calibration of the scheme's categories on a board with the given
-  // configuration: the "eq1" model with one term per category. Categories
-  // the board cannot execute (FPU without an FPU, mul/div without the
-  // hardware unit) are skipped and cost zero.
-  SchemeCalibration run(const board::BoardConfig& cfg) const;
-
-  // Calibrates any registered scheme's coefficient vector. "eq1" is run();
-  // every other scheme is fitted by ridge-regularized least squares over
-  // the same Table-II ref/test kernel runs, with the feature vectors the
-  // scheme extracts from each board run (per-op counts, PMU events, bench
-  // time).
+  // Calibrates an estimator's coefficient vector on a board with the given
+  // configuration. An Eq1Estimator gets Eq. 2 over its scheme's categories;
+  // categories the board cannot execute (FPU without an FPU, mul/div
+  // without the hardware unit) are skipped and cost zero. Every other
+  // scheme is fitted by ridge-regularized least squares over the Table-II
+  // pairs of the paper's categories plus two targeted excitation pairs,
+  // with the feature vectors the scheme extracts from each board run
+  // (per-op counts, PMU events, bench time).
   SchemeCalibration fit(const Estimator& estimator,
                         const board::BoardConfig& cfg) const;
 
  private:
-  const CategoryScheme& scheme_;
   CalibrationPlan plan_;
 };
 

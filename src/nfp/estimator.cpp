@@ -1,27 +1,31 @@
 #include "nfp/estimator.h"
 
+#include <stdexcept>
+
 namespace nfp::model {
+
+Estimate Estimator::estimate(const RunSample& run,
+                             const CategoryCosts& costs) const {
+  const std::vector<double> x = features(run);
+  if (x.size() != costs.size()) {
+    throw std::invalid_argument("Estimator: features/costs size mismatch");
+  }
+  Estimate e;
+  double time_ns = 0.0;
+  for (std::size_t t = 0; t < x.size(); ++t) {
+    e.energy_nj += costs.energy_nj[t] * x[t];
+    time_ns += costs.time_ns[t] * x[t];
+  }
+  e.time_s = time_ns * 1e-9;
+  return e;
+}
+
+std::vector<double> Eq1Estimator::features(const RunSample& run) const {
+  const CategoryCounts agg = scheme_.aggregate(run.counts);
+  return std::vector<double>(agg.begin(), agg.end());
+}
+
 namespace {
-
-// The paper's Eq. 1: features are the nine Table-I category counts.
-class Eq1Estimator final : public Estimator {
- public:
-  std::string_view name() const override { return "eq1"; }
-  std::size_t terms() const override { return CategoryScheme::paper().size(); }
-  std::string term_name(std::size_t t) const override {
-    return CategoryScheme::paper().category_name(t);
-  }
-  bool needs_board_run() const override { return false; }
-
-  std::vector<double> features(const RunSample& run) const override {
-    const CategoryCounts agg = CategoryScheme::paper().aggregate(run.counts);
-    std::vector<double> x(agg.size());
-    for (std::size_t c = 0; c < agg.size(); ++c) {
-      x[c] = static_cast<double>(agg[c]);
-    }
-    return x;
-  }
-};
 
 // PMU event-counter model (2023 follow-on): a linear model over the
 // board's exported hardware event counters alone — no disassembly, no
@@ -68,7 +72,7 @@ class TimeProxyEstimator final : public Estimator {
 }  // namespace
 
 const Estimator& eq1_estimator() {
-  static const Eq1Estimator e;
+  static const Eq1Estimator e(CategoryScheme::paper());
   return e;
 }
 

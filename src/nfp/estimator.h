@@ -5,13 +5,14 @@
 // is one point in a family; the same group later showed that PMU event
 // counters (2023) and a pure processing-time proxy (2015) estimate energy
 // with comparable accuracy and fewer terms. Every scheme here is a linear
-// model over a scheme-specific feature vector extracted from a RunSample;
-// one helper (linear_estimate) does the Σ_t w_t · x_t accumulation for both
-// the free estimate() and Estimator::estimate(), so the "eq1" scheme
-// reproduces the legacy pipeline bit for bit.
+// model over a scheme-specific feature vector extracted from a RunSample,
+// and Estimator::estimate() is the one Σ_t w_t · x_t accumulation that
+// prices a run under any of them.
 //
 // Registered schemes (find_estimator / all_estimators):
-//   eq1        — the paper's per-category linear model over ISS op counts.
+//   eq1        — the paper's per-category linear model over ISS op counts,
+//                over the nine Table-I categories. Eq1Estimator builds the
+//                same model over any other CategoryScheme.
 //   events     — a linear model over the exported PMU-style hardware
 //                counters alone (board/events.h): what a deployment could
 //                estimate from on silicon without any disassembly. Needs a
@@ -22,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,36 +46,6 @@ struct Estimate {
   double energy_nj = 0.0;
   double time_s = 0.0;
 };
-
-// The one Σ_t w_t · x_t accumulation behind Eq. 1 and every scheme: each
-// term converted with static_cast<double>, energy and time summed in term
-// order, time scaled to seconds last. Callers check x.size() == costs.size().
-template <typename Features>
-Estimate linear_estimate(const Features& x, const CategoryCosts& costs) {
-  Estimate e;
-  double time_ns = 0.0;
-  for (std::size_t t = 0; t < x.size(); ++t) {
-    const auto v = static_cast<double>(x[t]);
-    e.energy_nj += costs.energy_nj[t] * v;
-    time_ns += costs.time_ns[t] * v;
-  }
-  e.time_s = time_ns * 1e-9;
-  return e;
-}
-
-inline Estimate estimate(const CategoryCounts& counts,
-                         const CategoryCosts& costs) {
-  if (counts.size() != costs.size()) {
-    throw std::invalid_argument("estimate: counts/costs size mismatch");
-  }
-  return linear_estimate(counts, costs);
-}
-
-inline Estimate estimate(const OpCounts& op_counts,
-                         const CategoryScheme& scheme,
-                         const CategoryCosts& costs) {
-  return estimate(scheme.aggregate(op_counts), costs);
-}
 
 // Everything a scheme may draw features from. eq1 needs only the ISS op
 // counts; events and time-proxy additionally need the board-side PMU export
@@ -103,19 +73,36 @@ class Estimator {
   // ISS alone cannot feed such a scheme.
   virtual bool needs_board_run() const = 0;
 
-  // Shared linear accumulation (linear_estimate, the same loop as the free
-  // estimate()), so eq1 is bit-identical to
-  // estimate(counts, CategoryScheme::paper(), costs).
-  Estimate estimate(const RunSample& run, const CategoryCosts& costs) const {
-    const std::vector<double> x = features(run);
-    if (x.size() != costs.size()) {
-      throw std::invalid_argument("Estimator: features/costs size mismatch");
-    }
-    return linear_estimate(x, costs);
-  }
+  // X̂ = Σ_t w_t · x_t: energy and time summed in term order, time scaled
+  // to seconds once at the end. Throws std::invalid_argument when the
+  // coefficient vector does not have one entry per term.
+  Estimate estimate(const RunSample& run, const CategoryCosts& costs) const;
 };
 
-// Registered scheme singletons.
+// The paper's Eq. 1 over a category scheme: one term per category of
+// `scheme`, the feature being that category's aggregated retire count.
+// eq1_estimator() is this model over CategoryScheme::paper(); the scheme
+// must outlive the estimator.
+class Eq1Estimator final : public Estimator {
+ public:
+  explicit Eq1Estimator(const CategoryScheme& scheme) : scheme_(scheme) {}
+  explicit Eq1Estimator(CategoryScheme&&) = delete;  // would dangle
+
+  const CategoryScheme& scheme() const { return scheme_; }
+
+  std::string_view name() const override { return "eq1"; }
+  std::size_t terms() const override { return scheme_.size(); }
+  std::string term_name(std::size_t t) const override {
+    return scheme_.category_name(t);
+  }
+  bool needs_board_run() const override { return false; }
+  std::vector<double> features(const RunSample& run) const override;
+
+ private:
+  const CategoryScheme& scheme_;
+};
+
+// Registered scheme singletons (eq1 over the paper's nine categories).
 const Estimator& eq1_estimator();
 const Estimator& events_estimator();
 const Estimator& time_proxy_estimator();

@@ -22,9 +22,7 @@ CampaignService::CampaignService(ServiceConfig cfg)
   // Before the pool starts: the calibration campaign runs its own workers,
   // and a failure here is one constructor exception.
   if (cfg_.calibrate) {
-    calibration_ =
-        Calibrator(CategoryScheme::paper(), cfg_.plan).fit(*estimator_,
-                                                           cfg_.board);
+    calibration_ = Calibrator(cfg_.plan).fit(*estimator_, cfg_.board);
   }
   const unsigned workers =
       cfg_.workers == 0 ? default_workers() : cfg_.workers;

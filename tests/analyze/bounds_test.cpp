@@ -1,7 +1,7 @@
 // Static NFP bounds tests. The load-bearing property: on loop-free
 // single-path kernels the static lower-bound op-count vector equals the
-// dynamic retire vector from the ISS exactly, so the static Eq. 1 fold and
-// the dynamic estimate coincide.
+// dynamic retire vector from the ISS exactly, so the static and dynamic
+// Eq. 1 estimates coincide.
 #include "analyze/bounds.h"
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include "nfp/estimator.h"
 #include "sim/iss.h"
 #include "sim/memmap.h"
+#include "support/eq1_reference.h"
 
 namespace nfp::analyze {
 namespace {
@@ -74,13 +75,15 @@ TEST(Bounds, StaticLowerEqualsDynamicRetireVectorIntKernel) {
   ASSERT_TRUE(r.bounds.has_exit);
   EXPECT_TRUE(r.bounds.lower_exact);
   EXPECT_EQ(r.bounds.lower.op_counts, r.dynamic_counts);
-  // With identical op counts the Eq. 1 folds are identical too.
+  // With identical op counts the Eq. 1 estimates are identical too.
   const auto& scheme = model::CategoryScheme::paper();
   const model::CategoryCosts costs = unit_costs(scheme);
-  const model::Estimate st = fold(r.bounds.lower, scheme, costs);
-  const model::Estimate dy = model::estimate(r.dynamic_counts, scheme, costs);
-  EXPECT_DOUBLE_EQ(st.energy_nj, dy.energy_nj);
-  EXPECT_DOUBLE_EQ(st.time_s, dy.time_s);
+  const model::Estimate st = model::eq1_estimator().estimate(
+      {.counts = r.bounds.lower.op_counts}, costs);
+  const model::Estimate dy =
+      test::eq1_reference(scheme.aggregate(r.dynamic_counts), costs);
+  EXPECT_EQ(st.energy_nj, dy.energy_nj);
+  EXPECT_EQ(st.time_s, dy.time_s);
 }
 
 TEST(Bounds, StaticLowerEqualsDynamicRetireVectorFpuKernel) {
@@ -91,10 +94,12 @@ TEST(Bounds, StaticLowerEqualsDynamicRetireVectorFpuKernel) {
   EXPECT_EQ(r.bounds.lower.op_counts, r.dynamic_counts);
   const auto& scheme = model::CategoryScheme::paper();
   const model::CategoryCosts costs = unit_costs(scheme);
-  const model::Estimate st = fold(r.bounds.lower, scheme, costs);
-  const model::Estimate dy = model::estimate(r.dynamic_counts, scheme, costs);
-  EXPECT_DOUBLE_EQ(st.energy_nj, dy.energy_nj);
-  EXPECT_DOUBLE_EQ(st.time_s, dy.time_s);
+  const model::Estimate st = model::eq1_estimator().estimate(
+      {.counts = r.bounds.lower.op_counts}, costs);
+  const model::Estimate dy =
+      test::eq1_reference(scheme.aggregate(r.dynamic_counts), costs);
+  EXPECT_EQ(st.energy_nj, dy.energy_nj);
+  EXPECT_EQ(st.time_s, dy.time_s);
 }
 
 TEST(Bounds, IndirectExitBlocksUpperEstimate) {

@@ -9,6 +9,7 @@
 #include "nfp/dse.h"
 #include "nfp/error.h"
 #include "nfp/estimator.h"
+#include "support/eq1_reference.h"
 #include "workloads/kernels.h"
 
 namespace nfp {
@@ -21,9 +22,7 @@ struct Pipeline {
   Pipeline() {
     model::CalibrationPlan plan;
     plan.loops = 40'000;
-    costs = model::Calibrator(model::CategoryScheme::paper(), plan)
-                .run(cfg)
-                .costs;
+    costs = model::Calibrator(plan).fit(model::eq1_estimator(), cfg).costs;
   }
 
   model::ErrorStats energy_errors(const std::vector<model::KernelJob>& jobs,
@@ -34,8 +33,8 @@ struct Pipeline {
     for (const auto& rec : records) {
       EXPECT_TRUE(rec.ok) << rec.name << ": " << rec.error;
       if (!rec.ok) continue;
-      const auto est = model::estimate(
-          rec.counts, model::CategoryScheme::paper(), costs);
+      const auto est =
+          model::eq1_estimator().estimate(model::run_sample(rec), costs);
       est_e.push_back(est.energy_nj);
       meas_e.push_back(rec.measured.energy_nj);
       est_t.push_back(est.time_s);
@@ -91,7 +90,7 @@ TEST(EstimationPipeline, IdealBoardIsNearExact) {
   model::CalibrationPlan plan;
   plan.loops = 40'000;
   const auto costs =
-      model::Calibrator(model::CategoryScheme::paper(), plan).run(ideal).costs;
+      model::Calibrator(plan).fit(model::eq1_estimator(), ideal).costs;
 
   workloads::SobelKernelParams params;
   params.count = 2;
@@ -100,7 +99,11 @@ TEST(EstimationPipeline, IdealBoardIsNearExact) {
   for (const auto& rec : campaign.run(jobs)) {
     ASSERT_TRUE(rec.ok) << rec.error;
     const auto est =
-        model::estimate(rec.counts, model::CategoryScheme::paper(), costs);
+        model::eq1_estimator().estimate(model::run_sample(rec), costs);
+    const auto want = test::eq1_reference(
+        model::CategoryScheme::paper().aggregate(rec.counts), costs);
+    EXPECT_EQ(est.energy_nj, want.energy_nj) << rec.name;
+    EXPECT_EQ(est.time_s, want.time_s) << rec.name;
     // Remaining error: umul/udiv lumping and SDRAM row state only.
     EXPECT_NEAR(est.energy_nj / rec.measured.energy_nj, 1.0, 0.05);
     EXPECT_NEAR(est.time_s / rec.measured.time_s, 1.0, 0.06);
@@ -117,13 +120,13 @@ TEST(EstimationPipeline, FpuImpactDirectionallyCorrect) {
   std::vector<model::Estimate> with_fpu, soft;
   for (const auto& rec : campaign.run(float_jobs)) {
     ASSERT_TRUE(rec.ok);
-    with_fpu.push_back(model::estimate(
-        rec.counts, model::CategoryScheme::paper(), pipeline().costs));
+    with_fpu.push_back(model::eq1_estimator().estimate(
+        model::run_sample(rec), pipeline().costs));
   }
   for (const auto& rec : campaign.run(fixed_jobs)) {
     ASSERT_TRUE(rec.ok);
-    soft.push_back(model::estimate(
-        rec.counts, model::CategoryScheme::paper(), pipeline().costs));
+    soft.push_back(model::eq1_estimator().estimate(model::run_sample(rec),
+                                                   pipeline().costs));
   }
   const auto impact = model::fpu_impact("fse", with_fpu, soft);
   EXPECT_LT(impact.energy_change_percent, -85.0);  // paper: -92.6%

@@ -19,8 +19,8 @@ CalibrationPlan small_plan() {
 }
 
 TEST(Calibration, KernelPairsFollowTableTwo) {
-  Calibrator cal(CategoryScheme::paper(), small_plan());
-  const auto pair = cal.make_kernels(0);  // Integer Arithmetic
+  Calibrator cal(small_plan());
+  const auto pair = cal.make_kernels("Integer Arithmetic");
   EXPECT_EQ(pair.n_test, 20'000u * 32u);
   // The reference kernel is the test kernel minus the tested body.
   EXPECT_LT(pair.ref_asm.size(), pair.test_asm.size());
@@ -37,8 +37,8 @@ TEST(Calibration, RecoversTrueCostsOnIdealBoard) {
   board::BoardConfig cfg;
   cfg.enable_variation = false;
   cfg.enable_meter_noise = false;
-  Calibrator cal(CategoryScheme::paper(), small_plan());
-  const auto result = cal.run(cfg);
+  Calibrator cal(small_plan());
+  const auto result = cal.fit(eq1_estimator(), cfg);
   ASSERT_EQ(result.details.size(), 9u);
 
   const board::CostModel cost;
@@ -69,8 +69,8 @@ TEST(Calibration, RecoversTrueCostsOnIdealBoard) {
 // percent of the truth and reproduce the Table-I ordering.
 TEST(Calibration, RealisticBoardReproducesTableOneShape) {
   board::BoardConfig cfg;  // defaults: variation + meter noise on
-  Calibrator cal(CategoryScheme::paper(), small_plan());
-  const auto result = cal.run(cfg);
+  Calibrator cal(small_plan());
+  const auto result = cal.fit(eq1_estimator(), cfg);
   const auto& t = result.costs.time_ns;
   const auto& e = result.costs.energy_nj;
   // Shape (paper Table I): load >> store >> jump >> int ~ nop ~ fpu-arith;
@@ -92,8 +92,8 @@ TEST(Calibration, RealisticBoardReproducesTableOneShape) {
 TEST(Calibration, FpuCategoriesSkippedWithoutFpu) {
   board::BoardConfig cfg;
   cfg.has_fpu = false;
-  Calibrator cal(CategoryScheme::paper(), small_plan());
-  const auto result = cal.run(cfg);
+  Calibrator cal(small_plan());
+  const auto result = cal.fit(eq1_estimator(), cfg);
   EXPECT_EQ(result.details.size(), 6u);  // only the integer-unit categories
   EXPECT_EQ(result.costs.energy_nj[6], 0.0);
   EXPECT_EQ(result.costs.energy_nj[7], 0.0);
@@ -101,16 +101,20 @@ TEST(Calibration, FpuCategoriesSkippedWithoutFpu) {
   EXPECT_GT(result.costs.energy_nj[0], 0.0);
 }
 
-TEST(Calibration, AlternativeSchemesCalibratable) {
+// Eq. 2 over any category scheme feeds the estimator it was fitted for:
+// one cost per category, named after it, and the same Eq1Estimator prices a
+// run with them.
+TEST(Calibration, Eq1CalibrationFeedsItsEstimator) {
   board::BoardConfig cfg;
   cfg.enable_variation = false;
   cfg.enable_meter_noise = false;
-  for (const auto* scheme :
-       {&CategoryScheme::coarse(), &CategoryScheme::fine()}) {
-    // fit(eq1) is run(): one term per category of the calibrator's scheme,
-    // named after it.
-    Calibrator cal(*scheme, small_plan());
-    const auto result = cal.fit(eq1_estimator(), cfg);
+  RunSample run;
+  for (std::size_t i = 0; i < isa::kOpCount; ++i) run.counts[i] = 1000 + i;
+  for (const auto* scheme : {&CategoryScheme::coarse(),
+                             &CategoryScheme::paper(),
+                             &CategoryScheme::fine()}) {
+    const Eq1Estimator eq1(*scheme);
+    const auto result = Calibrator(small_plan()).fit(eq1, cfg);
     EXPECT_EQ(result.scheme, "eq1");
     ASSERT_EQ(result.costs.size(), scheme->size());
     ASSERT_EQ(result.term_names.size(), scheme->size());
@@ -122,24 +126,43 @@ TEST(Calibration, AlternativeSchemesCalibratable) {
       EXPECT_GT(d.specific_energy_nj, 0.0) << scheme->name() << d.category;
       EXPECT_GT(d.specific_time_ns, 0.0) << scheme->name() << d.category;
     }
+    Estimate est;
+    ASSERT_NO_THROW(est = eq1.estimate(run, result.costs)) << scheme->name();
+    EXPECT_GT(est.energy_nj, 0.0) << scheme->name();
+    EXPECT_GT(est.time_s, 0.0) << scheme->name();
+  }
+}
+
+// samples counts Table-II pairs (difference samples) in both branches: Eq. 2
+// has one per calibrated category, the fitted schemes two more for the Row
+// Stride and Mul/Div excitation pairs.
+TEST(Calibration, SamplesCountTableTwoPairs) {
+  board::BoardConfig no_fpu;
+  no_fpu.has_fpu = false;
+  const Calibrator cal(small_plan());
+  for (const board::BoardConfig& cfg : {board::BoardConfig{}, no_fpu}) {
+    const SchemeCalibration eq1 = cal.fit(eq1_estimator(), cfg);
+    EXPECT_EQ(eq1.samples, eq1.details.size()) << "fpu=" << cfg.has_fpu;
+    const SchemeCalibration events = cal.fit(events_estimator(), cfg);
+    EXPECT_EQ(events.samples, eq1.samples + 2) << "fpu=" << cfg.has_fpu;
   }
 }
 
 TEST(Calibration, RejectsZeroLoops) {
   EXPECT_THROW(
-      Calibrator(CategoryScheme::paper(), {.loops = 0, .per_loop = 32}),
+      Calibrator({.loops = 0, .per_loop = 32}),
       std::invalid_argument);
 }
 
 TEST(Calibration, RejectsZeroPerLoop) {
   EXPECT_THROW(
-      Calibrator(CategoryScheme::paper(), {.loops = 20'000, .per_loop = 0}),
+      Calibrator({.loops = 20'000, .per_loop = 0}),
       std::invalid_argument);
 }
 
 // Reference for the campaign path: each Table-II kernel alone on a fresh
 // board, stepped one instruction at a time and read under the same meter
-// tag, then Eq. 2 by hand. Calibrator::run must reproduce it bit for bit.
+// tag, then Eq. 2 by hand. fit(eq1) must reproduce it bit for bit.
 board::Measurement fresh_board_run(const board::BoardConfig& cfg,
                                    const std::string& source,
                                    const std::string& tag) {
@@ -155,10 +178,11 @@ TEST(Calibration, MatchesFreshBoardPerKernel) {
   board::BoardConfig no_fpu;
   no_fpu.has_fpu = false;
   for (const board::BoardConfig& cfg : {board::BoardConfig{}, no_fpu}) {
-    const Calibrator cal(CategoryScheme::paper(), small_plan());
-    const SchemeCalibration result = cal.run(cfg);
+    const Calibrator cal(small_plan());
+    const SchemeCalibration result = cal.fit(eq1_estimator(), cfg);
     for (std::size_t c = 0; c < CategoryScheme::paper().size(); ++c) {
-      const KernelPair pair = cal.make_kernels(c);
+      const KernelPair pair =
+          cal.make_kernels(CategoryScheme::paper().category_name(c));
       double want_e = 0.0;
       double want_t = 0.0;
       if (cfg.has_fpu || pair.category.rfind("FPU", 0) != 0) {

@@ -7,6 +7,7 @@
 #include "nfp/error.h"
 #include "nfp/estimator.h"
 #include "nfp/scheme.h"
+#include "support/eq1_reference.h"
 
 namespace nfp::model {
 namespace {
@@ -32,6 +33,12 @@ class EstimatorProperties : public ::testing::TestWithParam<std::uint64_t> {
   }
 };
 
+// Eq. 1 over the paper's categories, from per-category counts.
+Estimate eq1_of(const CategoryCounts& n, const CategoryCosts& costs) {
+  return eq1_estimator().estimate(
+      test::run_with_category_counts(CategoryScheme::paper(), n), costs);
+}
+
 TEST_P(EstimatorProperties, AdditivityOverKernels) {
   // Running kernel A then kernel B costs the sum of their estimates
   // (the mechanistic model is linear by construction).
@@ -41,9 +48,9 @@ TEST_P(EstimatorProperties, AdditivityOverKernels) {
     const auto b = random_counts(9);
     CategoryCounts sum(9);
     for (std::size_t i = 0; i < 9; ++i) sum[i] = a[i] + b[i];
-    const auto ea = estimate(a, costs);
-    const auto eb = estimate(b, costs);
-    const auto es = estimate(sum, costs);
+    const auto ea = eq1_of(a, costs);
+    const auto eb = eq1_of(b, costs);
+    const auto es = eq1_of(sum, costs);
     EXPECT_NEAR(es.energy_nj, ea.energy_nj + eb.energy_nj,
                 1e-9 * es.energy_nj + 1e-9);
     EXPECT_NEAR(es.time_s, ea.time_s + eb.time_s, 1e-12 * es.time_s + 1e-15);
@@ -53,11 +60,11 @@ TEST_P(EstimatorProperties, AdditivityOverKernels) {
 TEST_P(EstimatorProperties, MonotoneInCounts) {
   const auto costs = random_costs(9);
   const auto base = random_counts(9);
-  const auto e0 = estimate(base, costs);
+  const auto e0 = eq1_of(base, costs);
   for (std::size_t c = 0; c < 9; ++c) {
     auto bumped = base;
     bumped[c] += 1000;
-    const auto e1 = estimate(bumped, costs);
+    const auto e1 = eq1_of(bumped, costs);
     EXPECT_GT(e1.energy_nj, e0.energy_nj) << "category " << c;
     EXPECT_GT(e1.time_s, e0.time_s) << "category " << c;
     // ... by exactly 1000 * the category cost.
@@ -67,16 +74,22 @@ TEST_P(EstimatorProperties, MonotoneInCounts) {
 }
 
 TEST_P(EstimatorProperties, SchemeAggregationCommutesWithEstimation) {
-  // Estimating from per-op counts through a scheme equals estimating from
-  // the aggregated category counts.
-  const auto& scheme = CategoryScheme::paper();
-  const auto costs = random_costs(scheme.size());
-  OpCounts ops{};
-  for (std::size_t i = 1; i < isa::kOpCount; ++i) ops[i] = rng_() % 10000;
-  const auto direct = estimate(ops, scheme, costs);
-  const auto via_agg = estimate(scheme.aggregate(ops), costs);
-  EXPECT_DOUBLE_EQ(direct.energy_nj, via_agg.energy_nj);
-  EXPECT_DOUBLE_EQ(direct.time_s, via_agg.time_s);
+  // Estimating from per-op counts through eq1 over a scheme equals the
+  // reference sum over the aggregated category counts, bit for bit.
+  for (const auto* scheme : {&CategoryScheme::paper(),
+                             &CategoryScheme::coarse(),
+                             &CategoryScheme::fine()}) {
+    const auto costs = random_costs(scheme->size());
+    RunSample run;
+    for (std::size_t i = 1; i < isa::kOpCount; ++i) {
+      run.counts[i] = rng_() % 10000;
+    }
+    const auto direct = Eq1Estimator(*scheme).estimate(run, costs);
+    const auto via_agg =
+        test::eq1_reference(scheme->aggregate(run.counts), costs);
+    EXPECT_EQ(direct.energy_nj, via_agg.energy_nj) << scheme->name();
+    EXPECT_EQ(direct.time_s, via_agg.time_s) << scheme->name();
+  }
 }
 
 TEST_P(EstimatorProperties, ErrorStatsBounds) {

@@ -5,6 +5,7 @@
 #include "nfp/estimator.h"
 #include "nfp/report.h"
 #include "nfp/scheme.h"
+#include "support/eq1_reference.h"
 
 namespace nfp::model {
 namespace {
@@ -52,32 +53,57 @@ TEST(Scheme, FineSchemeSplitsMulDiv) {
   EXPECT_NE(s.category_of(Op::kFcmpd), s.category_of(Op::kFaddd));
 }
 
+// A two-category scheme: loads in one category, every other op in the
+// other. eq1 works over it like over the shipped schemes.
+const CategoryScheme& two_category_scheme() {
+  static const CategoryScheme scheme = [] {
+    std::array<std::uint8_t, isa::kOpCount> map{};
+    map[static_cast<std::size_t>(Op::kLd)] = 1;
+    return CategoryScheme("two", {"Integer", "Load"}, map);
+  }();
+  return scheme;
+}
+
 TEST(Estimator, LinearInCounts) {
+  const auto& scheme = CategoryScheme::paper();
   CategoryCosts costs;
   costs.energy_nj = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   costs.time_ns = {9, 8, 7, 6, 5, 4, 3, 2, 1};
-  CategoryCounts a(9, 10);
-  CategoryCounts b(9, 30);
-  const auto ea = estimate(a, costs);
-  const auto eb = estimate(b, costs);
+  const CategoryCounts a(9, 10);
+  const CategoryCounts b(9, 30);
+  const auto ea = eq1_estimator().estimate(
+      test::run_with_category_counts(scheme, a), costs);
+  const auto eb = eq1_estimator().estimate(
+      test::run_with_category_counts(scheme, b), costs);
   EXPECT_DOUBLE_EQ(eb.energy_nj, 3.0 * ea.energy_nj);
   EXPECT_DOUBLE_EQ(eb.time_s, 3.0 * ea.time_s);
+  const auto want = test::eq1_reference(b, costs);
+  EXPECT_EQ(eb.energy_nj, want.energy_nj);
+  EXPECT_EQ(eb.time_s, want.time_s);
 }
 
 TEST(Estimator, MatchesHandComputation) {
   CategoryCosts costs;
   costs.energy_nj = {15, 76};
   costs.time_ns = {45, 238};
-  const auto e = estimate(CategoryCounts{100, 10}, costs);
+  RunSample run;
+  run.counts[static_cast<std::size_t>(Op::kAdd)] = 60;
+  run.counts[static_cast<std::size_t>(Op::kSub)] = 40;
+  run.counts[static_cast<std::size_t>(Op::kLd)] = 10;
+  const auto e = Eq1Estimator(two_category_scheme()).estimate(run, costs);
   EXPECT_DOUBLE_EQ(e.energy_nj, 100 * 15.0 + 10 * 76.0);
   EXPECT_DOUBLE_EQ(e.time_s, (100 * 45.0 + 10 * 238.0) * 1e-9);
+  const auto want = test::eq1_reference(CategoryCounts{100, 10}, costs);
+  EXPECT_EQ(e.energy_nj, want.energy_nj);
+  EXPECT_EQ(e.time_s, want.time_s);
 }
 
 TEST(Estimator, SizeMismatchThrows) {
   CategoryCosts costs;
   costs.energy_nj = {1.0};
   costs.time_ns = {1.0};
-  EXPECT_THROW(estimate(CategoryCounts{1, 2}, costs), std::invalid_argument);
+  EXPECT_THROW(Eq1Estimator(two_category_scheme()).estimate({}, costs),
+               std::invalid_argument);
 }
 
 TEST(ErrorStats, MatchesEquationThree) {

@@ -4,7 +4,7 @@
 // estimation scheme. The hard invariants mirror the bench:
 //
 //   - behavior preservation: the "eq1" scheme's estimates are bit-identical
-//     to the legacy estimate(counts, paper, costs) pipeline per kernel;
+//     to the straight-line Eq. 1 sum (support/eq1_reference.h) per kernel;
 //   - every fitted scheme stays calibratable on the default board and lands
 //     within a (generous) accuracy envelope on real kernels, so a fit
 //     regression that silently destroys extrapolation fails CI.
@@ -21,6 +21,7 @@
 #include "nfp/campaign.h"
 #include "nfp/error.h"
 #include "nfp/estimator.h"
+#include "support/eq1_reference.h"
 #include "workloads/kernels.h"
 
 namespace nfp::model {
@@ -78,7 +79,7 @@ TEST(SchemeAccuracySmoke, AllSchemesCalibrateAndStayInsideTheEnvelope) {
   // the benches' concern, this tier guards the machinery.
   CalibrationPlan plan;
   plan.loops = 20'000;
-  const Calibrator calibrator(CategoryScheme::paper(), plan);
+  const Calibrator calibrator(plan);
 
   const auto records = Campaign(cfg).run(jobs);
   for (const auto& rec : records) {
@@ -115,17 +116,22 @@ TEST(SchemeAccuracySmoke, Eq1SchemeIsBitIdenticalOnRealKernels) {
   const board::BoardConfig cfg;
   CalibrationPlan plan;
   plan.loops = 20'000;
-  const Calibrator calibrator(CategoryScheme::paper(), plan);
+  const Calibrator calibrator(plan);
 
-  // The fitted-path "eq1" coefficients must be the classic Eq. 2 result,
+  // The eq1 coefficients are Eq. 2 over the recorded per-category readings,
   // and estimates through the scheme interface the same doubles as the
-  // legacy pipeline, kernel for kernel.
+  // reference sum, kernel for kernel.
   const SchemeCalibration fitted = calibrator.fit(eq1_estimator(), cfg);
-  const SchemeCalibration classic = calibrator.run(cfg);
-  ASSERT_EQ(fitted.costs.energy_nj.size(), classic.costs.energy_nj.size());
-  for (std::size_t c = 0; c < classic.costs.energy_nj.size(); ++c) {
-    EXPECT_EQ(fitted.costs.energy_nj[c], classic.costs.energy_nj[c]);
-    EXPECT_EQ(fitted.costs.time_ns[c], classic.costs.time_ns[c]);
+  ASSERT_EQ(fitted.costs.size(), CategoryScheme::paper().size());
+  ASSERT_EQ(fitted.details.size(), fitted.costs.size());
+  for (std::size_t c = 0; c < fitted.details.size(); ++c) {
+    const CategoryCalibration& d = fitted.details[c];
+    const double n = static_cast<double>(std::uint64_t{plan.loops} *
+                                         plan.per_loop);
+    EXPECT_EQ(fitted.costs.energy_nj[c], (d.e_test_nj - d.e_ref_nj) / n)
+        << d.category;
+    EXPECT_EQ(fitted.costs.time_ns[c], (d.t_test_s - d.t_ref_s) * 1e9 / n)
+        << d.category;
   }
 
   const auto records = Campaign(cfg).run(jobs);
@@ -133,10 +139,10 @@ TEST(SchemeAccuracySmoke, Eq1SchemeIsBitIdenticalOnRealKernels) {
     ASSERT_TRUE(rec.ok) << rec.name;
     const Estimate via_scheme =
         eq1_estimator().estimate(run_sample(rec), fitted.costs);
-    const Estimate legacy =
-        estimate(rec.counts, CategoryScheme::paper(), classic.costs);
-    EXPECT_EQ(via_scheme.energy_nj, legacy.energy_nj) << rec.name;
-    EXPECT_EQ(via_scheme.time_s, legacy.time_s) << rec.name;
+    const Estimate want = test::eq1_reference(
+        CategoryScheme::paper().aggregate(rec.counts), fitted.costs);
+    EXPECT_EQ(via_scheme.energy_nj, want.energy_nj) << rec.name;
+    EXPECT_EQ(via_scheme.time_s, want.time_s) << rec.name;
   }
 }
 

@@ -2,7 +2,8 @@
 //   - every CategoryScheme maps every retired op to an in-range category
 //     (totality), and aggregation conserves the op total;
 //   - the estimator registry is complete and lookups are exact;
-//   - the "eq1" scheme is bit-identical to the legacy estimate() pipeline;
+//   - the "eq1" scheme is bit-identical to the straight-line Eq. 1 sum
+//     (support/eq1_reference.h);
 //   - feature vectors honor the advertised term count and feed only on what
 //     needs_board_run() promises.
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "nfp/estimator.h"
 #include "nfp/scheme.h"
+#include "support/eq1_reference.h"
 
 namespace nfp::model {
 namespace {
@@ -105,9 +107,9 @@ TEST(Estimator, FeatureVectorsMatchTheAdvertisedTermCount) {
 }
 
 TEST(Estimator, Eq1IsBitIdenticalToTheLegacyPipeline) {
-  // The tentpole behavior-preservation guarantee, at the unit level: the
-  // same costs and counts through the scheme interface and through the
-  // original estimate() produce the same doubles, compared for equality.
+  // The behavior-preservation guarantee at the unit level: the same costs
+  // and counts through the scheme interface and through the reference sum
+  // produce the same doubles, compared for equality.
   std::mt19937_64 rng{42};
   const auto& scheme = CategoryScheme::paper();
   CategoryCosts costs;
@@ -120,9 +122,10 @@ TEST(Estimator, Eq1IsBitIdenticalToTheLegacyPipeline) {
     RunSample run;
     for (auto& c : run.counts) c = rng() % 5000000;
     const Estimate via_scheme = eq1_estimator().estimate(run, costs);
-    const Estimate legacy = estimate(run.counts, scheme, costs);
-    EXPECT_EQ(via_scheme.energy_nj, legacy.energy_nj);
-    EXPECT_EQ(via_scheme.time_s, legacy.time_s);
+    const Estimate want = test::eq1_reference(scheme.aggregate(run.counts),
+                                              costs);
+    EXPECT_EQ(via_scheme.energy_nj, want.energy_nj);
+    EXPECT_EQ(via_scheme.time_s, want.time_s);
   }
 }
 

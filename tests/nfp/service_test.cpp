@@ -16,6 +16,7 @@
 
 #include "asmkit/assembler.h"
 #include "sim/memmap.h"
+#include "support/eq1_reference.h"
 #include "support/reference_run.h"
 #include "workloads/kernels.h"
 
@@ -362,7 +363,8 @@ TEST(CampaignService, MatchesBatchCampaignOnKernelSets) {
 TEST(CampaignService, WarmCalibrationTableIsSharedAcrossJobs) {
   // With calibration on, every job's estimate comes from one table: equal
   // counts => bit-equal estimates, and the table matches a direct
-  // Calibrator run under the same config and plan.
+  // Calibrator::fit under the same config and plan, priced by the Eq. 1
+  // reference sum.
   ServiceConfig cfg;
   cfg.workers = 2;
   cfg.calibrate = true;
@@ -379,10 +381,10 @@ TEST(CampaignService, WarmCalibrationTableIsSharedAcrossJobs) {
   }
   EXPECT_EQ(std::bit_cast<std::uint64_t>(results[0].estimate.energy_nj),
             std::bit_cast<std::uint64_t>(results[1].estimate.energy_nj));
-  const auto direct =
-      Calibrator(CategoryScheme::paper(), cfg.plan).run(cfg.board);
-  const auto want =
-      estimate(results[2].record.counts, CategoryScheme::paper(), direct.costs);
+  const auto direct = Calibrator(cfg.plan).fit(eq1_estimator(), cfg.board);
+  const auto want = test::eq1_reference(
+      CategoryScheme::paper().aggregate(results[2].record.counts),
+      direct.costs);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(results[2].estimate.energy_nj),
             std::bit_cast<std::uint64_t>(want.energy_nj));
   EXPECT_EQ(std::bit_cast<std::uint64_t>(results[2].estimate.time_s),

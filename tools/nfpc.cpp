@@ -286,8 +286,6 @@ int main(int argc, char** argv) {
       if (have_seed) cfg.seed = seed;
       std::printf("calibrating NFP model (scheme %s)...\n",
                   scheme_name.c_str());
-      // fit() routes eq1 through the classic Eq. 2 differencing run, so the
-      // default scheme prints exactly the numbers it always did.
       const auto calibration = nfp::model::Calibrator().fit(*est_scheme, cfg);
       nfp::model::RunSample sample;
       sample.counts = iss.counters().counts;
