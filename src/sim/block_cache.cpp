@@ -732,12 +732,8 @@ void BlockCache::set_tally(bool on) {
 }
 
 JitRuntime* BlockCache::ensure_jit() {
-  if (jit_ == nullptr && !jit_failed_) {
-    if (jit_available()) {
-      jit_ = std::make_unique<JitRuntime>(bus_, *this);
-      if (!jit_->ok()) jit_.reset();
-    }
-    jit_failed_ = jit_ == nullptr;
+  if (jit_ == nullptr && jit_available()) {
+    jit_ = std::make_unique<JitRuntime>(bus_, *this);
   }
   return jit_.get();
 }

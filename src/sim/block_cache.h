@@ -246,8 +246,8 @@ class BlockCache {
   // The runtime owning the executable arena and per-block code lives with
   // the cache so invalidation can unpatch emitted chain jumps exactly when
   // it severs the interpreter's chain links. ensure_jit() builds it on first
-  // use; it returns nullptr when the host cannot execute emitted code (the
-  // executor then stays on the kBlock path).
+  // use; it returns nullptr when jit_available() is false (the executor then
+  // stays on the kBlock path).
   JitRuntime* ensure_jit();
   JitRuntime* jit() { return jit_.get(); }
 
@@ -288,7 +288,6 @@ class BlockCache {
   Stats stats_;
   bool tally_ = false;
   std::unique_ptr<JitRuntime> jit_;
-  bool jit_failed_ = false;  // ensure_jit() probe failed; don't retry
 };
 
 inline void to_json(JsonWriter& w, const BlockCache::Stats& s) {

@@ -1,7 +1,8 @@
 // x86-64 backend of the template JIT (see jit.h for the architecture and
 // docs/jit.md for the template shapes). Split in three parts:
 //
-//  1. the W^X arena + entry thunk (JitRuntime::Impl),
+//  1. the arena (one memfd mapped read+execute, written with pwrite) and
+//     the entry thunk (JitRuntime::Impl),
 //  2. the generic slow-path helper nfp_jit_exec_insn — every record the
 //     templates do not model natively re-executes through the block's own
 //     morph handler, so the slow path is interpreter-identical by
@@ -18,8 +19,10 @@
 // helper is entered at the SysV-required alignment.
 #include "sim/jit.h"
 
+#include <cerrno>
 #include <cstddef>
-#include <cstring>
+#include <stdexcept>
+#include <system_error>
 #include <type_traits>
 
 #include "asmkit/x64.h"
@@ -29,6 +32,7 @@
 
 #if NFP_JIT_ENABLED
 #include <sys/mman.h>
+#include <unistd.h>
 #endif
 
 namespace nfp::sim {
@@ -52,7 +56,6 @@ struct JitRuntime::Impl {};
 
 JitRuntime::JitRuntime(Bus& bus, BlockCache& cache) : bus_(bus), cache_(cache) {}
 JitRuntime::~JitRuntime() = default;
-bool JitRuntime::ok() const { return false; }
 void JitRuntime::configure(CpuState*, std::uint64_t*, CostLedger*) {}
 void JitRuntime::btc_insert(std::uint32_t, Block&) {}
 Block::JitState JitRuntime::ensure_compiled(Block& b) {
@@ -107,19 +110,78 @@ static_assert(offsetof(CostLedger, open_row) == 12);
 
 namespace {
 
-bool probe_exec_pages() {
-  static int result = -1;
-  if (result < 0) {
-    void* p = ::mmap(nullptr, 4096, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) {
-      result = 0;
-    } else {
-      result = ::mprotect(p, 4096, PROT_READ | PROT_EXEC) == 0 ? 1 : 0;
-      ::munmap(p, 4096);
-    }
+#ifndef MFD_EXEC
+#define MFD_EXEC 0x0010U  // Linux 6.3+; older libc headers lack it
+#endif
+
+// The code arena, W^X by construction: a memfd mapped once, read+execute,
+// and written only through pwrite on the file, so no writable mapping of
+// emitted code ever exists.
+struct ExecArena {
+  static constexpr std::uint32_t kFull = 0xFFFFFFFFu;
+
+  int fd = -1;
+  const std::uint8_t* base = nullptr;
+  std::size_t size = 0;
+  std::size_t used = 0;
+  std::uint32_t thunk_off = 0;
+  std::size_t code_start = 0;  // first byte after the thunk
+
+  ~ExecArena() {
+    if (base != nullptr) ::munmap(const_cast<std::uint8_t*>(base), size);
+    if (fd >= 0) ::close(fd);
   }
-  return result == 1;
+
+  bool map(std::size_t bytes) {
+    fd = ::memfd_create("nfp-jit", MFD_CLOEXEC | MFD_EXEC);
+    if (fd < 0 && errno == EINVAL) fd = ::memfd_create("nfp-jit", MFD_CLOEXEC);
+    if (fd < 0 || ::ftruncate(fd, static_cast<off_t>(bytes)) != 0) return false;
+    void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_EXEC, MAP_SHARED, fd, 0);
+    if (p == MAP_FAILED) return false;
+    base = static_cast<const std::uint8_t*>(p);
+    size = bytes;
+    return true;
+  }
+
+  // False on a failed or short write.
+  bool write(std::size_t off, const void* src, std::size_t n) const {
+    return ::pwrite(fd, src, n, static_cast<off_t>(off)) ==
+           static_cast<ssize_t>(n);
+  }
+
+  // Appends emitted bytes (16-aligned). Returns the arena offset, or kFull
+  // when the arena is exhausted or the write fails.
+  std::uint32_t commit(const asmkit::x64::Emitter& e) {
+    const std::size_t at = (used + 15) & ~std::size_t{15};
+    if (at + e.size() > size || !write(at, e.data(), e.size())) return kFull;
+    used = at + e.size();
+    return static_cast<std::uint32_t>(at);
+  }
+
+  // Points the jmp whose rel32 field sits at `patch_off` at `target_off`.
+  bool write_rel32(std::uint32_t patch_off, std::uint32_t target_off) const {
+    const std::int32_t rel = static_cast<std::int32_t>(target_off) -
+                             static_cast<std::int32_t>(patch_off + 4);
+    return write(patch_off, &rel, 4);
+  }
+};
+
+// The host passed the probe yet refused an arena (descriptors or address
+// space exhausted): fail the run instead of hiding it behind kBlock.
+std::system_error arena_error() {
+  return {errno, std::generic_category(), "jit: cannot build the code arena"};
+}
+
+// One run of the arena's exact sequence: memfd, ftruncate, exec mapping,
+// one pwrite. Hosts that refuse any step (vm.memfd_noexec=2, hardened
+// kernels) get no jit.
+bool probe_exec_pages() {
+  static const bool ok = [] {
+    ExecArena arena;
+    const std::uint8_t ret = 0xC3;
+    return arena.map(4096) && arena.write(0, &ret, 1);
+  }();
+  return ok;
 }
 
 }  // namespace
@@ -1075,67 +1137,13 @@ void BlockCompiler::emit_insn(const isa::DecodedInsn& d, std::uint32_t i) {
 
 // ---- arena + thunk ---------------------------------------------------------
 
-struct JitRuntime::Impl {
+struct JitRuntime::Impl : ExecArena {
   static constexpr std::size_t kArenaBytes = std::size_t{16} << 20;
-  static constexpr std::uint32_t kFull = 0xFFFFFFFFu;
-
-  std::uint8_t* base = nullptr;
-  std::size_t size = 0;
-  std::size_t used = 0;
-  std::uint32_t thunk_off = 0;
-  std::size_t code_start = 0;  // first byte after the thunk
-  bool writable = true;        // as mapped
-
-  ~Impl() {
-    if (base != nullptr) ::munmap(base, size);
-  }
-
-  bool map() {
-    void* p = ::mmap(nullptr, kArenaBytes, PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (p == MAP_FAILED) return false;
-    base = static_cast<std::uint8_t*>(p);
-    size = kArenaBytes;
-    return true;
-  }
-
-  // W^X: the arena is writable while the host compiles and patches, and
-  // executable while code runs, never both. Flips are lazy: the commits and
-  // patches between two native entries share one RW/RX pair.
-  void make_rw() {
-    if (writable) return;
-    ::mprotect(base, size, PROT_READ | PROT_WRITE);
-    writable = true;
-  }
-  void make_rx() {
-    if (!writable) return;
-    ::mprotect(base, size, PROT_READ | PROT_EXEC);
-    writable = false;
-  }
-
-  // Appends emitted bytes (16-aligned), leaving the arena writable until the
-  // next entry. Returns the arena offset, or kFull when exhausted.
-  std::uint32_t commit(const asmkit::x64::Emitter& e) {
-    const std::size_t at = (used + 15) & ~std::size_t{15};
-    if (at + e.size() > size) return kFull;
-    make_rw();
-    std::memcpy(base + at, e.data(), e.size());
-    used = at + e.size();
-    return static_cast<std::uint32_t>(at);
-  }
-
-  // Rewrites one rel32 field; the caller makes the arena writable.
-  void write_rel32(std::uint32_t off, std::int32_t value) {
-    std::memcpy(base + off, &value, 4);
-  }
 };
 
 JitRuntime::JitRuntime(Bus& bus, BlockCache& cache)
     : bus_(bus), cache_(cache), impl_(std::make_unique<Impl>()) {
-  if (!impl_->map()) {
-    impl_.reset();
-    return;
-  }
+  if (!impl_->map(Impl::kArenaBytes)) throw arena_error();
   rt_.ram_bias = reinterpret_cast<std::uint8_t*>(
       reinterpret_cast<std::uintptr_t>(bus_.ram_data()) - kRamBase);
   rt_.touched = bus_.touched_data();
@@ -1169,12 +1177,11 @@ JitRuntime::JitRuntime(Bus& bus, BlockCache& cache)
   e.pop_r(Gp::rbx);
   e.ret();
   impl_->thunk_off = impl_->commit(e);
+  if (impl_->thunk_off == Impl::kFull) throw arena_error();
   impl_->code_start = impl_->used;
 }
 
 JitRuntime::~JitRuntime() = default;
-
-bool JitRuntime::ok() const { return impl_ != nullptr; }
 
 void JitRuntime::configure(CpuState* cpu, std::uint64_t* counts,
                            CostLedger* ledger) {
@@ -1247,7 +1254,6 @@ std::uint64_t JitRuntime::enter(Block& b, std::uint64_t budget) {
   ++stats_.entries;
   rt_.fault_idx = kNoFault;
   pending_ = nullptr;
-  impl_->make_rx();
   using ThunkFn = std::uint64_t (*)(JitRt*, const void*, std::uint64_t);
   const auto fn = reinterpret_cast<ThunkFn>(impl_->base + impl_->thunk_off);
   return fn(&rt_, impl_->base + b.jit_meta->entry_off, budget);
@@ -1273,10 +1279,8 @@ void JitRuntime::patch_transition(JitBlockMeta& from, std::uint32_t pc,
   for (std::uint32_t i = 0; i < from.exits.size(); ++i) {
     JitExit& exit = from.exits[i];
     if (exit.exit_pc != pc || exit.patched_to != nullptr) continue;
-    impl_->make_rw();
-    impl_->write_rel32(exit.patch_off,
-                       static_cast<std::int32_t>(tm->entry_off) -
-                           static_cast<std::int32_t>(exit.patch_off + 4));
+    // A failed write leaves the exit on its stub, returning to the host.
+    if (!impl_->write_rel32(exit.patch_off, tm->entry_off)) return;
     exit.patched_to = &to;
     tm->incoming.emplace_back(&from, i);
     ++stats_.patches;
@@ -1288,18 +1292,15 @@ void JitRuntime::on_block_death(Block& b) {
   JitBlockMeta* m = b.jit_meta;
   if (m == nullptr || m->dead) return;
   m->dead = true;
-  // May run from inside native code (a self-modifying store through the
-  // helper), so the protection found on entry is restored on exit.
-  const bool was_writable = impl_->writable;
-  impl_->make_rw();
+  // A jump left in place would run stale code: the run fails (after the
+  // bookkeeping) rather than continue unfaithfully.
+  bool withdrawn = true;
   // Withdraw every patched jump INTO the dying code: a live predecessor must
   // fall back to its exit stub (and thence the host) instead of entering a
   // stale trace.
   for (const auto& [src, idx] : m->incoming) {
     JitExit& exit = src->exits[idx];
-    impl_->write_rel32(exit.patch_off,
-                       static_cast<std::int32_t>(exit.stub_off) -
-                           static_cast<std::int32_t>(exit.patch_off + 4));
+    withdrawn = impl_->write_rel32(exit.patch_off, exit.stub_off) && withdrawn;
     exit.patched_to = nullptr;
     ++stats_.unpatches;
   }
@@ -1311,9 +1312,7 @@ void JitRuntime::on_block_death(Block& b) {
   for (std::uint32_t i = 0; i < m->exits.size(); ++i) {
     JitExit& exit = m->exits[i];
     if (exit.patched_to == nullptr) continue;
-    impl_->write_rel32(exit.patch_off,
-                       static_cast<std::int32_t>(exit.stub_off) -
-                           static_cast<std::int32_t>(exit.patch_off + 4));
+    withdrawn = impl_->write_rel32(exit.patch_off, exit.stub_off) && withdrawn;
     JitBlockMeta* tm = exit.patched_to->jit_meta;
     for (std::size_t j = 0; j < tm->incoming.size(); ++j) {
       if (tm->incoming[j].first == m && tm->incoming[j].second == i) {
@@ -1325,13 +1324,15 @@ void JitRuntime::on_block_death(Block& b) {
     exit.patched_to = nullptr;
     ++stats_.unpatches;
   }
-  if (!was_writable) impl_->make_rx();
   // Withdraw inline-BTC entries targeting the dying code (the table lives
-  // in plain heap memory; no protection bracket needed).
+  // in plain heap memory, written directly).
   const std::uint64_t dead_entry =
       reinterpret_cast<std::uint64_t>(impl_->base) + m->entry_off;
   for (JitBtcSlot& s : btc_) {
     if (s.native == dead_entry) s = JitBtcSlot{};
+  }
+  if (!withdrawn) {
+    throw std::runtime_error("jit: cannot withdraw a chained jump");
   }
 }
 

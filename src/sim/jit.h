@@ -22,9 +22,9 @@
 // interpreter-identical by construction.
 // Blocks containing FPU work are not compiled at all (Block::JitState::
 // kRejected); the executor runs them through exec_block, the per-block
-// fallback to kBlock. On non-x86-64 hosts (or when the executable arena
-// cannot be mapped) jit_available() is false and the executor stays on the
-// chained-block path entirely.
+// fallback to kBlock. On non-x86-64 hosts (or when the host refuses an
+// executable memfd mapping) jit_available() is false and the executor stays
+// on the chained-block path entirely.
 #pragma once
 
 #include <cstdint>
@@ -37,10 +37,11 @@
 #include "sim/bus.h"
 #include "sim/cpu_state.h"
 
-// The backend emits and executes x86-64 code via an anonymous W^X mmap; it
-// is compiled in only on x86-64 Linux hosts. Everywhere else (and when
-// NFP_JIT_DISABLED is defined, e.g. by a sanitizer preset) the stubs below
-// report the jit unavailable and the executor degrades to kBlock.
+// The backend runs x86-64 code from a memfd mapped once read+execute and
+// written only with pwrite, so W^X holds without protection changes. It is
+// compiled in only on x86-64 Linux hosts. Everywhere else (and when
+// NFP_JIT_DISABLED is defined) the stubs below report the jit unavailable
+// and the executor degrades to kBlock.
 #if defined(__x86_64__) && defined(__linux__) && !defined(NFP_JIT_DISABLED)
 #define NFP_JIT_ENABLED 1
 #else
@@ -51,7 +52,7 @@ namespace nfp::sim {
 
 // True when emitted code can actually run here: compiled-in backend, not
 // forced off by jit_set_forced_off, and a one-shot probe confirming the
-// host will hand out executable pages.
+// host will map a memfd executable and let it be written.
 bool jit_available();
 
 // Test hook: force jit_available() == false to exercise the graceful
@@ -112,15 +113,13 @@ struct JitBlockMeta {
 
 class JitRuntime {
  public:
+  // Throws std::system_error when the host, having passed the probe behind
+  // jit_available(), refuses the arena (e.g. no descriptor left).
   JitRuntime(Bus& bus, BlockCache& cache);
   ~JitRuntime();
 
   JitRuntime(const JitRuntime&) = delete;
   JitRuntime& operator=(const JitRuntime&) = delete;
-
-  // False when the executable arena could not be mapped; the cache then
-  // drops the runtime and the executor keeps running kBlock.
-  bool ok() const;
 
   // Binds the CpuState, the retire-counter vector and the cost ledger (or
   // null) the emitted code will address. Counter adds and the ledger's

@@ -16,7 +16,10 @@
 
 #include <array>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "asmkit/assembler.h"
 #include "sim/digest.h"
@@ -572,6 +575,117 @@ loop:   ld [%g1], %o1
   const auto step = run_observed(prog, Dispatch::kStep);
   ASSERT_FALSE(step.fault.empty()) << "expected an alignment fault";
   expect_same(step, run_observed(prog, Dispatch::kJit), "misalign");
+}
+
+// ---- arena: W^X mapping and lifetime --------------------------------------
+
+// /proc/self/maps, one entry per line.
+std::vector<std::string> maps_lines() {
+  std::ifstream in("/proc/self/maps");
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& e :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+std::size_t arena_mappings() {
+  std::size_t n = 0;
+  for (const auto& line : maps_lines()) {
+    if (line.find("memfd:nfp-jit") != std::string::npos) ++n;
+  }
+  return n;
+}
+
+TEST(Jit, NoMappingIsWritableAndExecutable) {
+  SKIP_WITHOUT_JIT();
+  // Compile, chain and then invalidate mid-chain (the program of
+  // MidChainInvalidationUnpatchesBothSides): commits, patches and
+  // withdrawals all happened, yet no mapping may ever be both writable and
+  // executable, and the arena itself stays read+execute.
+  const auto prog = asmkit::assemble(R"(
+_start: mov 0, %l7
+        mov 0, %o0
+        set patch, %g1
+        ld [%g1], %l0
+        set word, %g2
+        ld [%g2], %l2
+        xor %l0, %l2, %l2
+loop:   xor %l0, %l2, %l0
+        st %l0, [%g1]
+        ba bblk
+        nop
+bblk:
+patch:  mov 1, %o1
+        add %o0, %o1, %o0
+        cmp %l7, 3
+        bne loop
+        add %l7, 1, %l7
+        ta 0
+word:   mov 7, %o1
+)",
+                                     kTextBase);
+  Iss iss;
+  iss.load(prog);
+  ASSERT_TRUE(iss.run(1'000'000, Dispatch::kJit).halted);
+  const JitRuntime* jit = iss.platform().block_cache()->jit();
+  ASSERT_NE(jit, nullptr);
+  EXPECT_GE(jit->stats().patches, 1u);
+  EXPECT_GE(jit->stats().unpatches, 1u);
+
+  std::size_t arenas = 0;
+  for (const auto& line : maps_lines()) {
+    const std::string perms = line.substr(line.find(' ') + 1, 4);
+    EXPECT_FALSE(perms[1] == 'w' && perms[2] == 'x') << line;
+    if (line.find("memfd:nfp-jit") != std::string::npos) {
+      ++arenas;
+      EXPECT_EQ(perms.substr(0, 3), "r-x") << line;
+    }
+  }
+  EXPECT_EQ(arenas, 1u);
+}
+
+TEST(Jit, DroppedRuntimesReleaseArenaFdAndMapping) {
+  SKIP_WITHOUT_JIT();
+  // Every Iss::load builds a fresh block cache and so a fresh runtime, as a
+  // snapshot restore does; a leaked memfd or mapping per runtime shows up
+  // as a thousand extra entries.
+  const auto prog = asmkit::assemble(R"(
+_start: mov 0, %l0
+        mov 0, %o0
+loop:   add %o0, %l0, %o0
+        add %l0, 1, %l0
+        cmp %l0, 100
+        bne loop
+        nop
+        ta 0
+)",
+                                     kTextBase);
+  const auto load_and_run_1000 = [&prog] {
+    Iss iss;
+    for (int i = 0; i < 1000; ++i) {
+      iss.load(prog);
+      ASSERT_TRUE(iss.run(1'000'000, Dispatch::kJit).halted);
+      ASSERT_NE(iss.platform().block_cache()->jit(), nullptr);
+    }
+    EXPECT_EQ(arena_mappings(), 1u);
+  };
+  // A first round settles one-time state: the probe, and the allocator's
+  // pools (a sanitizer's allocator maps one region per size class in use).
+  load_and_run_1000();
+  const std::size_t fds = open_fds();
+  const std::size_t maps = maps_lines().size();
+  load_and_run_1000();
+  EXPECT_EQ(arena_mappings(), 0u);
+  EXPECT_EQ(open_fds(), fds);
+  EXPECT_EQ(maps_lines().size(), maps);
 }
 
 // ---- graceful degradation -------------------------------------------------
