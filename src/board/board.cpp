@@ -8,23 +8,22 @@
 
 namespace nfp::board {
 
-Board::Board(BoardConfig cfg)
-    : cfg_(cfg), hooks_(std::make_unique<BoardHooks>(cfg_, cost_)) {}
+Board::Board(BoardConfig cfg) : cfg_(cfg), hooks_(cfg_, cost_) {}
 
 void Board::load(const asmkit::Program& program) {
   platform_.load(program);
-  hooks_ = std::make_unique<BoardHooks>(cfg_, cost_);
+  hooks_.reset();
 }
 
 void Board::step() {
-  sim::run_platform(platform_, *hooks_, 1, sim::Dispatch::kStep);
+  sim::run_platform(platform_, hooks_, 1, sim::Dispatch::kStep);
 }
 
 // BoardHooks expose their cost ledger, so kJit runs native code with the
 // ledger tallies emitted inline. When jit_available() is false the executor
 // degrades to kBlock on its own.
 sim::RunResult Board::run(std::uint64_t max_insns, sim::Dispatch dispatch) {
-  return sim::run_platform(platform_, *hooks_, max_insns, dispatch);
+  return sim::run_platform(platform_, hooks_, max_insns, dispatch);
 }
 
 void Board::save_state(std::ostream& out) const {
@@ -47,7 +46,7 @@ void Board::save_state(std::ostream& out) const {
   w.put_u8(static_cast<std::uint8_t>(cfg_.fidelity));
   w.end_chunk();
 
-  const BoardHooksState s = hooks_->export_state();
+  const BoardHooksState s = hooks_.export_state();
   const sim::CostLedger& l = s.ledger;
   w.begin_chunk(sim::kChunkBoardHooks);
   w.put_u32(static_cast<std::uint32_t>(isa::kOpCount));
@@ -138,8 +137,7 @@ void Board::restore_state(std::istream& in) {
   }
 
   sim::apply_platform_chunks(r, platform_);
-  hooks_ = std::make_unique<BoardHooks>(cfg_, cost_);
-  hooks_->import_state(s);
+  hooks_.import_state(s);
 }
 
 Measurement Board::measure(std::string_view tag) const {

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string_view>
 
 #include "asmkit/program.h"
@@ -42,21 +41,21 @@ class Board {
 
   // Ground truth (inaccessible on real hardware; used by tests and by the
   // Fig. 1 accuracy ladder).
-  std::uint64_t cycles() const { return hooks_->cycles(); }
+  std::uint64_t cycles() const { return hooks_.cycles(); }
   double true_time_s() const {
     return static_cast<double>(cycles()) / cfg_.clock_hz;
   }
-  double true_energy_nj() const { return hooks_->energy_nj(); }
-  BoardStats stats() const { return hooks_->stats(); }
+  double true_energy_nj() const { return hooks_.energy_nj(); }
+  BoardStats stats() const { return hooks_.stats(); }
   // The versioned PMU-style counter export (board/events.h): bit-identical
   // across dispatch modes and preserved by snapshot/restore.
-  EventCounters events() const { return hooks_->events(); }
+  EventCounters events() const { return hooks_.events(); }
   // Per-op retire counts from the board run (estimation-scheme features).
   const std::array<std::uint64_t, isa::kOpCount>& op_counts() const {
-    return hooks_->op_counts();
+    return hooks_.op_counts();
   }
   std::uint64_t switching_activity() const {
-    return hooks_->switching_activity();
+    return hooks_.switching_activity();
   }
 
   // Bench measurement: ground truth seen through the power meter and the
@@ -86,7 +85,9 @@ class Board {
   BoardConfig cfg_;
   CostModel cost_;
   sim::Platform platform_;
-  std::unique_ptr<BoardHooks> hooks_;
+  // One object for the board's lifetime, reset or imported in place: the
+  // jit drops its compiled code when the ledger it is bound to moves.
+  BoardHooks hooks_;
 };
 
 }  // namespace nfp::board

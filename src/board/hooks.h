@@ -42,6 +42,9 @@ struct BoardStats {
   friend bool operator==(const BoardStats&, const BoardStats&) = default;
 };
 
+// Seed of the switching-activity LFSR on a fresh board.
+inline constexpr std::uint64_t kActivitySeed = 0x2545F4914F6CDD1Dull;
+
 // The accumulator state a snapshot carries (board/board.cpp save/restore):
 // everything on which future accounting depends — the cost ledger's tallies,
 // SDRAM open row, cache tags and toggle history, and the switching-activity
@@ -49,7 +52,7 @@ struct BoardStats {
 // board's own configuration supplies them).
 struct BoardHooksState {
   sim::CostLedger ledger;
-  std::uint64_t activity_lfsr = 0;
+  std::uint64_t activity_lfsr = kActivitySeed;
   std::uint64_t activity = 0;
 };
 
@@ -268,13 +271,17 @@ class BoardHooks {
     return ev;
   }
 
+  // Back to a fresh object's state, in place (Board::load).
+  void reset() { import_state(BoardHooksState{}); }
+
   // ---- snapshot support (sim/state_io.h, board/board.cpp) -----------------
   BoardHooksState export_state() const {
     return BoardHooksState{ledger_, activity_lfsr_, activity_};
   }
 
   // Caller (Board::restore_state) has already validated s.ledger.tags
-  // against the configuration, so this cannot fail.
+  // against the configuration, so this cannot fail. Works in place: the
+  // jit's compiled code is bound to this object's ledger address.
   void import_state(const BoardHooksState& s) {
     ledger_ = s.ledger;
     configure_ledger();
@@ -348,7 +355,7 @@ class BoardHooks {
   const CostModel& cost_;
 
   sim::CostLedger ledger_;
-  std::uint64_t activity_lfsr_ = 0x2545F4914F6CDD1Dull;
+  std::uint64_t activity_lfsr_ = kActivitySeed;
   std::uint64_t activity_ = 0;
   std::uint64_t advanced_ = 0;  // cycles the activity tracker has covered
 };

@@ -83,8 +83,9 @@ std::vector<sim::Dispatch> snapshot_rotation() {
 // the OTHER half of a ping-pong executor pair, which continues the run.
 // Dispatch rotates segment by segment so save/restore boundaries cut through
 // warmed morph caches, chains, and jit translations in every mode; the
-// restored executor re-warms from scratch and must still match the
-// straight-through kStep reference at every checkpoint.
+// restored executor (cold on the first restore, afterwards holding its own
+// warm caches of the same image, which the restore keeps) must still match
+// the straight-through kStep reference at every checkpoint.
 std::vector<Snapshot> run_snapshot_mode(
     sim::Iss& a, sim::Iss& b, const asmkit::Program& program,
     const std::vector<std::uint64_t>& stops) {

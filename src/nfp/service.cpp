@@ -182,12 +182,13 @@ bool CampaignService::run_slice(PendingJob& pj, board::Board& brd,
 
 void CampaignService::worker_main(unsigned self) {
   // One board per worker, built on its first job and reused across every
-  // slice it runs. Constructing a Bus zeroes 16 MiB of RAM; reuse amortises
-  // that over every slice — Board::load and restore_state only re-zero the
-  // pages the previous slice touched, so a reused board is observably
-  // identical to a fresh one. Building it inside the job's try means a
-  // worker that never gets a job costs no board, and a failed allocation
-  // becomes that job's error record instead of terminating the process.
+  // slice it runs. Board::load and restore_state only re-zero the pages the
+  // previous slice touched, and a slice of the image the worker ran last
+  // keeps its decoded, morphed and compiled code, yet a reused board is
+  // observably identical to a fresh one. Building it inside the job's try
+  // means a worker that never gets a job costs no board, and a failed
+  // allocation becomes that job's error record instead of terminating the
+  // process.
   std::optional<board::Board> brd;
   std::unique_lock<std::mutex> lk(mu_);
   while (true) {

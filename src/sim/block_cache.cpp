@@ -718,9 +718,15 @@ BlockCache::BlockCache(Bus& bus, std::uint32_t code_base,
       code_base_(code_base),
       limit_(static_cast<std::uint32_t>(4 * dcache.size())),
       dcache_(dcache),
-      index_(dcache.size(), kUnknown) {}
+      index_(dcache.size(), kUnknown),
+      covered_(dcache.size(), 0) {}
 
 BlockCache::~BlockCache() = default;
+
+void BlockCache::reset_stats() {
+  stats_ = Stats{};
+  if (jit_ != nullptr) jit_->reset_stats();
+}
 
 void BlockCache::set_tally(bool on) {
   if (on == tally_) return;
@@ -779,6 +785,10 @@ Block* BlockCache::morph(std::uint32_t idx) {
     }
   }
 
+  // The jit may fold the delay slot after a CTI into the block's code.
+  const std::size_t footprint = std::min<std::size_t>(
+      end - idx, block->len + (with_cti ? 1 : 0));
+  std::fill_n(covered_.begin() + idx, footprint, 1);
   ++stats_.blocks_morphed;
   stats_.insns_morphed += n;
   index_[idx] = static_cast<std::int32_t>(blocks_.size());
@@ -846,6 +856,10 @@ void BlockCache::invalidate(std::uint32_t ea, std::uint32_t bytes) {
   for (std::uint32_t w = w0; w <= w1; ++w) {
     dcache_[w] = isa::decode(bus_.load32(code_base_ + 4 * w));
     if (index_[w] == kNoBlock) index_[w] = kUnknown;
+  }
+  if (std::none_of(covered_.begin() + w0, covered_.begin() + w1 + 1,
+                   [](std::uint8_t c) { return c != 0; })) {
+    return;
   }
 
   const std::uint32_t lo = code_base_ + 4 * w0;

@@ -28,7 +28,10 @@
 // flushes every block overlapping them (taking effect at the next block
 // entry; the remainder of a block already in flight completes from its
 // morphed trace, and chain links into or out of flushed blocks are severed
-// immediately so a chain in flight falls back to lookup()).
+// immediately so a chain in flight falls back to lookup()). Most such
+// stores hit the image's data section, which no block covers: every word a
+// block has ever covered is marked, and a store that touches no marked word
+// stops after the re-decode without looking at any block.
 #pragma once
 
 #include <array>
@@ -237,10 +240,14 @@ class BlockCache {
   // two-sided: every predecessor edge into a flushed block is unlinked, the
   // flushed block's own out-edges are severed, and BTC entries naming it
   // are purged — so a chain in flight finishes its current trace and then
-  // falls back to lookup() instead of following a stale pointer.
+  // falls back to lookup() instead of following a stale pointer. A range
+  // holding no covered word (see covered_) returns after the re-decode.
   void invalidate(std::uint32_t ea, std::uint32_t bytes);
 
   const Stats& stats() const { return stats_; }
+  // Zeroes these counters and the jit's: Platform calls it when it installs
+  // an image, so the counters always mean "since this image was installed".
+  void reset_stats();
 
   // ---- JIT tier (Dispatch::kJit) ------------------------------------------
   // The runtime owning the executable arena and per-block code lives with
@@ -279,6 +286,10 @@ class BlockCache {
   std::vector<isa::DecodedInsn>& dcache_;
   // Word index of a block *entry* -> slot in blocks_, or kUnknown/kNoBlock.
   std::vector<std::int32_t> index_;
+  // Per word: nonzero once any block's footprint has covered it — its trace
+  // plus, after a CTI, the delay-slot word the jit may fold. Never cleared,
+  // so it is a superset of every live block's footprint.
+  std::vector<std::uint8_t> covered_;
   std::vector<std::unique_ptr<Block>> blocks_;
   // Invalidated blocks are parked here, not freed: a store inside the block
   // currently being executed must leave its morphed trace alive until the

@@ -1,10 +1,22 @@
 #include "sim/bus.h"
 
+#include <sys/mman.h>
+
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <new>
 
 namespace nfp::sim {
+
+Bus::Bus() : touched_(kRamSize >> kPageShift, 0) {
+  void* p = ::mmap(nullptr, kRamSize, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  ram_ = static_cast<std::uint8_t*>(p);
+}
+
+Bus::~Bus() { ::munmap(ram_, kRamSize); }
 
 void Bus::write_block(std::uint32_t addr, const std::uint8_t* data,
                       std::size_t size) {
@@ -26,8 +38,7 @@ std::vector<std::uint8_t> Bus::read_block(std::uint32_t addr,
   if (!in_ram(addr) || addr - kRamBase + size > kRamSize) {
     throw_bad(addr, "host block read");
   }
-  return {ram_.begin() + (addr - kRamBase),
-          ram_.begin() + (addr - kRamBase) + size};
+  return {ram_ + (addr - kRamBase), ram_ + (addr - kRamBase) + size};
 }
 
 void Bus::write_f64(std::uint32_t addr, double value) {

@@ -18,7 +18,12 @@ struct SimError : std::runtime_error {
 
 class Bus {
  public:
-  Bus() : ram_(kRamSize, 0), touched_(kRamSize >> kPageShift, 0) {}
+  // RAM is one anonymous mapping, so pages the target never touches never
+  // become resident. Throws std::bad_alloc when the mapping fails.
+  Bus();
+  ~Bus();
+  Bus(const Bus&) = delete;
+  Bus& operator=(const Bus&) = delete;
 
   // Time sources surfaced through the timer MMIO registers. The ISS reports
   // retired instructions; the board reports cycles.
@@ -34,8 +39,8 @@ class Bus {
   }
 
   // Fast-path byte view of RAM for the executor.
-  std::uint8_t* ram_data() { return ram_.data(); }
-  const std::uint8_t* ram_data() const { return ram_.data(); }
+  std::uint8_t* ram_data() { return ram_; }
+  const std::uint8_t* ram_data() const { return ram_; }
 
   // Fast-path view of the dirty-page flags for the JIT's inlined store
   // templates, which must mark granules exactly like store8/16/32 do.
@@ -95,7 +100,7 @@ class Bus {
   void reset_touched_ram() {
     for (std::size_t page = 0; page < touched_.size(); ++page) {
       if (touched_[page]) {
-        std::fill_n(ram_.begin() + (page << kPageShift),
+        std::fill_n(ram_ + (page << kPageShift),
                     std::size_t{1} << kPageShift, 0);
         touched_[page] = 0;
       }
@@ -135,7 +140,7 @@ class Bus {
   void mmio_store(std::uint32_t addr, std::uint32_t value);
   [[noreturn]] static void throw_bad(std::uint32_t addr, const char* what);
 
-  std::vector<std::uint8_t> ram_;
+  std::uint8_t* ram_ = nullptr;  // kRamSize bytes, mapped by the constructor
   std::vector<std::uint8_t> touched_;
   std::string uart_;
   std::function<std::uint64_t()> time_source_;

@@ -149,11 +149,16 @@ struct ExecArena {
            static_cast<ssize_t>(n);
   }
 
+  // Whether `n` more bytes fit behind the used part (16-aligned).
+  bool fits(std::size_t n) const {
+    return ((used + 15) & ~std::size_t{15}) + n <= size;
+  }
+
   // Appends emitted bytes (16-aligned). Returns the arena offset, or kFull
   // when the arena is exhausted or the write fails.
   std::uint32_t commit(const asmkit::x64::Emitter& e) {
     const std::size_t at = (used + 15) & ~std::size_t{15};
-    if (at + e.size() > size || !write(at, e.data(), e.size())) return kFull;
+    if (!fits(e.size()) || !write(at, e.data(), e.size())) return kFull;
     used = at + e.size();
     return static_cast<std::uint32_t>(at);
   }
@@ -1229,8 +1234,14 @@ Block::JitState JitRuntime::ensure_compiled(Block& b) {
   meta->len = b.len;
   BlockCompiler comp(cache_, b, meta.get(), rt_.counts != nullptr, rt_.ledger);
   std::uint32_t off = Impl::kFull;
-  if (comp.compile()) off = impl_->commit(comp.emitter());
-  if (off == Impl::kFull) {  // untemplatable block or arena exhausted
+  if (comp.compile()) {
+    off = impl_->commit(comp.emitter());
+    if (off == Impl::kFull && !impl_->fits(comp.emitter().size())) {
+      reset_code();  // arena full: reclaim it and compile into it again
+      off = impl_->commit(comp.emitter());
+    }
+  }
+  if (off == Impl::kFull) {  // untemplatable block or failed write
     ++stats_.blocks_rejected;
     b.jit_state = Block::JitState::kRejected;
     return b.jit_state;

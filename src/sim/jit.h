@@ -129,7 +129,9 @@ class JitRuntime {
   void configure(CpuState* cpu, std::uint64_t* counts, CostLedger* ledger);
 
   // Compiles `b` on first sight (updating b.jit_state); later calls are a
-  // cheap state read. Rejected blocks stay rejected.
+  // cheap state read. Rejected blocks stay rejected. A full arena is
+  // reclaimed: every compiled block is dropped (reset_code) and `b` is
+  // compiled once more into the emptied arena.
   Block::JitState ensure_compiled(Block& b);
 
   // Runs native code starting at `b` (which must be kCompiled) for at most
@@ -178,6 +180,11 @@ class JitRuntime {
     std::uint64_t btc_inserts = 0;    // inline-BTC entries installed
   };
   const Stats& stats() const { return stats_; }
+  // Zeroes stats() and inline_btc_hits() (BlockCache::reset_stats).
+  void reset_stats() {
+    stats_ = Stats{};
+    rt_.btc_hits = 0;
+  }
   // The generic slow path bumps helper_exec through this (hot, but only on
   // slow records).
   void count_helper_exec() { ++stats_.helper_exec; }
@@ -188,7 +195,9 @@ class JitRuntime {
  private:
   struct Impl;  // arena + emitted-code bookkeeping (x86-64 only)
 
-  void reset_code();  // drop all compiled blocks (counts pointer changed)
+  // Drops all compiled blocks and empties the arena (the counts or ledger
+  // binding changed, or the arena is full).
+  void reset_code();
 
   Bus& bus_;
   BlockCache& cache_;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -28,9 +29,12 @@ class Platform {
 
   // Copies the program into RAM, predecodes its text, and resets the CPU
   // (pc = entry, %sp = kStackTop). Any previous machine state is discarded:
-  // RAM pages touched by an earlier run are zeroed, the UART cleared, and
-  // the superblock morph cache rebuilt, so a reused Platform is
-  // indistinguishable from a freshly constructed one.
+  // RAM pages touched by an earlier run are zeroed and the UART cleared. A
+  // program with the same base and size as the installed one keeps the
+  // decoded, morphed and compiled code, and only the words that differ are
+  // re-decoded and their blocks flushed (see install()); any other program
+  // gets a new decode and morph cache. Either way the cache counters restart
+  // and a reused Platform runs bit-identically to a freshly constructed one.
   void load(const asmkit::Program& program);
 
   Bus& bus() { return bus_; }
@@ -55,9 +59,19 @@ class Platform {
   BlockCache* block_cache() { return bcache_.get(); }
 
  private:
-  // Snapshot restore (sim/state_io.cpp) replays load() from serialized state
-  // and needs to reseat the private image/cache members atomically.
+  // Snapshot restore (sim/state_io.cpp) installs its image through install().
   friend void apply_platform_chunks(const class StateReader& r, Platform& p);
+
+  // The one image-install routine behind load() and snapshot restore: zeroes
+  // the touched RAM, clears the UART, lets `write_ram` fill RAM, and makes
+  // `program` the loaded image. The CPU is left to the caller. When the
+  // image has the installed one's base and size, the decode cache, the
+  // block cache and its jit stay, and every image word that differs from
+  // the word its decode cache entry was decoded from goes through
+  // BlockCache::invalidate, the self-modifying-code path. Any other image
+  // is decoded afresh into a new block cache.
+  void install(asmkit::Program program,
+               const std::function<void()>& write_ram);
 
   Bus bus_;
   CpuState cpu_;

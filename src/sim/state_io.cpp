@@ -5,7 +5,6 @@
 #include <istream>
 #include <ostream>
 
-#include "isa/decode.h"
 #include "sim/digest.h"
 #include "sim/memmap.h"
 #include "sim/platform.h"
@@ -423,30 +422,16 @@ void apply_platform_chunks(const StateReader& r, Platform& p) {
     c.done();
   }
 
-  // Apply phase: mirrors Platform::load but sources the image from the
-  // snapshot's dirty pages (which include every self-modified code word),
-  // then rebuilds the decode cache from restored RAM so the predecoded view
-  // matches memory exactly.
-  p.bcache_.reset();
-  p.bus_.reset_touched_ram();
-  p.bus_.clear_uart();
-  for (const Page& pg : pages) {
-    p.bus_.write_block(kRamBase + pg.index * p.bus_.page_size(),
-                       pg.bytes.data(), pg.bytes.size());
-  }
+  // Apply phase: the image comes from the snapshot's dirty pages, which
+  // include every self-modified code word, so the installed image matches
+  // the snapshot's RAM exactly.
+  p.install(std::move(prog), [&] {
+    for (const Page& pg : pages) {
+      p.bus_.write_block(kRamBase + pg.index * p.bus_.page_size(),
+                         pg.bytes.data(), pg.bytes.size());
+    }
+  });
   p.bus_.set_uart_output(std::move(uart));
-
-  p.code_base_ = prog.base();
-  p.text_size_ = prog.text_size();
-  p.program_ = std::move(prog);
-  const std::size_t words = p.program_.size() / 4;
-  p.dcache_.clear();
-  p.dcache_.reserve(words);
-  for (std::size_t i = 0; i < words; ++i) {
-    p.dcache_.push_back(isa::decode(p.bus_.load32(
-        p.code_base_ + static_cast<std::uint32_t>(i) * 4)));
-  }
-  p.bcache_ = std::make_unique<BlockCache>(p.bus_, p.code_base_, p.dcache_);
   p.cpu_ = cpu;
 }
 

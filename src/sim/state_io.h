@@ -13,11 +13,14 @@
 // structure, version, checksums, chunk tags, payload shapes — and decoded
 // into locals before a single byte of target state is mutated. Any error
 // throws a StateError carrying a structured code and leaves the target
-// exactly as it was. Applying a snapshot drops every derived cache (morph
-// cache, JIT arena, branch-target caches, block guard verdicts): a resumed
-// run re-warms them from scratch but retires bit-for-bit identically to the
-// uninterrupted run, which the fuzz oracle's snapshot leg and the directed
-// resume battery hold in place.
+// exactly as it was. No derived cache is serialized. Applying a snapshot
+// installs its image like Platform::load does: a target holding an image of
+// the same base and size keeps its decode cache, morphed blocks and jit
+// code, re-decoding (and flushing the blocks over) every word that differs;
+// any other target decodes the restored RAM into a fresh block cache. Either
+// way the resumed run retires bit-for-bit identically to the uninterrupted
+// run, which the fuzz oracle's snapshot leg and the directed resume and
+// warm-resume batteries hold in place.
 #pragma once
 
 #include <cstdint>
@@ -165,11 +168,11 @@ std::vector<std::uint32_t> platform_chunk_tags();
 // stream. The snapshot is self-contained — restore needs no separate load().
 void append_platform_chunks(StateWriter& w, const Platform& p);
 
-// Applies a validated snapshot: decodes everything first, then resets the
-// touched RAM, rewrites the dirty pages, reinstates CPU/UART state, rebuilds
-// the decode cache from the restored RAM image (so self-modified words stay
-// modified), and replaces the block cache — invalidating every morphed
-// trace, chain link, BTC entry, block guard verdict, and JIT translation.
+// Applies a validated snapshot: decodes everything first, then installs the
+// image through Platform's install routine (touched RAM reset, the dirty
+// pages rewritten, the decode cache brought in line with the restored RAM so
+// self-modified words stay modified, warm caches kept where the image has
+// the same base and size) and reinstates CPU/UART state.
 void apply_platform_chunks(const StateReader& r, Platform& p);
 
 // Whole-file convenience for a bare platform (functional sim).

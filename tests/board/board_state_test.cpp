@@ -30,8 +30,8 @@ namespace {
 
 // Loads and stores striding across SDRAM rows (row misses), both branch
 // directions, and operand-varying arithmetic — every ledger tally and every
-// accumulator the snapshot must carry.
-asmkit::Program board_program(int iterations) {
+// accumulator the snapshot must carry. `op` varies the text, not its size.
+asmkit::Program board_program(int iterations, const std::string& op = "xor") {
   return asmkit::assemble(
       "_start: set " + std::to_string(iterations) + R"(, %l0
         set 0x40700000, %l1
@@ -42,7 +42,7 @@ loop:   st %l0, [%l1 + %l3]
         and %l3, 0xffc, %l3
         andcc %l0, 3, %g0
         be skip
-        xor %l4, %l0, %l5
+        )" + op + R"( %l4, %l0, %l5
         add %l5, %l4, %l6
 skip:   subcc %l0, 1, %l0
         bne loop
@@ -315,6 +315,129 @@ TEST(BoardState, RestoreIntoFreshBoardWithoutLoad) {
   fresh.restore_state(buf);
   fresh.run(1'000'000);
   expect_equal(observe(fresh), observe(straight), "fresh-target resume");
+}
+
+// ---- warm resumes ----------------------------------------------------------
+//
+// A board keeps its decoded, morphed and compiled code across a load or
+// restore of an image with the same base and size (the same decoder binary
+// for job after job). Whatever the previous job left behind, the resumed
+// run must be bit-identical to one on a cold board.
+
+// Patches a word of its own loop once the loop has run (a covered word).
+asmkit::Program board_selfmod_program() {
+  return asmkit::assemble(R"(
+_start: mov 0, %l7
+        set patch, %g1
+        set word, %g2
+        ld [%g2], %l0
+loop:   nop
+patch:  mov 1, %o0
+        cmp %l7, 1
+        be done
+        nop
+        st %l0, [%g1]
+        mov 1, %l7
+        ba loop
+        nop
+done:   ta 0
+word:   mov 7, %o0
+)",
+                          sim::kTextBase);
+}
+
+std::string board_snapshot(const asmkit::Program& prog, std::uint64_t stop,
+                           sim::Dispatch d) {
+  Board src;
+  src.load(prog);
+  src.run(stop, d);
+  std::ostringstream out;
+  src.save_state(out);
+  return out.str();
+}
+
+BoardObserved resume_cold(const std::string& snap, sim::Dispatch d) {
+  Board cold;
+  std::istringstream in(snap);
+  cold.restore_state(in);
+  cold.run(1'000'000, d);
+  return observe(cold);
+}
+
+TEST(BoardWarmResume, RestoreOfAnotherProgramMatchesColdBoard) {
+  const auto prog_a = board_program(120);
+  const auto prog_b = board_program(120, "or");
+  ASSERT_EQ(prog_a.base(), prog_b.base());
+  ASSERT_EQ(prog_a.size(), prog_b.size());
+  ASSERT_NE(prog_a.bytes(), prog_b.bytes());
+  for (const sim::Dispatch d : board_modes()) {
+    const std::string where = "mode " + std::to_string(static_cast<int>(d));
+    const std::string snap = board_snapshot(prog_b, 150, d);
+    Board cold;
+    std::istringstream cold_in(snap);
+    cold.restore_state(cold_in);
+    cold.run(1'000'000, d);
+    ASSERT_TRUE(cold.cpu().halted) << where;
+
+    Board warm;
+    warm.load(prog_a);
+    ASSERT_TRUE(warm.run(1'000'000, d).halted) << where;
+    const sim::BlockCache* cache = warm.platform().block_cache();
+    std::istringstream warm_in(snap);
+    warm.restore_state(warm_in);
+    EXPECT_EQ(warm.platform().block_cache(), cache) << where << ": cold path";
+    warm.run(1'000'000, d);
+    expect_equal(observe(warm), observe(cold), where);
+    EXPECT_EQ(warm.events(), cold.events()) << where;
+  }
+}
+
+TEST(BoardWarmResume, ResumeAfterPreviousJobSelfModifiedText) {
+  const auto prog = board_selfmod_program();
+  for (const sim::Dispatch d : board_modes()) {
+    const std::string where = "mode " + std::to_string(static_cast<int>(d));
+    const std::string snap = board_snapshot(prog, 3, d);
+    const BoardObserved want = resume_cold(snap, d);
+    ASSERT_TRUE(want.halted) << where;
+
+    Board worker;
+    worker.load(prog);
+    worker.run(1'000'000, d);
+    ASSERT_EQ(worker.cpu().exit_code, 7u) << where;
+    std::istringstream in(snap);
+    worker.restore_state(in);
+    worker.run(1'000'000, d);
+    expect_equal(observe(worker), want, where);
+    EXPECT_EQ(worker.cpu().exit_code, 7u) << where;
+  }
+}
+
+TEST(BoardWarmResume, DataStoresFlushNoBlockCoveredStoresDo) {
+  for (const sim::Dispatch d : {sim::Dispatch::kBlock, sim::Dispatch::kJit}) {
+    const std::string where = "mode " + std::to_string(static_cast<int>(d));
+    Board data;
+    data.load(asmkit::assemble(R"(
+_start: set data, %l1
+        set 100, %l0
+loop:   st %l0, [%l1]
+        subcc %l0, 1, %l0
+        bne loop
+        nop
+        ld [%l1], %o0
+        ta 0
+data:   .word 0
+)",
+                               sim::kTextBase));
+    ASSERT_TRUE(data.run(1'000'000, d).halted) << where;
+    EXPECT_EQ(data.cpu().exit_code, 1u) << where;
+    EXPECT_EQ(data.platform().block_cache()->stats().flushes, 0u) << where;
+
+    Board code;
+    code.load(board_selfmod_program());
+    ASSERT_TRUE(code.run(1'000'000, d).halted) << where;
+    EXPECT_EQ(code.cpu().exit_code, 7u) << where;
+    EXPECT_GE(code.platform().block_cache()->stats().flushes, 1u) << where;
+  }
 }
 
 }  // namespace

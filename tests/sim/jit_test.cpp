@@ -391,6 +391,74 @@ word:   mov 7, %o0
   expect_step_jit_identical(prog, 1'000'000, "self-modify");
 }
 
+TEST(Jit, StoreIntoFoldedDelaySlotRecompilesBlock) {
+  SKIP_WITHOUT_JIT();
+  // `slot` only ever runs as the delay slot of `ba body`, so no morphed
+  // trace covers it; but the compiled loop block folds it into its native
+  // code. A store into it must still flush that block: after the patch the
+  // loop adds 10 per pass instead of 1 (1 + 1 + 10 + 10 = 22).
+  const auto prog = asmkit::assemble(R"(
+_start: mov 0, %l7
+        mov 0, %o0
+        set slot, %g1
+        set word, %g2
+        ld [%g2], %l0
+loop:   add %l7, 1, %l7
+        ba body
+slot:   add %o0, 1, %o0
+body:   cmp %l7, 2
+        bne check
+        nop
+        st %l0, [%g1]
+check:  cmp %l7, 4
+        bne loop
+        nop
+        ta 0
+word:   add %o0, 10, %o0
+)",
+                                     kTextBase);
+  Iss iss;
+  iss.load(prog);
+  const auto r = iss.run(1'000'000, Dispatch::kJit);
+  ASSERT_TRUE(r.halted);
+  EXPECT_EQ(r.exit_code, 22u);
+  EXPECT_GE(iss.platform().block_cache()->stats().flushes, 1u);
+  expect_step_jit_identical(prog, 1'000'000, "folded delay slot");
+}
+
+TEST(Jit, FullArenaIsReclaimed) {
+  SKIP_WITHOUT_JIT();
+  // Every pass stores over the loop's first word, which flushes the
+  // 200-instruction loop block and compiles it afresh on the next pass. The
+  // passes emit more code than one arena holds, so the arena fills up; it
+  // must be reclaimed and compiling must go on, with no block rejected.
+  constexpr int kPasses = 10000;
+  std::string body;
+  for (int i = 0; i < 200; ++i) body += "        add %o0, 1, %o0\n";
+  const auto prog = asmkit::assemble(R"(
+_start: set loop, %g1
+        ld [%g1], %l0
+        mov 0, %o0
+        set )" + std::to_string(kPasses) + R"(, %l7
+loop:   st %l0, [%g1]
+)" + body + R"(        subcc %l7, 1, %l7
+        bne loop
+        nop
+        ta 0
+)",
+                                     kTextBase);
+  Iss iss;
+  iss.load(prog);
+  const auto r = iss.run(10'000'000, Dispatch::kJit);
+  ASSERT_TRUE(r.halted);
+  EXPECT_EQ(r.exit_code, 200u * kPasses);
+  const JitRuntime* jit = iss.platform().block_cache()->jit();
+  ASSERT_NE(jit, nullptr);
+  EXPECT_GT(jit->stats().code_bytes, std::uint64_t{16} << 20);
+  EXPECT_EQ(jit->stats().blocks_rejected, 0u);
+  expect_step_jit_identical(prog, 10'000'000, "arena reclaim");
+}
+
 TEST(Jit, MidChainInvalidationUnpatchesBothSides) {
   SKIP_WITHOUT_JIT();
   // Block X patches block B's first word, then jumps into B; B jumps back
@@ -654,10 +722,12 @@ word:   mov 7, %o1
 
 TEST(Jit, DroppedRuntimesReleaseArenaFdAndMapping) {
   SKIP_WITHOUT_JIT();
-  // Every Iss::load builds a fresh block cache and so a fresh runtime, as a
-  // snapshot restore does; a leaked memfd or mapping per runtime shows up
-  // as a thousand extra entries.
-  const auto prog = asmkit::assemble(R"(
+  // An Iss::load of an image with another size than the loaded one builds
+  // a fresh block cache and so a fresh runtime, as such a snapshot restore
+  // does; the loads alternate two sizes, so a leaked memfd or mapping per
+  // runtime shows up as a thousand extra entries.
+  const auto prog = [](const char* tail) {
+    return asmkit::assemble(std::string(R"(
 _start: mov 0, %l0
         mov 0, %o0
 loop:   add %o0, %l0, %o0
@@ -666,12 +736,15 @@ loop:   add %o0, %l0, %o0
         bne loop
         nop
         ta 0
-)",
-                                     kTextBase);
-  const auto load_and_run_1000 = [&prog] {
+)") + tail,
+                            kTextBase);
+  };
+  const asmkit::Program progs[] = {prog(""), prog("        nop\n")};
+  ASSERT_NE(progs[0].size(), progs[1].size());
+  const auto load_and_run_1000 = [&progs] {
     Iss iss;
     for (int i = 0; i < 1000; ++i) {
-      iss.load(prog);
+      iss.load(progs[i % 2]);
       ASSERT_TRUE(iss.run(1'000'000, Dispatch::kJit).halted);
       ASSERT_NE(iss.platform().block_cache()->jit(), nullptr);
     }

@@ -30,8 +30,8 @@ namespace {
 
 // A loop that exercises stores across pages, UART MMIO traffic, flag-setting
 // arithmetic, and taken branches (so budget stops can land on pending delay
-// slots).
-asmkit::Program work_program(int iterations) {
+// slots). `op` varies the text, not its size.
+asmkit::Program work_program(int iterations, const std::string& op = "add") {
   return asmkit::assemble(
       "_start: set " + std::to_string(iterations) + R"(, %l0
         set 0x40700000, %l1
@@ -40,7 +40,7 @@ asmkit::Program work_program(int iterations) {
 loop:   st %l0, [%l1 + %l3]
         add %l3, 4, %l3
         and %l3, 0xffc, %l3
-        add %l0, 42, %l4
+        )" + op + R"( %l0, 42, %l4
         st %l4, [%l2]
         subcc %l0, 1, %l0
         bne loop
@@ -53,9 +53,9 @@ loop:   st %l0, [%l1 + %l3]
 
 // Patches the loop body from a template instruction stored after the halt:
 // a snapshot taken after the patch must carry the modified code word (the
-// restore rebuilds the decode cache from restored RAM). The patching store
-// sits in a different superblock than the patched site (separated by the
-// ba), matching the morph cache's invalidation contract.
+// restore brings the decode cache in line with restored RAM). The patching
+// store sits in a different superblock than the patched site (separated by
+// the ba), matching the morph cache's invalidation contract.
 asmkit::Program selfmod_program() {
   return asmkit::assemble(R"(
 _start: set src, %l1
@@ -291,6 +291,171 @@ TEST(StateIoResume, HaltedStateRoundTrips) {
   const auto r = b.run(1'000);
   EXPECT_TRUE(r.halted);
   expect_equal(observe(b), observe(a), "run after halted restore");
+}
+
+// ---- warm resumes ----------------------------------------------------------
+//
+// A load or restore of an image with the installed one's base and size keeps
+// the decoded, morphed and compiled code. Every word that differs from what
+// the decode cache was decoded from goes through the self-modifying-code
+// path, so the warm target must run exactly like a cold one.
+
+// Writes one word inside its own loop once the loop has run: the store hits
+// a word of a morphed (and compiled) block.
+asmkit::Program patch_covered_program() {
+  return asmkit::assemble(R"(
+_start: mov 0, %l7
+        set patch, %g1
+        set word, %g2
+        ld [%g2], %l0
+loop:   nop
+patch:  mov 1, %o0
+        cmp %l7, 1
+        be done
+        nop
+        st %l0, [%g1]
+        mov 1, %l7
+        ba loop
+        nop
+done:   ta 0
+word:   mov 7, %o0
+)",
+                          kTextBase);
+}
+
+// Stores into a data word of its own image on every pass; no block covers
+// it.
+asmkit::Program data_store_program() {
+  return asmkit::assemble(R"(
+_start: set data, %l1
+        set 100, %l0
+loop:   st %l0, [%l1]
+        subcc %l0, 1, %l0
+        bne loop
+        nop
+        ld [%l1], %o0
+        ta 0
+data:   .word 0
+)",
+                          kTextBase);
+}
+
+std::string snapshot_at(const asmkit::Program& prog, std::uint64_t stop,
+                        Dispatch d) {
+  Iss src;
+  src.load(prog);
+  src.run(stop, d);
+  std::ostringstream out;
+  src.save_state(out);
+  return out.str();
+}
+
+// The decode cache must hold the decode of every word in RAM.
+void expect_decode_cache_matches_ram(Iss& iss, const std::string& where) {
+  Platform& p = iss.platform();
+  for (std::size_t i = 0; i < p.decode_cache().size(); ++i) {
+    const std::uint32_t addr = p.code_base() + 4 * static_cast<std::uint32_t>(i);
+    ASSERT_EQ(p.decode_cache()[i].raw, iss.bus().load32(addr))
+        << where << " at word " << i;
+  }
+}
+
+TEST(StateIoWarm, RestoreOfAnotherProgramMatchesColdTarget) {
+  const auto prog_a = work_program(300);
+  const auto prog_b = work_program(300, "sub");
+  ASSERT_EQ(prog_a.base(), prog_b.base());
+  ASSERT_EQ(prog_a.size(), prog_b.size());
+  ASSERT_NE(prog_a.bytes(), prog_b.bytes());
+  for (const Dispatch d : all_dispatch_modes()) {
+    const std::string where = "dispatch " + std::to_string(static_cast<int>(d));
+    const std::string snap = snapshot_at(prog_b, 37, d);
+    Iss cold;
+    std::istringstream cold_in(snap);
+    cold.restore_state(cold_in);
+    cold.run(1'000'000, d);
+    ASSERT_TRUE(cold.cpu().halted) << where;
+
+    Iss warm;
+    warm.load(prog_a);
+    ASSERT_TRUE(warm.run(1'000'000, d).halted) << where;
+    const BlockCache* cache = warm.platform().block_cache();
+    std::istringstream warm_in(snap);
+    warm.restore_state(warm_in);
+    EXPECT_EQ(warm.platform().block_cache(), cache) << where << ": cold path";
+    expect_decode_cache_matches_ram(warm, where);
+    warm.run(1'000'000, d);
+    expect_equal(observe(warm), observe(cold), where);
+  }
+}
+
+TEST(StateIoWarm, ResumeAfterPreviousJobSelfModifiedText) {
+  // The worker's previous job patched its own text; the next job resumes
+  // the same program from before the patch, so the patched words must be
+  // re-decoded from the restored RAM.
+  const auto prog = patch_covered_program();
+  for (const Dispatch d : all_dispatch_modes()) {
+    const std::string where = "dispatch " + std::to_string(static_cast<int>(d));
+    const Observed straight = run_straight(prog, d);
+    ASSERT_TRUE(straight.halted);
+    ASSERT_EQ(straight.exit_code, 7u);
+
+    Iss worker;
+    worker.load(prog);
+    worker.run(1'000'000, d);
+    std::istringstream in(snapshot_at(prog, 3, d));
+    worker.restore_state(in);
+    expect_decode_cache_matches_ram(worker, where);
+    worker.run(1'000'000, d);
+    expect_equal(observe(worker), straight, where + " after restore");
+
+    worker.load(prog);
+    worker.run(1'000'000, d);
+    expect_equal(observe(worker), straight, where + " after load");
+  }
+}
+
+TEST(StateIoWarm, CountersRestartAtEveryInstall) {
+  const auto prog = work_program(200);
+  Iss iss;
+  iss.load(prog);
+  iss.run(1'000'000, Dispatch::kJit);
+  std::ostringstream out;
+  iss.save_state(out);
+  const auto expect_zero = [&](const std::string& where) {
+    const BlockCache& bc = *iss.platform().block_cache();
+    EXPECT_EQ(bc.stats().blocks_morphed, 0u) << where;
+    EXPECT_EQ(bc.stats().chain_hits, 0u) << where;
+    if (const JitRuntime* jit = iss.platform().block_cache()->jit()) {
+      EXPECT_EQ(jit->stats().blocks_compiled, 0u) << where;
+      EXPECT_EQ(jit->stats().entries, 0u) << where;
+      EXPECT_EQ(jit->inline_btc_hits(), 0u) << where;
+    }
+  };
+  iss.load(prog);
+  expect_zero("after load");
+  iss.run(1'000'000, Dispatch::kJit);
+  EXPECT_EQ(iss.platform().block_cache()->stats().blocks_morphed, 0u)
+      << "a warm run morphs nothing";
+  std::istringstream in(out.str());
+  iss.restore_state(in);
+  expect_zero("after restore");
+}
+
+TEST(StateIoWarm, DataStoresFlushNoBlockCoveredStoresDo) {
+  for (const Dispatch d : {Dispatch::kBlock, Dispatch::kJit}) {
+    const std::string where = "dispatch " + std::to_string(static_cast<int>(d));
+    Iss data;
+    data.load(data_store_program());
+    ASSERT_TRUE(data.run(1'000'000, d).halted) << where;
+    EXPECT_EQ(data.cpu().exit_code, 1u) << where;
+    EXPECT_EQ(data.platform().block_cache()->stats().flushes, 0u) << where;
+
+    Iss code;
+    code.load(patch_covered_program());
+    ASSERT_TRUE(code.run(1'000'000, d).halted) << where;
+    EXPECT_EQ(code.cpu().exit_code, 7u) << where;
+    EXPECT_GE(code.platform().block_cache()->stats().flushes, 1u) << where;
+  }
 }
 
 // ---- negative paths --------------------------------------------------------
