@@ -1,9 +1,13 @@
 #include "sim/state_io.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <istream>
+#include <map>
+#include <optional>
 #include <ostream>
+#include <string_view>
 
 #include "sim/digest.h"
 #include "sim/memmap.h"
@@ -45,7 +49,38 @@ std::uint64_t read_u64(const std::uint8_t* p) {
   return std::uint64_t{read_u32(p)} | (std::uint64_t{read_u32(p + 4)} << 32);
 }
 
+void write_u64(std::uint8_t* p, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+// One checksum step: FNV-style xor-multiply, then a xor-shift that feeds
+// the high half back into the low one (a bare multiply never moves a
+// difference downwards). Both halves are bijections of `h`.
+std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
+  h = (h ^ word) * kFnvPrime;
+  return h ^ (h >> 32);
+}
+
 }  // namespace
+
+std::uint64_t chunk_checksum(const void* data, std::size_t size) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::uint64_t lane[4] = {kFnvOffset, kFnvOffset + 1, kFnvOffset + 2,
+                           kFnvOffset + 3};
+  const std::size_t words = size / 8;
+  std::size_t i = 0;
+  for (; i + 4 <= words; i += 4) {
+    lane[0] = mix(lane[0], read_u64(p + 8 * i));
+    lane[1] = mix(lane[1], read_u64(p + 8 * i + 8));
+    lane[2] = mix(lane[2], read_u64(p + 8 * i + 16));
+    lane[3] = mix(lane[3], read_u64(p + 8 * i + 24));
+  }
+  for (; i < words; ++i) lane[i % 4] = mix(lane[i % 4], read_u64(p + 8 * i));
+  std::uint64_t h = kFnvOffset;
+  for (const std::uint64_t l : lane) h = mix(h, l);
+  for (std::size_t b = 8 * words; b < size; ++b) h = (h ^ p[b]) * kFnvPrime;
+  return mix(h, size);
+}
 
 const char* state_error_code_name(StateErrorCode code) {
   switch (code) {
@@ -76,31 +111,32 @@ void StateWriter::begin_chunk(std::uint32_t tag) {
     throw StateError(StateErrorCode::kIo, "begin_chunk inside a chunk");
   }
   in_chunk_ = true;
-  chunk_tag_ = tag;
-  chunk_.clear();
+  chunk_start_ = buf_.size();
+  append_u32(buf_, tag);
+  buf_.resize(buf_.size() + 16);  // size and checksum, patched by end_chunk
 }
 
 void StateWriter::end_chunk() {
   if (!in_chunk_) {
     throw StateError(StateErrorCode::kIo, "end_chunk outside a chunk");
   }
-  append_u32(buf_, chunk_tag_);
-  append_u64(buf_, chunk_.size());
-  append_u64(buf_, fnv1a64(chunk_.data(), chunk_.size()));
-  buf_.insert(buf_.end(), chunk_.begin(), chunk_.end());
+  std::uint8_t* header = buf_.data() + chunk_start_;
+  const std::size_t size = buf_.size() - chunk_start_ - kChunkHeaderSize;
+  write_u64(header + 4, size);
+  write_u64(header + 12, chunk_checksum(header + kChunkHeaderSize, size));
   in_chunk_ = false;
 }
 
-void StateWriter::put_u8(std::uint8_t v) { chunk_.push_back(v); }
-void StateWriter::put_u32(std::uint32_t v) { append_u32(chunk_, v); }
-void StateWriter::put_u64(std::uint64_t v) { append_u64(chunk_, v); }
+void StateWriter::put_u8(std::uint8_t v) { buf_.push_back(v); }
+void StateWriter::put_u32(std::uint32_t v) { append_u32(buf_, v); }
+void StateWriter::put_u64(std::uint64_t v) { append_u64(buf_, v); }
 void StateWriter::put_f64(double v) {
-  append_u64(chunk_, std::bit_cast<std::uint64_t>(v));
+  append_u64(buf_, std::bit_cast<std::uint64_t>(v));
 }
 
 void StateWriter::put_bytes(const void* data, std::size_t size) {
   const auto* p = static_cast<const std::uint8_t*>(data);
-  chunk_.insert(chunk_.end(), p, p + size);
+  buf_.insert(buf_.end(), p, p + size);
 }
 
 void StateWriter::put_string(const std::string& s) {
@@ -114,7 +150,7 @@ void StateWriter::finish(std::ostream& out) {
   }
   append_u32(buf_, kChunkEnd);
   append_u64(buf_, 0);
-  append_u64(buf_, kFnvOffset);  // checksum of the empty payload
+  append_u64(buf_, chunk_checksum(nullptr, 0));
   out.write(reinterpret_cast<const char*>(buf_.data()),
             static_cast<std::streamsize>(buf_.size()));
   if (!out) {
@@ -126,22 +162,24 @@ void StateWriter::finish(std::ostream& out) {
 
 StateReader::StateReader(std::istream& in,
                          const std::vector<std::uint32_t>& accepted) {
-  std::vector<std::uint8_t> data;
-  {
-    char block[4096];
-    while (in.read(block, sizeof(block)) || in.gcount() > 0) {
-      data.insert(data.end(), block, block + in.gcount());
-      if (in.eof()) break;
-    }
+  // One read per buffered stretch of the stream: a string stream hands over
+  // its whole contents at once.
+  while (in.peek() != std::istream::traits_type::eof()) {
+    const std::streamsize want =
+        std::max<std::streamsize>(in.rdbuf()->in_avail(), 4096);
+    const std::size_t have = data_.size();
+    data_.resize(have + static_cast<std::size_t>(want));
+    in.read(reinterpret_cast<char*>(data_.data() + have), want);
+    data_.resize(have + static_cast<std::size_t>(in.gcount()));
   }
-  if (data.size() < 8) {
+  if (data_.size() < 8) {
     throw StateError(StateErrorCode::kTruncated,
                      "file shorter than the 8-byte header");
   }
-  if (std::memcmp(data.data(), kMagic, 4) != 0) {
+  if (std::memcmp(data_.data(), kMagic, 4) != 0) {
     throw StateError(StateErrorCode::kBadMagic, "not a snapshot file");
   }
-  const std::uint32_t version = read_u32(data.data() + 4);
+  const std::uint32_t version = read_u32(data_.data() + 4);
   if (version != kStateVersion) {
     throw StateError(StateErrorCode::kBadVersion,
                      "snapshot version " + std::to_string(version) +
@@ -151,35 +189,35 @@ StateReader::StateReader(std::istream& in,
 
   std::size_t pos = 8;
   bool saw_end = false;
-  while (pos < data.size()) {
-    if (data.size() - pos < kChunkHeaderSize) {
+  while (pos < data_.size()) {
+    if (data_.size() - pos < kChunkHeaderSize) {
       throw StateError(StateErrorCode::kTruncated,
                        "stream ends inside a chunk header");
     }
-    const std::uint32_t tag = read_u32(data.data() + pos);
-    const std::uint64_t size = read_u64(data.data() + pos + 4);
-    const std::uint64_t checksum = read_u64(data.data() + pos + 12);
+    const std::uint32_t tag = read_u32(data_.data() + pos);
+    const std::uint64_t size = read_u64(data_.data() + pos + 4);
+    const std::uint64_t checksum = read_u64(data_.data() + pos + 12);
     pos += kChunkHeaderSize;
     if (tag == kChunkEnd) {
-      if (size != 0 || checksum != kFnvOffset) {
+      if (size != 0 || checksum != chunk_checksum(nullptr, 0)) {
         throw StateError(StateErrorCode::kBadPayload,
                          "end marker carries a payload");
       }
       saw_end = true;
-      if (pos != data.size()) {
+      if (pos != data_.size()) {
         throw StateError(StateErrorCode::kTrailingData,
-                         std::to_string(data.size() - pos) +
+                         std::to_string(data_.size() - pos) +
                              " bytes after the end marker");
       }
       break;
     }
-    if (size > data.size() - pos) {
+    if (size > data_.size() - pos) {
       throw StateError(StateErrorCode::kTruncated,
                        "stream ends inside chunk " + tag_name(tag));
     }
-    const std::uint8_t* payload = data.data() + pos;
+    const std::uint8_t* payload = data_.data() + pos;
     pos += size;
-    if (fnv1a64(payload, size) != checksum) {
+    if (chunk_checksum(payload, size) != checksum) {
       throw StateError(StateErrorCode::kBadChecksum,
                        "chunk " + tag_name(tag) + " is corrupt");
     }
@@ -195,8 +233,7 @@ StateReader::StateReader(std::istream& in,
                          "chunk " + tag_name(tag) + " appears twice");
       }
     }
-    chunks_.push_back(
-        Chunk{tag, std::vector<std::uint8_t>(payload, payload + size)});
+    chunks_.push_back(Chunk{tag, {payload, static_cast<std::size_t>(size)}});
   }
   if (!saw_end) {
     throw StateError(StateErrorCode::kTruncated, "no end marker");
@@ -210,8 +247,7 @@ bool StateReader::has(std::uint32_t tag) const {
   return false;
 }
 
-const std::vector<std::uint8_t>& StateReader::payload(
-    std::uint32_t tag) const {
+std::span<const std::uint8_t> StateReader::payload(std::uint32_t tag) const {
   for (const Chunk& c : chunks_) {
     if (c.tag == tag) return c.payload;
   }
@@ -249,18 +285,17 @@ std::uint64_t ChunkCursor::get_u64() {
 
 double ChunkCursor::get_f64() { return std::bit_cast<double>(get_u64()); }
 
-void ChunkCursor::get_bytes(void* dst, std::size_t size) {
+std::span<const std::uint8_t> ChunkCursor::take(std::size_t size) {
   need(size);
-  std::memcpy(dst, p_, size);
+  const std::span<const std::uint8_t> bytes(p_, size);
   p_ += size;
+  return bytes;
 }
 
 std::string ChunkCursor::get_string() {
-  const std::uint32_t len = get_u32();
-  need(len);
-  std::string s(reinterpret_cast<const char*>(p_), len);
-  p_ += len;
-  return s;
+  const auto bytes = take(get_u32());
+  return std::string(reinterpret_cast<const char*>(bytes.data()),
+                     bytes.size());
 }
 
 void ChunkCursor::done() const {
@@ -271,6 +306,71 @@ void ChunkCursor::done() const {
 }
 
 // ---- platform chunks -------------------------------------------------------
+
+namespace {
+
+// Walks the symbol records at `c` against `symbols`; true when they are
+// exactly the records `symbols` serializes to, in order.
+bool symbols_match(ChunkCursor& c,
+                   const std::map<std::string, std::uint32_t>& symbols) {
+  for (const auto& [name, addr] : symbols) {
+    const auto bytes = c.take(c.get_u32());
+    if (std::string_view(reinterpret_cast<const char*>(bytes.data()),
+                         bytes.size()) != name ||
+        c.get_u32() != addr) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Decodes a PROG payload. Returns nullopt when the payload is byte-for-byte
+// what `installed` serializes to, so the restore keeps it: a warm restore
+// builds no Program. Otherwise decodes a new Program in one linear pass,
+// each symbol inserted at the end of the table, which is why names must
+// ascend strictly.
+std::optional<asmkit::Program> decode_program(ChunkCursor c,
+                                              const asmkit::Program& installed) {
+  const std::uint32_t base = c.get_u32();
+  const std::uint32_t entry = c.get_u32();
+  const std::uint32_t text = c.get_u32();
+  const std::uint32_t size = c.get_u32();
+  if (base < kRamBase || std::uint64_t{base} + size > kRamEnd) {
+    throw StateError(StateErrorCode::kBadPayload,
+                     "program image does not fit in RAM");
+  }
+  if (text > size) {
+    throw StateError(StateErrorCode::kBadPayload,
+                     "text section larger than the image");
+  }
+  const auto image = c.take(size);
+  const std::uint32_t nsyms = c.get_u32();
+  const ChunkCursor symbols_at = c;
+  if (base == installed.base() && entry == installed.entry() &&
+      text == installed.text_size() &&
+      nsyms == installed.symbols().size() &&
+      std::ranges::equal(image, installed.bytes()) &&
+      symbols_match(c, installed.symbols())) {
+    c.done();
+    return std::nullopt;
+  }
+  c = symbols_at;
+  asmkit::Program prog(base, {image.begin(), image.end()});
+  prog.set_entry(entry);
+  prog.set_text_size(text);
+  for (std::uint32_t i = 0; i < nsyms; ++i) {
+    std::string name = c.get_string();
+    if (!prog.symbols().empty() && name <= prog.symbols().rbegin()->first) {
+      throw StateError(StateErrorCode::kBadPayload,
+                       "program symbols out of order");
+    }
+    prog.define_symbol(std::move(name), c.get_u32());
+  }
+  c.done();
+  return prog;
+}
+
+}  // namespace
 
 std::vector<std::uint32_t> platform_chunk_tags() {
   return {kChunkCpu, kChunkProgram, kChunkRam, kChunkUart};
@@ -355,37 +455,13 @@ void apply_platform_chunks(const StateReader& r, Platform& p) {
     c.done();
   }
 
-  asmkit::Program prog;
-  {
-    ChunkCursor c(r.payload(kChunkProgram));
-    const std::uint32_t base = c.get_u32();
-    const std::uint32_t entry = c.get_u32();
-    const std::uint32_t text = c.get_u32();
-    const std::uint32_t size = c.get_u32();
-    if (base < kRamBase || std::uint64_t{base} + size > kRamEnd) {
-      throw StateError(StateErrorCode::kBadPayload,
-                       "program image does not fit in RAM");
-    }
-    std::vector<std::uint8_t> bytes(size);
-    c.get_bytes(bytes.data(), bytes.size());
-    prog = asmkit::Program(base, std::move(bytes));
-    prog.set_entry(entry);
-    if (text > size) {
-      throw StateError(StateErrorCode::kBadPayload,
-                       "text section larger than the image");
-    }
-    prog.set_text_size(text);
-    const std::uint32_t nsyms = c.get_u32();
-    for (std::uint32_t i = 0; i < nsyms; ++i) {
-      const std::string name = c.get_string();
-      prog.define_symbol(name, c.get_u32());
-    }
-    c.done();
-  }
+  std::optional<asmkit::Program> prog =
+      decode_program(ChunkCursor(r.payload(kChunkProgram)),
+                     p.loaded_program());
 
   struct Page {
     std::uint32_t index;
-    std::vector<std::uint8_t> bytes;
+    std::span<const std::uint8_t> bytes;  // in the reader's buffer
   };
   std::vector<Page> pages;
   {
@@ -399,18 +475,15 @@ void apply_platform_chunks(const StateReader& r, Platform& p) {
     }
     const std::uint32_t count = c.get_u32();
     const std::uint32_t npages = kRamSize / page;
-    pages.reserve(count);
+    pages.reserve(std::min(count, npages));
     for (std::uint32_t i = 0; i < count; ++i) {
-      Page pg;
-      pg.index = c.get_u32();
-      if (pg.index >= npages ||
-          (!pages.empty() && pg.index <= pages.back().index)) {
+      const std::uint32_t index = c.get_u32();
+      if (index >= npages ||
+          (!pages.empty() && index <= pages.back().index)) {
         throw StateError(StateErrorCode::kBadPayload,
                          "dirty pages out of order or out of range");
       }
-      pg.bytes.resize(page);
-      c.get_bytes(pg.bytes.data(), page);
-      pages.push_back(std::move(pg));
+      pages.push_back(Page{index, c.take(page)});
     }
     c.done();
   }
@@ -424,8 +497,9 @@ void apply_platform_chunks(const StateReader& r, Platform& p) {
 
   // Apply phase: the image comes from the snapshot's dirty pages, which
   // include every self-modified code word, so the installed image matches
-  // the snapshot's RAM exactly.
-  p.install(std::move(prog), [&] {
+  // the snapshot's RAM exactly. A program chunk that matched the installed
+  // program hands that Program back to install() (a move, no copy).
+  p.install(prog ? std::move(*prog) : std::move(p.program_), [&] {
     for (const Page& pg : pages) {
       p.bus_.write_block(kRamBase + pg.index * p.bus_.page_size(),
                          pg.bytes.data(), pg.bytes.size());

@@ -1,8 +1,9 @@
 // Versioned snapshot/restore of simulator state (see docs/snapshots.md).
 //
 // A snapshot is a flat chunked file: an 8-byte header (magic + format
-// version) followed by tagged chunks, each carrying its payload size and an
-// FNV-1a checksum of the payload, closed by a mandatory end marker. Every
+// version) followed by tagged chunks, each carrying its payload size and a
+// word-wise checksum of the payload (chunk_checksum), closed by a mandatory
+// end marker. Every
 // front end composes its snapshot from the shared platform chunks (CPU
 // state, dirty RAM pages, UART stream, the loaded program image) plus its
 // own: the counting ISS adds its retire-count vector, the measurement board
@@ -17,14 +18,18 @@
 // installs its image like Platform::load does: a target holding an image of
 // the same base and size keeps its decode cache, morphed blocks and jit
 // code, re-decoding (and flushing the blocks over) every word that differs;
-// any other target decodes the restored RAM into a fresh block cache. Either
+// any other target decodes the restored RAM into a fresh block cache. A
+// target whose installed program serializes to exactly the snapshot's
+// program chunk keeps that Program object too. Either
 // way the resumed run retires bit-for-bit identically to the uninterrupted
 // run, which the fuzz oracle's snapshot leg and the directed resume and
 // warm-resume batteries hold in place.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -40,7 +45,18 @@ class Platform;
 // v3: the board-hooks chunk carries the integer cost ledger (per-op toggle,
 //     row-miss, cache-hit and untaken tallies) in place of the cycle, energy
 //     and event accumulators, which are now derived from it.
-inline constexpr std::uint32_t kStateVersion = 3;
+// v4: chunks carry chunk_checksum() in place of a byte-serial FNV-1a, and
+//     program symbols must appear in strictly ascending name order.
+inline constexpr std::uint32_t kStateVersion = 4;
+
+// The chunk checksum: four 64-bit lanes of FNV-style xor-multiply (each step
+// followed by a 32-bit xor-shift fold) over the payload's little-endian
+// 8-byte words, word i feeding lane i % 4; then the lanes are folded
+// together, the remaining 0-7 bytes are hashed one at a time, and the
+// length is folded in. Every step is a bijection of the running state, so
+// any change confined to one word always changes the checksum. The end
+// marker carries chunk_checksum(nullptr, 0).
+std::uint64_t chunk_checksum(const void* data, std::size_t size);
 
 constexpr std::uint32_t chunk_tag(char a, char b, char c, char d) {
   return static_cast<std::uint32_t>(static_cast<unsigned char>(a)) |
@@ -88,9 +104,11 @@ struct StateError : std::runtime_error {
   StateErrorCode code;
 };
 
-// Serializer: buffers the whole snapshot in memory (header, chunks, end
-// marker) and flushes once in finish(). Integers are little-endian on every
-// host; doubles travel as their IEEE-754 bit pattern.
+// Serializer: buffers the whole snapshot in one buffer (header, chunks, end
+// marker) and flushes once in finish(). Each chunk's payload is written in
+// place after its header, whose size and checksum end_chunk() patches.
+// Integers are little-endian on every host; doubles travel as their
+// IEEE-754 bit pattern.
 class StateWriter {
  public:
   StateWriter();
@@ -110,8 +128,7 @@ class StateWriter {
 
  private:
   std::vector<std::uint8_t> buf_;
-  std::vector<std::uint8_t> chunk_;
-  std::uint32_t chunk_tag_ = 0;
+  std::size_t chunk_start_ = 0;  // offset of the open chunk's header
   bool in_chunk_ = false;
 };
 
@@ -119,35 +136,41 @@ class StateWriter {
 // structural validation pass: magic, version, per-chunk checksums, the end
 // marker, duplicate detection, and the accepted-tag check (each restore
 // entry point names exactly the tags it understands; anything else is a
-// kUnknownChunk error, never silently skipped).
+// kUnknownChunk error, never silently skipped). The stream is read once
+// into one buffer; payloads are spans into it, valid while the reader lives.
 class StateReader {
  public:
   StateReader(std::istream& in, const std::vector<std::uint32_t>& accepted);
+  // Payloads point into this reader's buffer; a copy would share it.
+  StateReader(const StateReader&) = delete;
+  StateReader& operator=(const StateReader&) = delete;
 
   bool has(std::uint32_t tag) const;
   // Payload of `tag`; throws kMissingChunk when absent.
-  const std::vector<std::uint8_t>& payload(std::uint32_t tag) const;
+  std::span<const std::uint8_t> payload(std::uint32_t tag) const;
 
  private:
   struct Chunk {
     std::uint32_t tag = 0;
-    std::vector<std::uint8_t> payload;
+    std::span<const std::uint8_t> payload;
   };
+  std::vector<std::uint8_t> data_;
   std::vector<Chunk> chunks_;
 };
 
 // Bounds-checked decoder over one chunk payload; any overrun (or leftover
-// bytes at done()) is a kBadPayload error.
+// bytes at done()) is a kBadPayload error. A copy is a saved position.
 class ChunkCursor {
  public:
-  explicit ChunkCursor(const std::vector<std::uint8_t>& payload)
+  explicit ChunkCursor(std::span<const std::uint8_t> payload)
       : p_(payload.data()), end_(payload.data() + payload.size()) {}
 
   std::uint8_t get_u8();
   std::uint32_t get_u32();
   std::uint64_t get_u64();
   double get_f64();
-  void get_bytes(void* dst, std::size_t size);
+  // The next `size` payload bytes, in place.
+  std::span<const std::uint8_t> take(std::size_t size);
   std::string get_string();
 
   // Asserts the payload was consumed exactly.
@@ -172,7 +195,10 @@ void append_platform_chunks(StateWriter& w, const Platform& p);
 // image through Platform's install routine (touched RAM reset, the dirty
 // pages rewritten, the decode cache brought in line with the restored RAM so
 // self-modified words stay modified, warm caches kept where the image has
-// the same base and size) and reinstates CPU/UART state.
+// the same base and size) and reinstates CPU/UART state. A program chunk
+// that is byte-for-byte what the installed program serializes to keeps the
+// installed Program; any other is decoded into a new one, its symbols
+// required in strictly ascending name order (kBadPayload otherwise).
 void apply_platform_chunks(const StateReader& r, Platform& p);
 
 // Whole-file convenience for a bare platform (functional sim).

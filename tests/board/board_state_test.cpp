@@ -247,7 +247,8 @@ TEST(BoardState, InconsistentLedgerTallyRejected) {
 
   // Payload layout: u32 op count, then the tally arrays (counts first, row
   // misses third) of one little-endian u64 per op.
-  std::vector<std::uint8_t> hooks = r.payload(sim::kChunkBoardHooks);
+  const auto intact_hooks = r.payload(sim::kChunkBoardHooks);
+  std::vector<std::uint8_t> hooks(intact_hooks.begin(), intact_hooks.end());
   const auto ld = static_cast<std::size_t>(isa::Op::kLd);
   const auto slot = [&](std::size_t tally) {
     return hooks.data() + 4 + 8 * (tally * isa::kOpCount + ld);

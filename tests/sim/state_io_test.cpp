@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -458,6 +459,107 @@ TEST(StateIoWarm, DataStoresFlushNoBlockCoveredStoresDo) {
   }
 }
 
+// ---- warm program reuse ----------------------------------------------------
+//
+// A restore whose program chunk is exactly what the installed Program
+// serializes to keeps that Program; any difference, however small, must
+// yield the snapshot's program field by field.
+
+struct ProgramParts {
+  std::uint32_t base = 0, entry = 0, text = 0;
+  std::vector<std::uint8_t> bytes;
+  std::map<std::string, std::uint32_t> symbols;
+};
+
+ProgramParts parts_of(const asmkit::Program& p) {
+  return {p.base(), p.entry(), p.text_size(), p.bytes(), p.symbols()};
+}
+
+asmkit::Program build(const ProgramParts& parts) {
+  asmkit::Program p(parts.base, parts.bytes);
+  p.set_entry(parts.entry);
+  p.set_text_size(parts.text);
+  for (const auto& [name, addr] : parts.symbols) p.define_symbol(name, addr);
+  return p;
+}
+
+void expect_program_equal(const asmkit::Program& got,
+                          const asmkit::Program& want,
+                          const std::string& where) {
+  EXPECT_EQ(got.base(), want.base()) << where;
+  EXPECT_EQ(got.entry(), want.entry()) << where;
+  EXPECT_EQ(got.text_size(), want.text_size()) << where;
+  EXPECT_EQ(got.size(), want.size()) << where;
+  EXPECT_EQ(got.bytes(), want.bytes()) << where;
+  EXPECT_EQ(got.symbols(), want.symbols()) << where;
+}
+
+TEST(StateIoWarm, RestoreOfANearlyEqualProgramYieldsIt) {
+  const asmkit::Program a = work_program(200);
+  ASSERT_TRUE(a.find_symbol("loop"));
+  const auto variant = [&](const auto& edit) {
+    ProgramParts parts = parts_of(a);
+    edit(parts);
+    return build(parts);
+  };
+  const std::vector<std::pair<std::string, asmkit::Program>> variants = {
+      {"image byte", variant([](ProgramParts& p) { p.bytes.back() ^= 1; })},
+      {"symbol address", variant([](ProgramParts& p) { p.symbols["loop"] += 4; })},
+      {"symbol name", variant([&](ProgramParts& p) {
+         p.symbols.erase("loop");
+         p.symbols["loop2"] = a.symbol("loop");
+       })},
+      {"entry", variant([](ProgramParts& p) { p.entry += 4; })},
+      {"text split", variant([](ProgramParts& p) { p.text -= 4; })},
+  };
+  for (const auto& [what, a2] : variants) {
+    Iss target;
+    target.load(a);
+    target.run(100);
+    const std::string snap = snapshot_at(a2, 10, Dispatch::kBlock);
+    std::istringstream in(snap);
+    target.restore_state(in);
+    expect_program_equal(target.platform().loaded_program(), a2, what);
+
+    std::ostringstream first;
+    target.save_state(first);
+    EXPECT_EQ(first.str(), snap) << what;
+    std::istringstream again(first.str());
+    target.restore_state(again);
+    std::ostringstream second;
+    target.save_state(second);
+    EXPECT_EQ(second.str(), first.str()) << what;
+  }
+}
+
+TEST(StateIoWarm, RestoreOfTheSameProgramKeepsItAndMatchesColdTarget) {
+  const asmkit::Program a = work_program(200);
+  const std::string snap = snapshot_at(a, 123, Dispatch::kBlock);
+
+  Iss cold;
+  std::istringstream cold_in(snap);
+  cold.restore_state(cold_in);
+
+  Iss warm;
+  warm.load(a);
+  warm.run(1'000'000);
+  const auto* first_symbol =
+      &*warm.platform().loaded_program().symbols().begin();
+  std::istringstream warm_in(snap);
+  warm.restore_state(warm_in);
+  EXPECT_EQ(&*warm.platform().loaded_program().symbols().begin(),
+            first_symbol)
+      << "the installed Program was rebuilt";
+  EXPECT_EQ(arch_digest(warm.cpu(), warm.bus()),
+            arch_digest(cold.cpu(), cold.bus()));
+  expect_program_equal(warm.platform().loaded_program(),
+                       cold.platform().loaded_program(), "same program");
+  expect_program_equal(warm.platform().loaded_program(), a, "same program");
+  warm.run(1'000'000);
+  cold.run(1'000'000);
+  expect_equal(observe(warm), observe(cold), "continued");
+}
+
 // ---- negative paths --------------------------------------------------------
 
 std::string snapshot_bytes(Iss& iss) {
@@ -543,9 +645,46 @@ TEST_F(StateIoNegative, UnknownChunkTag) {
 }
 
 TEST_F(StateIoNegative, VersionSkew) {
-  std::string bad = good_;
-  bad[4] = static_cast<char>(kStateVersion + 1);
-  EXPECT_EQ(expect_rejected(target_, bad), StateErrorCode::kBadVersion);
+  for (const std::uint32_t version : {3u, kStateVersion + 1}) {
+    std::string bad = good_;
+    bad[4] = static_cast<char>(version);
+    EXPECT_EQ(expect_rejected(target_, bad), StateErrorCode::kBadVersion)
+        << "version " << version;
+  }
+}
+
+TEST_F(StateIoNegative, EveryFlippedByteIsRefused) {
+  // Headers included: a flip in a tag, size or checksum field breaks the
+  // framing or the checksum; a flip in a payload always changes the
+  // checksum of its chunk.
+  const Observed before = observe(target_);
+  for (std::size_t i = 0; i < good_.size(); ++i) {
+    std::string bad = good_;
+    bad[i] = static_cast<char>(~bad[i]);
+    std::istringstream in(bad);
+    ASSERT_THROW(target_.restore_state(in), StateError) << "byte " << i;
+    expect_equal(observe(target_), before,
+                 "after flipped byte " + std::to_string(i));
+    if (HasFailure()) return;
+  }
+}
+
+TEST(StateIoChecksum, PinnedValues) {
+  // Pins the v4 chunk checksum: a change to it is a format change and must
+  // come with a kStateVersion bump.
+  const auto buffer = [](std::size_t n) {
+    std::vector<std::uint8_t> b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      b[i] = static_cast<std::uint8_t>(i * 131 + 7);
+    }
+    return b;
+  };
+  const auto b37 = buffer(37);      // four words (one per lane), 5 tail bytes
+  const auto b4101 = buffer(4101);  // 512 words, 5 tail bytes
+  EXPECT_EQ(chunk_checksum(nullptr, 0), 0x58c94533b9407ce2ull);
+  EXPECT_EQ(chunk_checksum(b37.data(), b37.size()), 0xd6fd8a5cbdf11c0eull);
+  EXPECT_EQ(chunk_checksum(b4101.data(), b4101.size()),
+            0x27987875d6aaf113ull);
 }
 
 TEST_F(StateIoNegative, BadMagic) {
@@ -603,17 +742,62 @@ TEST_F(StateIoNegative, DuplicateChunk) {
 
 TEST_F(StateIoNegative, BadPayloadShape) {
   // A counts chunk with the wrong arity decodes but fails validation.
-  StateWriter w;
-  Iss src;
-  src.load(work_program(50));
-  append_platform_chunks(w, src.platform());
-  w.begin_chunk(kChunkCounts);
-  w.put_u32(3);
-  for (int i = 0; i < 3; ++i) w.put_u64(0);
-  w.end_chunk();
-  std::ostringstream out;
-  w.finish(out);
-  EXPECT_EQ(expect_rejected(target_, out.str()),
+  {
+    StateWriter w;
+    Iss src;
+    src.load(work_program(50));
+    append_platform_chunks(w, src.platform());
+    w.begin_chunk(kChunkCounts);
+    w.put_u32(3);
+    for (int i = 0; i < 3; ++i) w.put_u64(0);
+    w.end_chunk();
+    std::ostringstream out;
+    w.finish(out);
+    EXPECT_EQ(expect_rejected(target_, out.str()),
+              StateErrorCode::kBadPayload);
+  }
+
+  // Program symbols must ascend strictly by name: the snapshot re-written
+  // with `symbols` in place of its program's symbol table.
+  auto tags = platform_chunk_tags();
+  tags.push_back(kChunkCounts);
+  std::istringstream in(good_);
+  const StateReader r(in, tags);
+  const auto with_symbols =
+      [&](const std::vector<std::pair<std::string, std::uint32_t>>& symbols) {
+        StateWriter w;
+        for (const std::uint32_t tag : tags) {
+          w.begin_chunk(tag);
+          if (tag == kChunkProgram) {
+            ChunkCursor c(r.payload(tag));
+            for (int i = 0; i < 3; ++i) w.put_u32(c.get_u32());
+            const std::uint32_t size = c.get_u32();
+            w.put_u32(size);
+            const auto image = c.take(size);
+            w.put_bytes(image.data(), image.size());
+            w.put_u32(static_cast<std::uint32_t>(symbols.size()));
+            for (const auto& [name, addr] : symbols) {
+              w.put_string(name);
+              w.put_u32(addr);
+            }
+          } else {
+            const auto payload = r.payload(tag);
+            w.put_bytes(payload.data(), payload.size());
+          }
+          w.end_chunk();
+        }
+        std::ostringstream out;
+        w.finish(out);
+        return out.str();
+      };
+  {
+    Iss control;
+    std::istringstream ok(with_symbols({{"a", 4}, {"b", 8}}));
+    EXPECT_NO_THROW(control.restore_state(ok));
+  }
+  EXPECT_EQ(expect_rejected(target_, with_symbols({{"b", 8}, {"a", 4}})),
+            StateErrorCode::kBadPayload);
+  EXPECT_EQ(expect_rejected(target_, with_symbols({{"a", 4}, {"a", 8}})),
             StateErrorCode::kBadPayload);
 }
 
