@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <set>
 
+#include "isa/decode.h"
 #include "isa/names.h"
 
 namespace nfp::analyze {
@@ -35,11 +36,12 @@ std::string hex(std::uint32_t value) {
 
 class Builder {
  public:
-  explicit Builder(const asmkit::Program& program) : prog_(program) {
+  explicit Builder(const asmkit::Program& program)
+      : prog_(program),
+        image_base_(program.base()),
+        image_end_(program.end()),
+        text_end_(program.text_end()) {
     cfg_.entry = program.entry();
-    cfg_.image_base = program.base();
-    cfg_.image_end = program.end();
-    cfg_.text_end = program.text_end();
   }
 
   Cfg run() {
@@ -58,7 +60,7 @@ class Builder {
 
  private:
   bool word_in_image(std::uint32_t addr) const {
-    return addr >= cfg_.image_base && addr + 4 <= cfg_.image_end &&
+    return addr >= image_base_ && addr + 4 <= image_end_ &&
            addr + 4 > addr;
   }
 
@@ -205,8 +207,7 @@ class Builder {
         block.faults = true;
         break;
       }
-      block.insns.push_back(d);
-      ++block.op_counts[static_cast<std::size_t>(d.op)];
+      ++block.insn_count;
       if (has_delay_slot(d.op)) {
         finish_couple(block, pc, d);
         pc += 8;
@@ -214,8 +215,6 @@ class Builder {
       }
       if (d.op == Op::kTicc) {
         block.has_cti = true;
-        block.cti_pc = pc;
-        block.cti_op = d.op;
         if (d.cond == 8) {
           block.halt = !(d.rs1 == 0 && d.has_imm && (d.imm & 0x7F) != 0);
           block.faults = !block.halt;
@@ -239,16 +238,12 @@ class Builder {
   void finish_couple(BasicBlock& block, std::uint32_t pc,
                      const isa::DecodedInsn& d) {
     block.has_cti = true;
-    block.cti_pc = pc;
-    block.cti_op = d.op;
     const bool never = slot_never_executes(d);
-    block.slot_annulled_always = never;
     if (word_in_image(pc + 4)) {
       const isa::DecodedInsn slot = isa::decode(prog_.word_at(pc + 4));
       if (slot.op != Op::kInvalid) {
         block.has_slot = true;
-        block.insns.push_back(slot);
-        ++block.op_counts[static_cast<std::size_t>(slot.op)];
+        ++block.insn_count;
       } else {
         block.faults = !never;
       }
@@ -297,7 +292,7 @@ class Builder {
       ++runs;
       run_len = 0;
     };
-    for (std::uint32_t pc = cfg_.image_base; pc + 4 <= cfg_.text_end;
+    for (std::uint32_t pc = image_base_; pc + 4 <= text_end_;
          pc += 4) {
       const bool code = reachable_.count(pc) == 0 &&
                         isa::decode(prog_.word_at(pc)).op != Op::kInvalid;
@@ -312,6 +307,7 @@ class Builder {
   }
 
   const asmkit::Program& prog_;
+  const std::uint32_t image_base_, image_end_, text_end_;
   Cfg cfg_;
   std::vector<std::uint32_t> worklist_;
   std::set<std::uint32_t> processed_;
@@ -350,7 +346,7 @@ std::string dump(const Cfg& cfg) {
   char buf[128];
   for (const auto& [start, b] : cfg.blocks) {
     std::snprintf(buf, sizeof buf, "block %08x..%08x  %u insn(s)%s%s%s%s\n",
-                  b.start, b.end, b.insn_count(),
+                  b.start, b.end, b.insn_count,
                   b.has_cti ? "  cti" : "", b.halt ? "  halt" : "",
                   b.indirect ? "  indirect" : "", b.faults ? "  faults" : "");
     out += buf;

@@ -18,14 +18,12 @@
 // are assumed reachable, matching the simulator's flat call model.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "asmkit/program.h"
-#include "isa/decode.h"
 
 namespace nfp::analyze {
 
@@ -68,27 +66,18 @@ struct CfgEdge {
 struct BasicBlock {
   std::uint32_t start = 0;
   std::uint32_t end = 0;  // exclusive; includes the delay slot if any
-  std::vector<isa::DecodedInsn> insns;
-  std::array<std::uint32_t, isa::kOpCount> op_counts{};
+  std::uint32_t insn_count = 0;  // decoded insns, the delay slot included
 
   bool has_cti = false;
-  std::uint32_t cti_pc = 0;
-  isa::Op cti_op = isa::Op::kInvalid;
   bool has_slot = false;          // CTI couple: last insn is the delay slot
-  bool slot_annulled_always = false;  // ba,a / fba,a: slot never executes
   bool indirect = false;          // jmpl exit: target unresolvable
   bool halt = false;              // static `ta 0`
   bool faults = false;            // ends at an illegal encoding / off image
   std::vector<CfgEdge> edges;
-
-  std::uint32_t insn_count() const {
-    return static_cast<std::uint32_t>(insns.size());
-  }
 };
 
 struct Cfg {
   std::uint32_t entry = 0;
-  std::uint32_t image_base = 0, image_end = 0, text_end = 0;
   std::map<std::uint32_t, BasicBlock> blocks;  // keyed by start address
   std::vector<LintFinding> findings;
 

@@ -21,6 +21,14 @@ Cfg analyze_source(const std::string& source) {
   return build_cfg(asmkit::assemble(source, sim::kTextBase));
 }
 
+std::string fixture_source(const std::string& name) {
+  std::ifstream in(std::string(NFP_ANALYZE_FIXTURE_DIR) + "/" + name);
+  EXPECT_TRUE(in.is_open()) << name;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
 bool has_finding(const Cfg& cfg, LintCode code) {
   for (const auto& f : cfg.findings) {
     if (f.code == code) return true;
@@ -48,7 +56,7 @@ _start:
   ASSERT_EQ(cfg.blocks.size(), 1u);
   const BasicBlock& b = cfg.blocks.begin()->second;
   EXPECT_EQ(b.start, cfg.entry);
-  EXPECT_EQ(b.insn_count(), 4u);  // the trailing nop never executes
+  EXPECT_EQ(b.insn_count, 4u);  // the trailing nop never executes
   EXPECT_TRUE(b.halt);
   EXPECT_TRUE(b.edges.empty());
   // ...but it is reported as unreachable.
@@ -56,11 +64,7 @@ _start:
 }
 
 TEST(CfgLint, HandWrittenCtiInDelaySlotFixtureIsFlagged) {
-  std::ifstream in(std::string(NFP_ANALYZE_FIXTURE_DIR) + "/cti_in_slot.s");
-  ASSERT_TRUE(in.is_open());
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  const Cfg cfg = analyze_source(ss.str());
+  const Cfg cfg = analyze_source(fixture_source("cti_in_slot.s"));
   EXPECT_TRUE(cfg.has_errors());
   const LintFinding* f = find(cfg, LintCode::kCtiInDelaySlot);
   ASSERT_NE(f, nullptr);
@@ -281,6 +285,25 @@ loop:
     back = back || (e.kind == CfgEdge::Kind::kTaken && e.target == latch.start);
   }
   EXPECT_TRUE(back);
+}
+
+// The loop-shaped fixtures (nested loops, a call inside a loop, a two-entry
+// cycle, a stride in the delay slot, a zero-trip header) recover without
+// lint errors into a pinned number of blocks.
+TEST(CfgLint, LoopFixturesRecoverCleanly) {
+  const struct {
+    const char* file;
+    std::size_t blocks;
+  } cases[] = {
+      {"call_in_loop.s", 5},     {"irreducible.s", 4},
+      {"nested_counted.s", 5},   {"slot_stride_loop.s", 3},
+      {"zero_trip.s", 4},
+  };
+  for (const auto& c : cases) {
+    const Cfg cfg = analyze_source(fixture_source(c.file));
+    EXPECT_EQ(cfg.blocks.size(), c.blocks) << c.file;
+    EXPECT_EQ(cfg.error_count(), 0u) << c.file;
+  }
 }
 
 }  // namespace

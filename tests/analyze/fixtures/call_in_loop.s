@@ -1,7 +1,7 @@
-! Interprocedural fixture: a counted loop that calls a leaf helper each
-! iteration. The callee is solved first and its summary is inlined on the
-! synthesized call-continuation edge; the loop counter survives the call
-! because the callee's transitive write mask ({%g5, %o7}) misses %g3.
+! CFG fixture: a loop whose body calls a leaf helper. The call couple ends
+! its block with a call edge to the helper; the return site (call + 8) opens
+! the latch block, whose bne branches back to the call. The helper ends at an
+! indirect retl exit. Five blocks, no lint errors.
   .text
 _start:
   mov 5, %g3

@@ -1,7 +1,7 @@
-! Irreducible region: the cycle head <-> mid has two entries (the branch can
-! jump straight into mid), so neither block dominates the other and the
-! retreating edge is not a natural back edge. IPET must refuse with
-! reason=irreducible-loop naming the offending edge.
+! CFG fixture: a cycle with two entries. The entry branch can jump straight
+! into `mid` while its fall-through enters at `head`, so neither block of the
+! head <-> mid cycle dominates the other (an irreducible region). Four blocks,
+! no lint errors.
   .text
 _start:
   cmp %g1, 0

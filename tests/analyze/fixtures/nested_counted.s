@@ -1,6 +1,7 @@
-! Two nested counted loops: the inner counter is re-initialised inside the
-! outer body (the inference's re-init rule), so both bounds are provable.
-! Inner: 4 header runs per entry; outer: 3 -> the inner body retires 12x.
+! CFG fixture: two nested loops. The inner latch branches back to its own
+! block; the outer latch branches back to the block that re-initialises the
+! inner counter, so the inner loop is re-entered on every outer pass. Five
+! blocks, no lint errors.
   .text
 _start:
   mov 3, %g1

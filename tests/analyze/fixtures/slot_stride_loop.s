@@ -1,7 +1,7 @@
-! Counted loop whose stride sits in the branch delay slot. The slot of a
-! non-annulling conditional executes on both the taken and untaken paths,
-! so the stride still runs exactly once per test: the inference must accept
-! it (6 header runs: %g2 walks 6 -> 1 against limit 1).
+! CFG fixture: a one-block loop whose counter update sits in the delay slot
+! of the latch branch. The slot of a non-annulling conditional retires on
+! both the taken (back) and the untaken (exit) edge, so it stays inside the
+! loop block. Three blocks, no lint errors.
   .text
 _start:
   mov 6, %g2

@@ -1,6 +1,7 @@
-! Zero-trip counted loop: the header test fails on the very first pass
-! (counter initialised to the exit value), so the body never runs. The
-! inference still bounds the header at one execution.
+! CFG fixture: a loop tested at the top. The header branches forward to
+! `done` or falls into the body, and the body's unconditional `ba` back to the
+! header leaves it a single taken edge. With the counter starting at the exit
+! value the body never runs. Four blocks, no lint errors.
   .text
 _start:
   mov 0, %g2

@@ -6,9 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 
@@ -145,27 +143,6 @@ inline std::uint64_t flag_uint(const char* text, std::uint64_t max,
     std::exit(2);
   }
   return v;
-}
-
-// Parses one repeated "--loop-bound ADDR=N" (or "--loop-total ADDR=N")
-// operand into the annotation map. ADDR and N are parse_uint operands (ADDR
-// at most 32 bits), so "0x40000010=12" and "1073741840=12" are equivalent.
-// N == 0 is rejected unless `allow_zero` — a zero relative bound is
-// meaningless, but a zero absolute total legitimately pins a never-executed
-// loop. Returns false on malformed text (caller reports the usage error).
-inline bool parse_loop_bound(const char* text,
-                             std::map<std::uint32_t, std::uint64_t>& bounds,
-                             bool allow_zero = false) {
-  const char* eq = std::strchr(text, '=');
-  if (eq == nullptr) return false;
-  std::uint64_t addr = 0;
-  std::uint64_t n = 0;
-  if (!parse_uint(std::string(text, eq), UINT32_MAX, addr) ||
-      !parse_uint(eq + 1, UINT64_MAX, n) || (n == 0 && !allow_zero)) {
-    return false;
-  }
-  bounds[static_cast<std::uint32_t>(addr)] = n;
-  return true;
 }
 
 // Reads a whole file into a string, or exits with a usage error.

@@ -31,7 +31,7 @@
 //                       two plus "events" (board/events.h)
 //     --seed N          board/calibration noise seed for --estimate and
 //                       --board campaigns (also --seed=N)
-//     --max-insns N     ISS retirement budget (default 200M); with
+//     --max-insns N     ISS retirement budget (default 20e9); with
 //                       --save-state this is the checkpoint boundary
 //     --save-state FILE write a versioned snapshot (sim/state_io.h) of the
 //                       ISS after the run — halted or at the budget stop —
@@ -39,9 +39,7 @@
 //     --load-state FILE resume from a snapshot instead of compiling
 //                       (no .c inputs); continues under --dispatch up to
 //                       --max-insns and may itself --save-state again
-//   Any other argument starting with '-' is a usage error (exit 2). For the
-//   execution-free IPET interval of the same source, run
-//   nfplint --mc [--soft-float] --estimate file.c.
+//   Any other argument starting with '-' is a usage error (exit 2).
 #include <chrono>
 #include <cstdio>
 #include <cstring>

@@ -38,8 +38,6 @@
 //   Positional arguments are SPARC V8 assembly kernels, assembled at the
 //   platform text base and appended after any --campaign set.
 //   All value flags accept both "--flag N" and "--flag=N".
-//   The execution-free IPET interval is not served here: run
-//   nfplint --estimate over the same kernels.
 //   Exit status: 0 if every job succeeded, 1 otherwise, 2 on usage.
 #include <cstdio>
 #include <cstdlib>

@@ -9,21 +9,13 @@
 //     disassembler against an independent field-level classifier. Prints a
 //     machine-readable per-family table and any inconsistencies.
 //
-//   nfplint [--mc [--soft-float]] [--dump-cfg] [--bounds] [--estimate]
-//           [--json] [--loop-bound ADDR=N]... [--loop-total ADDR=N]...
-//           file [file...]
+//   nfplint [--mc [--soft-float]] [--dump-cfg | --json] file [file...]
 //     Static CFG recovery and linting of assembly (or Micro-C) programs:
 //     delay-slot legality, illegal encodings on reachable paths, edges off
-//     the image, unreachable code. The CFG is recovered once per image and
-//     shared by every analysis pass. With --bounds, also folds the recovered
-//     blocks with the board cost model into the pre-run Ê/T̂ lower bound
-//     (min-time/min-energy paths); with --estimate, runs the execution-free
-//     IPET flow solver for guaranteed [lower, upper] intervals with per-loop
-//     bound provenance. --loop-bound and --loop-total apply to --estimate:
-//     --loop-bound annotates loop headers (relative, per loop entry);
-//     --loop-total pins absolute header-execution totals (e.g. from a
-//     profiled reference run; 0 pins a dead loop). --json switches both
-//     reports to one JSON object per image on stdout.
+//     the image, unreachable code. --dump-cfg adds the recovered block
+//     and edge listing; --json replaces the text report with one JSON
+//     object per image on stdout. The two do not combine: the listing is
+//     plain text.
 //
 //   All value flags accept both "--flag N" and "--flag=N".
 //   Exit status: 0 clean, 1 findings (errors or sweep inconsistencies),
@@ -34,9 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "analyze/bounds.h"
 #include "analyze/cfg.h"
-#include "analyze/ipet.h"
 #include "analyze/sweep.h"
 #include "asmkit/assembler.h"
 #include "cli_common.h"
@@ -51,11 +41,8 @@ struct Options {
   bool micro_c = false;
   bool soft_float = false;
   bool dump_cfg = false;
-  bool bounds = false;
-  bool estimate = false;
   bool json = false;
   nfp::analyze::SweepConfig sweep_cfg;
-  nfp::analyze::IpetConfig ipet_cfg;
   std::vector<std::string> files;
 };
 
@@ -72,10 +59,8 @@ void usage() {
   std::printf(
       "usage: nfplint --sweep [--imm-samples N] [--reg-samples N]\n"
       "               [--asi-samples N] [--seed N] [--max-findings N]\n"
-      "       nfplint [--mc [--soft-float]] [--dump-cfg] [--bounds]\n"
-      "               [--estimate] [--json] [--loop-bound ADDR=N]...\n"
-      "               [--loop-total ADDR=N]... file [file...]\n"
-      "       (--loop-bound and --loop-total apply to --estimate)\n");
+      "       nfplint [--mc [--soft-float]] [--dump-cfg | --json]\n"
+      "               file [file...]\n");
 }
 
 int run_sweep_mode(const Options& opt) {
@@ -101,45 +86,20 @@ int run_sweep_mode(const Options& opt) {
 
 int lint_program(const nfp::asmkit::Program& program, const std::string& name,
                  const Options& opt) {
-  // One CFG recovery per image; findings, --dump-cfg, --bounds and
-  // --estimate all read the same recovered graph.
   const nfp::analyze::Cfg cfg = nfp::analyze::build_cfg(program);
-  if (!opt.json) {
-    for (const auto& f : cfg.findings) {
-      std::printf("%s: %s\n", name.c_str(), nfp::analyze::render(f).c_str());
-    }
-  }
-  if (opt.dump_cfg) std::fputs(nfp::analyze::dump(cfg).c_str(), stdout);
-  const nfp::board::CostModel costs;
-  nfp::sim::JsonWriter json;
   if (opt.json) {
+    nfp::sim::JsonWriter json;
     json.begin_object()
         .field("file", name)
         .field("blocks", cfg.blocks.size())
         .field("errors", cfg.error_count())
         .field("findings", cfg.findings.size());
-  }
-  if (opt.bounds) {
-    const nfp::analyze::BoundsResult bounds =
-        nfp::analyze::analyze_bounds(cfg, costs);
-    if (opt.json) {
-      nfp::analyze::to_json(json.key("bounds"), bounds);
-    } else {
-      std::fputs(nfp::analyze::render(bounds).c_str(), stdout);
-    }
-  }
-  if (opt.estimate) {
-    const nfp::analyze::IpetResult ipet =
-        nfp::analyze::analyze_ipet(cfg, costs, opt.ipet_cfg);
-    if (opt.json) {
-      nfp::analyze::to_json(json.key("ipet"), ipet);
-    } else {
-      std::fputs(nfp::analyze::render(ipet).c_str(), stdout);
-    }
-  }
-  if (opt.json) {
     std::puts(json.end_object().str().c_str());
   } else {
+    for (const auto& f : cfg.findings) {
+      std::printf("%s: %s\n", name.c_str(), nfp::analyze::render(f).c_str());
+    }
+    if (opt.dump_cfg) std::fputs(nfp::analyze::dump(cfg).c_str(), stdout);
     std::printf("%s: %zu block(s), %zu error(s), %zu finding(s)\n",
                 name.c_str(), cfg.blocks.size(), cfg.error_count(),
                 cfg.findings.size());
@@ -161,25 +121,8 @@ int main(int argc, char** argv) {
       opt.soft_float = true;
     } else if (arg == "--dump-cfg") {
       opt.dump_cfg = true;
-    } else if (arg == "--bounds") {
-      opt.bounds = true;
-    } else if (arg == "--estimate") {
-      opt.estimate = true;
     } else if (arg == "--json") {
       opt.json = true;
-    } else if (const char* v = flag_value("--loop-bound", argc, argv, i)) {
-      if (!nfp::cli::parse_loop_bound(v, opt.ipet_cfg.loop_bounds)) {
-        std::fprintf(stderr, "nfplint: bad --loop-bound '%s' (want ADDR=N)\n",
-                     v);
-        return 2;
-      }
-    } else if (const char* v = flag_value("--loop-total", argc, argv, i)) {
-      if (!nfp::cli::parse_loop_bound(v, opt.ipet_cfg.loop_totals,
-                                      /*allow_zero=*/true)) {
-        std::fprintf(stderr, "nfplint: bad --loop-total '%s' (want ADDR=N)\n",
-                     v);
-        return 2;
-      }
     } else if (const char* v = flag_value("--imm-samples", argc, argv, i)) {
       opt.sweep_cfg.imm_samples = static_cast<std::uint32_t>(
           flag_uint(v, UINT32_MAX, "--imm-samples"));
@@ -215,6 +158,12 @@ int main(int argc, char** argv) {
   }
   if (opt.files.empty()) {
     usage();
+    return 2;
+  }
+  if (opt.dump_cfg && opt.json) {
+    std::fprintf(stderr,
+                 "nfplint: --dump-cfg is a text listing; it does not combine "
+                 "with --json\n");
     return 2;
   }
 
