@@ -203,6 +203,12 @@ void Emitter::alu_rr32(std::uint8_t op_index, Gp dst, Gp src) {
   modrm_reg(static_cast<unsigned>(dst), static_cast<unsigned>(src));
 }
 
+void Emitter::alu_rr64(std::uint8_t op_index, Gp dst, Gp src) {
+  rex_rr(true, dst, src);
+  u8(static_cast<std::uint8_t>(op_index * 8 + 3));
+  modrm_reg(static_cast<unsigned>(dst), static_cast<unsigned>(src));
+}
+
 void Emitter::alu_ri32(std::uint8_t op_index, Gp dst, std::uint32_t imm) {
   const auto simm = static_cast<std::int32_t>(imm);
   rex(false, 0, 0, static_cast<unsigned>(dst));
@@ -238,6 +244,8 @@ void Emitter::and_rr(Gp dst, Gp src) { alu_rr32(4, dst, src); }
 void Emitter::sub_rr(Gp dst, Gp src) { alu_rr32(5, dst, src); }
 void Emitter::xor_rr(Gp dst, Gp src) { alu_rr32(6, dst, src); }
 void Emitter::cmp_rr(Gp a, Gp b) { alu_rr32(7, a, b); }
+void Emitter::or_rr64(Gp dst, Gp src) { alu_rr64(1, dst, src); }
+void Emitter::xor_rr64(Gp dst, Gp src) { alu_rr64(6, dst, src); }
 
 void Emitter::add_ri(Gp dst, std::uint32_t imm) { alu_ri32(0, dst, imm); }
 void Emitter::or_ri(Gp dst, std::uint32_t imm) { alu_ri32(1, dst, imm); }
@@ -338,8 +346,8 @@ void Emitter::imul_rr(Gp dst, Gp src) {
   modrm_reg(static_cast<unsigned>(dst), static_cast<unsigned>(src));
 }
 
-void Emitter::shift_ri32(std::uint8_t ext, Gp r, std::uint8_t imm) {
-  rex(false, 0, 0, static_cast<unsigned>(r));
+void Emitter::shift_ri(bool w, std::uint8_t ext, Gp r, std::uint8_t imm) {
+  rex(w, 0, 0, static_cast<unsigned>(r));
   u8(0xC1);
   modrm_reg(ext, static_cast<unsigned>(r));
   u8(imm);
@@ -351,9 +359,10 @@ void Emitter::shift_cl32(std::uint8_t ext, Gp r) {
   modrm_reg(ext, static_cast<unsigned>(r));
 }
 
-void Emitter::shl_ri(Gp r, std::uint8_t imm) { shift_ri32(4, r, imm); }
-void Emitter::shr_ri(Gp r, std::uint8_t imm) { shift_ri32(5, r, imm); }
-void Emitter::sar_ri(Gp r, std::uint8_t imm) { shift_ri32(7, r, imm); }
+void Emitter::shl_ri(Gp r, std::uint8_t imm) { shift_ri(false, 4, r, imm); }
+void Emitter::shl_ri64(Gp r, std::uint8_t imm) { shift_ri(true, 4, r, imm); }
+void Emitter::shr_ri(Gp r, std::uint8_t imm) { shift_ri(false, 5, r, imm); }
+void Emitter::sar_ri(Gp r, std::uint8_t imm) { shift_ri(false, 7, r, imm); }
 void Emitter::shl_cl(Gp r) { shift_cl32(4, r); }
 void Emitter::shr_cl(Gp r) { shift_cl32(5, r); }
 void Emitter::sar_cl(Gp r) { shift_cl32(7, r); }
@@ -361,6 +370,14 @@ void Emitter::sar_cl(Gp r) { shift_cl32(7, r); }
 void Emitter::popcnt_rr(Gp dst, Gp src) {
   u8(0xF3);  // mandatory prefix, ahead of any REX
   rex_rr(false, dst, src);
+  u8(0x0F);
+  u8(0xB8);
+  modrm_reg(static_cast<unsigned>(dst), static_cast<unsigned>(src));
+}
+
+void Emitter::popcnt_rr64(Gp dst, Gp src) {
+  u8(0xF3);
+  rex_rr(true, dst, src);
   u8(0x0F);
   u8(0xB8);
   modrm_reg(static_cast<unsigned>(dst), static_cast<unsigned>(src));

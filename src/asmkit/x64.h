@@ -89,6 +89,7 @@ class Emitter {
   void add_mi64(const Mem& m, std::int32_t imm);  // add qword [m], imm
   void add_mr64(const Mem& m, Gp src);        // add qword [m], r64
   void or_rr(Gp dst, Gp src);
+  void or_rr64(Gp dst, Gp src);               // or r64, r64
   void or_ri(Gp dst, std::uint32_t imm);
   void or_rm8(Gp dst, const Mem& m);          // or r8, byte [m]
   void adc_rr(Gp dst, Gp src);
@@ -101,6 +102,7 @@ class Emitter {
   void sub_ri(Gp dst, std::uint32_t imm);
   void sub_ri64(Gp dst, std::int32_t imm);    // sub r64, imm (sign-extended)
   void xor_rr(Gp dst, Gp src);
+  void xor_rr64(Gp dst, Gp src);              // xor r64, r64
   void xor_ri(Gp dst, std::uint32_t imm);
   void xor_rm8(Gp dst, const Mem& m);         // xor r8, byte [m]
   void cmp_rr(Gp a, Gp b);
@@ -117,12 +119,14 @@ class Emitter {
   void imul_r(Gp r);       // imul r32 (edx:eax = eax * r32, signed)
   void imul_rr(Gp dst, Gp src);  // imul r32, r32
   void shl_ri(Gp r, std::uint8_t imm);
+  void shl_ri64(Gp r, std::uint8_t imm);      // shl r64, imm8
   void shr_ri(Gp r, std::uint8_t imm);
   void sar_ri(Gp r, std::uint8_t imm);
   void shl_cl(Gp r);
   void shr_cl(Gp r);
   void sar_cl(Gp r);
-  void popcnt_rr(Gp dst, Gp src);  // popcnt r32, r32
+  void popcnt_rr(Gp dst, Gp src);    // popcnt r32, r32
+  void popcnt_rr64(Gp dst, Gp src);  // popcnt r64, r64
   void bswap_r(Gp r);          // bswap r32
   void ror16_ri(Gp r, std::uint8_t imm);  // ror r16, imm8 (halfword swap)
   void bt_ri(Gp r, std::uint8_t bit);     // bt r32, imm8 (CF = bit)
@@ -161,9 +165,10 @@ class Emitter {
   void modrm_mem(unsigned reg, const Mem& m);
   void alu_rr32(std::uint8_t op_index, Gp dst, Gp src);   // opcode k*8+3
   void alu_ri32(std::uint8_t op_index, Gp dst, std::uint32_t imm);
+  void alu_rr64(std::uint8_t op_index, Gp dst, Gp src);
   void alu_ri64(std::uint8_t op_index, Gp dst, std::int32_t imm);
   void grp3_r32(std::uint8_t ext, Gp r);                  // F7 /ext
-  void shift_ri32(std::uint8_t ext, Gp r, std::uint8_t imm);
+  void shift_ri(bool w, std::uint8_t ext, Gp r, std::uint8_t imm);
   void shift_cl32(std::uint8_t ext, Gp r);
   void put_rel32(Label& target);
 

@@ -10,17 +10,29 @@
 //     invalidation),
 //  3. the per-block code generator (BlockCompiler).
 //
-// Register pinning inside emitted code (all callee-saved, so helper calls
-// need no spills):
+// Register pinning inside emitted code. Callee-saved, so they survive the
+// helper call untouched:
 //   %rbx  &CpuState            %r13  remaining instruction budget
 //   %r12  ram_data()-kRamBase  %r14  &JitRt
 //   %r15  &CostLedger (only addressed when one is bound)
+// With a ledger bound, its toggle history lives in registers for the whole
+// native run (the thunk loads it and writes it back):
+//   %rbp  prev_b:prev_a (callee-saved; so a frame-pointer walk from
+//         inside the helper ends at emitted code)
+//   %r9d  prev_addr            %r10d  open_row (caller-saved)
+// and %esi/%edi/%r11d hold per-block toggle sums of up to three ops, zeroed
+// in the block prologue and added into the ledger at every exit. Around
+// every call of nfp_jit_exec_insn the sums go into the ledger and the
+// history out of its registers and back (see emit_helper_call).
 // %eax/%ecx/%edx are scratch. Blocks run with %rsp ≡ 0 (mod 16), so the
 // helper is entered at the SysV-required alignment.
 #include "sim/jit.h"
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstddef>
+#include <iterator>
 #include <stdexcept>
 #include <system_error>
 #include <type_traits>
@@ -101,7 +113,8 @@ static_assert(offsetof(JitRt, btc) == 64);
 static_assert(offsetof(JitRt, btc_hits) == 72);
 static_assert(sizeof(JitBtcSlot) == 16);
 
-// Ledger tallies are addressed as [%r15 + field + 8*op].
+// Ledger tallies are addressed as [%r15 + field + 8*op]; the operand
+// history prev_b:prev_a is one little-endian qword in %rbp.
 static_assert(std::is_standard_layout_v<CostLedger>);
 static_assert(offsetof(CostLedger, prev_a) == 0);
 static_assert(offsetof(CostLedger, prev_b) == 4);
@@ -245,6 +258,10 @@ constexpr Gp kRam = Gp::r12;
 constexpr Gp kBudget = Gp::r13;
 constexpr Gp kRt = Gp::r14;
 constexpr Gp kLedger = Gp::r15;
+constexpr Gp kHist = Gp::rbp;
+constexpr Gp kPrevAddr = Gp::r9;
+constexpr Gp kOpenRow = Gp::r10;
+constexpr Gp kAccRegs[] = {Gp::rsi, Gp::rdi, Gp::r11};
 
 constexpr std::int32_t kOffPc = 256;
 constexpr std::int32_t kOffNpc = 260;
@@ -263,8 +280,7 @@ constexpr std::int32_t kRtLedger = 56;
 constexpr std::int32_t kRtBtc = 64;
 constexpr std::int32_t kRtBtcHits = 72;
 
-constexpr std::int32_t kLgPrevA = offsetof(CostLedger, prev_a);
-constexpr std::int32_t kLgPrevB = offsetof(CostLedger, prev_b);
+constexpr std::int32_t kLgHist = offsetof(CostLedger, prev_a);
 constexpr std::int32_t kLgPrevAddr = offsetof(CostLedger, prev_addr);
 constexpr std::int32_t kLgOpenRow = offsetof(CostLedger, open_row);
 
@@ -272,6 +288,27 @@ constexpr std::int32_t kLgOpenRow = offsetof(CostLedger, open_row);
 x::Mem tally_m(std::size_t tally, isa::Op op) {
   return x::ptr(kLedger, static_cast<std::int32_t>(
                              tally + 8 * static_cast<std::size_t>(op)));
+}
+
+// The ledger's toggle history between memory and its pinned registers:
+// the address history and open row, plus (when `operands`) the operand
+// pair. Host code writes prev_a and prev_b as two dwords, so the pair is
+// read as two dwords too (one qword load of them stalls on store
+// forwarding); clobbers %rdx.
+void load_history(x::Emitter& e, bool operands) {
+  if (operands) {
+    e.mov_rm(kHist, x::ptr(kLedger, kLgHist));
+    e.mov_rm(Gp::rdx, x::ptr(kLedger, kLgHist + 4));
+    e.shl_ri64(Gp::rdx, 32);
+    e.or_rr64(kHist, Gp::rdx);
+  }
+  e.mov_rm(kPrevAddr, x::ptr(kLedger, kLgPrevAddr));
+  e.mov_rm(kOpenRow, x::ptr(kLedger, kLgOpenRow));
+}
+void store_history(x::Emitter& e, bool operands) {
+  if (operands) e.mov_mr64(x::ptr(kLedger, kLgHist), kHist);
+  e.mov_mr(x::ptr(kLedger, kLgPrevAddr), kPrevAddr);
+  e.mov_mr(x::ptr(kLedger, kLgOpenRow), kOpenRow);
 }
 
 x::Mem reg_m(std::uint32_t r) {
@@ -339,16 +376,14 @@ class BlockCompiler {
   void emit_load(const isa::DecodedInsn& d, std::uint32_t i);
   void emit_store(const isa::DecodedInsn& d, std::uint32_t i);
   void emit_cti(const isa::DecodedInsn& d);
-  void emit_jmpl(const isa::DecodedInsn& d, std::uint32_t cti_pc, bool fold,
-                 const isa::DecodedInsn* delay);
+  void emit_jmpl(const isa::DecodedInsn& d, std::uint32_t cti_pc);
   void emit_icc_test(std::uint8_t cond, x::Label& taken);
   void emit_fcc_test(std::uint8_t cond, x::Label& taken);
-  void emit_delayed_exit(std::uint32_t cti_pc, std::uint32_t target, bool fold,
-                         const isa::DecodedInsn* delay);
+  void emit_delayed_exit(std::uint32_t cti_pc, std::uint32_t target);
   void emit_static_exit(std::uint32_t exit_pc, std::uint32_t retired,
                         int extra_op, int cti_taken = -1);
   void emit_counts(int extra_op);
-  void emit_helper_inline(std::uint32_t i);
+  void emit_helper_call(std::uint32_t i);
   void emit_ea(const isa::DecodedInsn& d);
 
   // ---- cost-ledger tallies (sim/ledger.h) --------------------------------
@@ -358,8 +393,13 @@ class BlockCompiler {
     const ResidualKind k = ledger_->kind[static_cast<std::size_t>(op)];
     return k == ResidualKind::kNone || k == ResidualKind::kFpVariable;
   }
+  bool tallies_toggles_inline(const isa::DecodedInsn& d) const;
+  void pick_accumulators();
   void emit_retire_operands(const isa::DecodedInsn& d);
   void emit_operand_toggles(Op op);
+  void emit_toggle_add(Op op);
+  void emit_flush_accumulators();
+  void emit_clear_accumulators();
   void emit_memory_tally(Op op);
   void emit_untaken_tally() {
     if (ledger_ == nullptr) return;
@@ -396,6 +436,13 @@ class BlockCompiler {
   std::uint32_t code_base_;
   std::uint32_t code_limit_;
 
+  // The terminating CTI's delay slot, and whether it folds into the exit.
+  const isa::DecodedInsn* delay_ = nullptr;
+  bool fold_ = false;
+  // Toggle sums kept in kAccRegs[k] for accs_[k] until an exit or a helper
+  // call adds them into toggles[op].
+  std::vector<Op> accs_;
+
   x::Emitter e_;
   x::Label bail_;
   x::Label fault_;
@@ -426,17 +473,29 @@ bool BlockCompiler::compile() {
   }
 
   const std::uint32_t len = b_.len;
+  const std::uint32_t body = b_.ends_with_cti ? len - 1 : len;
+  if (b_.ends_with_cti) {
+    const std::uint32_t didx = word0_ + len;
+    delay_ = didx < dcache_.size() ? &dcache_[didx] : nullptr;
+    // A step-only delay op must fault through the host's single-step.
+    fold_ = delay_ != nullptr && delay_foldable(delay_->op) &&
+            (ledger_ == nullptr ||
+             !ledger_->step_only[static_cast<std::size_t>(delay_->op)]);
+  }
+  pick_accumulators();
+
   // Prologue: budget check (bail leaves the budget untouched and
   // materializes pc/npc at the block entry — a patched chain arrives here
   // without going through any exit stub), then announce this block as the
-  // running one and claim its retirement from the budget.
+  // running one, claim its retirement from the budget and clear its toggle
+  // accumulators.
   e_.cmp_ri64(kBudget, static_cast<std::int32_t>(len));
   e_.jcc(Cc::kB, bail_);
   e_.mov_ri64(Gp::rax, reinterpret_cast<std::uint64_t>(meta_));
   e_.mov_mr64(x::ptr(kRt, kRtCurMeta), Gp::rax);
   e_.sub_ri64(kBudget, static_cast<std::int32_t>(len));
+  emit_clear_accumulators();
 
-  const std::uint32_t body = b_.ends_with_cti ? len - 1 : len;
   for (std::uint32_t i = 0; i < body && !failed_; ++i) {
     emit_insn(dcache_[word0_ + i], i);
   }
@@ -453,13 +512,13 @@ bool BlockCompiler::compile() {
   e_.mov_mi(x::ptr(kCpu, kOffNpc), b_.start + 4);
   e_.ret();
 
-  // Cold section: row-miss tallies, then one helper trampoline per
-  // slow-path site. On success the native trace RESUMES — matching the
-  // interpreter's stale-trace-in-flight semantics even when the record just
-  // invalidated this very block.
+  // Cold section: row-miss tallies, then one helper call per slow-path
+  // site. On success the native trace RESUMES — matching the interpreter's
+  // stale-trace-in-flight semantics even when the record just invalidated
+  // this very block.
   for (RowMiss& r : row_misses_) {
     e_.bind(r.entry);
-    e_.mov_mr(x::ptr(kLedger, kLgOpenRow), Gp::rcx);
+    e_.mov_rr(kOpenRow, Gp::rcx);
     e_.add_mi64(tally_m(offsetof(CostLedger, row_misses), r.op), 1);
     if (ledger_->variation) {
       e_.add_mr64(tally_m(offsetof(CostLedger, row_miss_toggles), r.op),
@@ -469,7 +528,7 @@ bool BlockCompiler::compile() {
   }
   for (ColdCall& c : colds_) {
     e_.bind(c.slow);
-    emit_helper_inline(c.idx);
+    emit_helper_call(c.idx);
     if (c.returns) {
       e_.jmp(c.resume);
     } else {
@@ -481,11 +540,30 @@ bool BlockCompiler::compile() {
   return true;
 }
 
-void BlockCompiler::emit_helper_inline(std::uint32_t i) {
+// One slow-path site. The record's morph handler retires into the ledger
+// in memory, so the history leaves its registers first and comes back
+// after (on a fault too, so the thunk's final write-back stores what the
+// handler left), and the block's toggle sums are added into the ledger.
+// The call clobbers the address history, the open row and the sums; the
+// operand pair sits in callee-saved %rbp and moves only for a record whose
+// handler tallies operand toggles. Inline rather than in a stub shared by
+// the block: behind one more call level the helper path measured 4-8 %
+// slower on the calibration kernels that store to static data (every such
+// store takes the helper).
+void BlockCompiler::emit_helper_call(std::uint32_t i) {
+  const bool operands = tallies_operands(dcache_[word0_ + i].op);
+  if (ledger_ != nullptr) {
+    store_history(e_, operands);
+    emit_flush_accumulators();
+  }
   e_.mov_rr64(Gp::rdi, kRt);
   e_.mov_ri(Gp::rsi, i);
   e_.mov_ri64(Gp::rax, reinterpret_cast<std::uint64_t>(&nfp_jit_exec_insn));
   e_.call_r(Gp::rax);
+  if (ledger_ != nullptr) {
+    load_history(e_, operands);
+    emit_clear_accumulators();
+  }
   e_.test_rr(Gp::rax, Gp::rax);
   e_.jcc(Cc::kNe, fault_);
 }
@@ -514,6 +592,7 @@ void BlockCompiler::emit_static_exit(std::uint32_t exit_pc,
                                      std::uint32_t retired, int extra_op,
                                      int cti_taken) {
   if (cti_taken == 0) emit_untaken_tally();
+  emit_flush_accumulators();
   e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(retired));
   emit_counts(extra_op);
   JitExit exit;
@@ -527,20 +606,20 @@ void BlockCompiler::emit_static_exit(std::uint32_t exit_pc,
 }
 
 void BlockCompiler::emit_delayed_exit(std::uint32_t cti_pc,
-                                      std::uint32_t target, bool fold,
-                                      const isa::DecodedInsn* delay) {
-  if (fold) {
+                                      std::uint32_t target) {
+  if (fold_) {
     folds_delay_ = true;
     x::Label pending;
     e_.test_rr64(kBudget, kBudget);
     e_.jcc(Cc::kE, pending);
     e_.sub_ri64(kBudget, 1);
-    emit_insn(*delay, b_.len);  // foldable ops never take slow paths
-    emit_static_exit(target, b_.len + 1, static_cast<int>(delay->op));
+    emit_insn(*delay_, b_.len);  // foldable ops never take slow paths
+    emit_static_exit(target, b_.len + 1, static_cast<int>(delay_->op));
     e_.bind(pending);
   }
   // Budget exhausted (or unfoldable delay): the interpreter's post-CTI
   // state, pc at the delay slot with npc redirected; the host single-steps.
+  emit_flush_accumulators();
   e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(b_.len));
   emit_counts(-1);
   e_.mov_mi(x::ptr(kCpu, kOffPc), cti_pc + 4);
@@ -599,20 +678,10 @@ void BlockCompiler::emit_fcc_test(std::uint8_t cond, x::Label& taken) {
 
 void BlockCompiler::emit_cti(const isa::DecodedInsn& d) {
   const std::uint32_t cti_pc = b_.start + 4 * (b_.len - 1);
-  const std::uint32_t didx = word0_ + b_.len;
-  const isa::DecodedInsn* delay =
-      didx < dcache_.size() ? &dcache_[didx] : nullptr;
-  // A step-only delay op must fault through the host's single-step.
-  const bool fold =
-      delay != nullptr && delay_foldable(delay->op) &&
-      (ledger_ == nullptr ||
-       !ledger_->step_only[static_cast<std::size_t>(delay->op)]);
-
   switch (d.op) {
     case Op::kCall: {
       e_.mov_mi(reg_m(isa::kRegO7), cti_pc);
-      emit_delayed_exit(cti_pc, cti_pc + static_cast<std::uint32_t>(d.imm),
-                        fold, delay);
+      emit_delayed_exit(cti_pc, cti_pc + static_cast<std::uint32_t>(d.imm));
       return;
     }
     case Op::kBicc:
@@ -623,7 +692,7 @@ void BlockCompiler::emit_cti(const isa::DecodedInsn& d) {
           // Annulled delay: skip it (a taken branch for the cost model).
           emit_static_exit(target, b_.len, -1, /*cti_taken=*/1);
         } else {
-          emit_delayed_exit(cti_pc, target, fold, delay);
+          emit_delayed_exit(cti_pc, target);
         }
         return;
       }
@@ -642,11 +711,11 @@ void BlockCompiler::emit_cti(const isa::DecodedInsn& d) {
       emit_static_exit(d.annul ? cti_pc + 8 : cti_pc + 4, b_.len, -1,
                        /*cti_taken=*/0);
       e_.bind(taken);
-      emit_delayed_exit(cti_pc, target, fold, delay);
+      emit_delayed_exit(cti_pc, target);
       return;
     }
     case Op::kJmpl:
-      emit_jmpl(d, cti_pc, fold, delay);
+      emit_jmpl(d, cti_pc);
       return;
     default:
       failed_ = true;
@@ -654,8 +723,8 @@ void BlockCompiler::emit_cti(const isa::DecodedInsn& d) {
   }
 }
 
-void BlockCompiler::emit_jmpl(const isa::DecodedInsn& d, std::uint32_t cti_pc,
-                              bool fold, const isa::DecodedInsn* delay) {
+void BlockCompiler::emit_jmpl(const isa::DecodedInsn& d,
+                              std::uint32_t cti_pc) {
   // Target in %ecx. Misaligned targets fault through the helper (which runs
   // h_jmpl and throws before any state change, like the interpreter).
   e_.mov_rm(Gp::rcx, reg_m(d.rs1));
@@ -671,20 +740,21 @@ void BlockCompiler::emit_jmpl(const isa::DecodedInsn& d, std::uint32_t cti_pc,
   // Stash npc = target before the folded delay (which may overwrite %ecx's
   // source register but never reads pc/npc).
   e_.mov_mr(x::ptr(kCpu, kOffNpc), Gp::rcx);
-  if (fold) {
+  if (fold_) {
     folds_delay_ = true;
     x::Label pending;
     e_.test_rr64(kBudget, kBudget);
     e_.jcc(Cc::kE, pending);
     e_.sub_ri64(kBudget, 1);
-    emit_insn(*delay, b_.len);
+    emit_insn(*delay_, b_.len);
+    emit_flush_accumulators();
     e_.mov_rm(Gp::rcx, x::ptr(kCpu, kOffNpc));
     e_.mov_mr(x::ptr(kCpu, kOffPc), Gp::rcx);
     e_.add_ri(Gp::rcx, 4);
     e_.mov_mr(x::ptr(kCpu, kOffNpc), Gp::rcx);
     e_.add_mi64(x::ptr(kCpu, kOffInstret),
                 static_cast<std::int32_t>(b_.len + 1));
-    emit_counts(static_cast<int>(delay->op));
+    emit_counts(static_cast<int>(delay_->op));
     // Register-indirect exit: never rel32-patchable, but with pc/npc fully
     // settled it can probe the inline branch-target cache — a tag hit jumps
     // straight into the cached successor's prologue instead of returning to
@@ -704,6 +774,7 @@ void BlockCompiler::emit_jmpl(const isa::DecodedInsn& d, std::uint32_t cti_pc,
     e_.ret();
     e_.bind(pending);
   }
+  emit_flush_accumulators();
   e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(b_.len));
   emit_counts(-1);
   e_.mov_mi(x::ptr(kCpu, kOffPc), cti_pc + 4);
@@ -841,60 +912,112 @@ void BlockCompiler::emit_store(const isa::DecodedInsn& d, std::uint32_t i) {
   e_.bind(c.resume);
 }
 
-// Retire operands {%ecx, %edx} of the statically non-faulting ALU class
-// (exactly the delay-foldable set) as the morph handlers tally them,
-// pre-writeback (see block_cache.cpp). Loads/stores tally at the end of
-// their fast path, helper-routed records in their handler, the CTI at its
-// exits.
-void BlockCompiler::emit_retire_operands(const isa::DecodedInsn& d) {
+// Whether d adds a toggle popcount to toggles[op] inline: an ALU retire
+// pair, or a templated load/store (odd-rd doublewords go to the helper).
+bool BlockCompiler::tallies_toggles_inline(const isa::DecodedInsn& d) const {
+  if (ledger_ == nullptr || !ledger_->variation) return false;
   switch (d.op) {
-    case Op::kNop:
-      e_.xor_rr(Gp::rcx, Gp::rcx);
-      e_.xor_rr(Gp::rdx, Gp::rdx);
-      break;
-    case Op::kSethi:
-      e_.xor_rr(Gp::rcx, Gp::rcx);
-      e_.mov_ri(Gp::rdx, static_cast<std::uint32_t>(d.imm));
-      break;
-    case Op::kRdy:
-      e_.mov_rm(Gp::rcx, x::ptr(kCpu, kOffY));
-      e_.xor_rr(Gp::rdx, Gp::rdx);
-      break;
-    case Op::kSll:
-    case Op::kSrl:
-    case Op::kSra:  // {a, shift count mod 32}
-      e_.mov_rm(Gp::rcx, reg_m(d.rs1));
-      if (d.has_imm) {
-        e_.mov_ri(Gp::rdx, static_cast<std::uint32_t>(d.imm) & 31);
-      } else {
-        e_.mov_rm(Gp::rdx, reg_m(d.rs2));
-        e_.and_ri(Gp::rdx, 31);
-      }
-      break;
-    default:  // add/sub/logic/mul/wry/save/restore: {r[rs1], op2}
-      e_.mov_rm(Gp::rcx, reg_m(d.rs1));
-      if (d.has_imm) {
-        e_.mov_ri(Gp::rdx, static_cast<std::uint32_t>(d.imm));
-      } else {
-        e_.mov_rm(Gp::rdx, reg_m(d.rs2));
-      }
-      break;
+    case Op::kLd: case Op::kLdub: case Op::kLdsb: case Op::kLduh:
+    case Op::kLdsh: case Op::kSt: case Op::kStb: case Op::kSth:
+      return true;
+    case Op::kLdd: case Op::kStd:
+      return (d.rd & 1) == 0;
+    default:
+      return tallies_operands(d.op) && delay_foldable(d.op);
   }
 }
 
-// Operand-toggle tally of {%ecx, %edx}: toggles[op] += popcount(a ^ prev_a)
-// + popcount(b ^ prev_b), then the pair becomes the new history.
-void BlockCompiler::emit_operand_toggles(Op op) {
-  e_.mov_rm(Gp::rax, x::ptr(kLedger, kLgPrevA));
-  e_.xor_rr(Gp::rax, Gp::rcx);
-  e_.popcnt_rr(Gp::rax, Gp::rax);
-  e_.mov_mr(x::ptr(kLedger, kLgPrevA), Gp::rcx);
-  e_.mov_rm(Gp::rcx, x::ptr(kLedger, kLgPrevB));
-  e_.xor_rr(Gp::rcx, Gp::rdx);
-  e_.popcnt_rr(Gp::rcx, Gp::rcx);
-  e_.mov_mr(x::ptr(kLedger, kLgPrevB), Gp::rdx);
-  e_.add_rr(Gp::rax, Gp::rcx);
+// Gives the ops with the most inline toggle tallies in this block (the
+// folded delay slot included) a register each. An op tallied once gains
+// nothing from one, so it needs two sites.
+void BlockCompiler::pick_accumulators() {
+  std::array<std::uint32_t, isa::kOpCount> sites{};
+  const std::uint32_t body = b_.ends_with_cti ? b_.len - 1 : b_.len;
+  for (std::uint32_t i = 0; i < body; ++i) {
+    const isa::DecodedInsn& d = dcache_[word0_ + i];
+    if (tallies_toggles_inline(d)) ++sites[static_cast<std::size_t>(d.op)];
+  }
+  if (fold_ && tallies_toggles_inline(*delay_)) {
+    ++sites[static_cast<std::size_t>(delay_->op)];
+  }
+  for (std::size_t k = 0; k < std::size(kAccRegs); ++k) {
+    const auto best = std::max_element(sites.begin(), sites.end());
+    if (*best < 2) break;
+    accs_.push_back(static_cast<Op>(best - sites.begin()));
+    *best = 0;
+  }
+}
+
+// %eax holds one retire's toggle popcount.
+void BlockCompiler::emit_toggle_add(Op op) {
+  for (std::size_t k = 0; k < accs_.size(); ++k) {
+    if (accs_[k] == op) {
+      e_.add_rr(kAccRegs[k], Gp::rax);
+      return;
+    }
+  }
   e_.add_mr64(tally_m(offsetof(CostLedger, toggles), op), Gp::rax);
+}
+
+void BlockCompiler::emit_flush_accumulators() {
+  for (std::size_t k = 0; k < accs_.size(); ++k) {
+    e_.add_mr64(tally_m(offsetof(CostLedger, toggles), accs_[k]),
+                kAccRegs[k]);
+  }
+}
+
+void BlockCompiler::emit_clear_accumulators() {
+  for (std::size_t k = 0; k < accs_.size(); ++k) {
+    e_.xor_rr(kAccRegs[k], kAccRegs[k]);
+  }
+}
+
+// Retire operands of the statically non-faulting ALU class (exactly the
+// delay-foldable set) as the morph handlers tally them, pre-writeback (see
+// block_cache.cpp), packed b:a into %rdx; clobbers %rcx. Loads/stores tally
+// at the end of their fast path, helper-routed records in their handler,
+// the CTI at its exits.
+void BlockCompiler::emit_retire_operands(const isa::DecodedInsn& d) {
+  const bool shift =
+      d.op == Op::kSll || d.op == Op::kSrl || d.op == Op::kSra;
+  switch (d.op) {
+    case Op::kNop:
+      e_.xor_rr(Gp::rdx, Gp::rdx);
+      return;
+    case Op::kSethi:  // {0, imm}
+      e_.mov_ri64(Gp::rdx, static_cast<std::uint64_t>(
+                               static_cast<std::uint32_t>(d.imm))
+                               << 32);
+      return;
+    case Op::kRdy:  // {y, 0}
+      e_.mov_rm(Gp::rdx, x::ptr(kCpu, kOffY));
+      return;
+    default:  // {r[rs1], op2}; shifts take the count mod 32 as op2
+      break;
+  }
+  e_.mov_rm(Gp::rdx, reg_m(d.rs1));  // 32-bit moves zero-extend
+  if (d.has_imm) {
+    const std::uint32_t b =
+        static_cast<std::uint32_t>(d.imm) & (shift ? 31u : ~0u);
+    if (b != 0) {
+      e_.mov_ri64(Gp::rcx, static_cast<std::uint64_t>(b) << 32);
+      e_.or_rr64(Gp::rdx, Gp::rcx);
+    }
+    return;
+  }
+  e_.mov_rm(Gp::rcx, reg_m(d.rs2));
+  if (shift) e_.and_ri(Gp::rcx, 31);
+  e_.shl_ri64(Gp::rcx, 32);
+  e_.or_rr64(Gp::rdx, Gp::rcx);
+}
+
+// Operand-toggle tally of the packed pair in %rdx: toggles[op] +=
+// popcount(b:a ^ prev_b:prev_a), then the pair becomes the new history.
+void BlockCompiler::emit_operand_toggles(Op op) {
+  e_.xor_rr64(kHist, Gp::rdx);
+  e_.popcnt_rr64(Gp::rax, kHist);
+  e_.mov_rr64(kHist, Gp::rdx);
+  emit_toggle_add(op);
 }
 
 // Memory tally of {%ecx = ea, %eax = data}, mirroring CostLedger::retire:
@@ -903,16 +1026,15 @@ void BlockCompiler::emit_operand_toggles(Op op) {
 void BlockCompiler::emit_memory_tally(Op op) {
   if (ledger_ == nullptr) return;
   if (ledger_->variation) {
-    e_.mov_rm(Gp::rdx, x::ptr(kLedger, kLgPrevAddr));
-    e_.xor_rr(Gp::rdx, Gp::rcx);
-    e_.popcnt_rr(Gp::rdx, Gp::rdx);
+    e_.xor_rr(kPrevAddr, Gp::rcx);
+    e_.popcnt_rr(Gp::rdx, kPrevAddr);
     e_.popcnt_rr(Gp::rax, Gp::rax);
     e_.add_rr(Gp::rax, Gp::rdx);
-    e_.add_mr64(tally_m(offsetof(CostLedger, toggles), op), Gp::rax);
+    emit_toggle_add(op);
   }
-  e_.mov_mr(x::ptr(kLedger, kLgPrevAddr), Gp::rcx);
+  e_.mov_rr(kPrevAddr, Gp::rcx);
   e_.shr_ri(Gp::rcx, static_cast<std::uint8_t>(ledger_->row_bits));
-  e_.cmp_rm(Gp::rcx, x::ptr(kLedger, kLgOpenRow));
+  e_.cmp_rr(Gp::rcx, kOpenRow);
   row_misses_.push_back(RowMiss{});
   RowMiss& r = row_misses_.back();
   r.op = op;
@@ -1104,7 +1226,7 @@ void BlockCompiler::emit_insn(const isa::DecodedInsn& d, std::uint32_t i) {
     case Op::kSdivcc:
       // Divides carry y:rs1 dividends, saturation, overflow cc and a
       // div-by-zero fault — not worth templating; always helper.
-      emit_helper_inline(i);
+      emit_helper_call(i);
       return;
 
     case Op::kLd: case Op::kLdub: case Op::kLdsb:
@@ -1113,7 +1235,7 @@ void BlockCompiler::emit_insn(const isa::DecodedInsn& d, std::uint32_t i) {
       return;
     case Op::kLdd:
       if (d.rd & 1) {
-        emit_helper_inline(i);  // faults (odd rd), interpreter-identical
+        emit_helper_call(i);  // faults (odd rd), interpreter-identical
       } else {
         emit_load(d, i);
       }
@@ -1124,7 +1246,7 @@ void BlockCompiler::emit_insn(const isa::DecodedInsn& d, std::uint32_t i) {
       return;
     case Op::kStd:
       if (d.rd & 1) {
-        emit_helper_inline(i);
+        emit_helper_call(i);
       } else {
         emit_store(d, i);
       }
@@ -1158,8 +1280,9 @@ JitRuntime::JitRuntime(Bus& bus, BlockCache& cache)
   rt_.btc = btc_.data();
 
   // Entry thunk: uint64_t thunk(JitRt* rdi, const void* rsi, uint64_t rdx).
-  // Loads the pinned registers, calls the block entry, returns the
-  // remaining budget. Six pushes keep %rsp ≡ 0 (mod 16) at block entry.
+  // Loads the pinned registers (and a bound ledger's toggle history), calls
+  // the block entry, writes the history back and returns the remaining
+  // budget. Six pushes keep %rsp ≡ 0 (mod 16) at block entry.
   asmkit::x64::Emitter e;
   e.push_r(Gp::rbx);
   e.push_r(Gp::rbp);
@@ -1172,7 +1295,17 @@ JitRuntime::JitRuntime(Bus& bus, BlockCache& cache)
   e.mov_rm64(kRam, x::ptr(kRt, 8));
   e.mov_rm64(kLedger, x::ptr(kRt, kRtLedger));
   e.mov_rr64(kBudget, Gp::rdx);
+  x::Label unbound_in;
+  x::Label unbound_out;
+  e.test_rr64(kLedger, kLedger);
+  e.jcc(Cc::kE, unbound_in);
+  load_history(e, true);
+  e.bind(unbound_in);
   e.call_r(Gp::rsi);
+  e.test_rr64(kLedger, kLedger);
+  e.jcc(Cc::kE, unbound_out);
+  store_history(e, true);
+  e.bind(unbound_out);
   e.mov_rr64(Gp::rax, kBudget);
   e.pop_r(Gp::r15);
   e.pop_r(Gp::r14);

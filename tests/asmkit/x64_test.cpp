@@ -255,6 +255,43 @@ TEST(X64Encoding, Alu64) {
                   {0x03, 0x43, 0x04});
 }
 
+TEST(X64Encoding, PackedToggle64) {
+  // The register-resident toggle ledger's 64-bit forms: pack b:a into one
+  // word, xor it against the history, popcount the difference.
+  // shl $0x20,%rdx ; shl $0x3,%r10
+  expect_encoding("shl_ri64 rdx", [](Emitter& e) { e.shl_ri64(Gp::rdx, 32); },
+                  {0x48, 0xc1, 0xe2, 0x20});
+  expect_encoding("shl_ri64 r10", [](Emitter& e) { e.shl_ri64(Gp::r10, 3); },
+                  {0x49, 0xc1, 0xe2, 0x03});
+  // or %rcx,%rdx ; or %r11,%r8
+  expect_encoding("or_rr64 rdx rcx",
+                  [](Emitter& e) { e.or_rr64(Gp::rdx, Gp::rcx); },
+                  {0x48, 0x0b, 0xd1});
+  expect_encoding("or_rr64 r8 r11",
+                  [](Emitter& e) { e.or_rr64(Gp::r8, Gp::r11); },
+                  {0x4d, 0x0b, 0xc3});
+  // xor %rdx,%r8 ; xor %r15,%rax
+  expect_encoding("xor_rr64 r8 rdx",
+                  [](Emitter& e) { e.xor_rr64(Gp::r8, Gp::rdx); },
+                  {0x4c, 0x33, 0xc2});
+  expect_encoding("xor_rr64 rax r15",
+                  [](Emitter& e) { e.xor_rr64(Gp::rax, Gp::r15); },
+                  {0x49, 0x33, 0xc7});
+  // popcnt: the F3 prefix precedes REX.W (and REX.R/REX.B for r8..r15)
+  expect_encoding("popcnt_rr64 rcx rcx",
+                  [](Emitter& e) { e.popcnt_rr64(Gp::rcx, Gp::rcx); },
+                  {0xf3, 0x48, 0x0f, 0xb8, 0xc9});
+  expect_encoding("popcnt_rr64 rax r8",
+                  [](Emitter& e) { e.popcnt_rr64(Gp::rax, Gp::r8); },
+                  {0xf3, 0x49, 0x0f, 0xb8, 0xc0});
+  expect_encoding("popcnt_rr64 r11 rdx",
+                  [](Emitter& e) { e.popcnt_rr64(Gp::r11, Gp::rdx); },
+                  {0xf3, 0x4c, 0x0f, 0xb8, 0xda});
+  expect_encoding("popcnt_rr64 r9 r15",
+                  [](Emitter& e) { e.popcnt_rr64(Gp::r9, Gp::r15); },
+                  {0xf3, 0x4d, 0x0f, 0xb8, 0xcf});
+}
+
 TEST(X64Encoding, CmpMem) {
   // cmp 0x4(%rbx),%eax
   expect_encoding("cmp_rm disp8",

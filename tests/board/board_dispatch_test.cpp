@@ -5,6 +5,7 @@
 // activity, and the full architectural outcome.
 #include <bit>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "board/hooks.h"
 #include "isa/decode.h"
 #include "sim/bus.h"
+#include "sim/executor.h"
 #include "sim/jit.h"
 #include "sim/memmap.h"
 #include "sim/platform.h"
@@ -405,6 +407,177 @@ insn_b: add %g1, 2, %g1
   const Outcome step = run_board(p, loud_config(), sim::Dispatch::kStep);
   const Outcome jit = run_board(p, loud_config(), sim::Dispatch::kJit);
   EXPECT_EQ(step, jit);
+}
+
+// One board stand driven slice by slice: a platform and the hooks whose
+// BoardHooks::export_state() the pinned-ledger test compares.
+struct Stand {
+  explicit Stand(const asmkit::Program& p) : hooks(cfg, cost) {
+    platform.load(p);
+  }
+  // Runs `budget` more instructions; returns the fault message, if any.
+  std::string run(std::uint64_t budget, sim::Dispatch dispatch) {
+    try {
+      sim::run_platform(platform, hooks, budget, dispatch);
+    } catch (const sim::SimError& e) {
+      return e.what();
+    }
+    return {};
+  }
+
+  BoardConfig cfg = loud_config();
+  CostModel cost;
+  sim::Platform platform;
+  BoardHooks hooks;
+};
+
+// Every field of BoardHooks::export_state(), plus where the cpu stopped;
+// names the first one that differs.
+::testing::AssertionResult same_state(Stand& want, Stand& got) {
+  const sim::CpuState& ca = want.platform.cpu();
+  const sim::CpuState& cb = got.platform.cpu();
+  if (ca.instret != cb.instret || ca.pc != cb.pc || ca.npc != cb.npc) {
+    return ::testing::AssertionFailure()
+           << "cpu stopped at instret " << cb.instret << " pc " << cb.pc
+           << ", want " << ca.instret << " pc " << ca.pc;
+  }
+  const BoardHooksState sa = want.hooks.export_state();
+  const BoardHooksState sb = got.hooks.export_state();
+  const sim::CostLedger& a = sa.ledger;
+  const sim::CostLedger& b = sb.ledger;
+  auto fail = [&](const char* what) {
+    return ::testing::AssertionFailure()
+           << what << " differs at instret " << ca.instret;
+  };
+  if (a.prev_a != b.prev_a || a.prev_b != b.prev_b) {
+    return fail("operand history");
+  }
+  if (a.prev_addr != b.prev_addr) return fail("address history");
+  if (a.open_row != b.open_row) return fail("open row");
+  const auto ta = a.tallies();
+  const auto tb = b.tallies();
+  for (std::size_t t = 0; t < ta.size(); ++t) {
+    if (*ta[t] != *tb[t]) return fail("a tally array");
+  }
+  if (a.tags != b.tags) return fail("cache tags");
+  if (sa.activity_lfsr != sb.activity_lfsr || sa.activity != sb.activity) {
+    return fail("switching activity");
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(BoardDispatch, PinnedLedgerStateMatchesStep) {
+  // Native code keeps the ledger's toggle history in host registers and
+  // the per-block toggle sums of repeated ops in accumulators: the thunk
+  // writes the history back when a run returns, and each block's helper
+  // stub writes it (and the sums) back before a helper-routed record and
+  // reloads it after. Comparing the whole exported state at every slice
+  // end catches a missing write-back, flush or reload at any exit kind.
+  // The loop holds repeated adds and xors around two helper-routed
+  // records (an MMIO word load, a udiv) in one block, a row-missing store,
+  // a call with a folded delay slot, a retl through the inline BTC, and a
+  // conditional branch taken on every other iteration.
+  const auto p = prog(R"(
+_start: wr %g0, 0, %y
+        set 0x40010000, %l0
+        set 0x80000108, %l6
+        set 0x9e3779b9, %l4
+        mov 7, %l7
+        mov 0, %o0
+        mov 40, %l1
+loop:   add %l4, %l1, %l2
+        xor %l2, %l4, %l3
+        add %l2, %l3, %l2
+        ld [%l6], %l5
+        add %l5, %l2, %l2
+        xor %l2, %l5, %l3
+        ld [%l0], %g2
+        udiv %l2, %l7, %g3
+        add %g3, %l2, %g3
+        st %g3, [%l0 + 4]
+        st %g3, [%l0 + 1028]
+        call fn
+        sll %g3, 1, %g4
+        andcc %l1, 1, %g0
+        be even
+        add %o0, %g4, %o0
+        sub %o0, 3, %o0
+even:   subcc %l1, 1, %l1
+        bne loop
+        add %l4, %o0, %l4
+        mov 0, %o0
+        ta 0
+fn:     add %o0, %l2, %o0
+        add %o0, %l1, %o0
+        retl
+        xor %o0, %g3, %o0
+)");
+  {
+    Stand step(p);
+    Stand jit(p);
+    // Slices of 1..37 instructions stop the native run at every offset of
+    // the loop; every seventh slice is long enough to chain natively
+    // through several iterations.
+    for (std::uint64_t k = 0; !step.platform.cpu().halted; ++k) {
+      const std::uint64_t slice = k % 7 == 6 ? 150 : 1 + (k * 11) % 37;
+      ASSERT_EQ(step.run(slice, sim::Dispatch::kStep), "");
+      ASSERT_EQ(jit.run(slice, sim::Dispatch::kJit), "");
+      ASSERT_TRUE(same_state(step, jit)) << "slice " << k;
+    }
+    EXPECT_TRUE(jit.platform.cpu().halted);
+    if (sim::jit_available()) {
+      const sim::JitRuntime* jr = jit.platform.block_cache()->jit();
+      ASSERT_NE(jr, nullptr);
+      EXPECT_GE(jr->stats().blocks_compiled, 1u);
+      EXPECT_GT(jr->stats().helper_exec, 0u);  // native runs hit the stub
+      EXPECT_GT(jr->inline_btc_hits(), 0u);
+    }
+  }
+
+  // A misaligned load faults mid-block from native code after tallies of
+  // the same block landed in its accumulators (the helper stub flushes them
+  // before the faulting record).
+  const auto faulting = prog(R"(
+_start: set 0x40100000, %g1
+        set 0x40200000, %g2
+        mov 4, %l0
+        mov 0, %o0
+loop:   add %o0, %l0, %o0
+        xor %o0, %g1, %o1
+        add %o1, %o0, %o1
+        xor %o1, %l0, %o1
+        ld [%g2], %o2
+        add %g2, %l0, %g2
+        srl %l0, 1, %l0
+        ba loop
+        nop
+)");
+  {
+    Stand step(faulting);
+    Stand jit(faulting);
+    const std::string what = step.run(Board::kDefaultMaxInsns,
+                                      sim::Dispatch::kStep);
+    EXPECT_NE(what, "");
+    EXPECT_EQ(jit.run(Board::kDefaultMaxInsns, sim::Dispatch::kJit), what);
+    EXPECT_TRUE(same_state(step, jit));
+  }
+
+  // Save/restore between jit slices: the snapshot taken after a native run
+  // carries the written-back history, and a restored board resumes from it.
+  auto sliced = [&](sim::Dispatch dispatch) {
+    Board first(loud_config());
+    first.load(p);
+    first.run(217, dispatch);
+    std::stringstream mid;
+    first.save_state(mid);
+    Board second(loud_config());
+    second.restore_state(mid);
+    second.run(311, dispatch);
+    std::stringstream end;
+    second.save_state(end);
+    return end.str();
+  };
+  EXPECT_EQ(sliced(sim::Dispatch::kStep), sliced(sim::Dispatch::kJit));
 }
 
 // Per-retire reference of the board's cost model: every retired op's

@@ -17,7 +17,9 @@
 //     object per image on stdout. The two do not combine: the listing is
 //     plain text.
 //
-//   All value flags accept both "--flag N" and "--flag=N".
+//   All value flags accept both "--flag N" and "--flag=N". A flag of the
+//   other mode (or --soft-float without --mc) is a usage error, not
+//   silently ignored.
 //   Exit status: 0 clean, 1 findings (errors or sweep inconsistencies),
 //   2 on usage errors.
 #include <cstdio>
@@ -44,6 +46,8 @@ struct Options {
   bool json = false;
   nfp::analyze::SweepConfig sweep_cfg;
   std::vector<std::string> files;
+  // The first sweep-only flag seen (null: none).
+  const char* sweep_flag = nullptr;
 };
 
 const char* flag_value(const std::string& name, int argc, char** argv,
@@ -113,6 +117,9 @@ int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    const auto sweep = [&](const char* flag) {
+      if (opt.sweep_flag == nullptr) opt.sweep_flag = flag;
+    };
     if (arg == "--sweep") {
       opt.sweep = true;
     } else if (arg == "--mc") {
@@ -126,17 +133,22 @@ int main(int argc, char** argv) {
     } else if (const char* v = flag_value("--imm-samples", argc, argv, i)) {
       opt.sweep_cfg.imm_samples = static_cast<std::uint32_t>(
           flag_uint(v, UINT32_MAX, "--imm-samples"));
+      sweep("--imm-samples");
     } else if (const char* v = flag_value("--reg-samples", argc, argv, i)) {
       opt.sweep_cfg.reg_samples = static_cast<std::uint32_t>(
           flag_uint(v, UINT32_MAX, "--reg-samples"));
+      sweep("--reg-samples");
     } else if (const char* v = flag_value("--asi-samples", argc, argv, i)) {
       opt.sweep_cfg.asi_samples = static_cast<std::uint32_t>(
           flag_uint(v, UINT32_MAX, "--asi-samples"));
+      sweep("--asi-samples");
     } else if (const char* v = flag_value("--seed", argc, argv, i)) {
       opt.sweep_cfg.seed = flag_uint(v, UINT64_MAX, "--seed");
+      sweep("--seed");
     } else if (const char* v = flag_value("--max-findings", argc, argv, i)) {
       opt.sweep_cfg.max_findings =
           flag_uint(v, SIZE_MAX, "--max-findings");
+      sweep("--max-findings");
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
@@ -154,7 +166,26 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "nfplint: --sweep takes no files\n");
       return 2;
     }
+    const char* lint_flag = opt.micro_c      ? "--mc"
+                            : opt.soft_float ? "--soft-float"
+                            : opt.dump_cfg   ? "--dump-cfg"
+                            : opt.json       ? "--json"
+                                             : nullptr;
+    if (lint_flag != nullptr) {
+      std::fprintf(stderr, "nfplint: %s is a lint flag; --sweep does not "
+                   "take it\n", lint_flag);
+      return 2;
+    }
     return run_sweep_mode(opt);
+  }
+  if (opt.sweep_flag != nullptr) {
+    std::fprintf(stderr, "nfplint: %s applies only to --sweep\n",
+                 opt.sweep_flag);
+    return 2;
+  }
+  if (opt.soft_float && !opt.micro_c) {
+    std::fprintf(stderr, "nfplint: --soft-float applies only to --mc\n");
+    return 2;
   }
   if (opt.files.empty()) {
     usage();
