@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
       jobs.push_back(std::move(job));
     }
   }
-  std::printf("running %zu kernels on ISS + board...\n\n", jobs.size());
+  std::printf("running %zu kernels on the board...\n\n", jobs.size());
 
   const auto result =
       nfp::benchkit::evaluate(jobs, cfg, eq1, calibration.costs);

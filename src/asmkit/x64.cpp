@@ -11,6 +11,8 @@ namespace {
 inline unsigned lo3(Gp r) { return static_cast<unsigned>(r) & 7u; }
 inline unsigned hi1(Gp r) { return (static_cast<unsigned>(r) >> 3) & 1u; }
 inline bool fits_i8(std::int32_t v) { return v >= -128 && v <= 127; }
+inline unsigned xr(Xmm x) { return static_cast<unsigned>(x); }
+inline unsigned gr(Gp g) { return static_cast<unsigned>(g); }
 }  // namespace
 
 void Emitter::u32(std::uint32_t v) {
@@ -431,6 +433,72 @@ void Emitter::lea_r32(Gp dst, const Mem& m) {
   rex_rm(false, dst, m);
   u8(0x8D);
   modrm_mem(static_cast<unsigned>(dst), m);
+}
+
+// ---- SSE2 scalar --------------------------------------------------------------
+
+void Emitter::sse_rr(std::uint8_t prefix, std::uint8_t op, unsigned reg,
+                     unsigned rm) {
+  if (prefix != 0) u8(prefix);
+  rex(false, reg, 0, rm);
+  u8(0x0F);
+  u8(op);
+  modrm_reg(reg, rm);
+}
+
+void Emitter::sse_rm(std::uint8_t prefix, std::uint8_t op, unsigned reg,
+                     const Mem& m) {
+  if (prefix != 0) u8(prefix);
+  rex(false, reg, m.has_index ? static_cast<unsigned>(m.index) : 0u,
+      static_cast<unsigned>(m.base));
+  u8(0x0F);
+  u8(op);
+  modrm_mem(reg, m);
+}
+
+void Emitter::movss_rm(Xmm dst, const Mem& m) { sse_rm(0xF3, 0x10, xr(dst), m); }
+void Emitter::movss_mr(const Mem& m, Xmm src) { sse_rm(0xF3, 0x11, xr(src), m); }
+void Emitter::movsd_rm(Xmm dst, const Mem& m) { sse_rm(0xF2, 0x10, xr(dst), m); }
+void Emitter::movsd_mr(const Mem& m, Xmm src) { sse_rm(0xF2, 0x11, xr(src), m); }
+
+void Emitter::pshufd(Xmm dst, Xmm src, std::uint8_t order) {
+  sse_rr(0x66, 0x70, xr(dst), xr(src));
+  u8(order);
+}
+
+void Emitter::unpcklps(Xmm dst, Xmm src) { sse_rr(0, 0x14, xr(dst), xr(src)); }
+
+void Emitter::addss(Xmm dst, Xmm src) { sse_rr(0xF3, 0x58, xr(dst), xr(src)); }
+void Emitter::subss(Xmm dst, Xmm src) { sse_rr(0xF3, 0x5C, xr(dst), xr(src)); }
+void Emitter::mulss(Xmm dst, Xmm src) { sse_rr(0xF3, 0x59, xr(dst), xr(src)); }
+void Emitter::divss(Xmm dst, Xmm src) { sse_rr(0xF3, 0x5E, xr(dst), xr(src)); }
+void Emitter::sqrtss(Xmm dst, Xmm src) { sse_rr(0xF3, 0x51, xr(dst), xr(src)); }
+void Emitter::addsd(Xmm dst, Xmm src) { sse_rr(0xF2, 0x58, xr(dst), xr(src)); }
+void Emitter::subsd(Xmm dst, Xmm src) { sse_rr(0xF2, 0x5C, xr(dst), xr(src)); }
+void Emitter::mulsd(Xmm dst, Xmm src) { sse_rr(0xF2, 0x59, xr(dst), xr(src)); }
+void Emitter::divsd(Xmm dst, Xmm src) { sse_rr(0xF2, 0x5E, xr(dst), xr(src)); }
+void Emitter::sqrtsd(Xmm dst, Xmm src) { sse_rr(0xF2, 0x51, xr(dst), xr(src)); }
+
+void Emitter::ucomiss(Xmm a, Xmm b) { sse_rr(0, 0x2E, xr(a), xr(b)); }
+void Emitter::ucomisd(Xmm a, Xmm b) { sse_rr(0x66, 0x2E, xr(a), xr(b)); }
+
+void Emitter::cvttss2si(Gp dst, Xmm src) {
+  sse_rr(0xF3, 0x2C, gr(dst), xr(src));
+}
+void Emitter::cvttsd2si(Gp dst, Xmm src) {
+  sse_rr(0xF2, 0x2C, gr(dst), xr(src));
+}
+void Emitter::cvtsi2ss(Xmm dst, Gp src) {
+  sse_rr(0xF3, 0x2A, xr(dst), gr(src));
+}
+void Emitter::cvtsi2sd(Xmm dst, Gp src) {
+  sse_rr(0xF2, 0x2A, xr(dst), gr(src));
+}
+void Emitter::cvtss2sd(Xmm dst, Xmm src) {
+  sse_rr(0xF3, 0x5A, xr(dst), xr(src));
+}
+void Emitter::cvtsd2ss(Xmm dst, Xmm src) {
+  sse_rr(0xF2, 0x5A, xr(dst), xr(src));
 }
 
 // ---- control ----------------------------------------------------------------

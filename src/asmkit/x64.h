@@ -2,7 +2,8 @@
 // (sim/jit.*). Deliberately small: exactly the instruction forms the block
 // code generator emits — rex/modrm/sib encoding, 32/64-bit mov and ALU
 // forms, setcc/jcc, byte/word memory ops for the big-endian bus fast paths,
-// and call-through-register thunks. Encodings are pinned by byte-exact
+// SSE2 scalar forms for the FPU templates, and call-through-register
+// thunks. Encodings are pinned by byte-exact
 // golden tests (tests/asmkit/x64_test.cpp) cross-checked against binutils.
 //
 // The emitter is host-independent — it only builds byte vectors — so it
@@ -19,6 +20,13 @@ namespace nfp::asmkit::x64 {
 enum class Gp : std::uint8_t {
   rax = 0, rcx = 1, rdx = 2, rbx = 3, rsp = 4, rbp = 5, rsi = 6, rdi = 7,
   r8 = 8, r9 = 9, r10 = 10, r11 = 11, r12 = 12, r13 = 13, r14 = 14, r15 = 15,
+};
+
+// Host SSE registers, numbered with their hardware encoding.
+enum class Xmm : std::uint8_t {
+  xmm0 = 0, xmm1 = 1, xmm2 = 2, xmm3 = 3, xmm4 = 4, xmm5 = 5, xmm6 = 6,
+  xmm7 = 7, xmm8 = 8, xmm9 = 9, xmm10 = 10, xmm11 = 11, xmm12 = 12,
+  xmm13 = 13, xmm14 = 14, xmm15 = 15,
 };
 
 // Condition codes (the 4-bit cc field of jcc/setcc).
@@ -135,6 +143,32 @@ class Emitter {
   void setcc_m(Cc cc, const Mem& m);      // setcc byte [m]
   void lea_r32(Gp dst, const Mem& m);     // lea r32, [m] (32-bit truncation)
 
+  // ---- SSE2 scalar (single = *ss, double = *sd) -----------------------------
+  void movss_rm(Xmm dst, const Mem& m);   // movss xmm, dword [m]
+  void movss_mr(const Mem& m, Xmm src);   // movss dword [m], xmm
+  void movsd_rm(Xmm dst, const Mem& m);   // movsd xmm, qword [m]
+  void movsd_mr(const Mem& m, Xmm src);   // movsd qword [m], xmm
+  void pshufd(Xmm dst, Xmm src, std::uint8_t order);  // dword shuffle
+  void unpcklps(Xmm dst, Xmm src);        // interleave the low dwords
+  void addss(Xmm dst, Xmm src);
+  void subss(Xmm dst, Xmm src);
+  void mulss(Xmm dst, Xmm src);
+  void divss(Xmm dst, Xmm src);
+  void sqrtss(Xmm dst, Xmm src);
+  void addsd(Xmm dst, Xmm src);
+  void subsd(Xmm dst, Xmm src);
+  void mulsd(Xmm dst, Xmm src);
+  void divsd(Xmm dst, Xmm src);
+  void sqrtsd(Xmm dst, Xmm src);
+  void ucomiss(Xmm a, Xmm b);             // ZF/PF/CF = unordered-aware compare
+  void ucomisd(Xmm a, Xmm b);
+  void cvttss2si(Gp dst, Xmm src);        // r32 = trunc(single)
+  void cvttsd2si(Gp dst, Xmm src);        // r32 = trunc(double)
+  void cvtsi2ss(Xmm dst, Gp src);         // single = (float)r32
+  void cvtsi2sd(Xmm dst, Gp src);         // double = (double)r32
+  void cvtss2sd(Xmm dst, Xmm src);
+  void cvtsd2ss(Xmm dst, Xmm src);
+
   // ---- control --------------------------------------------------------------
   void jcc(Cc cc, Label& target);  // jcc rel32
   void jmp(Label& target);         // jmp rel32
@@ -171,6 +205,12 @@ class Emitter {
   void shift_ri(bool w, std::uint8_t ext, Gp r, std::uint8_t imm);
   void shift_cl32(std::uint8_t ext, Gp r);
   void put_rel32(Label& target);
+  // [prefix] [REX] 0F op ModRM: the SSE register-register and
+  // register-memory forms (prefix 0 = none).
+  void sse_rr(std::uint8_t prefix, std::uint8_t op, unsigned reg,
+              unsigned rm);
+  void sse_rm(std::uint8_t prefix, std::uint8_t op, unsigned reg,
+              const Mem& m);
 
   std::vector<std::uint8_t> buf_;
 };

@@ -31,6 +31,13 @@ constexpr const char* kDReg[] = {"%f0",  "%f2",  "%f4",  "%f6",
                                 "%f8",  "%f10", "%f12", "%f14"};
 constexpr std::size_t kDRegCount = sizeof(kDReg) / sizeof(kDReg[0]);
 
+// Single-precision registers: the words of the double registers above.
+constexpr const char* kSReg[] = {"%f0",  "%f1",  "%f2",  "%f3",  "%f4",
+                                "%f5",  "%f6",  "%f7",  "%f8",  "%f9",
+                                "%f10", "%f11", "%f12", "%f13", "%f14",
+                                "%f15"};
+constexpr std::size_t kSRegCount = sizeof(kSReg) / sizeof(kSReg[0]);
+
 constexpr std::uint32_t kScratchBase = 0x40200000u;  // 4 KiB window off %i6
 constexpr std::size_t kDoublePoolSize = 8;
 constexpr std::size_t kHelperCount = 4;
@@ -54,6 +61,7 @@ class ChunkGen {
   const char* reg() { return kPool[rng_.below(kPoolSize)]; }
   const char* even_reg() { return kEvenPool[rng_.below(kEvenPoolSize)]; }
   const char* dreg() { return kDReg[rng_.below(kDRegCount)]; }
+  const char* sreg() { return kSReg[rng_.below(kSRegCount)]; }
   int simm(int lo, int hi) {
     return lo + static_cast<int>(rng_.below(static_cast<std::uint32_t>(hi - lo + 1)));
   }
@@ -267,7 +275,7 @@ class ChunkGen {
     }
     const std::uint32_t n = 3 + rng_.below(5);
     for (std::uint32_t i = 0; i < n; ++i) {
-      switch (rng_.below(10)) {
+      switch (rng_.below(16)) {
         case 0:
         case 1:
           e.line(std::string("faddd ") + dreg() + ", " + dreg() + ", " +
@@ -304,6 +312,42 @@ class ChunkGen {
         case 9:
           e.line(std::string("stdf ") + dreg() + ", [%i6 + " +
                  std::to_string(rng_.below(512) * 8) + "]");
+          break;
+        case 10: {
+          static constexpr const char* kSqrt[] = {"fsqrtd", "fsqrts"};
+          const bool dbl = rng_.below(2) == 0;
+          e.line(std::string(kSqrt[dbl ? 0 : 1]) + " " +
+                 (dbl ? dreg() : sreg()) + ", " + (dbl ? dreg() : sreg()));
+          break;
+        }
+        case 11: {
+          static constexpr const char* kArith[] = {"fadds", "fsubs", "fmuls",
+                                                   "fdivs"};
+          e.line(std::string(kArith[rng_.below(4)]) + " " + sreg() + ", " +
+                 sreg() + ", " + sreg());
+          break;
+        }
+        case 12:  // a word of the double pool: either half of a double
+          e.line(std::string("ldf [%i7 + ") +
+                 std::to_string(rng_.below(kDoublePoolSize * 2) * 4) + "], " +
+                 sreg());
+          break;
+        case 13:
+          e.line(std::string("stf ") + sreg() + ", [%i6 + " +
+                 std::to_string(rng_.below(1024) * 4) + "]");
+          break;
+        case 14: {
+          static constexpr const char* kToSingle[] = {"fitos", "fstoi"};
+          e.line(std::string(kToSingle[rng_.below(2)]) + " " + sreg() + ", " +
+                 sreg());
+          break;
+        }
+        case 15:
+          if (rng_.below(2) == 0) {
+            e.line(std::string("fstod ") + sreg() + ", " + dreg());
+          } else {
+            e.line(std::string("fdtos ") + dreg() + ", " + sreg());
+          }
           break;
       }
     }

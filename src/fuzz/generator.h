@@ -3,8 +3,9 @@
 // A generated program is a sequence of independent "chunks" — short,
 // self-contained assembly fragments drawn from a weighted mix of shapes
 // (straight ALU runs, aligned loads/stores, forward branches, terminating
-// counted loops, call/retl and jmpl-dense streams, FPU arithmetic over a
-// double pool, and store-to-code loops that patch their own instructions).
+// counted loops, call/retl and jmpl-dense streams, single and double FPU
+// arithmetic, conversions, loads and stores over a double pool, and
+// store-to-code loops that patch their own instructions).
 // Chunks use disjoint label namespaces and only chunk-private temporaries
 // (%g5..%g7) for control, so ANY subset of chunks still assembles, runs and
 // terminates — that property is what lets the shrinker minimise a failing

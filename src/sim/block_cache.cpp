@@ -408,7 +408,7 @@ void h_fpu_s(const MorphInsn& m, MorphCtx& c) {
   } else {
     result = a / b;
   }
-  st.write_s(m.rd, result);
+  st.write_s(m.rd, nan_from_operands(result, a, b));
   tally<TALLY>(m, c, st.f[m.rs1], st.f[m.rs2]);
 }
 
@@ -427,7 +427,7 @@ void h_fpu_d(const MorphInsn& m, MorphCtx& c) {
   } else {
     result = a / b;
   }
-  st.write_d(m.rd, result);
+  st.write_d(m.rd, nan_from_operands(result, a, b));
   tally<TALLY>(m, c, st.f[m.rs1], st.f[m.rs2]);
 }
 

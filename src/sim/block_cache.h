@@ -4,7 +4,7 @@
 // op switch, and a retire hook per retired instruction. Programs spend almost
 // all of their time re-executing the same straight-line runs, so this cache
 // lazily discovers basic blocks (maximal runs of non-CTI instructions inside
-// the predecoded image, plus the terminating branch/call/jump when it has a
+// the predecoded text, plus the terminating branch/call/jump when it has a
 // morphable form), "morphs" each one once into a compact trace of
 // pre-resolved handler records — function-pointer dispatch instead of the op
 // switch, operand-2 immediates pre-materialized, odd-rd checks hoisted to
@@ -23,15 +23,17 @@
 // requires invalidation to clear them, which flush does from both sides via
 // per-block back-references (see invalidate()).
 //
-// Invalidation: programs are loaded read-only into RAM, but a store that
-// lands inside the cached code range re-decodes the overwritten words and
-// flushes every block overlapping them (taking effect at the next block
-// entry; the remainder of a block already in flight completes from its
-// morphed trace, and chain links into or out of flushed blocks are severed
-// immediately so a chain in flight falls back to lookup()). Most such
-// stores hit the image's data section, which no block covers: every word a
-// block has ever covered is marked, and a store that touches no marked word
-// stops after the re-decode without looking at any block.
+// Invalidation: the cached code range is the image's text section (see
+// Platform::load), so stores to static data never reach it. A store that
+// lands inside the text re-decodes the overwritten words and flushes every
+// block overlapping them (taking effect at the next block entry; the
+// remainder of a block already in flight completes from its morphed trace,
+// and chain links into or out of flushed blocks are severed immediately so
+// a chain in flight falls back to lookup()). Every word a block has ever
+// covered is marked, and a store into text no block covers (a literal, a
+// word never executed) stops after the re-decode without looking at any
+// block. Code placed outside the text (in .data, say) is never cached: it
+// single-steps with a fresh decode from RAM.
 #pragma once
 
 #include <array>
@@ -172,7 +174,7 @@ class BlockCache {
     std::uint64_t lookup_fallbacks = 0;  // block transitions via full lookup
   };
 
-  // `dcache` is the platform's predecoded image over
+  // `dcache` is the platform's predecoded text over
   // [code_base, code_base + 4*dcache.size()); the cache re-decodes entries
   // in place when stores invalidate them. Both must outlive the cache.
   BlockCache(Bus& bus, std::uint32_t code_base,
@@ -187,7 +189,7 @@ class BlockCache {
   void set_tally(bool on);
 
   // Returns the block entered at `pc`, morphing it on first use. Returns
-  // nullptr when `pc` is misaligned, outside the cached image, or when the
+  // nullptr when `pc` is misaligned, outside the cached text, or when the
   // entry instruction terminates a block (CTI / invalid) — the caller falls
   // back to the single-step path for exact fault and delay-slot semantics.
   Block* lookup(std::uint32_t pc) {
@@ -282,7 +284,7 @@ class BlockCache {
 
   Bus& bus_;
   std::uint32_t code_base_;
-  std::uint32_t limit_;  // byte size of the cached image
+  std::uint32_t limit_;  // byte size of the cached text
   std::vector<isa::DecodedInsn>& dcache_;
   // Word index of a block *entry* -> slot in blocks_, or kUnknown/kNoBlock.
   std::vector<std::int32_t> index_;

@@ -7,7 +7,10 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <type_traits>
 
 #include "isa/insn.h"
 
@@ -93,5 +96,27 @@ struct CpuState {
     return false;
   }
 };
+
+// The result of a two-operand FP op (add, sub, mul, div) with a NaN
+// operand: rs1's NaN if rs1 is one, else rs2's, quieted — what x86 SSE
+// returns for `rs1 op rs2`. IEEE leaves the choice to the implementation,
+// and compiled C++ follows whichever operand order the compiler picked for
+// a commutative op, so both interpreter paths pass their results through
+// here to agree with each other and with the jit. Any other result
+// (including the default NaN of an invalid op on numbers) is returned as
+// is.
+template <class F>
+F nan_from_operands(F result, F a, F b) {
+  static_assert(std::is_same_v<F, float> || std::is_same_v<F, double>);
+  if (!std::isnan(result)) return result;
+  using Bits = std::conditional_t<sizeof(F) == 4, std::uint32_t, std::uint64_t>;
+  // The quiet bit is the top bit of the fraction.
+  constexpr Bits kQuiet = Bits{1} << (std::numeric_limits<F>::digits - 2);
+  const auto quiet = [](F x) {
+    return std::bit_cast<F>(std::bit_cast<Bits>(x) | kQuiet);
+  };
+  if (std::isnan(a)) return quiet(a);
+  return std::isnan(b) ? quiet(b) : result;
+}
 
 }  // namespace nfp::sim

@@ -20,9 +20,9 @@
 //    batched to one add per counter per block, and resolved transitions
 //    patched directly into the emitted code. Hooks keeping a cost ledger
 //    (the board, sim/ledger.h) get its tallies emitted inline. Per-block
-//    fallback to the kBlock interpreter for blocks the compiler rejects
-//    (FPU), global fallback to chained kBlock when the host cannot execute
-//    emitted code.
+//    fallback to the kBlock interpreter for blocks the compiler rejects (a
+//    cached board's loads), global fallback to chained kBlock when the
+//    host cannot execute emitted code.
 //
 // Hooks may expose three optional members, detected rather than declared:
 // `CostLedger* ledger()` (the block handlers and the jit tally dynamic
@@ -232,7 +232,7 @@ class Executor {
         continue;
       }
       if (jr.ensure_compiled(*block) != Block::JitState::kCompiled) {
-        exec_block(*block);  // rejected (FPU): kBlock fallback for one block
+        exec_block(*block);  // rejected: kBlock fallback for one block
         executed += block->len;
         continue;
       }
@@ -761,7 +761,7 @@ class Executor {
           case Op::kFdivs: result = a / b; break;
           default: break;
         }
-        st_.write_s(d.rd, result);
+        st_.write_s(d.rd, nan_from_operands(result, a, b));
         retire_fp(d, pc, st_.f[d.rs1], st_.f[d.rs2], st_.f[d.rd]);
         advance();
         return;
@@ -777,7 +777,7 @@ class Executor {
           case Op::kFdivd: result = a / b; break;
           default: break;
         }
-        st_.write_d(d.rd, result);
+        st_.write_d(d.rd, nan_from_operands(result, a, b));
         retire_fp(d, pc, st_.f[d.rs1], st_.f[d.rs2], st_.f[d.rd]);
         advance();
         return;

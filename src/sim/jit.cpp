@@ -24,8 +24,10 @@
 // in the block prologue and added into the ledger at every exit. Around
 // every call of nfp_jit_exec_insn the sums go into the ledger and the
 // history out of its registers and back (see emit_helper_call).
-// %eax/%ecx/%edx are scratch. Blocks run with %rsp ≡ 0 (mod 16), so the
-// helper is entered at the SysV-required alignment.
+// %eax/%ecx/%edx are scratch, and so are %xmm0, %xmm1 and %xmm7 (the FPU
+// templates; no SSE register lives across a record). Blocks run with
+// %rsp ≡ 0 (mod 16), so the helper is entered at the SysV-required
+// alignment.
 #include "sim/jit.h"
 
 #include <algorithm>
@@ -251,6 +253,7 @@ namespace {
 namespace x = asmkit::x64;
 using x::Cc;
 using x::Gp;
+using x::Xmm;
 using isa::Op;
 
 constexpr Gp kCpu = Gp::rbx;
@@ -263,6 +266,7 @@ constexpr Gp kPrevAddr = Gp::r9;
 constexpr Gp kOpenRow = Gp::r10;
 constexpr Gp kAccRegs[] = {Gp::rsi, Gp::rdi, Gp::r11};
 
+constexpr std::int32_t kOffF = 128;
 constexpr std::int32_t kOffPc = 256;
 constexpr std::int32_t kOffNpc = 260;
 constexpr std::int32_t kOffY = 264;
@@ -313,6 +317,9 @@ void store_history(x::Emitter& e, bool operands) {
 
 x::Mem reg_m(std::uint32_t r) {
   return x::ptr(kCpu, 4 * static_cast<std::int32_t>(r));
+}
+x::Mem freg_m(std::uint32_t r) {
+  return x::ptr(kCpu, kOffF + 4 * static_cast<std::int32_t>(r));
 }
 
 // Ops safe to fold into a CTI's budget-checked taken path: statically
@@ -375,6 +382,10 @@ class BlockCompiler {
   void emit_insn(const isa::DecodedInsn& d, std::uint32_t i);
   void emit_load(const isa::DecodedInsn& d, std::uint32_t i);
   void emit_store(const isa::DecodedInsn& d, std::uint32_t i);
+  void emit_fpu(const isa::DecodedInsn& d, std::uint32_t i);
+  void emit_load_d(Xmm dst, std::uint32_t reg);
+  void emit_store_d(std::uint32_t reg, Xmm src);
+  void emit_fp_operands(const isa::DecodedInsn& d);
   void emit_cti(const isa::DecodedInsn& d);
   void emit_jmpl(const isa::DecodedInsn& d, std::uint32_t cti_pc);
   void emit_icc_test(std::uint8_t cond, x::Label& taken);
@@ -458,17 +469,11 @@ bool BlockCompiler::compile() {
   if (ledger_ != nullptr && ledger_->variation && !host_has_popcnt()) {
     return false;
   }
-  // FPU state lives only in CpuState::f with no template coverage; blocks
-  // touching it run through exec_block instead (per-block kBlock fallback).
-  // So do a cached board's loads: the data-cache lookup is not templated.
-  for (const BlockOpCount& p : b_.profile) {
-    const Op op = static_cast<Op>(p.op);
-    if (isa::is_fpu(op) || op == Op::kLdf || op == Op::kLddf ||
-        op == Op::kStf || op == Op::kStdf) {
-      return false;
-    }
-    if (ledger_ != nullptr && ledger_->has_cache() && isa::is_load(op)) {
-      return false;
+  // A cached board's loads run through exec_block instead (the per-block
+  // kBlock fallback): the data-cache lookup is not templated.
+  if (ledger_ != nullptr && ledger_->has_cache()) {
+    for (const BlockOpCount& p : b_.profile) {
+      if (isa::is_load(static_cast<Op>(p.op))) return false;
     }
   }
 
@@ -548,8 +553,8 @@ bool BlockCompiler::compile() {
 // operand pair sits in callee-saved %rbp and moves only for a record whose
 // handler tallies operand toggles. Inline rather than in a stub shared by
 // the block: behind one more call level the helper path measured 4-8 %
-// slower on the calibration kernels that store to static data (every such
-// store takes the helper).
+// slower on the Table-II calibration kernels whose every tested record
+// takes it (the integer divides).
 void BlockCompiler::emit_helper_call(std::uint32_t i) {
   const bool operands = tallies_operands(dcache_[word0_ + i].op);
   if (ledger_ != nullptr) {
@@ -786,9 +791,9 @@ void BlockCompiler::emit_load(const isa::DecodedInsn& d, std::uint32_t i) {
   ColdCall& c = new_cold(i);
   std::uint32_t align = 0;
   switch (d.op) {
-    case Op::kLd: align = 3; break;
+    case Op::kLd: case Op::kLdf: align = 3; break;
     case Op::kLduh: case Op::kLdsh: align = 1; break;
-    case Op::kLdd: align = 7; break;
+    case Op::kLdd: case Op::kLddf: align = 7; break;
     default: break;  // byte loads
   }
   if (align != 0) {
@@ -825,6 +830,19 @@ void BlockCompiler::emit_load(const isa::DecodedInsn& d, std::uint32_t i) {
       e_.movsx_rr16(Gp::rax, Gp::rax);
       store_rd(d);
       break;
+    case Op::kLdf:  // %f0 is an ordinary register
+      e_.mov_rm(Gp::rax, m);
+      e_.bswap_r(Gp::rax);
+      e_.mov_mr(freg_m(d.rd), Gp::rax);
+      break;
+    case Op::kLddf:  // even rd, like kLdd
+      e_.mov_rm(Gp::rax, m);
+      e_.bswap_r(Gp::rax);
+      e_.mov_mr(freg_m(d.rd), Gp::rax);
+      e_.mov_rm(Gp::rax, x::ptr_idx(kRam, Gp::rcx, 4));
+      e_.bswap_r(Gp::rax);
+      e_.mov_mr(freg_m(d.rd + 1u), Gp::rax);
+      break;
     default: {  // kLdd, even rd (odd rd routed to the helper by the caller)
       e_.mov_rm(Gp::rax, m);
       e_.bswap_r(Gp::rax);
@@ -849,9 +867,14 @@ void BlockCompiler::emit_store(const isa::DecodedInsn& d, std::uint32_t i) {
   switch (d.op) {
     case Op::kStb: width = 1; break;
     case Op::kSth: width = 2; break;
-    case Op::kStd: width = 8; break;
+    case Op::kStd: case Op::kStdf: width = 8; break;
     default: break;
   }
+  // Word k of the store data: an integer or (stf/stdf) an FP register.
+  const bool fp = d.op == Op::kStf || d.op == Op::kStdf;
+  const auto data_m = [&](std::uint32_t k) {
+    return fp ? freg_m(d.rd + k) : reg_m(d.rd + k);
+  };
   if (width > 1) {
     e_.test_ri(Gp::rcx, width - 1);
     e_.jcc(Cc::kNe, c.slow);
@@ -859,9 +882,10 @@ void BlockCompiler::emit_store(const isa::DecodedInsn& d, std::uint32_t i) {
   e_.lea_r32(Gp::rdx, x::ptr(Gp::rcx, -static_cast<std::int32_t>(kRamBase)));
   e_.cmp_ri(Gp::rdx, kRamSize);
   e_.jcc(Cc::kAe, c.slow);
-  // Self-modifying code guard: any store intersecting the cached code image
+  // Self-modifying code guard: any store intersecting the cached text
   // [code_base, code_base + limit) goes through the helper, whose h_store
-  // invalidates overlapping blocks exactly like the interpreter.
+  // invalidates overlapping blocks exactly like the interpreter. Static
+  // data lies past the text, so stores to it stay on this fast path.
   // Intersection over [ea, ea + width): ea - (code_base - (width-1)) <
   // limit + (width-1), unsigned.
   e_.lea_r32(Gp::rax,
@@ -872,7 +896,8 @@ void BlockCompiler::emit_store(const isa::DecodedInsn& d, std::uint32_t i) {
   const x::Mem m = x::ptr_idx(kRam, Gp::rcx);
   switch (d.op) {
     case Op::kSt:
-      e_.mov_rm(Gp::rax, reg_m(d.rd));
+    case Op::kStf:
+      e_.mov_rm(Gp::rax, data_m(0));
       e_.bswap_r(Gp::rax);
       e_.mov_mr(m, Gp::rax);
       break;
@@ -885,11 +910,11 @@ void BlockCompiler::emit_store(const isa::DecodedInsn& d, std::uint32_t i) {
       e_.ror16_ri(Gp::rax, 8);
       e_.mov_mr16(m, Gp::rax);
       break;
-    default:  // kStd, even rd
-      e_.mov_rm(Gp::rax, reg_m(d.rd));
+    default:  // kStd/kStdf, even rd
+      e_.mov_rm(Gp::rax, data_m(0));
       e_.bswap_r(Gp::rax);
       e_.mov_mr(m, Gp::rax);
-      e_.mov_rm(Gp::rax, reg_m(d.rd + 1u));
+      e_.mov_rm(Gp::rax, data_m(1));
       e_.bswap_r(Gp::rax);
       e_.mov_mr(x::ptr_idx(kRam, Gp::rcx, 4), Gp::rax);
       break;
@@ -902,9 +927,9 @@ void BlockCompiler::emit_store(const isa::DecodedInsn& d, std::uint32_t i) {
   e_.mov_mi8(x::ptr_idx(Gp::rax, Gp::rdx), 1);
   // Ledger tally of {ea, masked data}: %ecx still holds ea; reload the
   // store data and mask it to the access width (h_store's tally shape, with
-  // std tallying the second word).
+  // std/stdf tallying the second word).
   if (ledger_ != nullptr && ledger_->variation) {
-    e_.mov_rm(Gp::rax, reg_m(d.op == Op::kStd ? d.rd + 1u : d.rd));
+    e_.mov_rm(Gp::rax, data_m(width == 8 ? 1 : 0));
     if (d.op == Op::kStb) e_.and_ri(Gp::rax, 0xFF);
     if (d.op == Op::kSth) e_.and_ri(Gp::rax, 0xFFFF);
   }
@@ -912,18 +937,21 @@ void BlockCompiler::emit_store(const isa::DecodedInsn& d, std::uint32_t i) {
   e_.bind(c.resume);
 }
 
-// Whether d adds a toggle popcount to toggles[op] inline: an ALU retire
-// pair, or a templated load/store (odd-rd doublewords go to the helper).
+// Whether d adds a toggle popcount to toggles[op] inline: an ALU or FPU
+// retire pair, or a templated load/store (odd-rd doublewords go to the
+// helper).
 bool BlockCompiler::tallies_toggles_inline(const isa::DecodedInsn& d) const {
   if (ledger_ == nullptr || !ledger_->variation) return false;
   switch (d.op) {
     case Op::kLd: case Op::kLdub: case Op::kLdsb: case Op::kLduh:
     case Op::kLdsh: case Op::kSt: case Op::kStb: case Op::kSth:
+    case Op::kLdf: case Op::kStf:
       return true;
-    case Op::kLdd: case Op::kStd:
+    case Op::kLdd: case Op::kStd: case Op::kLddf: case Op::kStdf:
       return (d.rd & 1) == 0;
     default:
-      return tallies_operands(d.op) && delay_foldable(d.op);
+      return tallies_operands(d.op) &&
+             (delay_foldable(d.op) || isa::is_fpu(d.op));
   }
 }
 
@@ -1241,23 +1269,213 @@ void BlockCompiler::emit_insn(const isa::DecodedInsn& d, std::uint32_t i) {
       }
       return;
 
-    case Op::kSt: case Op::kStb: case Op::kSth:
+    case Op::kSt: case Op::kStb: case Op::kSth: case Op::kStf:
       emit_store(d, i);
       return;
     case Op::kStd:
+    case Op::kStdf:
       if (d.rd & 1) {
         emit_helper_call(i);
       } else {
         emit_store(d, i);
       }
       return;
+    case Op::kLdf:
+      emit_load(d, i);
+      return;
+    case Op::kLddf:
+      if (d.rd & 1) {
+        emit_helper_call(i);
+      } else {
+        emit_load(d, i);
+      }
+      return;
 
     default:
-      // CTIs mid-block, Ticc, FPU, invalid — none can appear in a morphed
-      // block body; refuse rather than miscompile if that ever changes.
+      if (isa::is_fpu(d.op)) {
+        emit_fpu(d, i);
+        return;
+      }
+      // CTIs mid-block, Ticc, invalid — none can appear in a morphed block
+      // body; refuse rather than miscompile if that ever changes.
       failed_ = true;
       return;
   }
+}
+
+// The SPARC double in f[reg] (high word) and f[(reg + 1) & 31] (low word)
+// into the low qword of `dst`: an adjacent pair is one load and a dword
+// swap, the %f31/%f0 pair two single loads. Clobbers %xmm7.
+void BlockCompiler::emit_load_d(Xmm dst, std::uint32_t reg) {
+  if (reg != 31) {
+    e_.movsd_rm(dst, freg_m(reg));
+    e_.pshufd(dst, dst, 0xE1);
+  } else {
+    e_.movss_rm(dst, freg_m(0));
+    e_.movss_rm(Xmm::xmm7, freg_m(31));
+    e_.unpcklps(dst, Xmm::xmm7);
+  }
+}
+
+// The inverse of emit_load_d (CpuState::write_d). Clobbers %xmm7.
+void BlockCompiler::emit_store_d(std::uint32_t reg, Xmm src) {
+  e_.pshufd(Xmm::xmm7, src, reg != 31 ? 0xE1 : 0x01);
+  if (reg != 31) {
+    e_.movsd_mr(freg_m(reg), Xmm::xmm7);
+  } else {
+    e_.movss_mr(freg_m(0), src);
+    e_.movss_mr(freg_m(31), Xmm::xmm7);
+  }
+}
+
+// The FPU record's retire operands, read from the register file after the
+// result landed (the morph handlers' shape: {f[rs1], f[rs2]} for the
+// two-operand ops and fcmp, {0, f[rs2]} for the rest), tallied like an ALU
+// pair.
+void BlockCompiler::emit_fp_operands(const isa::DecodedInsn& d) {
+  if (!tallies_operands(d.op)) return;
+  const bool pair = (d.op >= Op::kFadds && d.op <= Op::kFdivd) ||
+                    d.op == Op::kFcmps || d.op == Op::kFcmpd;
+  e_.mov_rm(Gp::rdx, freg_m(pair ? d.rs1 : d.rs2));
+  if (pair) {
+    e_.mov_rm(Gp::rcx, freg_m(d.rs2));
+    e_.shl_ri64(Gp::rcx, 32);
+    e_.or_rr64(Gp::rdx, Gp::rcx);
+  } else {
+    e_.shl_ri64(Gp::rdx, 32);
+  }
+  emit_operand_toggles(d.op);
+}
+
+// SSE2 templates of the FPU ops. The host computes with the same IEEE
+// scalar instructions as the interpreter's C++ (same rounding, no flush to
+// zero), so every ordinary result is the interpreter's bit for bit. Two
+// kinds of result go to the helper before anything is written, so the
+// interpreter's own code produces them: a NaN (which NaN is an
+// implementation choice, pinned in C++ by nan_from_operands) and an
+// fstoi/fdtoi truncation that hits the 0x80000000 sentinel (NaN, out of
+// range, or exactly -2^31 — to_int32 saturates and maps NaN to 0).
+void BlockCompiler::emit_fpu(const isa::DecodedInsn& d, std::uint32_t i) {
+  // Bit copies, integer-to-FP conversions and compares always complete
+  // natively; the rest may leave through the helper.
+  const bool exact = d.op == Op::kFmovs || d.op == Op::kFnegs ||
+                     d.op == Op::kFabss || d.op == Op::kFitos ||
+                     d.op == Op::kFitod || d.op == Op::kFcmps ||
+                     d.op == Op::kFcmpd;
+  ColdCall* const c = exact ? nullptr : &new_cold(i);
+  const auto nan_exit = [&](bool dbl) {
+    if (dbl) {
+      e_.ucomisd(Xmm::xmm0, Xmm::xmm0);
+    } else {
+      e_.ucomiss(Xmm::xmm0, Xmm::xmm0);
+    }
+    e_.jcc(Cc::kP, c->slow);
+  };
+  const auto sentinel_exit = [&] {
+    e_.cmp_ri(Gp::rax, 0x80000000u);
+    e_.jcc(Cc::kE, c->slow);
+  };
+  switch (d.op) {
+    case Op::kFadds: case Op::kFsubs: case Op::kFmuls: case Op::kFdivs:
+      e_.movss_rm(Xmm::xmm0, freg_m(d.rs1));
+      e_.movss_rm(Xmm::xmm1, freg_m(d.rs2));
+      if (d.op == Op::kFadds) e_.addss(Xmm::xmm0, Xmm::xmm1);
+      if (d.op == Op::kFsubs) e_.subss(Xmm::xmm0, Xmm::xmm1);
+      if (d.op == Op::kFmuls) e_.mulss(Xmm::xmm0, Xmm::xmm1);
+      if (d.op == Op::kFdivs) e_.divss(Xmm::xmm0, Xmm::xmm1);
+      nan_exit(false);
+      e_.movss_mr(freg_m(d.rd), Xmm::xmm0);
+      break;
+    case Op::kFaddd: case Op::kFsubd: case Op::kFmuld: case Op::kFdivd:
+      emit_load_d(Xmm::xmm0, d.rs1);
+      emit_load_d(Xmm::xmm1, d.rs2);
+      if (d.op == Op::kFaddd) e_.addsd(Xmm::xmm0, Xmm::xmm1);
+      if (d.op == Op::kFsubd) e_.subsd(Xmm::xmm0, Xmm::xmm1);
+      if (d.op == Op::kFmuld) e_.mulsd(Xmm::xmm0, Xmm::xmm1);
+      if (d.op == Op::kFdivd) e_.divsd(Xmm::xmm0, Xmm::xmm1);
+      nan_exit(true);
+      emit_store_d(d.rd, Xmm::xmm0);
+      break;
+    case Op::kFsqrts:
+      e_.movss_rm(Xmm::xmm0, freg_m(d.rs2));
+      e_.sqrtss(Xmm::xmm0, Xmm::xmm0);
+      nan_exit(false);
+      e_.movss_mr(freg_m(d.rd), Xmm::xmm0);
+      break;
+    case Op::kFsqrtd:
+      emit_load_d(Xmm::xmm0, d.rs2);
+      e_.sqrtsd(Xmm::xmm0, Xmm::xmm0);
+      nan_exit(true);
+      emit_store_d(d.rd, Xmm::xmm0);
+      break;
+    case Op::kFmovs: case Op::kFnegs: case Op::kFabss:  // bit copies
+      e_.mov_rm(Gp::rax, freg_m(d.rs2));
+      if (d.op == Op::kFnegs) e_.xor_ri(Gp::rax, 0x80000000u);
+      if (d.op == Op::kFabss) e_.and_ri(Gp::rax, 0x7FFFFFFFu);
+      e_.mov_mr(freg_m(d.rd), Gp::rax);
+      break;
+    case Op::kFitos:
+      e_.mov_rm(Gp::rax, freg_m(d.rs2));
+      e_.cvtsi2ss(Xmm::xmm0, Gp::rax);
+      e_.movss_mr(freg_m(d.rd), Xmm::xmm0);
+      break;
+    case Op::kFitod:
+      e_.mov_rm(Gp::rax, freg_m(d.rs2));
+      e_.cvtsi2sd(Xmm::xmm0, Gp::rax);
+      emit_store_d(d.rd, Xmm::xmm0);
+      break;
+    case Op::kFstoi:
+      e_.movss_rm(Xmm::xmm0, freg_m(d.rs2));
+      e_.cvttss2si(Gp::rax, Xmm::xmm0);
+      sentinel_exit();
+      e_.mov_mr(freg_m(d.rd), Gp::rax);
+      break;
+    case Op::kFdtoi:
+      emit_load_d(Xmm::xmm0, d.rs2);
+      e_.cvttsd2si(Gp::rax, Xmm::xmm0);
+      sentinel_exit();
+      e_.mov_mr(freg_m(d.rd), Gp::rax);
+      break;
+    case Op::kFstod:
+      e_.movss_rm(Xmm::xmm0, freg_m(d.rs2));
+      e_.cvtss2sd(Xmm::xmm0, Xmm::xmm0);
+      nan_exit(true);
+      emit_store_d(d.rd, Xmm::xmm0);
+      break;
+    case Op::kFdtos:
+      emit_load_d(Xmm::xmm0, d.rs2);
+      e_.cvtsd2ss(Xmm::xmm0, Xmm::xmm0);
+      nan_exit(false);
+      e_.movss_mr(freg_m(d.rd), Xmm::xmm0);
+      break;
+    case Op::kFcmps:
+    case Op::kFcmpd:
+      // fcc = unordered ? 3 : equal ? 0 : less ? 1 : 2. After ucomis*,
+      // CF = less-or-unordered, "above" = greater, PF = unordered, so
+      // fcc = CF + 2 * (above | PF) in the low byte.
+      if (d.op == Op::kFcmps) {
+        e_.movss_rm(Xmm::xmm0, freg_m(d.rs1));
+        e_.movss_rm(Xmm::xmm1, freg_m(d.rs2));
+        e_.ucomiss(Xmm::xmm0, Xmm::xmm1);
+      } else {
+        emit_load_d(Xmm::xmm0, d.rs1);
+        emit_load_d(Xmm::xmm1, d.rs2);
+        e_.ucomisd(Xmm::xmm0, Xmm::xmm1);
+      }
+      e_.setcc_r(Cc::kB, Gp::rax);
+      e_.setcc_r(Cc::kA, Gp::rcx);
+      e_.setcc_r(Cc::kP, Gp::rdx);
+      e_.or_rr(Gp::rcx, Gp::rdx);
+      e_.add_rr(Gp::rcx, Gp::rcx);
+      e_.add_rr(Gp::rax, Gp::rcx);
+      e_.mov_mr8(x::ptr(kCpu, kOffFcc), Gp::rax);
+      break;
+    default:  // every FPU op has a template; refuse rather than guess
+      failed_ = true;
+      return;
+  }
+  emit_fp_operands(d);
+  if (c != nullptr) e_.bind(c->resume);
 }
 
 }  // namespace

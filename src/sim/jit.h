@@ -15,16 +15,19 @@
 // emitted inline, pinned in %r15: a popcnt-and-add per operand-toggle op, an
 // open-row compare per memory op, an untaken count on fall-through exits.
 //
+// FPU ops run as SSE2 scalar templates against CpuState::f.
+//
 // Anything the templates do not model — MMIO, sub-word accesses off RAM,
-// division, odd-rd doubleword forms, every faulting edge — funnels through
-// one generic helper that re-executes the record via the block's own morph
-// handler (tallying into the same ledger), which makes the slow path
-// interpreter-identical by construction.
-// Blocks containing FPU work are not compiled at all (Block::JitState::
-// kRejected); the executor runs them through exec_block, the per-block
-// fallback to kBlock. On non-x86-64 hosts (or when the host refuses an
-// executable memfd mapping) jit_available() is false and the executor stays
-// on the chained-block path entirely.
+// stores into the text, division, odd-rd doubleword forms, FP results the
+// host may encode differently (a NaN, an fstoi/fdtoi sentinel), every
+// faulting edge — funnels through one generic helper that re-executes the
+// record via the block's own morph handler (tallying into the same ledger),
+// which makes the slow path interpreter-identical by construction.
+// A cached board's blocks holding a load are not compiled at all
+// (Block::JitState::kRejected); the executor runs them through exec_block,
+// the per-block fallback to kBlock. On non-x86-64 hosts (or when the host
+// refuses an executable memfd mapping) jit_available() is false and the
+// executor stays on the chained-block path entirely.
 #pragma once
 
 #include <cstdint>

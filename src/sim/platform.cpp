@@ -30,7 +30,7 @@ void Platform::load(const asmkit::Program& program) {
 
 void Platform::install(asmkit::Program program,
                        const std::function<void()>& write_ram) {
-  const std::size_t words = program.size() / 4;
+  const std::size_t words = program.text_size() / 4;
   const bool warm = bcache_ != nullptr && program.base() == code_base_ &&
                     words == dcache_.size();
   // A cold install drops the morph cache before mutating the image it
@@ -40,7 +40,6 @@ void Platform::install(asmkit::Program program,
   bus_.clear_uart();
   write_ram();
   code_base_ = program.base();
-  text_size_ = program.text_size();
   program_ = std::move(program);
 
   if (warm) {

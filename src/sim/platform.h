@@ -27,14 +27,19 @@ class Platform {
  public:
   Platform();
 
-  // Copies the program into RAM, predecodes its text, and resets the CPU
-  // (pc = entry, %sp = kStackTop). Any previous machine state is discarded:
-  // RAM pages touched by an earlier run are zeroed and the UART cleared. A
-  // program with the same base and size as the installed one keeps the
-  // decoded, morphed and compiled code, and only the words that differ are
-  // re-decoded and their blocks flushed (see install()); any other program
-  // gets a new decode and morph cache. Either way the cache counters restart
-  // and a reused Platform runs bit-identically to a freshly constructed one.
+  // Copies the program into RAM, predecodes its text section, and resets
+  // the CPU (pc = entry, %sp = kStackTop). Only [base, base + text_size())
+  // is predecoded, so the decode cache, the block cache and the jit's store
+  // guard cover code and not static data: stores to .data take the plain
+  // store paths, and a pc outside the text single-steps with a fresh decode
+  // from RAM. A program without a .data marker counts as all text. Any
+  // previous machine state is discarded: RAM pages touched by an earlier
+  // run are zeroed and the UART cleared. A program with the same base and
+  // text size as the installed one keeps the decoded, morphed and compiled
+  // code, and only the text words that differ are re-decoded and their
+  // blocks flushed (see install()); any other program gets a new decode and
+  // morph cache. Either way the cache counters restart and a reused
+  // Platform runs bit-identically to a freshly constructed one.
   void load(const asmkit::Program& program);
 
   Bus& bus() { return bus_; }
@@ -45,16 +50,10 @@ class Platform {
   std::uint32_t code_base() const { return code_base_; }
   const std::vector<isa::DecodedInsn>& decode_cache() const { return dcache_; }
 
-  // Image/section accessors for the static analyzer (nfp::analyze): the
-  // loaded program is retained so nfplint-style tooling can cross-check the
-  // predecoded image against a from-scratch CFG recovery.
-  std::uint32_t code_size() const {
-    return static_cast<std::uint32_t>(dcache_.size()) * 4;
-  }
-  std::uint32_t text_size() const { return text_size_; }
+  // The installed program, as snapshots serialize it.
   const asmkit::Program& loaded_program() const { return program_; }
 
-  // Superblock morph cache over the predecoded image (Dispatch::kBlock);
+  // Superblock morph cache over the predecoded text (Dispatch::kBlock);
   // null until a program is loaded.
   BlockCache* block_cache() { return bcache_.get(); }
 
@@ -65,18 +64,17 @@ class Platform {
   // The one image-install routine behind load() and snapshot restore: zeroes
   // the touched RAM, clears the UART, lets `write_ram` fill RAM, and makes
   // `program` the loaded image. The CPU is left to the caller. When the
-  // image has the installed one's base and size, the decode cache, the
-  // block cache and its jit stay, and every image word that differs from
+  // image has the installed one's base and text size, the decode cache, the
+  // block cache and its jit stay, and every text word that differs from
   // the word its decode cache entry was decoded from goes through
   // BlockCache::invalidate, the self-modifying-code path. Any other image
-  // is decoded afresh into a new block cache.
+  // has its text decoded afresh into a new block cache.
   void install(asmkit::Program program,
                const std::function<void()>& write_ram);
 
   Bus bus_;
   CpuState cpu_;
   std::uint32_t code_base_ = 0;
-  std::uint32_t text_size_ = 0;
   asmkit::Program program_;
   std::vector<isa::DecodedInsn> dcache_;
   std::unique_ptr<BlockCache> bcache_;

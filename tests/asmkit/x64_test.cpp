@@ -23,6 +23,7 @@ using nfp::asmkit::x64::Gp;
 using nfp::asmkit::x64::Label;
 using nfp::asmkit::x64::ptr;
 using nfp::asmkit::x64::ptr_idx;
+using nfp::asmkit::x64::Xmm;
 
 std::vector<std::uint8_t> bytes(std::initializer_list<int> v) {
   return {v.begin(), v.end()};
@@ -428,6 +429,176 @@ TEST(X64Encoding, Control) {
   expect_encoding("pop rbx", [](Emitter& e) { e.pop_r(Gp::rbx); }, {0x5b});
   expect_encoding("ret", [](Emitter& e) { e.ret(); }, {0xc3});
   expect_encoding("int3", [](Emitter& e) { e.int3(); }, {0xcc});
+}
+
+TEST(X64Encoding, SseMoves) {
+  // Scalar loads/stores against the CpuState FP file ([%rbx + disp32])
+  // and SIB/REX-extended operands, plus the dword shuffles that swap a
+  // SPARC register pair's words.
+  // movss 0x80(%rbx),%xmm0
+  expect_encoding(
+      "movss rm",
+      [](Emitter& e) { e.movss_rm(Xmm::xmm0, ptr(Gp::rbx, 0x80)); },
+      {0xf3, 0x0f, 0x10, 0x83, 0x80, 0x00, 0x00, 0x00});
+  // movss (%r12,%rcx,1),%xmm9
+  expect_encoding(
+      "movss rm2",
+      [](Emitter& e) { e.movss_rm(Xmm::xmm9, ptr_idx(Gp::r12, Gp::rcx)); },
+      {0xf3, 0x45, 0x0f, 0x10, 0x0c, 0x0c});
+  // movss %xmm1,0xfc(%rbx)
+  expect_encoding(
+      "movss mr",
+      [](Emitter& e) { e.movss_mr(ptr(Gp::rbx, 0xfc), Xmm::xmm1); },
+      {0xf3, 0x0f, 0x11, 0x8b, 0xfc, 0x00, 0x00, 0x00});
+  // movss %xmm14,0x8(%r13)
+  expect_encoding(
+      "movss mr2",
+      [](Emitter& e) { e.movss_mr(ptr(Gp::r13, 8), Xmm::xmm14); },
+      {0xf3, 0x45, 0x0f, 0x11, 0x75, 0x08});
+  // movsd 0x88(%rbx),%xmm0
+  expect_encoding(
+      "movsd rm",
+      [](Emitter& e) { e.movsd_rm(Xmm::xmm0, ptr(Gp::rbx, 0x88)); },
+      {0xf2, 0x0f, 0x10, 0x83, 0x88, 0x00, 0x00, 0x00});
+  // movsd 0x4(%r12,%r9,1),%xmm10
+  expect_encoding(
+      "movsd rm2",
+      [](Emitter& e) { e.movsd_rm(Xmm::xmm10, ptr_idx(Gp::r12, Gp::r9, 4)); },
+      {0xf2, 0x47, 0x0f, 0x10, 0x54, 0x0c, 0x04});
+  // movsd %xmm2,0x84(%rbx)
+  expect_encoding(
+      "movsd mr",
+      [](Emitter& e) { e.movsd_mr(ptr(Gp::rbx, 0x84), Xmm::xmm2); },
+      {0xf2, 0x0f, 0x11, 0x93, 0x84, 0x00, 0x00, 0x00});
+  // movsd %xmm8,0x0(%rbp)
+  expect_encoding(
+      "movsd mr2",
+      [](Emitter& e) { e.movsd_mr(ptr(Gp::rbp, 0), Xmm::xmm8); },
+      {0xf2, 0x44, 0x0f, 0x11, 0x45, 0x00});
+  // pshufd $0xe1,%xmm0,%xmm2
+  expect_encoding(
+      "pshufd",
+      [](Emitter& e) { e.pshufd(Xmm::xmm2, Xmm::xmm0, 0xE1); },
+      {0x66, 0x0f, 0x70, 0xd0, 0xe1});
+  // pshufd $0x1,%xmm15,%xmm8
+  expect_encoding(
+      "pshufd2",
+      [](Emitter& e) { e.pshufd(Xmm::xmm8, Xmm::xmm15, 0x01); },
+      {0x66, 0x45, 0x0f, 0x70, 0xc7, 0x01});
+  // unpcklps %xmm1,%xmm0
+  expect_encoding(
+      "unpcklps",
+      [](Emitter& e) { e.unpcklps(Xmm::xmm0, Xmm::xmm1); },
+      {0x0f, 0x14, 0xc1});
+  // unpcklps %xmm2,%xmm9
+  expect_encoding(
+      "unpcklps2",
+      [](Emitter& e) { e.unpcklps(Xmm::xmm9, Xmm::xmm2); },
+      {0x44, 0x0f, 0x14, 0xca});
+}
+
+TEST(X64Encoding, SseArithmetic) {
+  // addss %xmm1,%xmm0
+  expect_encoding("addss", [](Emitter& e) { e.addss(Xmm::xmm0, Xmm::xmm1); },
+                  {0xf3, 0x0f, 0x58, 0xc1});
+  // subss %xmm1,%xmm0
+  expect_encoding("subss", [](Emitter& e) { e.subss(Xmm::xmm0, Xmm::xmm1); },
+                  {0xf3, 0x0f, 0x5c, 0xc1});
+  // mulss %xmm1,%xmm0
+  expect_encoding("mulss", [](Emitter& e) { e.mulss(Xmm::xmm0, Xmm::xmm1); },
+                  {0xf3, 0x0f, 0x59, 0xc1});
+  // divss %xmm1,%xmm0
+  expect_encoding("divss", [](Emitter& e) { e.divss(Xmm::xmm0, Xmm::xmm1); },
+                  {0xf3, 0x0f, 0x5e, 0xc1});
+  // sqrtss %xmm0,%xmm0
+  expect_encoding("sqrtss", [](Emitter& e) { e.sqrtss(Xmm::xmm0, Xmm::xmm0); },
+                  {0xf3, 0x0f, 0x51, 0xc0});
+  // addsd %xmm1,%xmm0
+  expect_encoding("addsd", [](Emitter& e) { e.addsd(Xmm::xmm0, Xmm::xmm1); },
+                  {0xf2, 0x0f, 0x58, 0xc1});
+  // subsd %xmm1,%xmm0
+  expect_encoding("subsd", [](Emitter& e) { e.subsd(Xmm::xmm0, Xmm::xmm1); },
+                  {0xf2, 0x0f, 0x5c, 0xc1});
+  // mulsd %xmm1,%xmm0
+  expect_encoding("mulsd", [](Emitter& e) { e.mulsd(Xmm::xmm0, Xmm::xmm1); },
+                  {0xf2, 0x0f, 0x59, 0xc1});
+  // divsd %xmm1,%xmm0
+  expect_encoding("divsd", [](Emitter& e) { e.divsd(Xmm::xmm0, Xmm::xmm1); },
+                  {0xf2, 0x0f, 0x5e, 0xc1});
+  // sqrtsd %xmm0,%xmm0
+  expect_encoding("sqrtsd", [](Emitter& e) { e.sqrtsd(Xmm::xmm0, Xmm::xmm0); },
+                  {0xf2, 0x0f, 0x51, 0xc0});
+  // addsd %xmm9,%xmm8
+  expect_encoding("addsd hi", [](Emitter& e) { e.addsd(Xmm::xmm8, Xmm::xmm9); },
+                  {0xf2, 0x45, 0x0f, 0x58, 0xc1});
+  // divss %xmm12,%xmm1
+  expect_encoding(
+      "divss hi",
+      [](Emitter& e) { e.divss(Xmm::xmm1, Xmm::xmm12); },
+      {0xf3, 0x41, 0x0f, 0x5e, 0xcc});
+  // sqrtsd %xmm11,%xmm3
+  expect_encoding(
+      "sqrtsd hi",
+      [](Emitter& e) { e.sqrtsd(Xmm::xmm3, Xmm::xmm11); },
+      {0xf2, 0x41, 0x0f, 0x51, 0xdb});
+}
+
+TEST(X64Encoding, SseCompareConvert) {
+  // ucomiss %xmm1,%xmm0
+  expect_encoding(
+      "ucomiss",
+      [](Emitter& e) { e.ucomiss(Xmm::xmm0, Xmm::xmm1); },
+      {0x0f, 0x2e, 0xc1});
+  // ucomisd %xmm0,%xmm0
+  expect_encoding(
+      "ucomisd",
+      [](Emitter& e) { e.ucomisd(Xmm::xmm0, Xmm::xmm0); },
+      {0x66, 0x0f, 0x2e, 0xc0});
+  // ucomisd %xmm1,%xmm12
+  expect_encoding(
+      "ucomisd hi",
+      [](Emitter& e) { e.ucomisd(Xmm::xmm12, Xmm::xmm1); },
+      {0x66, 0x44, 0x0f, 0x2e, 0xe1});
+  // cvttss2si %xmm0,%eax
+  expect_encoding(
+      "cvttss2si",
+      [](Emitter& e) { e.cvttss2si(Gp::rax, Xmm::xmm0); },
+      {0xf3, 0x0f, 0x2c, 0xc0});
+  // cvttsd2si %xmm1,%ecx
+  expect_encoding(
+      "cvttsd2si",
+      [](Emitter& e) { e.cvttsd2si(Gp::rcx, Xmm::xmm1); },
+      {0xf2, 0x0f, 0x2c, 0xc9});
+  // cvttsd2si %xmm10,%r9d
+  expect_encoding(
+      "cvttsd2si hi",
+      [](Emitter& e) { e.cvttsd2si(Gp::r9, Xmm::xmm10); },
+      {0xf2, 0x45, 0x0f, 0x2c, 0xca});
+  // cvtsi2ss %eax,%xmm0
+  expect_encoding(
+      "cvtsi2ss",
+      [](Emitter& e) { e.cvtsi2ss(Xmm::xmm0, Gp::rax); },
+      {0xf3, 0x0f, 0x2a, 0xc0});
+  // cvtsi2sd %edx,%xmm1
+  expect_encoding(
+      "cvtsi2sd",
+      [](Emitter& e) { e.cvtsi2sd(Xmm::xmm1, Gp::rdx); },
+      {0xf2, 0x0f, 0x2a, 0xca});
+  // cvtsi2sd %r11d,%xmm8
+  expect_encoding(
+      "cvtsi2sd hi",
+      [](Emitter& e) { e.cvtsi2sd(Xmm::xmm8, Gp::r11); },
+      {0xf2, 0x45, 0x0f, 0x2a, 0xc3});
+  // cvtss2sd %xmm0,%xmm0
+  expect_encoding(
+      "cvtss2sd",
+      [](Emitter& e) { e.cvtss2sd(Xmm::xmm0, Xmm::xmm0); },
+      {0xf3, 0x0f, 0x5a, 0xc0});
+  // cvtsd2ss %xmm2,%xmm1
+  expect_encoding(
+      "cvtsd2ss",
+      [](Emitter& e) { e.cvtsd2ss(Xmm::xmm1, Xmm::xmm2); },
+      {0xf2, 0x0f, 0x5a, 0xca});
 }
 
 TEST(X64Encoding, LabelsBackward) {

@@ -21,6 +21,7 @@
 #include "sim/jit.h"
 #include "sim/memmap.h"
 #include "sim/platform.h"
+#include "support/board_stand.h"
 
 namespace nfp::board {
 namespace {
@@ -409,62 +410,8 @@ insn_b: add %g1, 2, %g1
   EXPECT_EQ(step, jit);
 }
 
-// One board stand driven slice by slice: a platform and the hooks whose
-// BoardHooks::export_state() the pinned-ledger test compares.
-struct Stand {
-  explicit Stand(const asmkit::Program& p) : hooks(cfg, cost) {
-    platform.load(p);
-  }
-  // Runs `budget` more instructions; returns the fault message, if any.
-  std::string run(std::uint64_t budget, sim::Dispatch dispatch) {
-    try {
-      sim::run_platform(platform, hooks, budget, dispatch);
-    } catch (const sim::SimError& e) {
-      return e.what();
-    }
-    return {};
-  }
-
-  BoardConfig cfg = loud_config();
-  CostModel cost;
-  sim::Platform platform;
-  BoardHooks hooks;
-};
-
-// Every field of BoardHooks::export_state(), plus where the cpu stopped;
-// names the first one that differs.
-::testing::AssertionResult same_state(Stand& want, Stand& got) {
-  const sim::CpuState& ca = want.platform.cpu();
-  const sim::CpuState& cb = got.platform.cpu();
-  if (ca.instret != cb.instret || ca.pc != cb.pc || ca.npc != cb.npc) {
-    return ::testing::AssertionFailure()
-           << "cpu stopped at instret " << cb.instret << " pc " << cb.pc
-           << ", want " << ca.instret << " pc " << ca.pc;
-  }
-  const BoardHooksState sa = want.hooks.export_state();
-  const BoardHooksState sb = got.hooks.export_state();
-  const sim::CostLedger& a = sa.ledger;
-  const sim::CostLedger& b = sb.ledger;
-  auto fail = [&](const char* what) {
-    return ::testing::AssertionFailure()
-           << what << " differs at instret " << ca.instret;
-  };
-  if (a.prev_a != b.prev_a || a.prev_b != b.prev_b) {
-    return fail("operand history");
-  }
-  if (a.prev_addr != b.prev_addr) return fail("address history");
-  if (a.open_row != b.open_row) return fail("open row");
-  const auto ta = a.tallies();
-  const auto tb = b.tallies();
-  for (std::size_t t = 0; t < ta.size(); ++t) {
-    if (*ta[t] != *tb[t]) return fail("a tally array");
-  }
-  if (a.tags != b.tags) return fail("cache tags");
-  if (sa.activity_lfsr != sb.activity_lfsr || sa.activity != sb.activity) {
-    return fail("switching activity");
-  }
-  return ::testing::AssertionSuccess();
-}
+using test::same_state;
+using Stand = test::BoardStand;
 
 TEST(BoardDispatch, PinnedLedgerStateMatchesStep) {
   // Native code keeps the ledger's toggle history in host registers and

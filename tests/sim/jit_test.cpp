@@ -18,13 +18,18 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "asmkit/assembler.h"
+#include "board/board.h"
+#include "nfp/calibration.h"
+#include "nfp/scheme.h"
 #include "sim/digest.h"
 #include "sim/iss.h"
 #include "sim/memmap.h"
+#include "support/board_stand.h"
 #include "workloads/kernels.h"
 
 namespace nfp::sim {
@@ -277,11 +282,11 @@ TEST(Jit, KernelWorkloadsIdenticalToStep) {
   }
 }
 
-TEST(Jit, FpuBlocksRejectedAndFallBackPerBlock) {
+TEST(Jit, FpuBlocksCompileNativeAndMatchStep) {
   SKIP_WITHOUT_JIT();
-  // A loop mixing FPU arithmetic, fcmp/fbfcc, and integer bookkeeping: the
-  // FPU blocks must be rejected (exec_block fallback inside the kJit run)
-  // while results stay bit-identical to stepping.
+  // A loop mixing FPU arithmetic, fcmp/fbfcc, and integer bookkeeping: every
+  // block compiles to SSE2 templates and runs without the helper (no
+  // result is a NaN), bit-identical to stepping.
   const auto prog = asmkit::assemble(R"(
 _start: set 0x40100000, %g1
         set 0x3FC00000, %l1
@@ -312,9 +317,12 @@ skip:   add %l0, 1, %l0
   iss.load(prog);
   const auto r = iss.run(1'000'000, Dispatch::kJit);
   ASSERT_TRUE(r.halted);
-  ASSERT_NE(iss.platform().block_cache()->jit(), nullptr);
-  EXPECT_GE(iss.platform().block_cache()->jit()->stats().blocks_rejected, 1u);
-  expect_step_jit_identical(prog, 1'000'000, "fpu-reject");
+  const JitRuntime* jr = iss.platform().block_cache()->jit();
+  ASSERT_NE(jr, nullptr);
+  EXPECT_GE(jr->stats().blocks_compiled, 3u);
+  EXPECT_EQ(jr->stats().blocks_rejected, 0u);
+  EXPECT_EQ(jr->stats().helper_exec, 0u);
+  expect_step_jit_identical(prog, 1'000'000, "fpu-native");
 }
 
 // ---- budget exactness -----------------------------------------------------
@@ -596,6 +604,373 @@ fn:     retl
     EXPECT_GE(jr->stats().btc_inserts, 2u);
   }
   expect_step_jit_identical(prog, 10'000'000, "inline-btc-aliasing");
+}
+
+// ---- native coverage: Table II, code in .data, FPU edge values ------------
+
+// Runs one board stand per dispatch mode in lockstep slices and requires
+// the block and jit stands to match the stepping one at every slice end,
+// the whole ledger state included. Slices of 1..37 instructions stop
+// native runs at every offset of a short loop; every seventh slice is long
+// enough to chain natively through several iterations. Returns the jit
+// stand's runtime stats (all zero when no runtime was built).
+JitRuntime::Stats expect_sliced_modes_identical(const asmkit::Program& prog,
+                                                const board::BoardConfig& cfg,
+                                                const std::string& what) {
+  test::BoardStand step(prog, cfg);
+  test::BoardStand block(prog, cfg);
+  test::BoardStand jit(prog, cfg);
+  for (std::uint64_t k = 0; !step.platform.cpu().halted; ++k) {
+    const std::uint64_t slice = k % 7 == 6 ? 150 : 1 + (k * 11) % 37;
+    EXPECT_EQ(step.run(slice, Dispatch::kStep), "") << what;
+    EXPECT_EQ(block.run(slice, Dispatch::kBlock), "") << what;
+    EXPECT_EQ(jit.run(slice, Dispatch::kJit), "") << what;
+    EXPECT_TRUE(test::same_state(step, block)) << what << ", kBlock slice " << k;
+    EXPECT_TRUE(test::same_state(step, jit)) << what << ", kJit slice " << k;
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_TRUE(jit.platform.cpu().halted) << what;
+  const JitRuntime* jr = jit.platform.block_cache()->jit();
+  return jr != nullptr ? jr->stats() : JitRuntime::Stats{};
+}
+
+// Runs `prog` on a board for `first` instructions, snapshots it, restores
+// the snapshot into a second board and runs that to the end; returns the
+// final snapshot. Equal across dispatch modes when a resume is faithful.
+std::string resumed_snapshot(const asmkit::Program& prog, std::uint64_t first,
+                             Dispatch dispatch) {
+  board::Board a(test::quiet_meter_config());
+  a.load(prog);
+  a.run(first, dispatch);
+  std::stringstream mid;
+  a.save_state(mid);
+  board::Board b(test::quiet_meter_config());
+  b.restore_state(mid);
+  EXPECT_TRUE(b.run(board::Board::kDefaultMaxInsns, dispatch).halted);
+  std::stringstream end;
+  b.save_state(end);
+  return end.str();
+}
+
+TEST(Jit, TableTwoKernelsRunNative) {
+  SKIP_WITHOUT_JIT();
+  // Every Table-II test kernel of the paper's scheme runs on a default
+  // board from emitted code alone: no block is rejected (the FPU kernels
+  // compile to SSE2 templates) and no record takes the helper (the store
+  // kernel's stores to static data miss the text-only store guard). The
+  // ledger state must equal stepping's. A shorter loop than the default
+  // plan keeps the stepping reference quick; the kernel bodies are the
+  // calibration's own.
+  model::CalibrationPlan plan;
+  plan.loops = 2'000;
+  const model::Calibrator cal(plan);
+  const model::CategoryScheme& scheme = model::CategoryScheme::paper();
+  for (std::size_t c = 0; c < scheme.size(); ++c) {
+    const std::string& name = scheme.category_name(c);
+    const auto prog =
+        asmkit::assemble(cal.make_kernels(name).test_asm, kTextBase);
+    test::BoardStand step(prog, board::BoardConfig{});
+    test::BoardStand jit(prog, board::BoardConfig{});
+    ASSERT_EQ(step.run(board::Board::kDefaultMaxInsns, Dispatch::kStep), "");
+    ASSERT_EQ(jit.run(board::Board::kDefaultMaxInsns, Dispatch::kJit), "");
+    EXPECT_TRUE(jit.platform.cpu().halted) << name;
+    EXPECT_TRUE(test::same_state(step, jit)) << name;
+    const JitRuntime* jr = jit.platform.block_cache()->jit();
+    ASSERT_NE(jr, nullptr) << name;
+    EXPECT_GE(jr->stats().blocks_compiled, 1u) << name;
+    EXPECT_EQ(jr->stats().blocks_rejected, 0u) << name;
+    EXPECT_EQ(jr->stats().helper_exec, 0u) << name;
+  }
+}
+
+TEST(Jit, CodeInDataSingleStepsIdenticalToStep) {
+  SKIP_WITHOUT_JIT();
+  // The text copies a three-word routine into its .data, calls it there,
+  // flips the immediate of its first word and calls it again, 30 times.
+  // The decode and block caches span the text only, so the routine
+  // single-steps with a fresh decode from RAM in every mode and each call
+  // sees the latest patch; the stores that write and patch it touch no
+  // cached code and flush nothing.
+  const auto prog = asmkit::assemble(R"(
+_start: set code, %l0
+        set tmpl, %l1
+        ld [%l1], %l2
+        st %l2, [%l0]
+        ld [%l1 + 4], %l2
+        st %l2, [%l0 + 4]
+        ld [%l1 + 8], %l2
+        st %l2, [%l0 + 8]
+        mov 0, %o0
+        mov 30, %l5
+loop:   call code
+        add %o0, %l5, %o0
+        ld [%l0], %l2
+        xor %l2, 5, %l2
+        st %l2, [%l0]
+        subcc %l5, 1, %l5
+        bne loop
+        sll %o0, 1, %o0
+        ta 0
+tmpl:   add %o0, 3, %o0
+        retl
+        xor %o0, %l5, %o0
+        .data
+        .align 8
+code:   .word 0, 0, 0
+)",
+                                     kTextBase);
+  const std::uint32_t code = prog.symbol("code");
+  ASSERT_GE(code, prog.text_end());
+
+  const JitRuntime::Stats stats = expect_sliced_modes_identical(
+      prog, test::quiet_meter_config(), "code-in-data");
+  EXPECT_GE(stats.blocks_compiled, 1u);
+  EXPECT_EQ(stats.helper_exec, 0u);
+
+  board::Board brd(test::quiet_meter_config());
+  brd.load(prog);
+  ASSERT_TRUE(brd.run(board::Board::kDefaultMaxInsns, Dispatch::kJit).halted);
+  BlockCache* bc = brd.platform().block_cache();
+  EXPECT_FALSE(bc->covers_code(code));
+  EXPECT_EQ(bc->lookup(code), nullptr);
+  EXPECT_EQ(bc->stats().flushes, 0u);
+  EXPECT_EQ(brd.platform().decode_cache().size(), prog.text_size() / 4);
+
+  // A mid-run snapshot (taken inside the patch loop) resumes identically.
+  const std::string want = resumed_snapshot(prog, 97, Dispatch::kStep);
+  EXPECT_EQ(resumed_snapshot(prog, 97, Dispatch::kBlock), want);
+  EXPECT_EQ(resumed_snapshot(prog, 97, Dispatch::kJit), want);
+}
+
+TEST(Jit, FpuEdgeValuesIdenticalToStep) {
+  SKIP_WITHOUT_JIT();
+  // Eight passes over a pool of edge operands, each pass shifted one
+  // double (and one single) along it: NaNs (quiet, signalling, negative
+  // with payload), ±inf, the smallest denormals, -0, ±2^31 and 2^31 - 1,
+  // and ordinary values. Every templated FPU op sees them: NaN results
+  // (0/0, inf - inf, sqrt of a negative, NaN operands) and fdtoi/fstoi
+  // sentinels (NaN, ±2^31, out of range) leave through the helper, the
+  // rest (inf results, denormals, -0 arithmetic, compares that come out
+  // equal, less, greater and unordered) stay native. Doubles in %f30/%f31 and the wrapping
+  // %f31/%f0 pair are read and written. Results go to RAM and the cpu's
+  // FP file; the stands compare both, the fcc and the ledger.
+  const auto prog = asmkit::assemble(R"(
+_start: set dpool, %l0
+        set spool, %l1
+        set out, %l2
+        mov 8, %l3
+        mov 0, %o1
+loop:   lddf [%l0], %f0
+        lddf [%l0 + 8], %f2
+        lddf [%l0 + 16], %f4
+        lddf [%l0 + 24], %f30
+        ldf [%l1], %f6
+        ldf [%l1 + 4], %f7
+        ldf [%l1 + 8], %f8
+        faddd %f0, %f2, %f10
+        fsubd %f2, %f4, %f12
+        fmuld %f0, %f4, %f14
+        fdivd %f2, %f0, %f16
+        fsqrtd %f4, %f18
+        faddd %f30, %f2, %f20
+        fmuld %f31, %f30, %f22
+        fdtoi %f0, %f24
+        fdtoi %f30, %f25
+        fdtoi %f31, %f26
+        fadds %f6, %f7, %f9
+        fsubs %f7, %f8, %f11
+        fmuls %f6, %f8, %f13
+        fdivs %f7, %f6, %f15
+        fsqrts %f8, %f17
+        fstoi %f6, %f19
+        fstoi %f8, %f21
+        fitos %f19, %f23
+        fitod %f24, %f26
+        fstod %f7, %f28
+        fdtos %f2, %f27
+        fmovs %f6, %f29
+        fnegs %f7, %f5
+        fabss %f8, %f3
+        stdf %f10, [%l2]
+        stdf %f12, [%l2 + 8]
+        stdf %f14, [%l2 + 16]
+        stdf %f16, [%l2 + 24]
+        stdf %f18, [%l2 + 32]
+        stdf %f20, [%l2 + 40]
+        stdf %f22, [%l2 + 48]
+        stf %f9, [%l2 + 56]
+        stf %f11, [%l2 + 60]
+        stf %f24, [%l2 + 64]
+        stf %f25, [%l2 + 68]
+        fcmpd %f0, %f2
+        nop
+        fbu unord
+        nop
+        add %o1, 1, %o1
+unord:  fcmps %f6, %f7
+        nop
+        fbe equal
+        nop
+        add %o1, 16, %o1
+equal:  fcmpd %f31, %f4
+        nop
+        fbug above
+        nop
+        add %o1, 256, %o1
+above:  fcmpd %f2, %f2
+        nop
+        fbne self
+        nop
+        add %o1, 4095, %o1
+self:   fitod %f25, %f31
+        fsqrtd %f31, %f0
+        fdtos %f31, %f1
+        fstod %f1, %f31
+        stdf %f30, [%l2 + 72]
+        add %l0, 8, %l0
+        add %l1, 4, %l1
+        subcc %l3, 1, %l3
+        bne loop
+        add %l2, 80, %l2
+        mov %o1, %o0
+        ta 0
+        .data
+        .align 8
+dpool:  .word 0x7ff80000, 0x00000000   ! quiet NaN
+        .word 0x41e00000, 0x00000000   ! 2^31
+        .word 0xc1e00000, 0x00000000   ! -2^31
+        .word 0x80000000, 0x00000000   ! -0
+        .word 0x7ff00000, 0x00000000   ! +inf
+        .word 0x00000000, 0x00000001   ! smallest denormal
+        .word 0xfff00000, 0x00000000   ! -inf
+        .word 0x41dfffff, 0xffc00000   ! 2^31 - 1
+        .word 0xbff80000, 0x00000000   ! -1.5
+        .word 0xfff40000, 0x00000001   ! negative signalling NaN
+        .word 0x00000000, 0x00000000   ! +0
+        .word 0x800fffff, 0xffffffff   ! largest negative denormal
+spool:  .word 0x7fc00000               ! quiet NaN
+        .word 0x4f000000               ! 2^31
+        .word 0x80000000               ! -0
+        .word 0x00000000               ! +0
+        .word 0x7f800000               ! +inf
+        .word 0x00000001               ! smallest denormal
+        .word 0xff800001               ! negative signalling NaN
+        .word 0xcf000000               ! -2^31
+        .word 0x3fc00000               ! 1.5
+        .word 0xff800000               ! -inf
+        .word 0x40400000               ! 3
+        .align 8
+out:    .skip 640
+)",
+                                     kTextBase);
+  board::BoardConfig cached = test::quiet_meter_config();
+  cached.enable_cache = true;
+  cached.cache_lines = 16;
+  board::BoardConfig flat = test::quiet_meter_config();
+  flat.enable_variation = false;
+  const JitRuntime::Stats loud = expect_sliced_modes_identical(
+      prog, test::quiet_meter_config(), "fpu-edge");
+  EXPECT_GE(loud.blocks_compiled, 4u);
+  EXPECT_EQ(loud.blocks_rejected, 0u);
+  EXPECT_GT(loud.helper_exec, 0u);  // the NaN and sentinel records
+  // A cached board still refuses the blocks holding loads.
+  EXPECT_GT(expect_sliced_modes_identical(prog, cached, "fpu-edge cached")
+                .blocks_rejected,
+            0u);
+  expect_sliced_modes_identical(prog, flat, "fpu-edge flat");
+  expect_step_jit_identical(prog, 1'000'000, "fpu-edge iss");
+}
+
+TEST(Jit, FpuNanAndSentinelResultsTakeHelper) {
+  SKIP_WITHOUT_JIT();
+  // Which NaN a result carries is the interpreters' choice (pinned in C++
+  // by nan_from_operands), and to_int32 saturates where cvttsd2si returns
+  // 0x80000000: exactly those records leave through the helper, before
+  // writing anything. Four per pass here (a NaN sum, the square root of
+  // -1, fdtoi of a NaN and of 2^31); fdtoi of 2^31 - 1, ordinary
+  // arithmetic and an unordered compare stay native.
+  const auto prog = asmkit::assemble(R"(
+_start: set pool, %l0
+        lddf [%l0], %f0
+        lddf [%l0 + 8], %f2
+        lddf [%l0 + 16], %f4
+        lddf [%l0 + 24], %f6
+        lddf [%l0 + 32], %f8
+        mov 10, %l1
+loop:   faddd %f0, %f2, %f10
+        fsqrtd %f4, %f12
+        fdtoi %f0, %f14
+        fdtoi %f6, %f15
+        fdtoi %f8, %f16
+        faddd %f2, %f2, %f18
+        fcmpd %f0, %f2
+        fdivd %f2, %f4, %f20
+        subcc %l1, 1, %l1
+        bne loop
+        nop
+        ld [%l0], %o0
+        ta 0
+        .data
+        .align 8
+pool:   .word 0x7ff80000, 0x00000123   ! NaN with a payload
+        .word 0x3ff00000, 0x00000000   ! 1
+        .word 0xbff00000, 0x00000000   ! -1
+        .word 0x41e00000, 0x00000000   ! 2^31
+        .word 0x41dfffff, 0xffc00000   ! 2^31 - 1
+)",
+                                     kTextBase);
+  Iss iss;
+  iss.load(prog);
+  ASSERT_TRUE(iss.run(1'000'000, Dispatch::kJit).halted);
+  const JitRuntime* jr = iss.platform().block_cache()->jit();
+  ASSERT_NE(jr, nullptr);
+  EXPECT_EQ(jr->stats().blocks_rejected, 0u);
+  EXPECT_EQ(jr->stats().helper_exec, 40u);
+  expect_step_jit_identical(prog, 1'000'000, "fpu-nan-rule");
+}
+
+TEST(Jit, TwoNanOperandsPropagateRs1InEveryMode) {
+  SKIP_WITHOUT_JIT();
+  // With NaNs in both operands every mode returns rs1's NaN, quieted (a
+  // signalling rs1 gains its quiet bit). The compiled C++ of the two
+  // interpreters once disagreed here: a commutative add or mul of singles
+  // returned rs2's NaN when stepping and rs1's from a morphed block.
+  const auto prog = asmkit::assemble(R"(
+_start: set pool, %l0
+        ldf [%l0], %f0
+        ldf [%l0 + 4], %f1
+        ldf [%l0 + 8], %f2
+        lddf [%l0 + 16], %f4
+        lddf [%l0 + 24], %f6
+        fadds %f0, %f1, %f8
+        fmuls %f1, %f0, %f9
+        fsubs %f2, %f0, %f10
+        fdivs %f0, %f2, %f11
+        faddd %f4, %f6, %f12
+        fmuld %f6, %f4, %f14
+        fsubd %f4, %f6, %f16
+        fdivd %f6, %f4, %f18
+        ta 0
+        .data
+        .align 8
+pool:   .word 0x7fc00001, 0xffc00002, 0x7f800003, 0
+        .word 0x7ff80000, 0x00000001, 0xfff40000, 0x00000002
+)",
+                                     kTextBase);
+  const std::array<std::uint32_t, 12> want = {
+      0x7fc00001, 0xffc00002, 0x7fc00003, 0x7fc00001,  // %f8..%f11
+      0x7ff80000, 0x00000001, 0xfffc0000, 0x00000002,  // %f12..%f15
+      0x7ff80000, 0x00000001, 0xfffc0000, 0x00000002,  // %f16..%f19
+  };
+  for (const Dispatch d : {Dispatch::kStep, Dispatch::kBlock, Dispatch::kJit}) {
+    Iss iss;
+    iss.load(prog);
+    ASSERT_TRUE(iss.run(1'000, d).halted);
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(iss.cpu().f[8 + k], want[k])
+          << "%f" << 8 + k << " under dispatch " << static_cast<int>(d);
+    }
+  }
 }
 
 // ---- faults ---------------------------------------------------------------

@@ -351,7 +351,7 @@ std::string snapshot_at(const asmkit::Program& prog, std::uint64_t stop,
   return out.str();
 }
 
-// The decode cache must hold the decode of every word in RAM.
+// The decode cache must hold the decode of every text word, as RAM holds it.
 void expect_decode_cache_matches_ram(Iss& iss, const std::string& where) {
   Platform& p = iss.platform();
   for (std::size_t i = 0; i < p.decode_cache().size(); ++i) {
