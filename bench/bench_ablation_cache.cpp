@@ -47,8 +47,8 @@ int main() {
   nfp::model::TextTable table({"Configuration", "mean |eps_E|", "max |eps_E|",
                                "mean |eps_T|", "max |eps_T|"});
   for (const auto& row : rows) {
-    const auto result =
-        nfp::benchkit::evaluate(jobs, *row.board, eq1, *row.costs);
+    const auto result = nfp::benchkit::evaluate_records(
+        nfp::model::Campaign(*row.board).run(jobs), eq1, *row.costs);
     table.add_row(
         {row.name,
          nfp::model::TextTable::fmt(result.energy.mean_abs_percent()) + "%",

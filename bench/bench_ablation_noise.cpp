@@ -44,8 +44,8 @@ int main() {
     cfg.enable_meter_noise = point.meter_noise;
     cfg.meter_noise_sigma = point.sigma;
     const auto calibration = nfp::model::Calibrator().fit(eq1, cfg);
-    const auto result =
-        nfp::benchkit::evaluate(jobs, cfg, eq1, calibration.costs);
+    const auto result = nfp::benchkit::evaluate_records(
+        nfp::model::Campaign(cfg).run(jobs), eq1, calibration.costs);
     table.add_row(
         {point.name,
          nfp::model::TextTable::fmt(result.energy.mean_abs_percent()) + "%",

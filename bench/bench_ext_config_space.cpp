@@ -65,8 +65,8 @@ int main() {
                                           : nfp::mcc::MulDivAbi::kSoft;
 
     const auto cost_of = [&](const std::vector<nfp::model::KernelJob>& jobs) {
-      const auto result =
-          nfp::benchkit::evaluate(jobs, cfg, eq1, calibration.costs);
+      const auto result = nfp::benchkit::evaluate_records(
+          nfp::model::Campaign(cfg).run(jobs), eq1, calibration.costs);
       for (const auto& k : result.kernels) {
         if (!k.ok) {
           std::fprintf(stderr, "kernel %s failed: %s\n", k.name.c_str(),

@@ -25,8 +25,8 @@ int main() {
       jobs.push_back(std::move(j));
     }
   }
-  const auto result =
-      nfp::benchkit::evaluate(jobs, cfg, eq1, calibration.costs);
+  const auto result = nfp::benchkit::evaluate_records(
+      nfp::model::Campaign(cfg).run(jobs), eq1, calibration.costs);
   nfp::benchkit::print_eval_table("Sobel kernels, estimated vs measured:",
                                   result);
 

@@ -33,13 +33,6 @@ EvalResult evaluate_records(const std::vector<model::KernelRunRecord>& records,
   return result;
 }
 
-EvalResult evaluate(const std::vector<model::KernelJob>& jobs,
-                    const board::BoardConfig& cfg,
-                    const model::Estimator& estimator,
-                    const model::CategoryCosts& costs) {
-  return evaluate_records(model::Campaign(cfg).run(jobs), estimator, costs);
-}
-
 model::Estimate mean_estimate(const std::vector<KernelEval>& kernels) {
   model::Estimate mean;
   std::size_t count = 0;

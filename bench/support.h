@@ -1,5 +1,6 @@
-// Shared machinery for the paper-reproduction benches: run kernel
-// campaigns and tabulate estimated vs measured energy/time (Eq. 1-3).
+// Shared machinery for the benches: score campaign records under an
+// estimation scheme and tabulate estimated vs measured energy/time
+// (Eq. 1-3).
 // Calibration is model::Calibrator::fit.
 #pragma once
 
@@ -38,14 +39,7 @@ EvalResult evaluate_records(const std::vector<model::KernelRunRecord>& records,
                             const model::Estimator& estimator,
                             const model::CategoryCosts& costs);
 
-// Runs all jobs as one campaign on a board with `cfg`, then
-// evaluate_records.
-EvalResult evaluate(const std::vector<model::KernelJob>& jobs,
-                    const board::BoardConfig& cfg,
-                    const model::Estimator& estimator,
-                    const model::CategoryCosts& costs);
-
-// Convenience: mean estimate over kernels (used by the Table IV bench).
+// Convenience: mean estimate over kernels (used by the config-space bench).
 model::Estimate mean_estimate(const std::vector<KernelEval>& kernels);
 
 void print_eval_table(const std::string& title, const EvalResult& result);

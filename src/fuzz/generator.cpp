@@ -26,16 +26,21 @@ constexpr const char* kEvenPool[] = {
 };
 constexpr std::size_t kEvenPoolSize = sizeof(kEvenPool) / sizeof(kEvenPool[0]);
 
-// Even double-precision registers (rd of ldd/faddd/... must be even).
-constexpr const char* kDReg[] = {"%f0",  "%f2",  "%f4",  "%f6",
-                                "%f8",  "%f10", "%f12", "%f14"};
+// Double-precision operands: every even register, then %f31, whose
+// double wraps to the %f31/%f0 pair. lddf/stdf reject an odd rd, so they
+// draw from the even registers only.
+constexpr const char* kDReg[] = {
+    "%f0",  "%f2",  "%f4",  "%f6",  "%f8",  "%f10", "%f12", "%f14", "%f16",
+    "%f18", "%f20", "%f22", "%f24", "%f26", "%f28", "%f30", "%f31"};
 constexpr std::size_t kDRegCount = sizeof(kDReg) / sizeof(kDReg[0]);
+constexpr std::size_t kEvenDRegCount = kDRegCount - 1;
 
-// Single-precision registers: the words of the double registers above.
-constexpr const char* kSReg[] = {"%f0",  "%f1",  "%f2",  "%f3",  "%f4",
-                                "%f5",  "%f6",  "%f7",  "%f8",  "%f9",
-                                "%f10", "%f11", "%f12", "%f13", "%f14",
-                                "%f15"};
+// Single-precision registers: the whole FP file.
+constexpr const char* kSReg[] = {
+    "%f0",  "%f1",  "%f2",  "%f3",  "%f4",  "%f5",  "%f6",  "%f7",
+    "%f8",  "%f9",  "%f10", "%f11", "%f12", "%f13", "%f14", "%f15",
+    "%f16", "%f17", "%f18", "%f19", "%f20", "%f21", "%f22", "%f23",
+    "%f24", "%f25", "%f26", "%f27", "%f28", "%f29", "%f30", "%f31"};
 constexpr std::size_t kSRegCount = sizeof(kSReg) / sizeof(kSReg[0]);
 
 constexpr std::uint32_t kScratchBase = 0x40200000u;  // 4 KiB window off %i6
@@ -61,6 +66,7 @@ class ChunkGen {
   const char* reg() { return kPool[rng_.below(kPoolSize)]; }
   const char* even_reg() { return kEvenPool[rng_.below(kEvenPoolSize)]; }
   const char* dreg() { return kDReg[rng_.below(kDRegCount)]; }
+  const char* even_dreg() { return kDReg[rng_.below(kEvenDRegCount)]; }
   const char* sreg() { return kSReg[rng_.below(kSRegCount)]; }
   int simm(int lo, int hi) {
     return lo + static_cast<int>(rng_.below(static_cast<std::uint32_t>(hi - lo + 1)));
@@ -271,7 +277,8 @@ class ChunkGen {
     const std::uint32_t loads = 1 + rng_.below(3);
     for (std::uint32_t i = 0; i < loads; ++i) {
       e.line(std::string("lddf [%i7 + ") +
-             std::to_string(rng_.below(kDoublePoolSize) * 8) + "], " + dreg());
+             std::to_string(rng_.below(kDoublePoolSize) * 8) + "], " +
+             even_dreg());
     }
     const std::uint32_t n = 3 + rng_.below(5);
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -310,7 +317,7 @@ class ChunkGen {
           e.line("nop");
           break;
         case 9:
-          e.line(std::string("stdf ") + dreg() + ", [%i6 + " +
+          e.line(std::string("stdf ") + even_dreg() + ", [%i6 + " +
                  std::to_string(rng_.below(512) * 8) + "]");
           break;
         case 10: {

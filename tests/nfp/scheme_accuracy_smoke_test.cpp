@@ -1,5 +1,5 @@
 // CI-sized slice of the cross-scheme accuracy triangle (the full 120-kernel
-// sweep lives in bench/bench_scheme_accuracy.cpp): a dozen real MVC + FSE
+// sweep is part of bench/bench_paper.cpp): a dozen real MVC + FSE
 // kernels at reduced sizes, one campaign scored under every registered
 // estimation scheme. The hard invariants mirror the bench:
 //

@@ -294,8 +294,8 @@ TEST(CampaignService, MatchesBatchCampaignOnKernelSets) {
   // sharded, preempting service (one board run per job) equal the
   // straight-line ISS -> board reference loop bit-for-bit in counts, exit
   // code, events, cycles and energy, at every worker count.
-  // Reduced-size kernels keep the test fast; bench_service_ab runs the full
-  // 120-kernel set.
+  // Reduced-size kernels keep the test fast; CI's sliced-campaign step
+  // checks the full 120-kernel set.
   workloads::MvcKernelParams mvc;
   mvc.width = 16;
   mvc.height = 16;
