@@ -43,11 +43,9 @@ void Board::save_state(std::ostream& out) const {
   w.put_u8(cfg_.enable_cache ? 1 : 0);
   w.put_u32(cfg_.cache_lines);
   w.put_u32(cfg_.cache_line_bytes);
-  w.put_u8(static_cast<std::uint8_t>(cfg_.fidelity));
   w.end_chunk();
 
-  const BoardHooksState s = hooks_.export_state();
-  const sim::CostLedger& l = s.ledger;
+  const sim::CostLedger& l = hooks_.export_state();
   w.begin_chunk(sim::kChunkBoardHooks);
   w.put_u32(static_cast<std::uint32_t>(isa::kOpCount));
   for (const sim::CostLedger::Tally* t : l.tallies()) {
@@ -59,8 +57,6 @@ void Board::save_state(std::ostream& out) const {
   w.put_u32(l.open_row);
   w.put_u32(static_cast<std::uint32_t>(l.tags.size()));
   for (const std::uint32_t t : l.tags) w.put_u32(t);
-  w.put_u64(s.activity_lfsr);
-  w.put_u64(s.activity);
   w.end_chunk();
 
   w.finish(out);
@@ -91,11 +87,6 @@ void Board::restore_state(std::istream& in) {
     snap_cfg.enable_cache = c.get_u8() != 0;
     snap_cfg.cache_lines = c.get_u32();
     snap_cfg.cache_line_bytes = c.get_u32();
-    const std::uint8_t fid = c.get_u8();
-    if (fid > static_cast<std::uint8_t>(Fidelity::kCycleStepped)) {
-      throw StateError(StateErrorCode::kBadPayload, "fidelity out of range");
-    }
-    snap_cfg.fidelity = static_cast<Fidelity>(fid);
     c.done();
   }
   if (!(snap_cfg == cfg_)) {
@@ -104,10 +95,9 @@ void Board::restore_state(std::istream& in) {
                      "configuration");
   }
 
-  BoardHooksState s;
+  sim::CostLedger l;
   {
     sim::ChunkCursor c(r.payload(sim::kChunkBoardHooks));
-    sim::CostLedger& l = s.ledger;
     if (c.get_u32() != isa::kOpCount) {
       throw StateError(StateErrorCode::kBadPayload,
                        "cost-ledger tallies have the wrong arity");
@@ -131,13 +121,11 @@ void Board::restore_state(std::istream& in) {
     }
     l.tags.resize(ntags);
     for (std::uint32_t& t : l.tags) t = c.get_u32();
-    s.activity_lfsr = c.get_u64();
-    s.activity = c.get_u64();
     c.done();
   }
 
   sim::apply_platform_chunks(r, platform_);
-  hooks_.import_state(s);
+  hooks_.import_state(l);
 }
 
 Measurement Board::measure(std::string_view tag) const {

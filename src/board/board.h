@@ -40,7 +40,7 @@ class Board {
   void step();
 
   // Ground truth (inaccessible on real hardware; used by tests and by the
-  // Fig. 1 accuracy ladder).
+  // Fig. 1 rungs of bench_paper).
   std::uint64_t cycles() const { return hooks_.cycles(); }
   double true_time_s() const {
     return static_cast<double>(cycles()) / cfg_.clock_hz;
@@ -54,9 +54,6 @@ class Board {
   const std::array<std::uint64_t, isa::kOpCount>& op_counts() const {
     return hooks_.op_counts();
   }
-  std::uint64_t switching_activity() const {
-    return hooks_.switching_activity();
-  }
 
   // Bench measurement: ground truth seen through the power meter and the
   // clock's tick granularity. `tag` identifies the kernel so repeated
@@ -66,11 +63,10 @@ class Board {
 
   // Versioned snapshot of the whole stand: platform state plus the board's
   // configuration fingerprint and accumulator state (the cost ledger with
-  // its SDRAM open row, cache tags and toggle history, and the
-  // switching-activity LFSR). Restore refuses
+  // its SDRAM open row, cache tags and toggle history). Restore refuses
   // snapshots taken under a different BoardConfig (kConfigMismatch) and is
   // all-or-nothing; a resumed run produces bit-identical cycles, energy,
-  // stats, and activity in every dispatch mode (see sim/state_io.h).
+  // stats and events in every dispatch mode (see sim/state_io.h).
   void save_state(std::ostream& out) const;
   void restore_state(std::istream& in);
 

@@ -7,13 +7,6 @@
 
 namespace nfp::board {
 
-enum class Fidelity {
-  kApproxTimed,   // per-instruction cost accounting (quasi cycle accurate)
-  kCycleStepped,  // per-cycle stepping with switching-activity tracking
-                  // (the "CAS-like" rung of the Fig. 1 ladder; same totals,
-                  // much slower)
-};
-
 struct BoardConfig {
   // Hardware configuration knobs (the paper's design space).
   bool has_fpu = true;
@@ -37,8 +30,6 @@ struct BoardConfig {
   bool enable_cache = false;
   std::uint32_t cache_lines = 256;
   std::uint32_t cache_line_bytes = 32;
-
-  Fidelity fidelity = Fidelity::kApproxTimed;
 
   // Snapshot restore refuses state saved under a different configuration
   // (board/board.cpp): every field participates in the fingerprint.

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <array>
-#include <bit>
 #include <cstdint>
 
 #include "board/config.h"
@@ -40,20 +39,6 @@ struct BoardStats {
   std::uint64_t stall_cycles = 0;
 
   friend bool operator==(const BoardStats&, const BoardStats&) = default;
-};
-
-// Seed of the switching-activity LFSR on a fresh board.
-inline constexpr std::uint64_t kActivitySeed = 0x2545F4914F6CDD1Dull;
-
-// The accumulator state a snapshot carries (board/board.cpp save/restore):
-// everything on which future accounting depends — the cost ledger's tallies,
-// SDRAM open row, cache tags and toggle history, and the switching-activity
-// LFSR. The ledger's configuration fields are not state (the restoring
-// board's own configuration supplies them).
-struct BoardHooksState {
-  sim::CostLedger ledger;
-  std::uint64_t activity_lfsr = kActivitySeed;
-  std::uint64_t activity = 0;
 };
 
 class BoardHooks {
@@ -97,13 +82,8 @@ class BoardHooks {
         y = info.b;
         break;
     }
-    const sim::LedgerOutcome outcome = ledger_.retire(d.op, x, y);
+    ledger_.retire(d.op, x, y);
     ++ledger_.counts[static_cast<std::size_t>(d.op)];
-    if (cfg_.fidelity == Fidelity::kCycleStepped) {
-      const std::uint64_t cyc = cycles_of(d.op, outcome);
-      advance_activity(cyc);
-      advanced_ += cyc;
-    }
   }
 
   // Whole-block dispatch guard: blocks holding an op whose retire guard
@@ -125,23 +105,10 @@ class BoardHooks {
     for (std::size_t i = 0; i < n; ++i) {
       ledger_.counts[ops[i].op] += ops[i].count;
     }
-    settle();
   }
 
   // The ledger the block handlers and emitted code tally into.
   sim::CostLedger* ledger() { return &ledger_; }
-
-  // Brings the cycle-stepped activity tracker up to the cycles retired so
-  // far (called after every block and native run). The tracker is a pure
-  // function of how many cycles it has advanced, so one catch-up equals the
-  // per-op advances exactly.
-  void settle() {
-    if (cfg_.fidelity == Fidelity::kCycleStepped) {
-      const std::uint64_t now = cycles();
-      advance_activity(now - advanced_);
-      advanced_ = now;
-    }
-  }
 
   // Cycles folded from the ledger: every retire at its base cycles, except
   // row misses (plus the row-open stall), cache hits (the hit latency) and
@@ -241,8 +208,6 @@ class BoardHooks {
     return s;
   }
 
-  std::uint64_t switching_activity() const { return activity_; }
-
   // Per-op retire counts. Exposed so calibration can derive estimation-
   // scheme feature vectors from the board run itself — the streams are
   // proven identical to the ISS counters.
@@ -272,22 +237,21 @@ class BoardHooks {
   }
 
   // Back to a fresh object's state, in place (Board::load).
-  void reset() { import_state(BoardHooksState{}); }
+  void reset() { import_state(sim::CostLedger{}); }
 
   // ---- snapshot support (sim/state_io.h, board/board.cpp) -----------------
-  BoardHooksState export_state() const {
-    return BoardHooksState{ledger_, activity_lfsr_, activity_};
-  }
+  // A snapshot carries the ledger: everything on which future accounting
+  // depends (tallies, SDRAM open row, cache tags, toggle history). Its
+  // configuration fields are not state; the restoring board's own
+  // configuration supplies them.
+  const sim::CostLedger& export_state() const { return ledger_; }
 
-  // Caller (Board::restore_state) has already validated s.ledger.tags
+  // Caller (Board::restore_state) has already validated the ledger's tags
   // against the configuration, so this cannot fail. Works in place: the
   // jit's compiled code is bound to this object's ledger address.
-  void import_state(const BoardHooksState& s) {
-    ledger_ = s.ledger;
+  void import_state(const sim::CostLedger& ledger) {
+    ledger_ = ledger;
     configure_ledger();
-    activity_lfsr_ = s.activity_lfsr;
-    activity_ = s.activity;
-    advanced_ = cycles();
   }
 
  private:
@@ -325,39 +289,10 @@ class BoardHooks {
     }
   }
 
-  std::uint64_t cycles_of(isa::Op op, sim::LedgerOutcome outcome) const {
-    const OpCost& oc = cost_.of(op);
-    switch (outcome) {
-      case sim::LedgerOutcome::kRowMiss:
-        return oc.cycles + cost_.row_miss_cycles();
-      case sim::LedgerOutcome::kCacheHit:
-        return cost_.cache_hit_cycles();
-      case sim::LedgerOutcome::kUntaken:
-        return oc.cycles_alt;
-      default:
-        return oc.cycles;
-    }
-  }
-
-  // Step the microarchitectural activity tracker cycle by cycle, as a
-  // hardware-description-level simulator would. The totals are the same
-  // as the approximately-timed path; only the simulation cost differs.
-  void advance_activity(std::uint64_t cycles) {
-    for (std::uint64_t i = 0; i < cycles; ++i) {
-      activity_lfsr_ ^= activity_lfsr_ << 13;
-      activity_lfsr_ ^= activity_lfsr_ >> 7;
-      activity_lfsr_ ^= activity_lfsr_ << 17;
-      activity_ += std::popcount(activity_lfsr_);
-    }
-  }
-
   const BoardConfig& cfg_;
   const CostModel& cost_;
 
   sim::CostLedger ledger_;
-  std::uint64_t activity_lfsr_ = kActivitySeed;
-  std::uint64_t activity_ = 0;
-  std::uint64_t advanced_ = 0;  // cycles the activity tracker has covered
 };
 
 }  // namespace nfp::board

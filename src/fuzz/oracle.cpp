@@ -151,7 +151,6 @@ struct BoardSnapshot {
   Snapshot arch;  // the ISS's view, retire counts included
   std::uint64_t cycles = 0;
   std::uint64_t energy_bits = 0;
-  std::uint64_t activity = 0;
   board::BoardStats stats;
 
   bool operator==(const BoardSnapshot&) const = default;
@@ -162,7 +161,6 @@ BoardSnapshot take_board_snapshot(board::Board& brd) {
   s.arch = take_arch_snapshot(brd, brd.op_counts());
   s.cycles = brd.cycles();
   s.energy_bits = std::bit_cast<std::uint64_t>(brd.true_energy_nj());
-  s.activity = brd.switching_activity();
   s.stats = brd.stats();
   return s;
 }
@@ -187,9 +185,10 @@ std::vector<BoardSnapshot> run_board_mode(
   return out;
 }
 
-// Board flavour of the durable-checkpoint arm: snapshots carry the SDRAM
-// open-row state, meter accumulators, and the activity LFSR, so the restored
-// half's ground truth must stay bit-for-bit on the reference trajectory.
+// Board flavour of the durable-checkpoint arm: snapshots carry the cost
+// ledger (SDRAM open-row state, cache tags, toggle history and tallies), so
+// the restored half's ground truth must stay bit-for-bit on the reference
+// trajectory.
 std::vector<BoardSnapshot> run_board_snapshot_mode(
     board::Board& a, board::Board& b, const asmkit::Program& program,
     const std::vector<std::uint64_t>& stops) {
@@ -226,7 +225,6 @@ std::string describe_diff(const BoardSnapshot& ref, const BoardSnapshot& got) {
   };
   field("cycles", ref.cycles, got.cycles);
   field("energy-bits", ref.energy_bits, got.energy_bits);
-  field("activity", ref.activity, got.activity);
   field("loads", ref.stats.loads, got.stats.loads);
   field("stores", ref.stats.stores, got.stats.stores);
   field("row-misses", ref.stats.row_misses, got.stats.row_misses);

@@ -53,7 +53,7 @@ struct DiffConfig {
   // the schedule — rotating through the dispatch modes segment by segment —
   // and every checkpoint must match the straight-through kStep reference.
   // With check_board on, a board pair runs the same durable-checkpoint arm
-  // against the board reference (cycles/energy/stats/activity bit-for-bit).
+  // against the board reference (cycles/energy/stats bit-for-bit).
   bool check_snapshot = true;
 };
 

@@ -24,10 +24,10 @@
 //    cached board's loads), global fallback to chained kBlock when the
 //    host cannot execute emitted code.
 //
-// Hooks may expose three optional members, detected rather than declared:
+// Hooks may expose two optional members, detected rather than declared:
 // `CostLedger* ledger()` (the block handlers and the jit tally dynamic
-// costs into it), `bool admit_block(Block&)` (whole-block dispatch guard),
-// and `void settle()` (called after every native run).
+// costs into it) and `bool admit_block(Block&)` (whole-block dispatch
+// guard).
 #pragma once
 
 #include <cmath>
@@ -262,10 +262,8 @@ class Executor {
         st_.npc = st_.pc + 4;
         st_.instret += idx;
         retire_prefix(fb->code.data(), idx);
-        settle();
         std::rethrow_exception(jr.take_exception());
       }
-      settle();
       executed += budget - remaining;
     }
     return executed;
@@ -289,10 +287,6 @@ class Executor {
     } else {
       return nullptr;
     }
-  }
-
-  void settle() {
-    if constexpr (requires { hooks_.settle(); }) hooks_.settle();
   }
 
   // Retire accounting for the completed prefix of a faulted block, one op

@@ -25,14 +25,6 @@
 
 namespace nfp::sim {
 
-// Which cost variant one retired instruction landed on.
-enum class LedgerOutcome : std::uint8_t {
-  kBase,     // the op's base cost (taken branch, open-row access, ALU op)
-  kRowMiss,  // memory access that opened a new SDRAM row
-  kCacheHit, // load served by the data cache
-  kUntaken,  // branch that fell through
-};
-
 struct CostLedger {
   static constexpr std::uint32_t kNoRow = 0xFFFFFFFFu;
   using Tally = std::array<std::uint64_t, isa::kOpCount>;
@@ -106,7 +98,7 @@ struct CostLedger {
   // is the caller's: block paths batch it). Operands follow the retire
   // record of the op's kind: memory ops pass {effective address, data
   // word}, control transfers {taken, 0}, everything else {a, b}.
-  LedgerOutcome retire(isa::Op op, std::uint32_t x, std::uint32_t y) {
+  void retire(isa::Op op, std::uint32_t x, std::uint32_t y) {
     const auto i = static_cast<std::size_t>(op);
     switch (kind[i]) {
       case ResidualKind::kMemory: {
@@ -123,7 +115,7 @@ struct CostLedger {
           if (tag == line) {
             ++cache_hits[i];
             cache_hit_toggles[i] += t;
-            return LedgerOutcome::kCacheHit;
+            return;
           }
           tag = line;
         }
@@ -132,14 +124,12 @@ struct CostLedger {
           open_row = row;
           ++row_misses[i];
           row_miss_toggles[i] += t;
-          return LedgerOutcome::kRowMiss;
         }
-        return LedgerOutcome::kBase;
+        return;
       }
       case ResidualKind::kBranch:
-        if (x != 0) return LedgerOutcome::kBase;
-        ++untaken[i];
-        return LedgerOutcome::kUntaken;
+        if (x == 0) ++untaken[i];
+        return;
       default:  // kNone / kFpVariable: operand-toggle variation only
         if (variation) {
           toggles[i] += static_cast<std::uint64_t>(
@@ -147,7 +137,7 @@ struct CostLedger {
           prev_a = x;
           prev_b = y;
         }
-        return LedgerOutcome::kBase;
+        return;
     }
   }
 };

@@ -8,7 +8,7 @@
 // state, dirty RAM pages, UART stream, the loaded program image) plus its
 // own: the counting ISS adds its retire-count vector, the measurement board
 // adds its configuration fingerprint and accumulator state (the cost ledger
-// with its SDRAM open row and toggle history, the switching-activity LFSR).
+// with its SDRAM open row, cache tags and toggle history).
 //
 // Restore is strictly two-phase: the whole stream is parsed and validated —
 // structure, version, checksums, chunk tags, payload shapes — and decoded
@@ -47,7 +47,10 @@ class Platform;
 //     and event accumulators, which are now derived from it.
 // v4: chunks carry chunk_checksum() in place of a byte-serial FNV-1a, and
 //     program symbols must appear in strictly ascending name order.
-inline constexpr std::uint32_t kStateVersion = 4;
+// v5: the board-config chunk lost its fidelity byte and the board-hooks
+//     chunk its switching-activity LFSR and sum (the cycle-stepped
+//     fidelity is gone).
+inline constexpr std::uint32_t kStateVersion = 5;
 
 // The chunk checksum: four 64-bit lanes of FNV-style xor-multiply (each step
 // followed by a 32-bit xor-shift fold) over the payload's little-endian

@@ -1,8 +1,8 @@
 // Directed step-vs-block-vs-jit regressions for the board's integer cost
 // ledger: whole-block retirement with handler tallies, and native code with
 // inline tallies, must be bit-for-bit indistinguishable from per-instruction
-// stepping — cycles, energy (IEEE-754 identical), BoardStats, switching
-// activity, and the full architectural outcome.
+// stepping — cycles, energy (IEEE-754 identical), BoardStats and the full
+// architectural outcome.
 #include <bit>
 #include <cstdint>
 #include <sstream>
@@ -43,7 +43,6 @@ struct Outcome {
   std::uint64_t instret = 0;
   std::uint64_t cycles = 0;
   std::uint64_t energy_bits = 0;
-  std::uint64_t activity = 0;
   BoardStats stats;
   std::uint32_t exit_code = 0;
   std::uint32_t g1 = 0;
@@ -61,7 +60,6 @@ Outcome run_board(const asmkit::Program& p, const BoardConfig& cfg,
   o.instret = result.instret;
   o.cycles = brd.cycles();
   o.energy_bits = std::bit_cast<std::uint64_t>(brd.true_energy_nj());
-  o.activity = brd.switching_activity();
   o.stats = brd.stats();
   o.exit_code = result.exit_code;
   o.g1 = brd.cpu().r[1];
@@ -221,11 +219,11 @@ insn_b: add %g1, 2, %g1
   EXPECT_EQ(brd.cpu().r[1], 79u);
 }
 
-TEST(BoardDispatch, CycleSteppedActivityMatchesAcrossModes) {
-  // kCycleStepped advances the activity LFSR per cycle. The block path
-  // batches the advance per block; totals must still be bit-identical.
-  BoardConfig cfg = loud_config();
-  cfg.fidelity = Fidelity::kCycleStepped;
+TEST(BoardDispatch, RowStridingLoopMatchesAcrossModes) {
+  // Each iteration loads, updates and stores one word 1 KiB past the last:
+  // a new SDRAM row every time, with operand toggles on the add. Block and
+  // jit tallies must equal stepping bit for bit.
+  const BoardConfig cfg = loud_config();
   const auto p = prog(R"(
 _start: set 0x40020000, %l0
         mov 30, %l1
@@ -244,7 +242,7 @@ loop:   ld [%l0], %l2
   const Outcome jit = run_board(p, cfg, sim::Dispatch::kJit);
   EXPECT_EQ(step, block);
   EXPECT_EQ(step, jit);
-  EXPECT_GT(step.activity, 0u);
+  EXPECT_GT(step.stats.row_misses, 0u);
 }
 
 TEST(BoardDispatch, GuardedBlocksFallBackToStepping) {
@@ -330,12 +328,11 @@ TEST(BoardDispatch, FaultMidCompiledCostBlockReconcilesResiduals) {
   // The third record of the hot block is a load whose address degrades to
   // misaligned after enough iterations: the block is compiled long before
   // the fault, which then fires mid-block from native code with two memory
-  // ops already tallied. The reconciled fault state — message, instret,
-  // cycles, energy bit pattern, and switching activity — must match stepping
+  // ops already tallied. The reconciled fault state — message, instret, pc,
+  // cycles, energy bit pattern, loads and row misses — must match stepping
   // exactly: the faulting block's prefix is counted op by op on top of the
   // tallies its records made inline.
-  BoardConfig cfg = loud_config();
-  cfg.fidelity = Fidelity::kCycleStepped;
+  const BoardConfig cfg = loud_config();
   const auto p = prog(R"(
 _start: set 0x40100000, %g1
         set 0x40200000, %g2
@@ -361,7 +358,7 @@ loop:   ld [%g1], %o1
     }
     return std::tuple(what, brd.cpu().instret, brd.cpu().pc, brd.cycles(),
                       std::bit_cast<std::uint64_t>(brd.true_energy_nj()),
-                      brd.switching_activity(), brd.stats().loads,
+                      brd.stats().loads,
                       brd.stats().row_misses);
   };
   const auto step = run_to_fault(sim::Dispatch::kStep);

@@ -1,9 +1,9 @@
 // Resume bit-identity for the measurement board: a snapshot carries the
 // integer cost ledger (per-op counts and tallies, SDRAM open row, cache
-// tags, operand-toggle history) and the switching-activity LFSR, so a
-// restored board continues with ground truth bit-for-bit identical to the
-// uninterrupted run in every dispatch mode and fidelity/cache
-// configuration. Restores under a different configuration are refused.
+// tags, operand-toggle history), so a restored board continues with ground
+// truth bit-for-bit identical to the uninterrupted run in every dispatch
+// mode and cache configuration. Restores under a different configuration
+// are refused.
 #include "board/board.h"
 
 #include <gtest/gtest.h>
@@ -58,7 +58,6 @@ struct BoardObserved {
   std::uint64_t cycles = 0;
   std::uint64_t energy_bits = 0;  // bit-cast: "identical" means identical
   BoardStats stats;
-  std::uint64_t activity = 0;
   sim::ArchStateDigest digest{};
   bool halted = false;
 };
@@ -69,7 +68,6 @@ BoardObserved observe(Board& b) {
   o.cycles = b.cycles();
   o.energy_bits = std::bit_cast<std::uint64_t>(b.true_energy_nj());
   o.stats = b.stats();
-  o.activity = b.switching_activity();
   o.digest = sim::arch_digest(b.cpu(), b.bus());
   o.halted = b.cpu().halted;
   return o;
@@ -81,7 +79,6 @@ void expect_equal(const BoardObserved& got, const BoardObserved& want,
   EXPECT_EQ(got.cycles, want.cycles) << where;
   EXPECT_EQ(got.energy_bits, want.energy_bits) << where;
   EXPECT_EQ(got.stats, want.stats) << where;
-  EXPECT_EQ(got.activity, want.activity) << where;
   EXPECT_EQ(got.digest, want.digest) << where;
   EXPECT_EQ(got.halted, want.halted) << where;
 }
@@ -119,12 +116,6 @@ void resume_battery(const BoardConfig& cfg, const std::string& variant) {
 }
 
 TEST(BoardState, ResumeApproxTimed) { resume_battery(BoardConfig{}, "approx"); }
-
-TEST(BoardState, ResumeCycleStepped) {
-  BoardConfig cfg;
-  cfg.fidelity = Fidelity::kCycleStepped;
-  resume_battery(cfg, "cycle-stepped");
-}
 
 TEST(BoardState, ResumeWithDataCache) {
   BoardConfig cfg;

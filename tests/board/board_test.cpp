@@ -260,28 +260,6 @@ data:   .word 1, 2, 3, 4
   EXPECT_GT(b.stats().cache_hits, 2900u);  // 3000 loads, 1 compulsory miss line
 }
 
-TEST(Board, CycleSteppedFidelityMatchesApproxTotals) {
-  const char* src = R"(
-_start: set 200, %l0
-loop:   subcc %l0, 1, %l0
-        bne loop
-        nop
-        mov 0, %o0
-        ta 0
-)";
-  BoardConfig approx = quiet_config();
-  BoardConfig stepped = quiet_config();
-  stepped.fidelity = Fidelity::kCycleStepped;
-  Board a(approx);
-  a.load(prog(src));
-  ASSERT_TRUE(a.run().halted);
-  Board b(stepped);
-  b.load(prog(src));
-  ASSERT_TRUE(b.run().halted);
-  EXPECT_EQ(a.cycles(), b.cycles());
-  EXPECT_DOUBLE_EQ(a.true_energy_nj(), b.true_energy_nj());
-}
-
 TEST(AreaModel, FpuRoughlyDoublesTheDesign) {
   AreaModel area;
   EXPECT_NEAR(area.fpu_area_increase_percent(), 109.0, 1.0);

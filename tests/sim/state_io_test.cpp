@@ -645,7 +645,7 @@ TEST_F(StateIoNegative, UnknownChunkTag) {
 }
 
 TEST_F(StateIoNegative, VersionSkew) {
-  for (const std::uint32_t version : {3u, kStateVersion + 1}) {
+  for (const std::uint32_t version : {3u, 4u, kStateVersion + 1}) {
     std::string bad = good_;
     bad[4] = static_cast<char>(version);
     EXPECT_EQ(expect_rejected(target_, bad), StateErrorCode::kBadVersion)
