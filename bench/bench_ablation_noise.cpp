@@ -54,8 +54,8 @@ int main() {
          nfp::model::TextTable::fmt(result.time.max_abs_percent()) + "%"});
   }
   std::printf("%s", table.to_string().c_str());
-  std::printf("\n(expected: with an ideal board the mechanistic model is "
-              "near-exact; error grows with operand-dependent energy "
-              "variation, the effect the constant-cost assumption ignores)\n");
+  std::printf("\n(toggle amplitude and meter noise move only the energy "
+              "columns; the time columns stay flat, and the ideal board "
+              "keeps a nonzero error floor in both)\n");
   return 0;
 }

@@ -85,7 +85,7 @@ struct ServiceConfig {
   // Worker thread count; 0 = CampaignService::default_workers().
   unsigned workers = 0;
   // Board dispatch; unset = the jit-availability probe (kJit where emitted
-  // code can run, chained kBlock elsewhere). Board accounting is
+  // code can run, kBlock elsewhere). Board accounting is
   // bit-identical across modes, so this is purely a speed knob.
   std::optional<sim::Dispatch> dispatch;
   // Compute estimates via a warm calibration table (calibrated once, at

@@ -11,18 +11,16 @@
 //    available; the only mode for hooks that need per-instruction detail).
 //  - kBlock: whole superblocks per dispatch through a BlockCache of morphed
 //    handler traces, with batched retire accounting for hooks that declare
-//    kBatchRetire (see block_cache.h). Blocks chain: resolved exits link
-//    block to block (plus a branch-target cache for register-indirect
-//    exits), so the hot loop re-enters BlockCache::lookup() only on
-//    unresolved edges, budget exhaustion, faults, and flushed links.
+//    kBatchRetire (see block_cache.h). Every block exit resolves its
+//    successor through BlockCache::lookup().
 //  - kJit: the x86-64 template JIT tier above the morph cache (sim/jit.h):
 //    compiled blocks execute natively with retire counters and instret
 //    batched to one add per counter per block, and resolved transitions
 //    patched directly into the emitted code. Hooks keeping a cost ledger
 //    (the board, sim/ledger.h) get its tallies emitted inline. Per-block
 //    fallback to the kBlock interpreter for blocks the compiler rejects (a
-//    cached board's loads), global fallback to chained kBlock when the
-//    host cannot execute emitted code.
+//    cached board's loads), global fallback to kBlock when the host cannot
+//    execute emitted code.
 //
 // Hooks may expose two optional members, detected rather than declared:
 // `CostLedger* ledger()` (the block handlers and the jit tally dynamic
@@ -101,7 +99,8 @@ class Executor {
             Block* block = block_cache_->lookup(pc);
             if (block != nullptr && block->len <= max_insns - executed &&
                 block_enterable(*block)) {
-              executed += run_blocks(*block, max_insns - executed);
+              exec_block(*block);
+              executed += block->len;
               continue;
             }
           }
@@ -149,58 +148,6 @@ class Executor {
       return hooks_.admit_block(block);
     } else {
       return true;
-    }
-  }
-
-  // Executes `first` and keeps dispatching successor blocks until a
-  // transition fails to resolve, the next block would exceed `budget`,
-  // control leaves block dispatch (delay-slot CTI, halt, no block at the
-  // target), or a fault unwinds. Returns the number of instructions
-  // retired. `budget` is exact: the loop never retires past it, the outer
-  // loop single-steps the remainder. Transitions follow memoized exit edges
-  // — chain links or the branch-target cache — and re-enter
-  // BlockCache::lookup() only on unresolved edges (memoizing the result).
-  std::uint64_t run_blocks(Block& first, std::uint64_t budget) {
-    Block* block = &first;
-    std::uint64_t executed = 0;
-    for (;;) {
-      exec_block(*block);
-      executed += block->len;
-      Block* const prev = block;
-      if (prev->ends_with_cti && st_.npc != st_.pc + 4) {
-        // True delay slot (npc redirected): single-step it. It may fault,
-        // halt, or itself be a CTI — only a sequential pc/npc pair may
-        // continue the chain.
-        if (executed >= budget) return executed;
-        step();
-        ++executed;
-        if (st_.halted || st_.npc != st_.pc + 4) return executed;
-      }
-      const std::uint32_t pc = st_.pc;
-      Block* next = prev->chain_next(pc);
-      if (next != nullptr) {
-        block_cache_->count_chain_hit();
-      } else {
-        if (prev->indirect_exit) next = block_cache_->btc_lookup(pc);
-        if (next == nullptr) {
-          // A store inside prev's own trace may have flushed it; the
-          // fallback lookup can morph and thereby drain the graveyard
-          // keeping a dead prev alive, so decide link eligibility first.
-          const bool prev_live = !prev->dead;
-          next = block_cache_->lookup_fallback(pc);
-          if (next == nullptr) return executed;
-          if (prev_live) {
-            if (prev->indirect_exit) {
-              block_cache_->btc_insert(pc, next);
-            } else {
-              block_cache_->install_link(*prev, pc, *next);
-            }
-          }
-        }
-      }
-      if (next->len > budget - executed) return executed;
-      if (!block_enterable(*next)) return executed;
-      block = next;
     }
   }
 

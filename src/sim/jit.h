@@ -163,7 +163,7 @@ class JitRuntime {
   void btc_insert(std::uint32_t pc, Block& to);
   std::uint64_t inline_btc_hits() const { return rt_.btc_hits; }
 
-  // Invalidation hook (called from BlockCache::unlink): withdraw every
+  // Invalidation hook (called from BlockCache::invalidate): withdraw every
   // patched jump into and out of `b` so no native path can reach its stale
   // code or trust its stale edges.
   void on_block_death(Block& b);

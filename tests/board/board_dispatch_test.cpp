@@ -72,7 +72,7 @@ void expect_all_modes_identical(const std::string& src,
   const Outcome step = run_board(p, cfg, sim::Dispatch::kStep);
   const Outcome block = run_board(p, cfg, sim::Dispatch::kBlock);
   // kJit runs native code with inline ledger tallies where the host can
-  // execute emitted code and degrades to chained kBlock elsewhere; either
+  // execute emitted code and degrades to kBlock elsewhere; either
   // way it must match.
   const Outcome jit = run_board(p, cfg, sim::Dispatch::kJit);
   EXPECT_EQ(step, block);

@@ -2,9 +2,9 @@
 ! seed: n/a (hand-written regression program)
 ! mix: jmpl
 ! divergence: none on current simulator; guards BTC aliasing. Two
-!   register-indirect return sites 512 bytes apart collide in the
-!   128-entry direct-mapped branch-target cache ((pc >> 2) & 127); a stale
-!   entry surviving eviction would resume after the wrong call site.
+!   register-indirect return sites 512 bytes apart collided in the
+!   interpreter's since-deleted 128-entry branch-target cache
+!   ((pc >> 2) & 127); kept as a dispatch-equality input.
 ! step instret: loop of 40 iterations, two indirect calls each
   .text
   .global _start

@@ -3,9 +3,9 @@
 ! mix: selfmod
 ! divergence: none on current simulator; guards mid-chain invalidation.
 !   The loop's first block stores an xor-toggled instruction word over the
-!   entry of its chained successor ("patch") and then branches into the
-!   rewritten block: the head -> patch chain link installed on iteration 1
-!   must be severed by every later invalidation or a stale trace executes.
+!   entry of its successor ("patch") and then branches into the rewritten
+!   block: every invalidation must flush "patch" (and unpatch the jit's
+!   head -> patch jump) or a stale trace executes.
 ! step instret: 8 iterations alternating the patched immediate (5 / 9)
   .text
   .global _start

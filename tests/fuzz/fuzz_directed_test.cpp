@@ -1,10 +1,10 @@
 // Directed regression programs for the two hardest dispatch-cache hazards
 // the fuzzer targets: branch-target-cache aliasing (two register-indirect
-// arrival sites colliding in the 128-entry direct-mapped BTC) and mid-chain
-// invalidation (a store rewriting the second block of an installed chain
-// link while the first block is the one executing). Both must be
-// architecturally invisible: every dispatch mode agrees with the stepping
-// reference at every budget granularity.
+// arrival sites colliding in the jit's 512-entry direct-mapped inline BTC)
+// and mid-chain invalidation (a store rewriting the second block of a
+// patched jit transition while the first block is the one executing). Both
+// must be architecturally invisible: every dispatch mode agrees with the
+// stepping reference at every budget granularity.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,15 +15,17 @@
 #include "sim/block_cache.h"
 #include "sim/digest.h"
 #include "sim/iss.h"
+#include "sim/jit.h"
 #include "sim/memmap.h"
 
 namespace nfp::fuzz {
 namespace {
 
-// Two call sites 512 bytes apart: their return arrival pcs (site + 8) map
-// to the same BTC entry ((pc >> 2) & 127), so the shared slot is evicted on
-// every iteration. A stale hit would resume after the wrong call site.
-const char* kBtcAliasSource = R"(! btc aliasing: return sites collide mod 512
+// Two call sites 2048 bytes apart: their return arrival pcs (site + 8) map
+// to the same inline-BTC slot ((pc >> 2) & 511), so the shared slot is
+// evicted on every iteration. A stale hit would resume after the wrong call
+// site.
+const char* kBtcAliasSource = R"(! btc aliasing: return sites collide mod 2048
   .text
   .global _start
 _start:
@@ -36,7 +38,7 @@ loop:
   nop
   ba mid
   nop
-  .space 496
+  .space 2032
 mid:
   jmpl %g2, %o7
   nop
@@ -55,11 +57,11 @@ f2:
 )";
 
 // A counted loop whose first block stores an xor-toggled word over the
-// entry instruction of its chained successor ("patch"), then branches into
-// the freshly rewritten block. The chain link head -> patch installs on the
-// first iteration and must be severed by every subsequent invalidation.
+// entry instruction of its successor ("patch"), then branches into the
+// freshly rewritten block. Every iteration's store must flush "patch"
+// before the transition into it resolves.
 const char* kMidChainSource = R"(! mid-chain invalidation: store over the
-! second block of an installed chain link
+! second block of a transition
   .text
   .global _start
 _start:
@@ -96,61 +98,74 @@ TEST(FuzzDirected, BtcAliasingNeverReturnsStaleSuccessor) {
   EXPECT_FALSE(report.diverged) << report.detail;
   EXPECT_TRUE(report.step_halted);
 
-  // The program must actually exercise the aliasing slot: chained dispatch
-  // sees a BTC miss whenever the colliding return evicted the entry.
   sim::Iss iss;
   iss.load(asmkit::assemble(kBtcAliasSource, sim::kTextBase));
   const auto r = iss.run(1'000'000, sim::Dispatch::kBlock);
   ASSERT_TRUE(r.halted);
   EXPECT_EQ(iss.cpu().r[8], 40u * 3u);  // %o0: f1 adds 1, f2 adds 2, x40
-  ASSERT_NE(iss.platform().block_cache(), nullptr);
-  const auto& stats = iss.platform().block_cache()->stats();
-  EXPECT_GE(stats.btc_misses, 40u);
+
+  // The program must actually exercise the aliasing slot: each return
+  // evicts the other's entry, so the jit re-installs one per return.
+  sim::Iss jit;
+  jit.load(asmkit::assemble(kBtcAliasSource, sim::kTextBase));
+  ASSERT_TRUE(jit.run(1'000'000, sim::Dispatch::kJit).halted);
+  if (const sim::JitRuntime* jr = jit.platform().block_cache()->jit()) {
+    EXPECT_GE(jr->stats().btc_inserts, 40u);
+  }
 }
 
 TEST(FuzzDirected, MidChainInvalidationMatchesStepAtEveryBudget) {
-  const auto program = asmkit::assemble(kMidChainSource, sim::kTextBase);
+  struct Input {
+    std::string name;
+    const char* source;
+    std::uint32_t o0;  // %o0 at halt
+  };
+  const Input inputs[] = {
+      // 8 iterations alternating the patched immediate between 5 and 9.
+      {"mid-chain", kMidChainSource, 4u * 5u + 4u * 9u},
+      // 40 iterations, each adding 1 in f1 and 2 in f2.
+      {"btc-alias", kBtcAliasSource, 40u * 3u},
+  };
+  for (const Input& input : inputs) {
+    const auto program = asmkit::assemble(input.source, sim::kTextBase);
+    const std::string& name = input.name;
 
-  sim::Iss probe;
-  probe.load(program);
-  const auto full = probe.run(1'000'000, sim::Dispatch::kStep);
-  ASSERT_TRUE(full.halted);
-  const std::uint64_t total = full.instret;
-  // 8 iterations alternating the patched immediate between 5 and 9.
-  EXPECT_EQ(probe.cpu().r[8], 4u * 5u + 4u * 9u);
+    sim::Iss probe;
+    probe.load(program);
+    const auto full = probe.run(1'000'000, sim::Dispatch::kStep);
+    ASSERT_TRUE(full.halted) << name;
+    const std::uint64_t total = full.instret;
+    EXPECT_EQ(probe.cpu().r[8], input.o0) << name;
 
-  sim::Iss ref;
-  sim::Iss dut;
-  for (std::uint64_t budget = 1; budget <= total; ++budget) {
-    ref.load(program);
-    ref.run(budget, sim::Dispatch::kStep);
-    for (const auto mode : {sim::Dispatch::kBlock, sim::Dispatch::kJit}) {
-      dut.load(program);
-      dut.run(budget, mode);
-      ASSERT_EQ(dut.cpu().instret, ref.cpu().instret) << "budget " << budget;
-      ASSERT_EQ(dut.cpu().pc, ref.cpu().pc) << "budget " << budget;
-      ASSERT_EQ(sim::arch_digest(dut.cpu(), dut.bus()),
-                sim::arch_digest(ref.cpu(), ref.bus()))
-          << "budget " << budget;
-      ASSERT_EQ(dut.counters().counts, ref.counters().counts)
-          << "retire vector diverged at budget " << budget;
+    sim::Iss ref;
+    sim::Iss dut;
+    for (std::uint64_t budget = 1; budget <= total; ++budget) {
+      ref.load(program);
+      ref.run(budget, sim::Dispatch::kStep);
+      for (const auto mode : {sim::Dispatch::kBlock, sim::Dispatch::kJit}) {
+        dut.load(program);
+        dut.run(budget, mode);
+        const std::string where = name + " budget " + std::to_string(budget);
+        ASSERT_EQ(dut.cpu().instret, ref.cpu().instret) << where;
+        ASSERT_EQ(dut.cpu().pc, ref.cpu().pc) << where;
+        ASSERT_EQ(sim::arch_digest(dut.cpu(), dut.bus()),
+                  sim::arch_digest(ref.cpu(), ref.bus()))
+            << where;
+        ASSERT_EQ(dut.counters().counts, ref.counters().counts)
+            << "retire vector diverged at " << where;
+      }
     }
   }
 }
 
-TEST(FuzzDirected, MidChainLoopInstallsAndSeversLinks) {
-  // Guards the premise of the budget sweep: links must install every
-  // iteration and invalidation must sever them again (each store kills the
-  // just-installed edge before it can be followed, so chain_hits stays 0 —
-  // the re-install/sever churn is exactly the hazard under test).
+TEST(FuzzDirected, MidChainLoopFlushesPatchedBlock) {
+  // Guards the premise of the budget sweep: each store must flush the
+  // block it rewrites, so every transition into it morphs afresh.
   sim::Iss iss;
   iss.load(asmkit::assemble(kMidChainSource, sim::kTextBase));
   ASSERT_TRUE(iss.run(1'000'000, sim::Dispatch::kBlock).halted);
   ASSERT_NE(iss.platform().block_cache(), nullptr);
-  const auto& stats = iss.platform().block_cache()->stats();
-  EXPECT_GT(stats.links_installed, 0u);
-  EXPECT_GT(stats.links_severed, 0u);
-  EXPECT_GT(stats.flushes, 0u);
+  EXPECT_GT(iss.platform().block_cache()->stats().flushes, 0u);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ const char* mode_name(Dispatch d) {
 }
 
 // Three-way differential: the single-step reference against both
-// whole-block modes (chained morph-cache blocks, and the jit, which runs
+// whole-block modes (morph-cache blocks, and the jit, which runs
 // kBlock where the host cannot execute emitted code).
 // Per-op equality implies per-category equality for any category map.
 void expect_identical(const model::KernelJob& job) {
@@ -219,9 +219,9 @@ word:   mov 7, %o0
   EXPECT_GE(iss.platform().block_cache()->stats().flushes, 1u);
 }
 
-TEST(BlockCache, ChainLinksResolveHotLoopEdges) {
-  // A two-block cycle: after the first traversal installs the links, every
-  // further transition must ride the chain, not lookup().
+TEST(BlockCache, HotLoopMorphsEachBlockOnce) {
+  // A hot loop: every transition resolves through lookup(), which must find
+  // the loop block already morphed on each of the ~100 re-entries.
   Iss iss;
   const auto prog = asmkit::assemble(R"(
 _start: mov 0, %l0
@@ -239,16 +239,15 @@ loop:   add %o0, %l0, %o0
   ASSERT_TRUE(r.halted);
   EXPECT_EQ(r.exit_code, 4950u);
   const auto& stats = iss.platform().block_cache()->stats();
-  EXPECT_GE(stats.links_installed, 1u);
-  // ~100 loop iterations, each a chained re-entry of the loop block.
-  EXPECT_GE(stats.chain_hits, 90u);
-  EXPECT_LT(stats.lookup_fallbacks, 10u);
-  EXPECT_EQ(stats.links_severed, 0u);
+  // The entry block (which runs into the loop body), the loop block, and
+  // the exit's delay slot (sequential once bne falls through).
+  EXPECT_EQ(stats.blocks_morphed, 3u);
+  EXPECT_EQ(stats.flushes, 0u);
 }
 
-TEST(BlockCache, BtcResolvesRegisterIndirectReturns) {
-  // A call/retl loop: the return's jmpl exit is register-indirect, so its
-  // successor must resolve through the branch-target cache.
+TEST(BlockCache, RegisterIndirectReturnsMorphOnce) {
+  // A call/retl loop: the return's jmpl exit is register-indirect, and its
+  // register-dependent successor must still resolve to the morphed block.
   Iss iss;
   const auto prog = asmkit::assemble(R"(
 _start: mov 0, %l0
@@ -269,21 +268,20 @@ fn:     retl
   ASSERT_TRUE(r.halted);
   EXPECT_EQ(r.exit_code, 100u);
   const auto& stats = iss.platform().block_cache()->stats();
-  // 50 returns; all but the first (which misses and seeds the BTC) hit.
-  EXPECT_GE(stats.btc_hits, 40u);
-  EXPECT_GE(stats.btc_misses, 1u);
-  EXPECT_GE(stats.chain_hits, 40u);
+  // Entry, call, return, loop-tail and exit delay-slot blocks, each
+  // morphed on first use.
+  EXPECT_EQ(stats.blocks_morphed, 5u);
+  EXPECT_EQ(stats.flushes, 0u);
 }
 
 TEST(BlockCache, StoreFlushesChainedSuccessorAndPredecessorInFlight) {
   // Block X (at `loop`) patches the first word of block B every iteration,
-  // then transfers into B; B transfers straight back to X. Once the first
-  // traversal installs X->B and B->X, each later store flushes B while X —
-  // B's chained predecessor AND successor — is the block in flight. The
-  // severed links must force a fresh lookup/morph of B, so each iteration
-  // executes the just-patched instruction (the bits toggle between
-  // "mov 1, %o1" and "mov 7, %o1"); following a stale trace would add the
-  // previous iteration's value and change the sum.
+  // then transfers into B; B transfers straight back to X. Each store
+  // flushes B while X — B's predecessor AND successor — is the block in
+  // flight. The flush must force a fresh lookup/morph of B, so each
+  // iteration executes the just-patched instruction (the bits toggle
+  // between "mov 1, %o1" and "mov 7, %o1"); following a stale trace would
+  // add the previous iteration's value and change the sum.
   const auto prog = asmkit::assemble(R"(
 _start: mov 0, %l7
         mov 0, %o0
@@ -314,8 +312,6 @@ word:   mov 7, %o1
   EXPECT_EQ(r.exit_code, 16u);
   const auto& stats = iss.platform().block_cache()->stats();
   EXPECT_GE(stats.flushes, 3u);
-  EXPECT_GE(stats.links_installed, 2u);
-  EXPECT_GE(stats.links_severed, 2u);
 }
 
 TEST(BlockCache, LookupRejectsMisalignedAndForeignPcs) {

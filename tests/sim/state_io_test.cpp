@@ -425,7 +425,7 @@ TEST(StateIoWarm, CountersRestartAtEveryInstall) {
   const auto expect_zero = [&](const std::string& where) {
     const BlockCache& bc = *iss.platform().block_cache();
     EXPECT_EQ(bc.stats().blocks_morphed, 0u) << where;
-    EXPECT_EQ(bc.stats().chain_hits, 0u) << where;
+    EXPECT_EQ(bc.stats().flushes, 0u) << where;
     if (const JitRuntime* jit = iss.platform().block_cache()->jit()) {
       EXPECT_EQ(jit->stats().blocks_compiled, 0u) << where;
       EXPECT_EQ(jit->stats().entries, 0u) << where;

@@ -24,8 +24,8 @@
 //                       runs native code with its cost-ledger tallies
 //                       inline)
 //     --sim-stats       print one JSON line after the run: "iss" holds
-//                       "block_cache" (BlockCache::Stats: morphs, flushes,
-//                       chain/BTC counters) and "jit" (JitRuntime counters,
+//                       "block_cache" (BlockCache::Stats: morphs and
+//                       flushes) and "jit" (JitRuntime counters,
 //                       null without a jit runtime); with --board the line
 //                       follows the board run and adds "board", the same
 //                       two plus "events" (board/events.h)
