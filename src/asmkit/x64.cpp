@@ -364,6 +364,7 @@ void Emitter::shift_cl32(std::uint8_t ext, Gp r) {
 void Emitter::shl_ri(Gp r, std::uint8_t imm) { shift_ri(false, 4, r, imm); }
 void Emitter::shl_ri64(Gp r, std::uint8_t imm) { shift_ri(true, 4, r, imm); }
 void Emitter::shr_ri(Gp r, std::uint8_t imm) { shift_ri(false, 5, r, imm); }
+void Emitter::shr_ri64(Gp r, std::uint8_t imm) { shift_ri(true, 5, r, imm); }
 void Emitter::sar_ri(Gp r, std::uint8_t imm) { shift_ri(false, 7, r, imm); }
 void Emitter::shl_cl(Gp r) { shift_cl32(4, r); }
 void Emitter::shr_cl(Gp r) { shift_cl32(5, r); }
@@ -431,6 +432,12 @@ void Emitter::setcc_m(Cc cc, const Mem& m) {
 
 void Emitter::lea_r32(Gp dst, const Mem& m) {
   rex_rm(false, dst, m);
+  u8(0x8D);
+  modrm_mem(static_cast<unsigned>(dst), m);
+}
+
+void Emitter::lea_r64(Gp dst, const Mem& m) {
+  rex_rm(true, dst, m);
   u8(0x8D);
   modrm_mem(static_cast<unsigned>(dst), m);
 }

@@ -128,6 +128,7 @@ class Emitter {
   void imul_rr(Gp dst, Gp src);  // imul r32, r32
   void shl_ri(Gp r, std::uint8_t imm);
   void shl_ri64(Gp r, std::uint8_t imm);      // shl r64, imm8
+  void shr_ri64(Gp r, std::uint8_t imm);      // shr r64, imm8
   void shr_ri(Gp r, std::uint8_t imm);
   void sar_ri(Gp r, std::uint8_t imm);
   void shl_cl(Gp r);
@@ -142,6 +143,7 @@ class Emitter {
   void setcc_r(Cc cc, Gp dst);            // setcc r8 (forces REX for spl..dil)
   void setcc_m(Cc cc, const Mem& m);      // setcc byte [m]
   void lea_r32(Gp dst, const Mem& m);     // lea r32, [m] (32-bit truncation)
+  void lea_r64(Gp dst, const Mem& m);     // lea r64, [m]
 
   // ---- SSE2 scalar (single = *ss, double = *sd) -----------------------------
   void movss_rm(Xmm dst, const Mem& m);   // movss xmm, dword [m]

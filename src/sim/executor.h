@@ -14,12 +14,14 @@
 //    kBatchRetire (see block_cache.h). Every block exit resolves its
 //    successor through BlockCache::lookup().
 //  - kJit: the x86-64 template JIT tier above the morph cache (sim/jit.h):
-//    compiled blocks execute natively with retire counters and instret
-//    batched to one add per counter per block, and resolved transitions
-//    patched directly into the emitted code. Hooks keeping a cost ledger
-//    (the board, sim/ledger.h) get its tallies emitted inline. Per-block
-//    fallback to the kBlock interpreter for blocks the compiler rejects (a
-//    cached board's loads), global fallback to kBlock when the host cannot
+//    compiled blocks execute natively with instret batched to one add per
+//    block exit and retire counts to one visit counter per exit path
+//    (folded into the counts vector whenever run_jit returns), and
+//    resolved transitions patched directly into the emitted code. Hooks
+//    keeping a cost ledger (the board, sim/ledger.h) get its tallies
+//    emitted inline. Per-block fallback to the kBlock interpreter for
+//    blocks the compiler rejects (a cached board's loads) or whose hoisted
+//    address check fails, global fallback to kBlock when the host cannot
 //    execute emitted code.
 //
 // Hooks may expose two optional members, detected rather than declared:
@@ -153,12 +155,18 @@ class Executor {
 
   // Dispatch::kJit host loop. Native code covers intra-block execution,
   // batched retire/instret accounting, cost-ledger tallies, and patched
-  // block-to-block chaining; this loop covers everything else: delay slots
-  // the compiler did not fold (single-step), pcs with no block, refused or
-  // rejected blocks (step / exec_block, the per-block kBlock fallback),
-  // budget tails, transition patching, and fault reconciliation.
+  // block-to-block transitions; this loop covers everything else: delay
+  // slots the compiler did not fold (single-step), pcs with no block,
+  // refused or rejected blocks and blocks whose hoisted address check
+  // failed (step / exec_block, the per-block kBlock fallback), budget
+  // tails, transition patching, and fault reconciliation.
   std::uint64_t run_jit(JitRuntime& jr, std::uint64_t max_insns) {
     jr.configure(&st_, counts_ptr(), ledger_ptr());
+    // Every return, a fault included, leaves the counts vector exact.
+    struct FoldOnReturn {
+      JitRuntime& jr;
+      ~FoldOnReturn() { jr.fold_counts(); }
+    } fold{jr};
     std::uint64_t executed = 0;
     while (!st_.halted && executed < max_insns) {
       const std::uint32_t pc = st_.pc;
@@ -193,6 +201,7 @@ class Executor {
         }
       }
       const std::uint64_t remaining = jr.enter(*block, budget);
+      jr.fold_dying();  // before a lookup() may free a block that just died
       if (jr.faulted()) {
         const auto [meta, idx] = jr.take_fault();
         // The faulting block may have been flushed mid-flight (it stored
@@ -212,11 +221,21 @@ class Executor {
         std::rethrow_exception(jr.take_exception());
       }
       executed += budget - remaining;
+      if (jr.take_guard_miss()) {
+        // A block's hoisted address check failed (an MMIO base, a store
+        // into the text, misalignment, off-RAM): it runs once through the
+        // interpreter, whose records check every access. Its prologue
+        // already found the budget sufficient.
+        if (Block* missed = jr.last_block()) {
+          exec_block(*missed);
+          executed += missed->len;
+        }
+      }
     }
     return executed;
   }
 
-  // The retire-counter vector emitted code bumps at block exits; hooks
+  // The retire-counter vector the jit folds its exit visits into; hooks
   // without one (NullHooks) run uncounted native code.
   std::uint64_t* counts_ptr() {
     if constexpr (kHasLedger) {

@@ -32,9 +32,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cerrno>
 #include <cstddef>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <system_error>
 #include <type_traits>
@@ -84,6 +86,9 @@ Block* JitRuntime::last_block() const { return nullptr; }
 void JitRuntime::patch_transition(JitBlockMeta&, std::uint32_t, Block&) {}
 void JitRuntime::on_block_death(Block&) {}
 void JitRuntime::reset_code() {}
+void JitRuntime::fold_counts() noexcept {}
+void JitRuntime::fold_slots(const JitBlockMeta&) noexcept {}
+void JitRuntime::fold_dying_slow() noexcept {}
 
 #else  // NFP_JIT_ENABLED
 
@@ -110,9 +115,11 @@ static_assert(offsetof(JitRt, touched) == 16);
 static_assert(offsetof(JitRt, counts) == 24);
 static_assert(offsetof(JitRt, cur_meta) == 32);
 static_assert(offsetof(JitRt, fault_idx) == 40);
+static_assert(offsetof(JitRt, guard_miss) == 44);
 static_assert(offsetof(JitRt, ledger) == 56);
 static_assert(offsetof(JitRt, btc) == 64);
 static_assert(offsetof(JitRt, btc_hits) == 72);
+static_assert(offsetof(JitRt, visits) == 80);
 static_assert(sizeof(JitBtcSlot) == 16);
 
 // Ledger tallies are addressed as [%r15 + field + 8*op]; the operand
@@ -280,9 +287,11 @@ constexpr std::int32_t kOffInstret = 280;
 constexpr std::int32_t kRtTouched = 16;
 constexpr std::int32_t kRtCounts = 24;
 constexpr std::int32_t kRtCurMeta = 32;
+constexpr std::int32_t kRtGuardMiss = 44;
 constexpr std::int32_t kRtLedger = 56;
 constexpr std::int32_t kRtBtc = 64;
 constexpr std::int32_t kRtBtcHits = 72;
+constexpr std::int32_t kRtVisits = 80;
 
 constexpr std::int32_t kLgHist = offsetof(CostLedger, prev_a);
 constexpr std::int32_t kLgPrevAddr = offsetof(CostLedger, prev_addr);
@@ -336,13 +345,169 @@ bool delay_foldable(Op op) {
   }
 }
 
+// What the compiler knows about a guest register at one point of a block:
+// nothing, a constant, or its value at block entry plus a constant.
+struct RegFact {
+  enum class Kind : std::uint8_t { kUnknown, kConst, kEntry };
+  Kind kind = Kind::kUnknown;
+  std::uint8_t base = 0;    // kEntry: the register read at block entry
+  std::uint32_t value = 0;  // kConst: the value; kEntry: the added constant
+
+  static RegFact constant(std::uint32_t v) { return {Kind::kConst, 0, v}; }
+  static RegFact entry(std::uint8_t r, std::uint32_t off) {
+    return {Kind::kEntry, r, off};
+  }
+  bool is_const() const { return kind == Kind::kConst; }
+};
+using RegFacts = std::array<RegFact, 32>;
+
+RegFacts entry_facts() {
+  RegFacts f;
+  f[0] = RegFact::constant(0);
+  for (std::uint8_t r = 1; r < 32; ++r) f[r] = RegFact::entry(r, 0);
+  return f;
+}
+
+RegFact op2_fact(const RegFacts& f, const isa::DecodedInsn& d) {
+  return d.has_imm ? RegFact::constant(static_cast<std::uint32_t>(d.imm))
+                   : f[d.rs2];
+}
+
+// a + b or a - b: constants fold, and an entry value plus a constant stays
+// one.
+RegFact add_fact(const RegFact& a, const RegFact& b, bool sub) {
+  if (b.is_const() && a.kind != RegFact::Kind::kUnknown) {
+    return {a.kind, a.base, sub ? a.value - b.value : a.value + b.value};
+  }
+  if (!sub && a.is_const() && b.kind == RegFact::Kind::kEntry) {
+    return RegFact::entry(b.base, b.value + a.value);
+  }
+  return {};
+}
+
+// The logic ops and shifts on constants; `or`/`xor` with a zero operand
+// (the `mov` idiom) pass the other operand's fact through.
+RegFact logic_fact(Op op, const RegFact& a, const RegFact& b) {
+  const bool zero_pass = op == Op::kOr || op == Op::kOrcc || op == Op::kXor ||
+                         op == Op::kXorcc;
+  if (zero_pass && a.is_const() && a.value == 0) return b;
+  if (zero_pass && b.is_const() && b.value == 0) return a;
+  if (!a.is_const() || !b.is_const()) return {};
+  const std::uint32_t x = a.value;
+  const std::uint32_t y = b.value;
+  switch (op) {
+    case Op::kAnd: case Op::kAndcc: return RegFact::constant(x & y);
+    case Op::kAndn: case Op::kAndncc: return RegFact::constant(x & ~y);
+    case Op::kOr: case Op::kOrcc: return RegFact::constant(x | y);
+    case Op::kOrn: case Op::kOrncc: return RegFact::constant(x | ~y);
+    case Op::kXor: case Op::kXorcc: return RegFact::constant(x ^ y);
+    case Op::kXnor: case Op::kXnorcc: return RegFact::constant(x ^ ~y);
+    case Op::kSll: return RegFact::constant(x << (y & 31));
+    case Op::kSrl: return RegFact::constant(x >> (y & 31));
+    case Op::kSra:
+      return RegFact::constant(static_cast<std::uint32_t>(
+          static_cast<std::int32_t>(x) >> (y & 31)));
+    default: return {};
+  }
+}
+
+// Advances the register facts over one record (the CTI's own link-register
+// write is the caller's).
+void step_facts(RegFacts& f, const isa::DecodedInsn& d) {
+  RegFact out;
+  switch (d.op) {
+    case Op::kSethi:
+      out = RegFact::constant(static_cast<std::uint32_t>(d.imm));
+      break;
+    case Op::kAdd: case Op::kAddcc: case Op::kSave: case Op::kRestore:
+      out = add_fact(f[d.rs1], op2_fact(f, d), false);
+      break;
+    case Op::kSub: case Op::kSubcc:
+      out = add_fact(f[d.rs1], op2_fact(f, d), true);
+      break;
+    case Op::kAnd: case Op::kAndcc: case Op::kAndn: case Op::kAndncc:
+    case Op::kOr: case Op::kOrcc: case Op::kOrn: case Op::kOrncc:
+    case Op::kXor: case Op::kXorcc: case Op::kXnor: case Op::kXnorcc:
+    case Op::kSll: case Op::kSrl: case Op::kSra:
+      out = logic_fact(d.op, f[d.rs1], op2_fact(f, d));
+      break;
+    case Op::kLdd:
+      if (d.rd < 31) f[d.rd + 1u] = {};
+      break;
+    case Op::kNop: case Op::kWry: case Op::kLdf: case Op::kLddf:
+    case Op::kBicc: case Op::kFbfcc: case Op::kCall: case Op::kJmpl:
+      return;
+    default:
+      if (isa::is_store(d.op) || isa::is_fpu(d.op)) return;
+      break;  // every other record writes rd with a runtime value
+  }
+  if (d.rd != 0) f[d.rd] = out;
+}
+
+// Bytes a templated load or store moves (also its alignment).
+std::uint32_t access_width(Op op) {
+  switch (op) {
+    case Op::kLdub: case Op::kLdsb: case Op::kStb: return 1;
+    case Op::kLduh: case Op::kLdsh: case Op::kSth: return 2;
+    case Op::kLdd: case Op::kLddf: case Op::kStd: case Op::kStdf: return 8;
+    default: return 4;
+  }
+}
+
+// One half of an operand-toggle record: a compile-time constant, or a
+// 32-bit CpuState field (a shift count masked to 5 bits).
+struct OperandHalf {
+  bool is_const = true;
+  std::uint32_t value = 0;
+  std::int32_t off = 0;
+  bool mask31 = false;
+};
+
+// One half of the ledger's operand history prev_b:prev_a: known at compile
+// time (%rbp's half is stale), or held in its half of %rbp.
+struct HistHalf {
+  bool known = false;
+  std::uint32_t value = 0;
+};
+
+// The compile-time share of a block's toggle accounting at one point:
+// which history halves are constants, and the constant popcounts not yet
+// added into the ledger (per op).
+struct LazyToggles {
+  std::array<HistHalf, 2> hist{};  // [0] prev_a, [1] prev_b
+  std::vector<std::pair<Op, std::uint32_t>> pending;
+
+  bool canonical() const { return !hist[0].known && !hist[1].known; }
+  bool clean() const { return canonical() && pending.empty(); }
+  void add(Op op, std::uint32_t k) {
+    if (k == 0) return;
+    for (auto& [o, sum] : pending) {
+      if (o == op) {
+        sum += k;
+        return;
+      }
+    }
+    pending.emplace_back(op, k);
+  }
+};
+
 // Per-block code generator. Compiles from the predecoded DecodedInsn image
 // (MorphInsn erases has_imm); valid because a live block proves its words
 // are unchanged since morph time.
+//
+// Three block-local facts shape the code. A forward pass over the body
+// (analyze) tracks each guest register as unknown, a constant, or a
+// block-entry register plus a constant. Loads and stores whose address is
+// an entry register plus a constant drop their alignment, RAM-range and
+// text-store guards for one range-and-alignment check per base register in
+// the prologue. Operand-toggle records fold constant halves at compile time
+// (LazyToggles). Every exit path bumps one visit counter instead of one
+// retire counter per op.
 class BlockCompiler {
  public:
   BlockCompiler(BlockCache& cache, const Block& b, const JitBlockMeta* meta,
-                bool counted, const CostLedger* ledger)
+                bool counted, const CostLedger* ledger,
+                std::uint32_t slot_base)
       : b_(b),
         meta_(meta),
         counted_(counted),
@@ -350,19 +515,36 @@ class BlockCompiler {
         dcache_(cache.dcache()),
         word0_((b.start - cache.code_base()) / 4),
         code_base_(cache.code_base()),
-        code_limit_(cache.code_limit()) {}
+        code_limit_(cache.code_limit()),
+        slot_base_(slot_base) {}
 
   bool compile();
   const x::Emitter& emitter() const { return e_; }
   std::vector<JitExit> take_exits() { return std::move(exits_); }
+  // The op a visit slot's exit path folds from the delay slot, per slot
+  // (JitRuntime::kNoExtra: none).
+  const std::vector<std::uint8_t>& slot_extras() const { return slot_extras_; }
   bool folds_delay() const { return folds_delay_; }
 
  private:
+  // The compile-time state a control-flow split must restore for its
+  // second path.
+  struct State {
+    RegFacts facts;
+    LazyToggles lazy;
+  };
+  State save() const { return {facts_, lazy_}; }
+  void restore(const State& s) {
+    facts_ = s.facts;
+    lazy_ = s.lazy;
+  }
+
   struct ColdCall {
     x::Label slow;
     x::Label resume;
     std::uint32_t idx = 0;
     bool returns = true;  // false: the helper is known to fault (jmpl align)
+    LazyToggles lazy;     // the toggle state at the call site
   };
   // Out-of-line SDRAM row-miss tally of one memory op (%ecx = new row,
   // %eax = the access's toggle popcount).
@@ -371,15 +553,37 @@ class BlockCompiler {
     x::Label resume;
     Op op = Op::kInvalid;
   };
+  // A helper's fault exit from a site whose toggle state is not clean: it
+  // adds the site's pending constants into the ledger and rebuilds %rbp
+  // before the thunk stores it as the history.
+  struct FaultStub {
+    x::Label entry;
+    LazyToggles lazy;
+  };
+  // One prologue check covering every hoisted access through `reg`: its
+  // block-entry value must lie in [lo, hi] and be ≡ -align_off modulo
+  // `align`.
+  struct BaseCheck {
+    std::uint8_t reg = 0;
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+    std::uint32_t align = 1;
+    std::uint32_t align_off = 0;
+    bool ok = true;
+  };
 
   ColdCall& new_cold(std::uint32_t idx, bool returns = true) {
     colds_.push_back(ColdCall{});
     colds_.back().idx = idx;
     colds_.back().returns = returns;
+    colds_.back().lazy = lazy_;
     return colds_.back();
   }
 
+  void analyze(std::uint32_t body);
+  void emit_base_checks(x::Label& miss);
   void emit_insn(const isa::DecodedInsn& d, std::uint32_t i);
+  void emit_record(const isa::DecodedInsn& d, std::uint32_t i);
   void emit_load(const isa::DecodedInsn& d, std::uint32_t i);
   void emit_store(const isa::DecodedInsn& d, std::uint32_t i);
   void emit_fpu(const isa::DecodedInsn& d, std::uint32_t i);
@@ -393,7 +597,7 @@ class BlockCompiler {
   void emit_delayed_exit(std::uint32_t cti_pc, std::uint32_t target);
   void emit_static_exit(std::uint32_t exit_pc, std::uint32_t retired,
                         int extra_op, int cti_taken = -1);
-  void emit_counts(int extra_op);
+  void emit_exit_accounting(std::uint32_t retired, int extra_op);
   void emit_helper_call(std::uint32_t i);
   void emit_ea(const isa::DecodedInsn& d);
 
@@ -406,10 +610,16 @@ class BlockCompiler {
   }
   bool tallies_toggles_inline(const isa::DecodedInsn& d) const;
   void pick_accumulators();
-  void emit_retire_operands(const isa::DecodedInsn& d);
+  static std::array<OperandHalf, 2> operand_halves(
+      const RegFacts& f, const isa::DecodedInsn& d);
+  void emit_alu_toggles(const isa::DecodedInsn& d);
+  void emit_packed_toggles(const isa::DecodedInsn& d,
+                           const std::array<OperandHalf, 2>& h);
   void emit_operand_toggles(Op op);
+  void emit_canonical_history();
   void emit_toggle_add(Op op);
   void emit_flush_accumulators();
+  void emit_flush_pending(bool to_memory);
   void emit_clear_accumulators();
   void emit_memory_tally(Op op);
   void emit_untaken_tally() {
@@ -446,6 +656,7 @@ class BlockCompiler {
   std::uint32_t word0_;
   std::uint32_t code_base_;
   std::uint32_t code_limit_;
+  std::uint32_t slot_base_;
 
   // The terminating CTI's delay slot, and whether it folds into the exit.
   const isa::DecodedInsn* delay_ = nullptr;
@@ -453,13 +664,24 @@ class BlockCompiler {
   // Toggle sums kept in kAccRegs[k] for accs_[k] until an exit or a helper
   // call adds them into toggles[op].
   std::vector<Op> accs_;
+  // Register facts before the record being emitted, and the toggle state.
+  RegFacts facts_ = entry_facts();
+  LazyToggles lazy_;
+  // Per body record: its address guards are hoisted into the prologue.
+  std::vector<bool> hoisted_;
+  std::vector<BaseCheck> checks_;
+  // Per body record: an operand-toggle record with a runtime half (analyze
+  // counts these for pick_accumulators).
+  std::vector<bool> runtime_toggles_;
 
   x::Emitter e_;
   x::Label bail_;
   x::Label fault_;
   std::vector<ColdCall> colds_;
   std::vector<RowMiss> row_misses_;
+  std::vector<FaultStub> fault_stubs_;
   std::vector<JitExit> exits_;
+  std::vector<std::uint8_t> slot_extras_;
   bool folds_delay_ = false;
   bool failed_ = false;
 };
@@ -487,17 +709,22 @@ bool BlockCompiler::compile() {
             (ledger_ == nullptr ||
              !ledger_->step_only[static_cast<std::size_t>(delay_->op)]);
   }
+  analyze(body);
   pick_accumulators();
 
   // Prologue: budget check (bail leaves the budget untouched and
   // materializes pc/npc at the block entry — a patched chain arrives here
   // without going through any exit stub), then announce this block as the
-  // running one, claim its retirement from the budget and clear its toggle
-  // accumulators.
+  // running one, check the hoisted base registers (a miss bails the same
+  // way and raises JitRt::guard_miss, so the host runs this block once
+  // through exec_block), claim its retirement from the budget and clear its
+  // toggle accumulators.
+  x::Label guard_miss;
   e_.cmp_ri64(kBudget, static_cast<std::int32_t>(len));
   e_.jcc(Cc::kB, bail_);
   e_.mov_ri64(Gp::rax, reinterpret_cast<std::uint64_t>(meta_));
   e_.mov_mr64(x::ptr(kRt, kRtCurMeta), Gp::rax);
+  emit_base_checks(guard_miss);
   e_.sub_ri64(kBudget, static_cast<std::int32_t>(len));
   emit_clear_accumulators();
 
@@ -512,15 +739,20 @@ bool BlockCompiler::compile() {
   }
   if (failed_) return false;
 
+  if (std::any_of(checks_.begin(), checks_.end(),
+                  [](const BaseCheck& c) { return c.ok; })) {
+    e_.bind(guard_miss);
+    e_.mov_mi(x::ptr(kRt, kRtGuardMiss), 1);
+  }
   e_.bind(bail_);
   e_.mov_mi(x::ptr(kCpu, kOffPc), b_.start);
   e_.mov_mi(x::ptr(kCpu, kOffNpc), b_.start + 4);
   e_.ret();
 
   // Cold section: row-miss tallies, then one helper call per slow-path
-  // site. On success the native trace RESUMES — matching the interpreter's
-  // stale-trace-in-flight semantics even when the record just invalidated
-  // this very block.
+  // site (emitted with that site's toggle state). On success the native
+  // trace RESUMES — matching the interpreter's stale-trace-in-flight
+  // semantics even when the record just invalidated this very block.
   for (RowMiss& r : row_misses_) {
     e_.bind(r.entry);
     e_.mov_rr(kOpenRow, Gp::rcx);
@@ -533,6 +765,7 @@ bool BlockCompiler::compile() {
   }
   for (ColdCall& c : colds_) {
     e_.bind(c.slow);
+    lazy_ = c.lazy;
     emit_helper_call(c.idx);
     if (c.returns) {
       e_.jmp(c.resume);
@@ -540,9 +773,121 @@ bool BlockCompiler::compile() {
       e_.int3();  // helper is known to fault; jnz above always leaves
     }
   }
+  for (FaultStub& f : fault_stubs_) {
+    e_.bind(f.entry);
+    lazy_ = f.lazy;
+    emit_flush_pending(/*to_memory=*/true);
+    emit_canonical_history();
+    e_.jmp(fault_);
+  }
   e_.bind(fault_);
   e_.ret();
   return true;
+}
+
+// The forward pass behind the hoisted address checks and the accumulator
+// choice. A templated load or store whose address is a block-entry
+// register plus a constant joins its base register's check: the entry
+// value B must keep every such access in range (loads in [kRamBase,
+// kRamEnd), stores in [text end, kRamEnd) and only when the text starts at
+// kRamBase, so no store can reach it) and aligned. A constant address is
+// checked here, once. Accesses whose base cannot pass (contradictory
+// alignments, an empty range) keep their per-access guards.
+void BlockCompiler::analyze(std::uint32_t body) {
+  struct Access {
+    std::uint32_t idx;
+    std::uint8_t base;
+    std::uint32_t off;
+    std::uint32_t width;
+    std::int64_t lo;  // B >= lo and B <= hi keep the access in range
+    std::int64_t hi;
+  };
+  std::vector<Access> accesses;
+  hoisted_.assign(body, false);
+  runtime_toggles_.assign(body, true);
+  const bool stores_hoistable = code_base_ == kRamBase;
+  RegFacts f = entry_facts();
+  for (std::uint32_t i = 0; i < body; ++i) {
+    const isa::DecodedInsn& d = dcache_[word0_ + i];
+    if (delay_foldable(d.op)) {
+      const auto h = operand_halves(f, d);
+      runtime_toggles_[i] = !h[0].is_const || !h[1].is_const;
+    }
+    const std::uint32_t w = access_width(d.op);
+    const bool load = isa::is_load(d.op);
+    const bool templated = (load || isa::is_store(d.op)) &&
+                           !(w == 8 && (d.rd & 1) != 0);
+    if (templated && (load || stores_hoistable)) {
+      const RegFact ea = add_fact(f[d.rs1], op2_fact(f, d), false);
+      const std::int64_t floor =
+          load ? std::int64_t{kRamBase}
+               : std::int64_t{code_base_} + std::int64_t{code_limit_};
+      if (ea.is_const()) {
+        hoisted_[i] = ea.value % w == 0 && ea.value >= floor &&
+                      std::int64_t{ea.value} + w <= std::int64_t{kRamEnd};
+      } else if (ea.kind == RegFact::Kind::kEntry) {
+        const std::int64_t off = static_cast<std::int32_t>(ea.value);
+        accesses.push_back(
+            {i, ea.base, ea.value, w, floor - off, kRamEnd - w - off});
+      }
+    }
+    step_facts(f, d);
+  }
+  for (const Access& a : accesses) {
+    auto it = std::find_if(checks_.begin(), checks_.end(),
+                           [&](const BaseCheck& c) { return c.reg == a.base; });
+    if (it == checks_.end()) {
+      checks_.push_back(BaseCheck{});
+      it = checks_.end() - 1;
+      it->reg = a.base;
+      it->lo = a.lo;
+      it->hi = a.hi;
+    }
+    it->lo = std::max(it->lo, a.lo);
+    it->hi = std::min(it->hi, a.hi);
+    if (a.width > it->align) {
+      it->align = a.width;
+      it->align_off = a.off;
+    }
+  }
+  for (BaseCheck& c : checks_) {
+    for (const Access& a : accesses) {
+      // B + off_a ≡ 0 (mod width_a) must follow from B + align_off ≡ 0
+      // (mod align); widths are powers of two dividing align.
+      if (a.base == c.reg && ((a.off - c.align_off) & (a.width - 1)) != 0) {
+        c.ok = false;
+      }
+    }
+    c.ok = c.ok && c.lo <= c.hi && -c.lo >= INT32_MIN && -c.lo <= INT32_MAX &&
+           c.hi - c.lo <= INT32_MAX;
+  }
+  for (const Access& a : accesses) {
+    for (const BaseCheck& c : checks_) {
+      if (c.reg == a.base) hoisted_[a.idx] = c.ok;
+    }
+  }
+}
+
+// One check per hoisted base register, against its block-entry value:
+// B - lo <= hi - lo unsigned over 64 bits (so B below lo wraps high), then
+// the alignment of B + align_off. Clobbers %rax, %rcx and %rdx.
+void BlockCompiler::emit_base_checks(x::Label& miss) {
+  for (const BaseCheck& c : checks_) {
+    if (!c.ok) continue;
+    e_.mov_rm(Gp::rcx, reg_m(c.reg));  // zero-extends into %rcx
+    e_.lea_r64(Gp::rdx, x::ptr(Gp::rcx, static_cast<std::int32_t>(-c.lo)));
+    e_.cmp_ri64(Gp::rdx, static_cast<std::int32_t>(c.hi - c.lo));
+    e_.jcc(Cc::kA, miss);
+    if (c.align == 1) continue;
+    if ((c.align_off & (c.align - 1)) == 0) {
+      e_.test_ri(Gp::rcx, c.align - 1);
+    } else {
+      e_.lea_r32(Gp::rax,
+                 x::ptr(Gp::rcx, static_cast<std::int32_t>(c.align_off)));
+      e_.test_ri(Gp::rax, c.align - 1);
+    }
+    e_.jcc(Cc::kNe, miss);
+  }
 }
 
 // One slow-path site. The record's morph handler retires into the ledger
@@ -551,13 +896,16 @@ bool BlockCompiler::compile() {
 // handler left), and the block's toggle sums are added into the ledger.
 // The call clobbers the address history, the open row and the sums; the
 // operand pair sits in callee-saved %rbp and moves only for a record whose
-// handler tallies operand toggles. Inline rather than in a stub shared by
-// the block: behind one more call level the helper path measured 4-8 %
+// handler tallies operand toggles (rebuilt canonical first). The site's
+// compile-time toggle constants stay pending past a returning call; its
+// fault exit adds them (a FaultStub). Inline rather than in a stub shared
+// by the block: behind one more call level the helper path measured 4-8 %
 // slower on the Table-II calibration kernels whose every tested record
 // takes it (the integer divides).
 void BlockCompiler::emit_helper_call(std::uint32_t i) {
   const bool operands = tallies_operands(dcache_[word0_ + i].op);
   if (ledger_ != nullptr) {
+    if (operands) emit_canonical_history();
     store_history(e_, operands);
     emit_flush_accumulators();
   }
@@ -570,7 +918,13 @@ void BlockCompiler::emit_helper_call(std::uint32_t i) {
     emit_clear_accumulators();
   }
   e_.test_rr(Gp::rax, Gp::rax);
-  e_.jcc(Cc::kNe, fault_);
+  if (lazy_.clean()) {
+    e_.jcc(Cc::kNe, fault_);
+  } else {
+    fault_stubs_.push_back(FaultStub{});
+    fault_stubs_.back().lazy = lazy_;
+    e_.jcc(Cc::kNe, fault_stubs_.back().entry);
+  }
 }
 
 void BlockCompiler::emit_ea(const isa::DecodedInsn& d) {
@@ -582,24 +936,32 @@ void BlockCompiler::emit_ea(const isa::DecodedInsn& d) {
   }
 }
 
-void BlockCompiler::emit_counts(int extra_op) {
+// Everything an exit path owes before it leaves the block: the pending
+// toggle constants and sums into the ledger, the canonical %rbp the next
+// block (or the thunk) expects, instret, and one visit of this path's
+// counter (fold_counts turns visits into per-op retire counts).
+void BlockCompiler::emit_exit_accounting(std::uint32_t retired,
+                                         int extra_op) {
+  emit_flush_pending(/*to_memory=*/false);
+  emit_flush_accumulators();
+  emit_canonical_history();
+  e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(retired));
   if (counted_) {
-    e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtCounts));
-    for (const BlockOpCount& p : b_.profile) {
-      e_.add_mi64(x::ptr(Gp::rax, 8 * static_cast<std::int32_t>(p.op)),
-                  static_cast<std::int32_t>(p.count));
-    }
-    if (extra_op >= 0) e_.add_mi64(x::ptr(Gp::rax, 8 * extra_op), 1);
+    const auto slot =
+        slot_base_ + static_cast<std::uint32_t>(slot_extras_.size());
+    slot_extras_.push_back(extra_op < 0 ? JitRuntime::kNoExtra
+                                        : static_cast<std::uint8_t>(extra_op));
+    e_.mov_rm64(Gp::rax, x::ptr(kRt, kRtVisits));
+    e_.add_mi64(x::ptr(Gp::rax, static_cast<std::int32_t>(8 * slot)), 1);
   }
 }
 
 void BlockCompiler::emit_static_exit(std::uint32_t exit_pc,
                                      std::uint32_t retired, int extra_op,
                                      int cti_taken) {
+  const State saved = save();
   if (cti_taken == 0) emit_untaken_tally();
-  emit_flush_accumulators();
-  e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(retired));
-  emit_counts(extra_op);
+  emit_exit_accounting(retired, extra_op);
   JitExit exit;
   exit.exit_pc = exit_pc;
   exit.patch_off = e_.jmp_patchable();
@@ -608,10 +970,12 @@ void BlockCompiler::emit_static_exit(std::uint32_t exit_pc,
   e_.mov_mi(x::ptr(kCpu, kOffNpc), exit_pc + 4);
   e_.ret();
   exits_.push_back(exit);
+  restore(saved);
 }
 
 void BlockCompiler::emit_delayed_exit(std::uint32_t cti_pc,
                                       std::uint32_t target) {
+  const State saved = save();
   if (fold_) {
     folds_delay_ = true;
     x::Label pending;
@@ -620,16 +984,16 @@ void BlockCompiler::emit_delayed_exit(std::uint32_t cti_pc,
     e_.sub_ri64(kBudget, 1);
     emit_insn(*delay_, b_.len);  // foldable ops never take slow paths
     emit_static_exit(target, b_.len + 1, static_cast<int>(delay_->op));
+    restore(saved);
     e_.bind(pending);
   }
   // Budget exhausted (or unfoldable delay): the interpreter's post-CTI
   // state, pc at the delay slot with npc redirected; the host single-steps.
-  emit_flush_accumulators();
-  e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(b_.len));
-  emit_counts(-1);
+  emit_exit_accounting(b_.len, -1);
   e_.mov_mi(x::ptr(kCpu, kOffPc), cti_pc + 4);
   e_.mov_mi(x::ptr(kCpu, kOffNpc), target);
   e_.ret();
+  restore(saved);
 }
 
 void BlockCompiler::emit_icc_test(std::uint8_t cond, x::Label& taken) {
@@ -686,6 +1050,7 @@ void BlockCompiler::emit_cti(const isa::DecodedInsn& d) {
   switch (d.op) {
     case Op::kCall: {
       e_.mov_mi(reg_m(isa::kRegO7), cti_pc);
+      facts_[isa::kRegO7] = {};
       emit_delayed_exit(cti_pc, cti_pc + static_cast<std::uint32_t>(d.imm));
       return;
     }
@@ -741,10 +1106,14 @@ void BlockCompiler::emit_jmpl(const isa::DecodedInsn& d,
   ColdCall& c = new_cold(b_.len - 1, /*returns=*/false);
   e_.test_ri(Gp::rcx, 3);
   e_.jcc(Cc::kNe, c.slow);
-  if (d.rd != 0) e_.mov_mi(reg_m(d.rd), cti_pc);
+  if (d.rd != 0) {
+    e_.mov_mi(reg_m(d.rd), cti_pc);
+    facts_[d.rd] = {};
+  }
   // Stash npc = target before the folded delay (which may overwrite %ecx's
   // source register but never reads pc/npc).
   e_.mov_mr(x::ptr(kCpu, kOffNpc), Gp::rcx);
+  const State saved = save();
   if (fold_) {
     folds_delay_ = true;
     x::Label pending;
@@ -752,14 +1121,11 @@ void BlockCompiler::emit_jmpl(const isa::DecodedInsn& d,
     e_.jcc(Cc::kE, pending);
     e_.sub_ri64(kBudget, 1);
     emit_insn(*delay_, b_.len);
-    emit_flush_accumulators();
+    emit_exit_accounting(b_.len + 1, static_cast<int>(delay_->op));
     e_.mov_rm(Gp::rcx, x::ptr(kCpu, kOffNpc));
     e_.mov_mr(x::ptr(kCpu, kOffPc), Gp::rcx);
     e_.add_ri(Gp::rcx, 4);
     e_.mov_mr(x::ptr(kCpu, kOffNpc), Gp::rcx);
-    e_.add_mi64(x::ptr(kCpu, kOffInstret),
-                static_cast<std::int32_t>(b_.len + 1));
-    emit_counts(static_cast<int>(delay_->op));
     // Register-indirect exit: never rel32-patchable, but with pc/npc fully
     // settled it can probe the inline branch-target cache — a tag hit jumps
     // straight into the cached successor's prologue instead of returning to
@@ -777,33 +1143,31 @@ void BlockCompiler::emit_jmpl(const isa::DecodedInsn& d,
     e_.jmp_m(x::ptr_idx(Gp::rdx, Gp::rax, 8));
     e_.bind(miss);
     e_.ret();
+    restore(saved);
     e_.bind(pending);
   }
-  emit_flush_accumulators();
-  e_.add_mi64(x::ptr(kCpu, kOffInstret), static_cast<std::int32_t>(b_.len));
-  emit_counts(-1);
+  emit_exit_accounting(b_.len, -1);
   e_.mov_mi(x::ptr(kCpu, kOffPc), cti_pc + 4);
   e_.ret();  // npc already holds the target
+  restore(saved);
 }
 
 void BlockCompiler::emit_load(const isa::DecodedInsn& d, std::uint32_t i) {
   emit_ea(d);  // %ecx = ea
-  ColdCall& c = new_cold(i);
-  std::uint32_t align = 0;
-  switch (d.op) {
-    case Op::kLd: case Op::kLdf: align = 3; break;
-    case Op::kLduh: case Op::kLdsh: align = 1; break;
-    case Op::kLdd: case Op::kLddf: align = 7; break;
-    default: break;  // byte loads
-  }
-  if (align != 0) {
+  // A hoisted access was proven aligned and in RAM by the prologue.
+  ColdCall* const c = hoisted_[i] ? nullptr : &new_cold(i);
+  const std::uint32_t align = access_width(d.op) - 1;
+  if (c != nullptr && align != 0) {
     e_.test_ri(Gp::rcx, align);
-    e_.jcc(Cc::kNe, c.slow);
+    e_.jcc(Cc::kNe, c->slow);
   }
   // RAM range check; off-RAM (MMIO word loads, bad addresses) → helper.
-  e_.lea_r32(Gp::rdx, x::ptr(Gp::rcx, -static_cast<std::int32_t>(kRamBase)));
-  e_.cmp_ri(Gp::rdx, kRamSize);
-  e_.jcc(Cc::kAe, c.slow);
+  if (c != nullptr) {
+    e_.lea_r32(Gp::rdx,
+               x::ptr(Gp::rcx, -static_cast<std::int32_t>(kRamBase)));
+    e_.cmp_ri(Gp::rdx, kRamSize);
+    e_.jcc(Cc::kAe, c->slow);
+  }
   const x::Mem m = x::ptr_idx(kRam, Gp::rcx);
   switch (d.op) {
     case Op::kLd:
@@ -857,42 +1221,40 @@ void BlockCompiler::emit_load(const isa::DecodedInsn& d, std::uint32_t i) {
   // loaded word — morph-exact. The helper path resumes past this (its
   // handler tallies instead).
   emit_memory_tally(d.op);
-  e_.bind(c.resume);
+  if (c != nullptr) e_.bind(c->resume);
 }
 
 void BlockCompiler::emit_store(const isa::DecodedInsn& d, std::uint32_t i) {
   emit_ea(d);  // %ecx = ea
-  ColdCall& c = new_cold(i);
-  std::uint32_t width = 4;
-  switch (d.op) {
-    case Op::kStb: width = 1; break;
-    case Op::kSth: width = 2; break;
-    case Op::kStd: case Op::kStdf: width = 8; break;
-    default: break;
-  }
+  // A hoisted store was proven aligned, in RAM and past the text by the
+  // prologue.
+  ColdCall* const c = hoisted_[i] ? nullptr : &new_cold(i);
+  const std::uint32_t width = access_width(d.op);
   // Word k of the store data: an integer or (stf/stdf) an FP register.
   const bool fp = d.op == Op::kStf || d.op == Op::kStdf;
   const auto data_m = [&](std::uint32_t k) {
     return fp ? freg_m(d.rd + k) : reg_m(d.rd + k);
   };
-  if (width > 1) {
-    e_.test_ri(Gp::rcx, width - 1);
-    e_.jcc(Cc::kNe, c.slow);
-  }
   e_.lea_r32(Gp::rdx, x::ptr(Gp::rcx, -static_cast<std::int32_t>(kRamBase)));
-  e_.cmp_ri(Gp::rdx, kRamSize);
-  e_.jcc(Cc::kAe, c.slow);
-  // Self-modifying code guard: any store intersecting the cached text
-  // [code_base, code_base + limit) goes through the helper, whose h_store
-  // invalidates overlapping blocks exactly like the interpreter. Static
-  // data lies past the text, so stores to it stay on this fast path.
-  // Intersection over [ea, ea + width): ea - (code_base - (width-1)) <
-  // limit + (width-1), unsigned.
-  e_.lea_r32(Gp::rax,
-             x::ptr(Gp::rcx,
-                    -static_cast<std::int32_t>(code_base_ - (width - 1))));
-  e_.cmp_ri(Gp::rax, code_limit_ + (width - 1));
-  e_.jcc(Cc::kB, c.slow);
+  if (c != nullptr) {
+    if (width > 1) {
+      e_.test_ri(Gp::rcx, width - 1);
+      e_.jcc(Cc::kNe, c->slow);
+    }
+    e_.cmp_ri(Gp::rdx, kRamSize);
+    e_.jcc(Cc::kAe, c->slow);
+    // Self-modifying code guard: any store intersecting the cached text
+    // [code_base, code_base + limit) goes through the helper, whose h_store
+    // invalidates overlapping blocks exactly like the interpreter. Static
+    // data lies past the text, so stores to it stay on this fast path.
+    // Intersection over [ea, ea + width): ea - (code_base - (width-1)) <
+    // limit + (width-1), unsigned.
+    e_.lea_r32(Gp::rax,
+               x::ptr(Gp::rcx,
+                      -static_cast<std::int32_t>(code_base_ - (width - 1))));
+    e_.cmp_ri(Gp::rax, code_limit_ + (width - 1));
+    e_.jcc(Cc::kB, c->slow);
+  }
   const x::Mem m = x::ptr_idx(kRam, Gp::rcx);
   switch (d.op) {
     case Op::kSt:
@@ -934,7 +1296,7 @@ void BlockCompiler::emit_store(const isa::DecodedInsn& d, std::uint32_t i) {
     if (d.op == Op::kSth) e_.and_ri(Gp::rax, 0xFFFF);
   }
   emit_memory_tally(d.op);
-  e_.bind(c.resume);
+  if (c != nullptr) e_.bind(c->resume);
 }
 
 // Whether d adds a toggle popcount to toggles[op] inline: an ALU or FPU
@@ -957,13 +1319,16 @@ bool BlockCompiler::tallies_toggles_inline(const isa::DecodedInsn& d) const {
 
 // Gives the ops with the most inline toggle tallies in this block (the
 // folded delay slot included) a register each. An op tallied once gains
-// nothing from one, so it needs two sites.
+// nothing from one, so it needs two sites; a record whose operands are
+// both compile-time constants is no site (its popcount folds).
 void BlockCompiler::pick_accumulators() {
   std::array<std::uint32_t, isa::kOpCount> sites{};
   const std::uint32_t body = b_.ends_with_cti ? b_.len - 1 : b_.len;
   for (std::uint32_t i = 0; i < body; ++i) {
     const isa::DecodedInsn& d = dcache_[word0_ + i];
-    if (tallies_toggles_inline(d)) ++sites[static_cast<std::size_t>(d.op)];
+    if (tallies_toggles_inline(d) && runtime_toggles_[i]) {
+      ++sites[static_cast<std::size_t>(d.op)];
+    }
   }
   if (fold_ && tallies_toggles_inline(*delay_)) {
     ++sites[static_cast<std::size_t>(delay_->op)];
@@ -994,53 +1359,191 @@ void BlockCompiler::emit_flush_accumulators() {
   }
 }
 
+// Adds the pending compile-time popcounts: into an op's accumulator when it
+// has one and the sums are flushed next (exits), else into the ledger.
+void BlockCompiler::emit_flush_pending(bool to_memory) {
+  for (const auto& [op, k] : lazy_.pending) {
+    const auto acc = std::find(accs_.begin(), accs_.end(), op);
+    if (!to_memory && acc != accs_.end()) {
+      e_.add_ri(kAccRegs[acc - accs_.begin()], k);
+    } else {
+      e_.add_mi64(tally_m(offsetof(CostLedger, toggles), op),
+                  static_cast<std::int32_t>(k));
+    }
+  }
+  lazy_.pending.clear();
+}
+
 void BlockCompiler::emit_clear_accumulators() {
   for (std::size_t k = 0; k < accs_.size(); ++k) {
     e_.xor_rr(kAccRegs[k], kAccRegs[k]);
   }
 }
 
-// Retire operands of the statically non-faulting ALU class (exactly the
-// delay-foldable set) as the morph handlers tally them, pre-writeback (see
-// block_cache.cpp), packed b:a into %rdx; clobbers %rcx. Loads/stores tally
-// at the end of their fast path, helper-routed records in their handler,
-// the CTI at its exits.
-void BlockCompiler::emit_retire_operands(const isa::DecodedInsn& d) {
-  const bool shift =
-      d.op == Op::kSll || d.op == Op::kSrl || d.op == Op::kSra;
-  switch (d.op) {
-    case Op::kNop:
-      e_.xor_rr(Gp::rdx, Gp::rdx);
-      return;
-    case Op::kSethi:  // {0, imm}
-      e_.mov_ri64(Gp::rdx, static_cast<std::uint64_t>(
-                               static_cast<std::uint32_t>(d.imm))
-                               << 32);
-      return;
-    case Op::kRdy:  // {y, 0}
-      e_.mov_rm(Gp::rdx, x::ptr(kCpu, kOffY));
-      return;
-    default:  // {r[rs1], op2}; shifts take the count mod 32 as op2
-      break;
-  }
-  e_.mov_rm(Gp::rdx, reg_m(d.rs1));  // 32-bit moves zero-extend
-  if (d.has_imm) {
-    const std::uint32_t b =
-        static_cast<std::uint32_t>(d.imm) & (shift ? 31u : ~0u);
-    if (b != 0) {
-      e_.mov_ri64(Gp::rcx, static_cast<std::uint64_t>(b) << 32);
-      e_.or_rr64(Gp::rdx, Gp::rcx);
+// Rebuilds %rbp = prev_b:prev_a from the halves known at compile time;
+// runtime halves stay where they are. Clobbers %rax.
+void BlockCompiler::emit_canonical_history() {
+  HistHalf& a = lazy_.hist[0];
+  HistHalf& b = lazy_.hist[1];
+  if (a.known && b.known) {
+    e_.mov_ri64(kHist, (std::uint64_t{b.value} << 32) | a.value);
+  } else if (a.known) {
+    e_.shr_ri64(kHist, 32);
+    e_.shl_ri64(kHist, 32);
+    if (a.value != 0) {
+      e_.mov_ri(Gp::rax, a.value);
+      e_.or_rr64(kHist, Gp::rax);
     }
-    return;
+  } else if (b.known) {
+    e_.mov_rr(kHist, kHist);  // zero-extends: clears the high half
+    if (b.value != 0) {
+      e_.mov_ri64(Gp::rax, std::uint64_t{b.value} << 32);
+      e_.or_rr64(kHist, Gp::rax);
+    }
   }
-  e_.mov_rm(Gp::rcx, reg_m(d.rs2));
-  if (shift) e_.and_ri(Gp::rcx, 31);
-  e_.shl_ri64(Gp::rcx, 32);
-  e_.or_rr64(Gp::rdx, Gp::rcx);
+  a.known = b.known = false;
 }
 
-// Operand-toggle tally of the packed pair in %rdx: toggles[op] +=
-// popcount(b:a ^ prev_b:prev_a), then the pair becomes the new history.
+// Retire operands of the statically non-faulting ALU class (exactly the
+// delay-foldable set) as the morph handlers tally them, pre-writeback (see
+// block_cache.cpp): {r[rs1], op2}, shifts taking the count mod 32, sethi
+// {0, imm}, rdy {y, 0}, nop {0, 0}. A register the facts prove constant is
+// a constant half. Loads/stores tally at the end of their fast path,
+// helper-routed records in their handler, the CTI at its exits.
+std::array<OperandHalf, 2> BlockCompiler::operand_halves(
+    const RegFacts& f, const isa::DecodedInsn& d) {
+  std::array<OperandHalf, 2> h{};
+  switch (d.op) {
+    case Op::kNop:
+      return h;
+    case Op::kSethi:
+      h[1].value = static_cast<std::uint32_t>(d.imm);
+      return h;
+    case Op::kRdy:
+      h[0] = {false, 0, kOffY, false};
+      return h;
+    default:
+      break;
+  }
+  const bool shift =
+      d.op == Op::kSll || d.op == Op::kSrl || d.op == Op::kSra;
+  const std::uint32_t mask = shift ? 31u : ~0u;
+  if (f[d.rs1].is_const()) {
+    h[0].value = f[d.rs1].value;
+  } else {
+    h[0] = {false, 0, 4 * static_cast<std::int32_t>(d.rs1), false};
+  }
+  const RegFact b = op2_fact(f, d);
+  if (b.is_const()) {
+    h[1].value = b.value & mask;
+  } else {
+    h[1] = {false, 0, 4 * static_cast<std::int32_t>(d.rs2), shift};
+  }
+  return h;
+}
+
+// Operand-toggle tally of one ALU record, toggles[op] += popcount(b ^
+// prev_b) + popcount(a ^ prev_a), then b:a becomes the history. A half
+// whose operand and history are both compile-time constants folds into the
+// pending constants; one runtime half is a 32-bit popcount against its
+// history half (%rbp's, or an immediate); two take the packed 64-bit form.
+void BlockCompiler::emit_alu_toggles(const isa::DecodedInsn& d) {
+  const auto h = operand_halves(facts_, d);
+  auto& hist = lazy_.hist;
+  bool rt[2];
+  std::uint32_t folded = 0;
+  for (int k = 0; k < 2; ++k) {
+    rt[k] = !(h[k].is_const && hist[k].known);
+    if (!rt[k]) folded += std::popcount(h[k].value ^ hist[k].value);
+  }
+  if (h[0].is_const && h[1].is_const) {
+    // Only history halves still in %rbp need the host.
+    if (rt[0] && rt[1]) {
+      e_.mov_ri64(Gp::rax, (std::uint64_t{h[1].value} << 32) | h[0].value);
+      e_.xor_rr64(Gp::rax, kHist);
+      e_.popcnt_rr64(Gp::rax, Gp::rax);
+    } else if (rt[0]) {
+      e_.mov_rr(Gp::rax, kHist);
+      if (h[0].value != 0) e_.xor_ri(Gp::rax, h[0].value);
+      e_.popcnt_rr(Gp::rax, Gp::rax);
+    } else if (rt[1]) {
+      e_.mov_rr64(Gp::rax, kHist);
+      e_.shr_ri64(Gp::rax, 32);
+      if (h[1].value != 0) e_.xor_ri(Gp::rax, h[1].value);
+      e_.popcnt_rr(Gp::rax, Gp::rax);
+    }
+    if (rt[0] || rt[1]) emit_toggle_add(d.op);
+    hist[0] = {true, h[0].value};
+    hist[1] = {true, h[1].value};
+  } else if (rt[0] && rt[1]) {
+    emit_packed_toggles(d, h);
+  } else {
+    // One runtime operand half k; the other half folded above.
+    const int k = rt[0] ? 0 : 1;
+    e_.mov_rm(Gp::rdx, x::ptr(kCpu, h[k].off));
+    if (h[k].mask31) e_.and_ri(Gp::rdx, 31);
+    if (k == 0) {  // %ebp is prev_a; %rbp's high half is stale
+      if (hist[0].known) {
+        e_.mov_rr(kHist, Gp::rdx);
+        if (hist[0].value != 0) e_.xor_ri(Gp::rdx, hist[0].value);
+        e_.popcnt_rr(Gp::rax, Gp::rdx);
+      } else {
+        e_.xor_rr(kHist, Gp::rdx);
+        e_.popcnt_rr(Gp::rax, kHist);
+        e_.mov_rr(kHist, Gp::rdx);
+      }
+    } else {  // %rbp's high half is prev_b; its low half is stale
+      if (hist[1].known) {
+        e_.mov_rr64(kHist, Gp::rdx);
+        e_.shl_ri64(kHist, 32);
+        if (hist[1].value != 0) e_.xor_ri(Gp::rdx, hist[1].value);
+        e_.popcnt_rr(Gp::rax, Gp::rdx);
+      } else {
+        e_.shr_ri64(kHist, 32);
+        e_.xor_rr(kHist, Gp::rdx);
+        e_.popcnt_rr(Gp::rax, kHist);
+        e_.mov_rr64(kHist, Gp::rdx);
+        e_.shl_ri64(kHist, 32);
+      }
+    }
+    emit_toggle_add(d.op);
+    hist[k] = {};
+    hist[1 - k] = {true, h[1 - k].value};
+  }
+  lazy_.add(d.op, folded);
+}
+
+// Both halves need the host: %rbp made canonical, b:a packed into %rdx,
+// one 64-bit popcount. Clobbers %rcx.
+void BlockCompiler::emit_packed_toggles(const isa::DecodedInsn& d,
+                                        const std::array<OperandHalf, 2>& h) {
+  emit_canonical_history();
+  if (h[0].is_const) {
+    e_.mov_ri(Gp::rdx, h[0].value);
+  } else {
+    e_.mov_rm(Gp::rdx, x::ptr(kCpu, h[0].off));  // 32-bit moves zero-extend
+  }
+  if (h[1].is_const) {
+    if (h[1].value != 0) {
+      e_.mov_ri64(Gp::rcx, std::uint64_t{h[1].value} << 32);
+      e_.or_rr64(Gp::rdx, Gp::rcx);
+    }
+  } else {
+    e_.mov_rm(Gp::rcx, x::ptr(kCpu, h[1].off));
+    if (h[1].mask31) e_.and_ri(Gp::rcx, 31);
+    e_.shl_ri64(Gp::rcx, 32);
+    e_.or_rr64(Gp::rdx, Gp::rcx);
+  }
+  emit_operand_toggles(d.op);
+  // %rbp holds the whole pair; a constant half is also known from here on.
+  for (int k = 0; k < 2; ++k) {
+    if (h[k].is_const) lazy_.hist[k] = {true, h[k].value};
+  }
+}
+
+// Operand-toggle tally of the packed pair in %rdx against a canonical
+// %rbp: toggles[op] += popcount(b:a ^ prev_b:prev_a), then the pair becomes
+// the new history.
 void BlockCompiler::emit_operand_toggles(Op op) {
   e_.xor_rr64(kHist, Gp::rdx);
   e_.popcnt_rr64(Gp::rax, kHist);
@@ -1070,11 +1573,59 @@ void BlockCompiler::emit_memory_tally(Op op) {
   e_.bind(r.resume);
 }
 
+// One record under the register facts: a plain ALU result the facts prove
+// constant is one immediate store, one that copies an operand unchanged (a
+// `mov`, an add of zero) one copy or nothing, and a register operand 2 the
+// facts prove constant becomes the immediate form of the template.
 void BlockCompiler::emit_insn(const isa::DecodedInsn& d, std::uint32_t i) {
-  if (tallies_operands(d.op) && delay_foldable(d.op)) {
-    emit_retire_operands(d);
-    emit_operand_toggles(d.op);
+  if (tallies_operands(d.op) && delay_foldable(d.op)) emit_alu_toggles(d);
+  RegFacts after = facts_;
+  step_facts(after, d);
+  bool plain = false;  // rd's new value is all the record does
+  switch (d.op) {
+    case Op::kAdd: case Op::kSub: case Op::kAnd: case Op::kAndn:
+    case Op::kOr: case Op::kOrn: case Op::kXor: case Op::kXnor:
+    case Op::kSll: case Op::kSrl: case Op::kSra:
+    case Op::kSave: case Op::kRestore:
+      plain = true;
+      break;
+    default:
+      break;
   }
+  const bool int_op2 = (delay_foldable(d.op) && d.op != Op::kSethi &&
+                        d.op != Op::kNop && d.op != Op::kRdy) ||
+                       isa::is_load(d.op) || isa::is_store(d.op);
+  // The register a plain record copies unchanged: `or`, `xor` or `add`
+  // with a zero operand, `sub` of zero.
+  int copied = -1;
+  const RegFact b = op2_fact(facts_, d);
+  const bool zero_a = facts_[d.rs1].is_const() && facts_[d.rs1].value == 0;
+  const bool zero_b = b.is_const() && b.value == 0;
+  if (d.op == Op::kOr || d.op == Op::kXor || d.op == Op::kAdd) {
+    if (zero_a && !d.has_imm) copied = d.rs2;
+    if (zero_b) copied = d.rs1;
+  } else if (d.op == Op::kSub && zero_b) {
+    copied = d.rs1;
+  }
+  if (plain && after[d.rd].is_const()) {
+    if (d.rd != 0) e_.mov_mi(reg_m(d.rd), after[d.rd].value);
+  } else if (copied >= 0) {
+    if (copied != d.rd) {
+      e_.mov_rm(Gp::rax, reg_m(static_cast<std::uint32_t>(copied)));
+      store_rd(d);
+    }
+  } else if (int_op2 && !d.has_imm && facts_[d.rs2].is_const()) {
+    isa::DecodedInsn k = d;
+    k.has_imm = true;
+    k.imm = static_cast<std::int32_t>(facts_[d.rs2].value);
+    emit_record(k, i);
+  } else {
+    emit_record(d, i);
+  }
+  facts_ = after;
+}
+
+void BlockCompiler::emit_record(const isa::DecodedInsn& d, std::uint32_t i) {
   switch (d.op) {
     case Op::kNop:
       return;
@@ -1334,6 +1885,7 @@ void BlockCompiler::emit_store_d(std::uint32_t reg, Xmm src) {
 // pair.
 void BlockCompiler::emit_fp_operands(const isa::DecodedInsn& d) {
   if (!tallies_operands(d.op)) return;
+  emit_canonical_history();
   const bool pair = (d.op >= Op::kFadds && d.op <= Op::kFdivd) ||
                     d.op == Op::kFcmps || d.op == Op::kFcmpd;
   e_.mov_rm(Gp::rdx, freg_m(pair ? d.rs1 : d.rs2));
@@ -1345,6 +1897,7 @@ void BlockCompiler::emit_fp_operands(const isa::DecodedInsn& d) {
     e_.shl_ri64(Gp::rdx, 32);
   }
   emit_operand_toggles(d.op);
+  if (!pair) lazy_.hist[0] = {true, 0};  // %rbp holds it too
 }
 
 // SSE2 templates of the FPU ops. The host computes with the same IEEE
@@ -1541,10 +2094,12 @@ JitRuntime::~JitRuntime() = default;
 
 void JitRuntime::configure(CpuState* cpu, std::uint64_t* counts,
                            CostLedger* ledger) {
-  // The counts adds and the ledger's configuration are baked per block; the
-  // pointers themselves are loaded from JitRt at runtime, so only a counts
-  // null <-> non-null change or a different ledger invalidates compiled
-  // code.
+  // Visits owed to the old counts vector land there before it is rebound.
+  if (counts != rt_.counts) fold_counts();
+  // The visit counters and the ledger's configuration are baked per block;
+  // the pointers themselves are loaded from JitRt at runtime, so only a
+  // counts null <-> non-null change or a different ledger invalidates
+  // compiled code.
   if (!metas_.empty() &&
       ((counts == nullptr) != (rt_.counts == nullptr) || ledger != rt_.ledger)) {
     reset_code();
@@ -1552,6 +2107,33 @@ void JitRuntime::configure(CpuState* cpu, std::uint64_t* counts,
   rt_.cpu = cpu;
   rt_.counts = counts;
   rt_.ledger = ledger;
+}
+
+// Visits x profile of one block's exit paths. A slot with no visits never
+// touches its meta's block, so a dead block's slots (folded at its death
+// and, for a trace in flight, right after that native run) are safe to
+// scan after the graveyard frees the Block.
+void JitRuntime::fold_slots(const JitBlockMeta& m) noexcept {
+  std::uint64_t* const counts = rt_.counts;
+  for (std::uint32_t s = m.first_slot; s < m.first_slot + m.slots; ++s) {
+    const std::uint64_t v = visits_[s];
+    if (v == 0) continue;
+    visits_[s] = 0;
+    for (const BlockOpCount& p : m.block->profile) counts[p.op] += v * p.count;
+    if (slots_[s].extra != kNoExtra) counts[slots_[s].extra] += v;
+  }
+}
+
+void JitRuntime::fold_counts() noexcept {
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    if (visits_[s] != 0) fold_slots(*slots_[s].meta);
+  }
+  dying_.clear();
+}
+
+void JitRuntime::fold_dying_slow() noexcept {
+  for (const JitBlockMeta* m : dying_) fold_slots(*m);
+  dying_.clear();
 }
 
 void JitRuntime::btc_insert(std::uint32_t pc, Block& to) {
@@ -1564,6 +2146,10 @@ void JitRuntime::btc_insert(std::uint32_t pc, Block& to) {
 }
 
 void JitRuntime::reset_code() {
+  fold_counts();
+  visits_.clear();
+  slots_.clear();
+  rt_.visits = nullptr;
   for (const auto& m : metas_) {
     if (m->dead) continue;  // its Block may already be freed
     m->block->jit_state = Block::JitState::kNone;
@@ -1583,14 +2169,20 @@ Block::JitState JitRuntime::ensure_compiled(Block& b) {
   meta->block = &b;
   meta->start = b.start;
   meta->len = b.len;
-  BlockCompiler comp(cache_, b, meta.get(), rt_.counts != nullptr, rt_.ledger);
+  // Emitted exits address their visit slots by absolute index, so a block
+  // compiled before a reclaim is compiled again against the emptied slots.
+  std::optional<BlockCompiler> comp;
   std::uint32_t off = Impl::kFull;
-  if (comp.compile()) {
-    off = impl_->commit(comp.emitter());
-    if (off == Impl::kFull && !impl_->fits(comp.emitter().size())) {
-      reset_code();  // arena full: reclaim it and compile into it again
-      off = impl_->commit(comp.emitter());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    comp.emplace(cache_, b, meta.get(), rt_.counts != nullptr, rt_.ledger,
+                 static_cast<std::uint32_t>(visits_.size()));
+    if (!comp->compile()) break;
+    off = impl_->commit(comp->emitter());
+    if (off != Impl::kFull || impl_->fits(comp->emitter().size()) ||
+        attempt == 1) {
+      break;
     }
+    reset_code();  // arena full: reclaim it and compile into it again
   }
   if (off == Impl::kFull) {  // untemplatable block or failed write
     ++stats_.blocks_rejected;
@@ -1598,16 +2190,23 @@ Block::JitState JitRuntime::ensure_compiled(Block& b) {
     return b.jit_state;
   }
   meta->entry_off = off;
-  meta->exits = comp.take_exits();
+  meta->exits = comp->take_exits();
   for (JitExit& exit : meta->exits) {
     exit.patch_off += off;
     exit.stub_off += off;
   }
-  b.jit_folds_delay = comp.folds_delay();
+  meta->first_slot = static_cast<std::uint32_t>(visits_.size());
+  meta->slots = static_cast<std::uint32_t>(comp->slot_extras().size());
+  for (const std::uint8_t extra : comp->slot_extras()) {
+    visits_.push_back(0);
+    slots_.push_back(VisitSlot{meta.get(), extra});
+  }
+  rt_.visits = visits_.data();
+  b.jit_folds_delay = comp->folds_delay();
   b.jit_meta = meta.get();
   b.jit_state = Block::JitState::kCompiled;
   ++stats_.blocks_compiled;
-  stats_.code_bytes += comp.emitter().size();
+  stats_.code_bytes += comp->emitter().size();
   metas_.push_back(std::move(meta));
   return b.jit_state;
 }
@@ -1615,6 +2214,7 @@ Block::JitState JitRuntime::ensure_compiled(Block& b) {
 std::uint64_t JitRuntime::enter(Block& b, std::uint64_t budget) {
   ++stats_.entries;
   rt_.fault_idx = kNoFault;
+  rt_.guard_miss = 0;
   pending_ = nullptr;
   using ThunkFn = std::uint64_t (*)(JitRt*, const void*, std::uint64_t);
   const auto fn = reinterpret_cast<ThunkFn>(impl_->base + impl_->thunk_off);
@@ -1654,6 +2254,10 @@ void JitRuntime::on_block_death(Block& b) {
   JitBlockMeta* m = b.jit_meta;
   if (m == nullptr || m->dead) return;
   m->dead = true;
+  // Its visits so far land now; a trace still in flight may bump one exit
+  // more, which the host folds after the native run (fold_dying).
+  fold_slots(*m);
+  dying_.push_back(m);
   // A jump left in place would run stale code: the run fails (after the
   // bookkeeping) rather than continue unfaithfully.
   bool withdrawn = true;

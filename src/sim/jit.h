@@ -6,10 +6,19 @@
 // in %rbx for the whole native run, the RAM base pointer in %r12, the
 // remaining instruction budget in %r13 and the JitRt anchor in %r14, so the
 // per-instruction templates are two-to-four host instructions against
-// [%rbx + offset] operands. instret and the per-op retire counters are
-// batched to one add per counter per block exit, and resolved block-to-block
+// [%rbx + offset] operands. instret is batched to one add per block exit,
+// and the per-op retire counts to one visit counter per exit path, folded
+// into the counts vector by fold_counts(). Resolved block-to-block
 // transitions are patched directly into the emitted code (a `jmp rel32`
 // over the exit stub), so hot loops never return to the host dispatch loop.
+//
+// Three facts are decided once per block at compile time: which loads and
+// stores address a block-entry register plus a constant (their alignment,
+// RAM-range and text-store guards become one check per base register in
+// the prologue; a failed check runs the block once through exec_block),
+// which guest registers and operand-history halves hold compile-time
+// constants (their toggle popcounts fold to immediates), and which exit
+// path retired the block (one visit counter each).
 //
 // Hooks keeping a cost ledger (the board, sim/ledger.h) get its tallies
 // emitted inline, pinned in %r15: a popcnt-and-add per operand-toggle op, an
@@ -27,7 +36,7 @@
 // (Block::JitState::kRejected); the executor runs them through exec_block,
 // the per-block fallback to kBlock. On non-x86-64 hosts (or when the host
 // refuses an executable memfd mapping) jit_available() is false and the
-// executor stays on the chained-block path entirely.
+// executor stays on the kBlock lookup loop entirely.
 #pragma once
 
 #include <cstdint>
@@ -80,11 +89,12 @@ struct JitRt {
   std::uint64_t* counts = nullptr;  // +24  OpCountHooks counters (or null)
   const void* cur_meta = nullptr;   // +32  JitBlockMeta* of the running block
   std::uint32_t fault_idx = 0;      // +40  record index of a stashed fault
-  std::uint32_t pad = 0;
+  std::uint32_t guard_miss = 0;     // +44  a prologue address check failed
   JitRuntime* owner = nullptr;      // +48
   CostLedger* ledger = nullptr;     // +56  -> %r15 (null: no cost tallies)
   const JitBtcSlot* btc = nullptr;  // +64  inline BTC table base
   std::uint64_t btc_hits = 0;       // +72  inline probe hits
+  std::uint64_t* visits = nullptr;  // +80  per-exit-path visit counters
 };
 
 // One potentially-patchable block exit: a static successor pc, the rel32
@@ -107,6 +117,10 @@ struct JitBlockMeta {
   std::uint32_t start = 0;
   std::uint32_t len = 0;
   std::uint32_t entry_off = 0;  // arena offset of the block prologue
+  // The block's exit-path visit counters: [first_slot, first_slot + slots)
+  // of the runtime's flat array.
+  std::uint32_t first_slot = 0;
+  std::uint32_t slots = 0;
   std::vector<JitExit> exits;
   // Patched jumps INTO this block: {source meta, exit index}. Mirrors
   // JitExit::patched_to so block death can unpatch both directions without
@@ -143,6 +157,30 @@ class JitRuntime {
   std::uint64_t enter(Block& b, std::uint64_t budget);
 
   bool faulted() const { return rt_.fault_idx != kNoFault; }
+
+  // True (once) when the last native run stopped at a block whose prologue
+  // address check failed: pc is that block's entry, last_block() names it,
+  // and the caller runs it once through the interpreter.
+  bool take_guard_miss() {
+    const bool missed = rt_.guard_miss != 0;
+    rt_.guard_miss = 0;
+    stats_.guard_misses += missed ? 1 : 0;
+    return missed;
+  }
+
+  // Adds every exit path's visits times its block's retire profile (plus a
+  // folded delay op) into the bound counts vector and zeroes the visits.
+  // The executor calls it on every return from run_jit; configure,
+  // reset_code and block death call it too, so the counts vector is exact
+  // whenever no native code runs.
+  void fold_counts() noexcept;
+  // Folds the visits of blocks that died during the last native run (the
+  // dying block may have finished its trace and bumped an exit after
+  // on_block_death). The host loop calls it after every native run, before
+  // the next lookup() may free a dead Block.
+  void fold_dying() noexcept {
+    if (!dying_.empty()) fold_dying_slow();
+  }
 
   // Fault reconciliation data: the meta of the faulting block plus the
   // record index that faulted. Clears the fault latch.
@@ -181,6 +219,7 @@ class JitRuntime {
     std::uint64_t unpatches = 0;      // chain jumps withdrawn
     std::uint64_t helper_exec = 0;    // slow-path records executed
     std::uint64_t btc_inserts = 0;    // inline-BTC entries installed
+    std::uint64_t guard_misses = 0;   // prologue address checks that failed
   };
   const Stats& stats() const { return stats_; }
   // Zeroes stats() and inline_btc_hits() (BlockCache::reset_stats).
@@ -194,6 +233,8 @@ class JitRuntime {
 
   static constexpr std::uint32_t kNoFault = 0xFFFFFFFFu;
   static constexpr std::uint32_t kInlineBtcEntries = 512;
+  // A visit slot whose exit path folds no delay instruction.
+  static constexpr std::uint8_t kNoExtra = 0xFF;
 
  private:
   struct Impl;  // arena + emitted-code bookkeeping (x86-64 only)
@@ -201,6 +242,15 @@ class JitRuntime {
   // Drops all compiled blocks and empties the arena (the counts or ledger
   // binding changed, or the arena is full).
   void reset_code();
+  void fold_slots(const JitBlockMeta& m) noexcept;
+  void fold_dying_slow() noexcept;
+
+  // One exit path's visit counter: the block whose profile it retires and
+  // the op of a delay instruction the path folds (kNoExtra: none).
+  struct VisitSlot {
+    const JitBlockMeta* meta = nullptr;
+    std::uint8_t extra = kNoExtra;
+  };
 
   Bus& bus_;
   BlockCache& cache_;
@@ -209,6 +259,12 @@ class JitRuntime {
   std::vector<std::unique_ptr<JitBlockMeta>> metas_;
   Stats stats_;
   std::vector<JitBtcSlot> btc_;
+  // Flat visit-counter array the emitted exits bump (JitRt::visits) and the
+  // slot each counter belongs to.
+  std::vector<std::uint64_t> visits_;
+  std::vector<VisitSlot> slots_;
+  // Blocks that died since the host last folded their visits.
+  std::vector<const JitBlockMeta*> dying_;
   std::unique_ptr<Impl> impl_;
 };
 

@@ -401,6 +401,14 @@ TEST(X64Encoding, Misc) {
       "lea sib",
       [](Emitter& e) { e.lea_r32(Gp::rax, ptr_idx(Gp::r12, Gp::rcx, 4)); },
       {0x41, 0x8d, 0x44, 0x0c, 0x04});
+  // lea -0x40000000(%rcx),%rdx — the hoisted base-register range check
+  expect_encoding(
+      "lea64 bias",
+      [](Emitter& e) { e.lea_r64(Gp::rdx, ptr(Gp::rcx, -0x40000000)); },
+      {0x48, 0x8d, 0x91, 0x00, 0x00, 0x00, 0xc0});
+  // shr $0x20,%rbp — the operand history's high half
+  expect_encoding("shr_ri64 rbp", [](Emitter& e) { e.shr_ri64(Gp::rbp, 32); },
+                  {0x48, 0xc1, 0xed, 0x20});
 }
 
 TEST(X64Encoding, Control) {

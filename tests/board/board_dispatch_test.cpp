@@ -524,6 +524,134 @@ loop:   add %o0, %l0, %o0
   EXPECT_EQ(sliced(sim::Dispatch::kStep), sliced(sim::Dispatch::kJit));
 }
 
+TEST(BoardDispatch, FaultAfterConstantPairsRebuildsOperandHistory) {
+  // The loop's mov/sethi records have compile-time constant operand pairs:
+  // the jit folds their toggle popcounts and keeps the history halves out
+  // of %rbp. The load through %l3 (a loaded pointer, so its guards stay
+  // per-access) faults on the 21st pass from its cold helper; that fault
+  // exit must add the folded popcounts and rebuild the history the thunk
+  // stores, so prev_a/prev_b, every tally, counts and cycles equal
+  // stepping's.
+  const auto p = prog(R"(
+_start: set 0x40100000, %l0
+        set 0x40200000, %l1
+        mov 0, %l2
+fill:   st %l1, [%l0]
+        add %l2, 1, %l2
+        cmp %l2, 20
+        bne fill
+        add %l0, 4, %l0
+        add %l1, 3, %l1
+        st %l1, [%l0]
+        set 0x40100000, %l0
+        mov 0, %l2
+loop:   ld [%l0], %l3
+        mov 5, %o1
+        mov 7, %o2
+        sethi %hi(0x12345000), %o3
+        or %g0, 9, %o4
+        ld [%l3], %o5
+        add %l2, %o5, %l2
+        ba loop
+        add %l0, 4, %l0
+)");
+  Stand step(p);
+  Stand jit(p);
+  const std::string what = step.run(Board::kDefaultMaxInsns,
+                                    sim::Dispatch::kStep);
+  EXPECT_NE(what.find("misaligned"), std::string::npos) << what;
+  EXPECT_EQ(jit.run(Board::kDefaultMaxInsns, sim::Dispatch::kJit), what);
+  EXPECT_TRUE(same_state(step, jit));
+  EXPECT_EQ(step.hooks.export_state().prev_a, jit.hooks.export_state().prev_a);
+  EXPECT_EQ(step.hooks.export_state().prev_b, jit.hooks.export_state().prev_b);
+  EXPECT_EQ(step.hooks.cycles(), jit.hooks.cycles());
+}
+
+// A loop whose block leaves through every exit kind: a folded delay slot,
+// the budget-pending delay exit, the untaken fall-through, a call and its
+// retl through the inline BTC.
+constexpr const char* kExitMixLoop = R"(
+_start: set 0x40010000, %l0
+        mov 0, %o0
+        mov 13, %l1
+loop:   ld [%l0], %l2
+        add %l2, %l1, %l2
+        st %l2, [%l0 + 4]
+        andcc %l1, 3, %g0
+        be skip
+        add %o0, %l2, %o0
+        call fn
+        xor %o0, 5, %o0
+skip:   subcc %l1, 1, %l1
+        bne loop
+        add %l0, 8, %l0
+        mov 0, %o0
+        ta 0
+fn:     add %o0, %l1, %o0
+        retl
+        sll %o0, 1, %o0
+)";
+
+TEST(BoardDispatch, ExitVisitCountsFoldAtEveryBudget) {
+  // Retire counts are one visit counter per exit path, folded into the
+  // counts vector when run_jit returns. Stopping the loop at every budget
+  // lands the fold after every exit kind and inside every block; the whole
+  // ledger (counts included) must equal stepping's, and so must a resumed
+  // run to the end.
+  const auto p = prog(kExitMixLoop);
+  for (std::uint64_t budget = 1; budget <= 160; ++budget) {
+    Stand step(p);
+    Stand jit(p);
+    ASSERT_EQ(step.run(budget, sim::Dispatch::kStep), "");
+    ASSERT_EQ(jit.run(budget, sim::Dispatch::kJit), "");
+    ASSERT_TRUE(same_state(step, jit)) << "budget " << budget;
+    ASSERT_EQ(step.run(Board::kDefaultMaxInsns, sim::Dispatch::kStep), "");
+    ASSERT_EQ(jit.run(Board::kDefaultMaxInsns, sim::Dispatch::kJit), "");
+    ASSERT_TRUE(same_state(step, jit)) << "budget " << budget << ", resumed";
+  }
+}
+
+TEST(BoardDispatch, ExitVisitCountsFoldAcrossArenaResetAndInvalidation) {
+  // Every pass stores over the loop's first word through a pointer loaded
+  // in the same block, so the store keeps its per-access guards and runs
+  // from native code: the 200-record block dies while it is the block in
+  // flight (its exit visit lands after its death) and compiles afresh on
+  // the next pass, until the arena fills and is reclaimed. Counts must
+  // fold exactly across both, at slice ends too.
+  std::string body;
+  for (int i = 0; i < 200; ++i) body += "        add %o0, 1, %o0\n";
+  const auto p = prog(R"(
+_start: set loop, %g1
+        set 0x40100000, %g2
+        st %g1, [%g2]
+        ld [%g1], %l0
+        mov 0, %o0
+        set 4000, %l7
+loop:   ld [%g2], %g3
+        st %l0, [%g3]
+)" + body + R"(        subcc %l7, 1, %l7
+        bne loop
+        nop
+        ta 0
+)");
+  Stand step(p);
+  Stand jit(p);
+  for (std::uint64_t k = 0; !step.platform.cpu().halted; ++k) {
+    const std::uint64_t slice = 20'000 + 37 * k;
+    ASSERT_EQ(step.run(slice, sim::Dispatch::kStep), "");
+    ASSERT_EQ(jit.run(slice, sim::Dispatch::kJit), "");
+    ASSERT_TRUE(same_state(step, jit)) << "slice " << k;
+  }
+  EXPECT_TRUE(jit.platform.cpu().halted);
+  if (sim::jit_available()) {
+    const sim::JitRuntime* jr = jit.platform.block_cache()->jit();
+    ASSERT_NE(jr, nullptr);
+    EXPECT_GT(jr->stats().code_bytes, std::uint64_t{16} << 20);
+    EXPECT_EQ(jr->stats().blocks_rejected, 0u);
+    EXPECT_GE(jit.platform.block_cache()->stats().flushes, 4000u);
+  }
+}
+
 // Per-retire reference of the board's cost model: every retired op's
 // energy computed on the spot from its operands and summed in program
 // order, the way a running accumulator would. The ledger's fold must agree

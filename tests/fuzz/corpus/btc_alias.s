@@ -2,9 +2,10 @@
 ! seed: n/a (hand-written regression program)
 ! mix: jmpl
 ! divergence: none on current simulator; guards BTC aliasing. Two
-!   register-indirect return sites 512 bytes apart collided in the
-!   interpreter's since-deleted 128-entry branch-target cache
-!   ((pc >> 2) & 127); kept as a dispatch-equality input.
+!   register-indirect return sites 2048 bytes apart collide in the jit's
+!   512-entry inline branch-target cache ((pc >> 2) & 511), so every
+!   return evicts the other site's entry; kept as a dispatch-equality
+!   input.
 ! step instret: loop of 40 iterations, two indirect calls each
   .text
   .global _start
@@ -18,7 +19,7 @@ loop:
   nop
   ba mid
   nop
-  .space 496
+  .space 2032
 mid:
   jmpl %g2, %o7
   nop

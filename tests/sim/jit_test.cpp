@@ -8,13 +8,14 @@
 // very block (or chain) the emitted code is executing.
 //
 // Every test skips itself on hosts where jit_available() is false — there
-// the executor runs chained-block dispatch under the kJit label, which the
+// the executor runs the kBlock lookup loop under the kJit label, which the
 // fallback test at the bottom still covers.
 #include "sim/jit.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -1018,6 +1019,281 @@ loop:   ld [%g1], %o1
   const auto step = run_observed(prog, Dispatch::kStep);
   ASSERT_FALSE(step.fault.empty()) << "expected an alignment fault";
   expect_same(step, run_observed(prog, Dispatch::kJit), "misalign");
+}
+
+// ---- hoisted address checks: the miss path --------------------------------
+
+// What a board run leaves that a dispatch mode could get wrong.
+struct BoardObserved {
+  std::string fault;
+  std::uint64_t instret = 0;
+  std::uint32_t pc = 0;
+  std::uint64_t cycles = 0;
+  std::uint64_t energy_bits = 0;
+  board::EventCounters events{};
+  std::array<std::uint64_t, isa::kOpCount> counts{};
+  std::uint64_t guard_misses = 0;  // kJit only
+};
+
+BoardObserved run_board_observed(const asmkit::Program& prog,
+                                 Dispatch dispatch) {
+  board::Board brd(test::quiet_meter_config());
+  brd.load(prog);
+  BoardObserved o;
+  try {
+    brd.run(1'000'000, dispatch);
+  } catch (const std::exception& e) {
+    o.fault = e.what();
+  }
+  o.instret = brd.cpu().instret;
+  o.pc = brd.cpu().pc;
+  o.cycles = brd.cycles();
+  o.energy_bits = std::bit_cast<std::uint64_t>(brd.true_energy_nj());
+  o.events = brd.events();
+  o.counts = brd.op_counts();
+  if (const JitRuntime* jr = brd.platform().block_cache()->jit()) {
+    o.guard_misses = jr->stats().guard_misses;
+  }
+  return o;
+}
+
+// The functional simulator and the board under kJit against kStep: state,
+// counts, instret and fault, and on the board cycles, energy bits and
+// events. Both jit runs must have taken the miss path at least `misses`
+// times (the check under test really was hoisted and really failed).
+void expect_guard_miss_identical(const asmkit::Program& prog,
+                                 std::uint64_t misses,
+                                 const std::string& what) {
+  expect_step_jit_identical(prog, 1'000'000, what);
+  Iss iss;
+  iss.load(prog);
+  try {
+    iss.run(1'000'000, Dispatch::kJit);
+  } catch (const std::exception&) {
+  }
+  const JitRuntime* jr = iss.platform().block_cache()->jit();
+  ASSERT_NE(jr, nullptr) << what;
+  EXPECT_GE(jr->stats().guard_misses, misses) << what;
+
+  const BoardObserved step = run_board_observed(prog, Dispatch::kStep);
+  const BoardObserved jit = run_board_observed(prog, Dispatch::kJit);
+  EXPECT_EQ(step.fault, jit.fault) << what;
+  EXPECT_EQ(step.instret, jit.instret) << what;
+  EXPECT_EQ(step.pc, jit.pc) << what;
+  EXPECT_EQ(step.cycles, jit.cycles) << what;
+  EXPECT_EQ(step.energy_bits, jit.energy_bits) << what;
+  EXPECT_EQ(step.events, jit.events) << what;
+  EXPECT_EQ(step.counts, jit.counts) << what;
+  EXPECT_GE(jit.guard_misses, misses) << what;
+}
+
+TEST(Jit, HoistedCheckMissOnMisalignedBase) {
+  SKIP_WITHOUT_JIT();
+  // fn's two loads share one prologue check on %o0. Forty calls pass it;
+  // the last call's %o0 is 2 bytes off, so the check fails and the block
+  // runs through the interpreter, whose first load faults.
+  const auto prog = asmkit::assemble(R"(
+_start: set 0x40100000, %l0
+        mov 0, %l1
+        mov 0, %l2
+loop:   st %l1, [%l0]
+        mov %l0, %o0
+        call fn
+        nop
+        add %l2, %o0, %l2
+        add %l0, 8, %l0
+        add %l1, 1, %l1
+        cmp %l1, 40
+        bne loop
+        nop
+        add %l0, 2, %o0
+        call fn
+        nop
+        mov %l2, %o0
+        ta 0
+fn:     ld [%o0], %o1
+        ld [%o0 + 4], %o2
+        retl
+        add %o1, %o2, %o0
+)",
+                                     kTextBase);
+  ASSERT_NE(run_observed(prog, Dispatch::kStep).fault.find("misaligned"),
+            std::string::npos);
+  expect_guard_miss_identical(prog, 1, "misaligned base");
+}
+
+TEST(Jit, HoistedCheckMissOnDoublewordBaseNotEightAligned) {
+  SKIP_WITHOUT_JIT();
+  // ldd/std through a base that is 8-aligned on forty calls and only
+  // 4-aligned on the last: the check's alignment is the widest access's.
+  const auto prog = asmkit::assemble(R"(
+_start: set 0x40100000, %l0
+        mov 0, %l1
+loop:   st %l1, [%l0]
+        st %l1, [%l0 + 4]
+        mov %l0, %o0
+        call fn
+        nop
+        add %l0, 16, %l0
+        add %l1, 1, %l1
+        cmp %l1, 40
+        bne loop
+        nop
+        add %l0, 4, %o0
+        call fn
+        nop
+        ta 0
+fn:     ldd [%o0], %o2
+        std %o2, [%o0 + 8]
+        retl
+        nop
+)",
+                                     kTextBase);
+  ASSERT_FALSE(run_observed(prog, Dispatch::kStep).fault.empty());
+  expect_guard_miss_identical(prog, 1, "ldd/std base 4-aligned");
+}
+
+TEST(Jit, HoistedCheckMissOnRangeCrossingRamEnd) {
+  SKIP_WITHOUT_JIT();
+  // The last call's base is kRamEnd - 8: fn's first load is still in RAM
+  // (the interpreter runs it) and its second, at kRamEnd, faults.
+  const auto prog = asmkit::assemble(R"(
+_start: set 0x40100000, %l0
+        mov 0, %l1
+loop:   mov %l0, %o0
+        call fn
+        nop
+        add %l1, 1, %l1
+        cmp %l1, 40
+        bne loop
+        nop
+        set 0x40FFFFF8, %o0
+        call fn
+        nop
+        ta 0
+fn:     ld [%o0], %o1
+        ld [%o0 + 8], %o2
+        retl
+        add %o1, %o2, %o0
+)",
+                                     kTextBase);
+  ASSERT_FALSE(run_observed(prog, Dispatch::kStep).fault.empty());
+  expect_guard_miss_identical(prog, 1, "range crossing kRamEnd");
+}
+
+TEST(Jit, HoistedCheckMissOnMmioBase) {
+  SKIP_WITHOUT_JIT();
+  // put and get alternate between a RAM base and an MMIO one (the UART, the
+  // instret register): every MMIO call misses and runs interpreted, which
+  // prints the byte and reads the exact mid-block instret.
+  const auto prog = asmkit::assemble(R"(
+_start: set 0x40100000, %l0
+        set 0x80000000, %l5
+        set 0x80000108, %l6
+        mov 0, %l1
+        mov 0, %o3
+loop:   and %l1, 15, %o1
+        add %o1, 65, %o1
+        mov %l0, %o0
+        call put
+        nop
+        mov %l5, %o0
+        call put
+        nop
+        mov %l0, %o0
+        call get
+        nop
+        mov %l6, %o0
+        call get
+        nop
+        add %l1, 1, %l1
+        cmp %l1, 40
+        bne loop
+        nop
+        mov %o3, %o0
+        ta 0
+put:    st %o1, [%o0]
+        retl
+        nop
+get:    ld [%o0], %o2
+        retl
+        xor %o2, %o3, %o3
+)",
+                                     kTextBase);
+  EXPECT_EQ(run_observed(prog, Dispatch::kStep).uart.size(), 40u);
+  expect_guard_miss_identical(prog, 80, "mmio base");
+}
+
+TEST(Jit, HoistedCheckMissOnStoreIntoText) {
+  SKIP_WITHOUT_JIT();
+  // fn stores through a base-relative address. Twenty calls write data;
+  // then one writes the word at `patch`, in the text: the check excludes
+  // the text, so the block runs interpreted and its store flushes the
+  // patched block. Pass two adds 10 per iteration instead of 1.
+  const auto prog = asmkit::assemble(R"(
+_start: set 0x40100000, %l0
+        set patch, %l4
+        sub %l4, 4, %l4
+        set word, %l6
+        ld [%l6], %l7
+        mov 0, %l3
+        mov 0, %l2
+again:  mov 0, %l1
+loop:   mov %l0, %o0
+        mov %l3, %o1
+        call fn
+        nop
+patch:  add %l3, 1, %l3
+        add %l1, 1, %l1
+        cmp %l1, 20
+        bne loop
+        nop
+        mov %l4, %o0
+        mov %l7, %o1
+        call fn
+        nop
+        add %l2, 1, %l2
+        cmp %l2, 2
+        bne again
+        nop
+        mov %l3, %o0
+        ta 0
+fn:     st %o1, [%o0 + 4]
+        retl
+        nop
+word:   add %l3, 10, %l3
+)",
+                                     kTextBase);
+  Iss iss;
+  iss.load(prog);
+  const auto r = iss.run(1'000'000, Dispatch::kJit);
+  ASSERT_TRUE(r.halted);
+  EXPECT_EQ(r.exit_code, 220u);
+  EXPECT_GE(iss.platform().block_cache()->stats().flushes, 1u);
+  expect_guard_miss_identical(prog, 2, "store into text");
+}
+
+TEST(Jit, BlockMissingItsCheckOnEveryVisitRunsToTheEnd) {
+  SKIP_WITHOUT_JIT();
+  // The loop block's only base register points at the UART on every pass:
+  // each native entry fails the check and hands the block to the
+  // interpreter, which must still make progress to the same end state.
+  const auto prog = asmkit::assemble(R"(
+_start: set 0x80000000, %l5
+        mov 0, %l0
+loop:   and %l0, 63, %l3
+        add %l3, 48, %l3
+        st %l3, [%l5]
+        add %l0, 1, %l0
+        cmp %l0, 200
+        bne loop
+        nop
+        mov 0, %o0
+        ta 0
+)",
+                                     kTextBase);
+  EXPECT_EQ(run_observed(prog, Dispatch::kJit).uart.size(), 200u);
+  expect_guard_miss_identical(prog, 199, "miss on every visit");
 }
 
 // ---- arena: W^X mapping and lifetime --------------------------------------
