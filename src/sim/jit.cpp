@@ -285,7 +285,6 @@ constexpr std::int32_t kOffFcc = 272;
 constexpr std::int32_t kOffInstret = 280;
 
 constexpr std::int32_t kRtTouched = 16;
-constexpr std::int32_t kRtCounts = 24;
 constexpr std::int32_t kRtCurMeta = 32;
 constexpr std::int32_t kRtGuardMiss = 44;
 constexpr std::int32_t kRtLedger = 56;
@@ -670,8 +669,8 @@ class BlockCompiler {
   // Per body record: its address guards are hoisted into the prologue.
   std::vector<bool> hoisted_;
   std::vector<BaseCheck> checks_;
-  // Per body record: an operand-toggle record with a runtime half (analyze
-  // counts these for pick_accumulators).
+  // Per body record: false for an ALU record whose operands are both
+  // constants (its toggle tally folds, so pick_accumulators skips it).
   std::vector<bool> runtime_toggles_;
 
   x::Emitter e_;

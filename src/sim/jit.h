@@ -86,7 +86,7 @@ struct JitRt {
   CpuState* cpu = nullptr;          // +0   -> %rbx
   std::uint8_t* ram_bias = nullptr; // +8   ram_data() - kRamBase -> %r12
   std::uint8_t* touched = nullptr;  // +16  dirty-page flags
-  std::uint64_t* counts = nullptr;  // +24  OpCountHooks counters (or null)
+  std::uint64_t* counts = nullptr;  // +24  counts vector visits fold into
   const void* cur_meta = nullptr;   // +32  JitBlockMeta* of the running block
   std::uint32_t fault_idx = 0;      // +40  record index of a stashed fault
   std::uint32_t guard_miss = 0;     // +44  a prologue address check failed
@@ -138,11 +138,12 @@ class JitRuntime {
   JitRuntime(const JitRuntime&) = delete;
   JitRuntime& operator=(const JitRuntime&) = delete;
 
-  // Binds the CpuState, the retire-counter vector and the cost ledger (or
-  // null) the emitted code will address. Counter adds and the ledger's
-  // configuration (toggle variation, residual kinds, row size, cache) are
-  // baked into compiled blocks, so switching counts on or off or rebinding
-  // the ledger discards all previously compiled code.
+  // Binds the CpuState, the retire-counter vector (visits fold into it) and
+  // the cost ledger (or null) the emitted code will address. Visit counters
+  // and the ledger's configuration (toggle variation, residual kinds, row
+  // size, cache) are baked into compiled blocks, so switching counts on or
+  // off or rebinding the ledger discards all previously compiled code;
+  // visits owed to the old counts vector are folded into it first.
   void configure(CpuState* cpu, std::uint64_t* counts, CostLedger* ledger);
 
   // Compiles `b` on first sight (updating b.jit_state); later calls are a
