@@ -628,6 +628,18 @@ class BlockCompiler {
                 1);
   }
 
+  // r[rs1] into `dst` (32-bit, zero-extending): an immediate when the facts
+  // prove it constant, %ebp when the record's toggle tally just left it
+  // there as prev_a, else a load.
+  void load_rs1(const isa::DecodedInsn& d, Gp dst) {
+    if (facts_[d.rs1].is_const()) {
+      e_.mov_ri(dst, facts_[d.rs1].value);
+    } else if (rs1_in_hist_) {
+      e_.mov_rr(dst, kHist);
+    } else {
+      e_.mov_rm(dst, reg_m(d.rs1));
+    }
+  }
   void store_rd(const isa::DecodedInsn& d) {
     if (d.rd != 0) e_.mov_mr(reg_m(d.rd), Gp::rax);
   }
@@ -666,6 +678,9 @@ class BlockCompiler {
   // Register facts before the record being emitted, and the toggle state.
   RegFacts facts_ = entry_facts();
   LazyToggles lazy_;
+  // %ebp holds r[rs1] of the record being emitted (its toggle tally made
+  // it prev_a).
+  bool rs1_in_hist_ = false;
   // Per body record: its address guards are hoisted into the prologue.
   std::vector<bool> hoisted_;
   std::vector<BaseCheck> checks_;
@@ -927,7 +942,7 @@ void BlockCompiler::emit_helper_call(std::uint32_t i) {
 }
 
 void BlockCompiler::emit_ea(const isa::DecodedInsn& d) {
-  e_.mov_rm(Gp::rcx, reg_m(d.rs1));  // 32-bit move zero-extends %rcx
+  load_rs1(d, Gp::rcx);  // 32-bit moves zero-extend %rcx
   if (d.has_imm) {
     if (d.imm != 0) e_.add_ri(Gp::rcx, static_cast<std::uint32_t>(d.imm));
   } else {
@@ -1577,7 +1592,10 @@ void BlockCompiler::emit_memory_tally(Op op) {
 // `mov`, an add of zero) one copy or nothing, and a register operand 2 the
 // facts prove constant becomes the immediate form of the template.
 void BlockCompiler::emit_insn(const isa::DecodedInsn& d, std::uint32_t i) {
-  if (tallies_operands(d.op) && delay_foldable(d.op)) emit_alu_toggles(d);
+  if (tallies_operands(d.op) && delay_foldable(d.op)) {
+    emit_alu_toggles(d);
+    rs1_in_hist_ = d.op != Op::kRdy && !lazy_.hist[0].known;
+  }
   RegFacts after = facts_;
   step_facts(after, d);
   bool plain = false;  // rd's new value is all the record does
@@ -1610,7 +1628,11 @@ void BlockCompiler::emit_insn(const isa::DecodedInsn& d, std::uint32_t i) {
     if (d.rd != 0) e_.mov_mi(reg_m(d.rd), after[d.rd].value);
   } else if (copied >= 0) {
     if (copied != d.rd) {
-      e_.mov_rm(Gp::rax, reg_m(static_cast<std::uint32_t>(copied)));
+      if (copied == d.rs1) {
+        load_rs1(d, Gp::rax);
+      } else {
+        e_.mov_rm(Gp::rax, reg_m(static_cast<std::uint32_t>(copied)));
+      }
       store_rd(d);
     }
   } else if (int_op2 && !d.has_imm && facts_[d.rs2].is_const()) {
@@ -1622,6 +1644,7 @@ void BlockCompiler::emit_insn(const isa::DecodedInsn& d, std::uint32_t i) {
     emit_record(d, i);
   }
   facts_ = after;
+  rs1_in_hist_ = false;
 }
 
 void BlockCompiler::emit_record(const isa::DecodedInsn& d, std::uint32_t i) {
@@ -1636,7 +1659,7 @@ void BlockCompiler::emit_record(const isa::DecodedInsn& d, std::uint32_t i) {
     case Op::kSave:      // flat register model: plain add
     case Op::kRestore:
     case Op::kAddcc:
-      e_.mov_rm(Gp::rax, reg_m(d.rs1));
+      load_rs1(d, Gp::rax);
       if (d.has_imm) {
         e_.add_ri(Gp::rax, static_cast<std::uint32_t>(d.imm));
       } else {
@@ -1650,7 +1673,7 @@ void BlockCompiler::emit_record(const isa::DecodedInsn& d, std::uint32_t i) {
     case Op::kAddxcc:
       e_.movzx_rm8(Gp::rcx, x::ptr(kCpu, kOffC));
       e_.bt_ri(Gp::rcx, 0);  // CF = icc_c (moves below preserve flags)
-      e_.mov_rm(Gp::rax, reg_m(d.rs1));
+      load_rs1(d, Gp::rax);
       if (d.has_imm) {
         e_.adc_ri(Gp::rax, static_cast<std::uint32_t>(d.imm));
       } else {
@@ -1663,7 +1686,7 @@ void BlockCompiler::emit_record(const isa::DecodedInsn& d, std::uint32_t i) {
 
     case Op::kSub:
     case Op::kSubcc:
-      e_.mov_rm(Gp::rax, reg_m(d.rs1));
+      load_rs1(d, Gp::rax);
       if (d.has_imm) {
         e_.sub_ri(Gp::rax, static_cast<std::uint32_t>(d.imm));
       } else {
@@ -1678,7 +1701,7 @@ void BlockCompiler::emit_record(const isa::DecodedInsn& d, std::uint32_t i) {
     case Op::kSubxcc:
       e_.movzx_rm8(Gp::rcx, x::ptr(kCpu, kOffC));
       e_.bt_ri(Gp::rcx, 0);  // CF = borrow-in
-      e_.mov_rm(Gp::rax, reg_m(d.rs1));
+      load_rs1(d, Gp::rax);
       if (d.has_imm) {
         e_.sbb_ri(Gp::rax, static_cast<std::uint32_t>(d.imm));
       } else {
@@ -1701,7 +1724,7 @@ void BlockCompiler::emit_record(const isa::DecodedInsn& d, std::uint32_t i) {
       const bool cc = d.op == Op::kAndcc || d.op == Op::kAndncc ||
                       d.op == Op::kOrcc || d.op == Op::kOrncc ||
                       d.op == Op::kXorcc || d.op == Op::kXnorcc;
-      e_.mov_rm(Gp::rax, reg_m(d.rs1));
+      load_rs1(d, Gp::rax);
       if (d.has_imm) {
         // Fold the complement at compile time (a & ~b, a | ~b, a ^ ~b —
         // xnor == xor with the inverted mask); flags come from the final op.
@@ -1743,7 +1766,7 @@ void BlockCompiler::emit_record(const isa::DecodedInsn& d, std::uint32_t i) {
     case Op::kSrl:
     case Op::kSra:
       if (d.has_imm) {
-        e_.mov_rm(Gp::rax, reg_m(d.rs1));
+        load_rs1(d, Gp::rax);
         const auto count =
             static_cast<std::uint8_t>(static_cast<std::uint32_t>(d.imm) & 31);
         if (d.op == Op::kSll) e_.shl_ri(Gp::rax, count);
@@ -1751,7 +1774,7 @@ void BlockCompiler::emit_record(const isa::DecodedInsn& d, std::uint32_t i) {
         else e_.sar_ri(Gp::rax, count);
       } else {
         e_.mov_rm(Gp::rcx, reg_m(d.rs2));  // hardware masks %cl to 5 bits
-        e_.mov_rm(Gp::rax, reg_m(d.rs1));
+        load_rs1(d, Gp::rax);
         if (d.op == Op::kSll) e_.shl_cl(Gp::rax);
         else if (d.op == Op::kSrl) e_.shr_cl(Gp::rax);
         else e_.sar_cl(Gp::rax);
@@ -1763,7 +1786,7 @@ void BlockCompiler::emit_record(const isa::DecodedInsn& d, std::uint32_t i) {
     case Op::kUmulcc:
     case Op::kSmul:
     case Op::kSmulcc:
-      e_.mov_rm(Gp::rax, reg_m(d.rs1));
+      load_rs1(d, Gp::rax);
       if (d.has_imm) {
         e_.mov_ri(Gp::rcx, static_cast<std::uint32_t>(d.imm));
       } else {
@@ -1788,7 +1811,7 @@ void BlockCompiler::emit_record(const isa::DecodedInsn& d, std::uint32_t i) {
       return;
 
     case Op::kWry:
-      e_.mov_rm(Gp::rax, reg_m(d.rs1));
+      load_rs1(d, Gp::rax);
       if (d.has_imm) {
         if (d.imm != 0) e_.xor_ri(Gp::rax, static_cast<std::uint32_t>(d.imm));
       } else {
