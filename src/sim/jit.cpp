@@ -2148,7 +2148,7 @@ void JitRuntime::fold_slots(const JitBlockMeta& m) noexcept {
 
 void JitRuntime::fold_counts() noexcept {
   for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (visits_[s] != 0) fold_slots(*slots_[s].meta);
+    if (visits_[s] != 0) fold_slots(*metas_[slots_[s].meta]);
   }
   dying_.clear();
 }
@@ -2221,7 +2221,8 @@ Block::JitState JitRuntime::ensure_compiled(Block& b) {
   meta->slots = static_cast<std::uint32_t>(comp->slot_extras().size());
   for (const std::uint8_t extra : comp->slot_extras()) {
     visits_.push_back(0);
-    slots_.push_back(VisitSlot{meta.get(), extra});
+    slots_.push_back(
+        VisitSlot{static_cast<std::uint32_t>(metas_.size()), extra});
   }
   rt_.visits = visits_.data();
   b.jit_folds_delay = comp->folds_delay();

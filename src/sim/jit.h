@@ -246,10 +246,11 @@ class JitRuntime {
   void fold_slots(const JitBlockMeta& m) noexcept;
   void fold_dying_slow() noexcept;
 
-  // One exit path's visit counter: the block whose profile it retires and
-  // the op of a delay instruction the path folds (kNoExtra: none).
+  // One exit path's visit counter: the block whose profile it retires (an
+  // index into metas_, which keeps every meta until reset_code) and the op
+  // of a delay instruction the path folds (kNoExtra: none). Eight bytes.
   struct VisitSlot {
-    const JitBlockMeta* meta = nullptr;
+    std::uint32_t meta = 0;
     std::uint8_t extra = kNoExtra;
   };
 

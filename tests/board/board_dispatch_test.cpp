@@ -374,16 +374,22 @@ TEST(BoardDispatch, SelfModifyingStoreKillsCompiledCostBlockInFlight) {
   // store invalidates the very block whose emitted code is executing. The
   // run must recompile and stay
   // bit-identical to stepping; on jit hosts the flush must actually have
-  // gone through the jit's invalidation path.
+  // gone through the jit's invalidation path. The store's address is
+  // loaded in the loop, so it keeps its per-access guards and runs from
+  // the emitted code (an entry-register base would fail the block's
+  // hoisted check and run the block interpreted).
   const std::string src = R"(
 _start: mov 40, %l0
         mov 0, %g1
         set patch, %l1
+        set 0x40100000, %l4
+        st %l1, [%l4]
         set insn_b, %l2
         ld [%l2], %l3
 loop:
 patch:  add %g1, 1, %g1
-        st %l3, [%l1]
+        ld [%l4], %l5
+        st %l3, [%l5]
         subcc %l0, 1, %l0
         bne loop
         nop
@@ -401,6 +407,8 @@ insn_b: add %g1, 2, %g1
     const sim::JitRuntime* jr = brd.platform().block_cache()->jit();
     ASSERT_NE(jr, nullptr);
     EXPECT_GE(jr->stats().blocks_compiled, 1u);
+    EXPECT_EQ(jr->stats().guard_misses, 0u);
+    EXPECT_GE(jr->stats().helper_exec, 40u);
   }
   const Outcome step = run_board(p, loud_config(), sim::Dispatch::kStep);
   const Outcome jit = run_board(p, loud_config(), sim::Dispatch::kJit);
