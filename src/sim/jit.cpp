@@ -18,7 +18,10 @@
 // With a ledger bound, its toggle history lives in registers for the whole
 // native run (the thunk loads it and writes it back):
 //   %rbp  prev_b:prev_a (callee-saved; so a frame-pointer walk from
-//         inside the helper ends at emitted code)
+//         inside the helper ends at emitted code). Inside a block a half
+//         the compiler knows as a constant may be stale (LazyToggles);
+//         exits, FPU tallies, operand-tallying helper calls and helper
+//         fault exits rebuild the pair first.
 //   %r9d  prev_addr            %r10d  open_row (caller-saved)
 // and %esi/%edi/%r11d hold per-block toggle sums of up to three ops, zeroed
 // in the block prologue and added into the ledger at every exit. Around
