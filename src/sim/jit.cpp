@@ -91,7 +91,7 @@ void JitRuntime::on_block_death(Block&) {}
 void JitRuntime::reset_code() {}
 void JitRuntime::fold_counts() noexcept {}
 void JitRuntime::fold_slots(const JitBlockMeta&) noexcept {}
-void JitRuntime::fold_dying_slow() noexcept {}
+void JitRuntime::fold_dying() noexcept {}
 
 #else  // NFP_JIT_ENABLED
 
@@ -2156,7 +2156,7 @@ void JitRuntime::fold_counts() noexcept {
   dying_.clear();
 }
 
-void JitRuntime::fold_dying_slow() noexcept {
+void JitRuntime::fold_dying() noexcept {
   for (const JitBlockMeta* m : dying_) fold_slots(*m);
   dying_.clear();
 }

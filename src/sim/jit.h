@@ -179,9 +179,7 @@ class JitRuntime {
   // dying block may have finished its trace and bumped an exit after
   // on_block_death). The host loop calls it after every native run, before
   // the next lookup() may free a dead Block.
-  void fold_dying() noexcept {
-    if (!dying_.empty()) fold_dying_slow();
-  }
+  void fold_dying() noexcept;
 
   // Fault reconciliation data: the meta of the faulting block plus the
   // record index that faulted. Clears the fault latch.
@@ -244,7 +242,6 @@ class JitRuntime {
   // binding changed, or the arena is full).
   void reset_code();
   void fold_slots(const JitBlockMeta& m) noexcept;
-  void fold_dying_slow() noexcept;
 
   // One exit path's visit counter: the block whose profile it retires (an
   // index into metas_, which keeps every meta until reset_code) and the op
